@@ -36,6 +36,30 @@ def _list_parent_indices(arr: pa.ListArray) -> np.ndarray:
     return np.repeat(np.arange(len(arr), dtype=np.int64), np.diff(off))
 
 
+def _check_span_tokens(
+    batch: pa.Table,
+    rows: np.ndarray,
+    texts: pa.Array,
+    bad: np.ndarray,
+    kind: str,
+    want: str,
+) -> None:
+    """Raise on the first geometry span whose token count is wrong.
+
+    Coordinates are split out of all spans of one kind at once and then
+    read pairwise, so a span with a stray or missing token would shift
+    every later span's coordinates onto its neighbour's."""
+    if not bad.any():
+        return
+    i = int(np.flatnonzero(bad)[0])
+    row = int(rows[i])
+    doc = batch["doc_id"][row].as_py() if "doc_id" in batch.column_names else row
+    raise ValueError(
+        f"doc_id {doc}: {kind} span {texts[i].as_py()!r} must have {want} "
+        "coordinate tokens"
+    )
+
+
 def parse_geom_spans(batch: pa.Table, spans_col: str = "spans") -> pa.Table:
     """Append geometry columns parsed from the spans column.
 
@@ -68,7 +92,10 @@ def parse_geom_spans(batch: pa.Table, spans_col: str = "spans") -> pa.Table:
     # ---- points: "x y" ------------------------------------------------
     if is_point.any():
         rows = parent[is_point]
-        parts = pc.split_pattern(text.filter(pa.array(is_point)), " ")
+        ptxt = text.filter(pa.array(is_point))
+        parts = pc.split_pattern(ptxt, " ")
+        counts = pc.list_value_length(parts).to_numpy(zero_copy_only=False)
+        _check_span_tokens(batch, rows, ptxt, counts != 2, "point", "exactly 2")
         vals = pc.cast(parts.flatten(), pa.float64()).to_numpy(zero_copy_only=False)
         px = vals[0::2]
         py = vals[1::2]
@@ -90,6 +117,7 @@ def parse_geom_spans(batch: pa.Table, spans_col: str = "spans") -> pa.Table:
         flat_txt = pc.replace_substring(ptxt, ",", " ")
         parts = pc.split_pattern(flat_txt, " ")
         counts = pc.list_value_length(parts).to_numpy(zero_copy_only=False)
+        _check_span_tokens(batch, rows, ptxt, counts % 2 != 0, "poly", "an even number of")
         vals = pc.cast(parts.flatten(), pa.float64()).to_numpy(zero_copy_only=False)
         # envelope per poly via reduceat over coordinate pairs
         pair_counts = counts // 2

@@ -62,7 +62,9 @@ class ZoneSet:
         self.fid = np.ascontiguousarray(fid, dtype=np.int64)
         self.ring_xy = np.ascontiguousarray(ring_xy, dtype=np.float64)
         self.ring_offsets = np.ascontiguousarray(ring_offsets, dtype=np.int64)
-        self.bounds = np.ascontiguousarray(bounds, dtype=np.float64)
+        # column-major: each of xmin/xmax/ymin/ymax is one contiguous
+        # column, so the per-column gathers of the refine stay in cache
+        self.bounds = np.asfortranarray(bounds, dtype=np.float64)
         self.attrs = attrs
         self.is_rect = self._detect_rects()
 
@@ -175,20 +177,22 @@ class ZoneSet:
         cand_pt, cand_zone = index.query_points(px, py)
         if len(cand_pt) == 0:
             return cand_pt, cand_zone
-        ok = np.empty(len(cand_pt), dtype=bool)
-        rect_pair = self.is_rect[cand_zone]
-        if rect_pair.any():
-            rp = np.flatnonzero(rect_pair)
-            b = self.bounds[cand_zone[rp]]
-            x = px[cand_pt[rp]]
-            y = py[cand_pt[rp]]
-            ok[rp] = (x >= b[:, 0]) & (x < b[:, 1]) & (y >= b[:, 2]) & (y < b[:, 3])
-        gen = ~rect_pair
-        if gen.any():
-            gp = np.flatnonzero(gen)
-            ok[gp] = pip_pairs(
-                px, py, self.ring_xy, self.ring_offsets, cand_pt[gp], cand_zone[gp]
-            )
+        # Half-open rectangle test over ALL candidates, one contiguous
+        # bounds column at a time; pairs whose zone is not a rectangle
+        # are then overwritten by the exact ray-crossing PIP.
+        b = self.bounds
+        x = px[cand_pt]
+        y = py[cand_pt]
+        ok = x >= b[:, 0][cand_zone]
+        ok &= x < b[:, 1][cand_zone]
+        ok &= y >= b[:, 2][cand_zone]
+        ok &= y < b[:, 3][cand_zone]
+        if not self.is_rect.all():
+            gp = np.flatnonzero(~self.is_rect[cand_zone])
+            if len(gp):
+                ok[gp] = pip_pairs(
+                    px, py, self.ring_xy, self.ring_offsets, cand_pt[gp], cand_zone[gp]
+                )
         return cand_pt[ok], cand_zone[ok]
 
 

@@ -18,6 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 _LEAF_CAP = 16
+# Cell-key space up to which CellBucketIndex sorts its keys as uint16
+# (grid level <= 8).
+_RADIX_KEYS = 1 << 16
 
 
 def _str_order(bounds: np.ndarray, cap: int) -> np.ndarray:
@@ -44,6 +47,10 @@ class CellBucketIndex:
     Each item is duplicated into every grid cell its bbox touches;
     entries are sorted by cell key, so a point query is one
     ``searchsorted`` + vectorized run expansion (no tree descent).
+    The build is linear up to grid level 8: the entry keys come from a
+    running sum of deltas, and the stable sort runs on ``uint16`` keys,
+    which numpy radix-sorts (same permutation as the int64 sort used
+    above level 8).
     Memory = O(sum of per-item cell covers); the constructor picks the
     cell size from the median item extent so duplication stays ~100x
     bounded while false candidates stay within ~20% of true matches.
@@ -56,7 +63,8 @@ class CellBucketIndex:
         level: int | None = None,
         frame: tuple[float, float, float, float] | None = None,  # x0,y0,w,h
     ):
-        bounds = np.ascontiguousarray(bounds, dtype=np.float64)
+        # columns only: a column-major ``bounds`` is used without a copy
+        bounds = np.asarray(bounds, dtype=np.float64)
         self.n_items = len(bounds)
         if frame is None:
             # Frame = union of item bboxes: any point outside it is
@@ -110,15 +118,35 @@ class CellBucketIndex:
         counts = w * h
         total = int(counts.sum())
         item = np.repeat(np.arange(self.n_items, dtype=np.int64), counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
+        # Entry keys (row * n + col, row-major over each item's cover) as
+        # a running sum of deltas: +1 along a cover row, n - w + 1 at a
+        # wrap to the next cover row, and the jump from the previous
+        # item's last cell to this item's first at each item start.
+        start = np.cumsum(counts) - counts
+        first = r0 * n + c0
+        last = first + (h - 1) * n + (w - 1)
+        delta = np.ones(total, dtype=np.int64)
+        wraps = h - 1
+        k = np.arange(1, int(wraps.sum()) + 1, dtype=np.int64) - np.repeat(
+            np.cumsum(wraps) - wraps, wraps
         )
-        ww = w[item]
-        col = c0[item] + within % ww
-        row = r0[item] + within // ww
-        key = row * n + col
-        order = np.argsort(key, kind="stable")
-        self.sorted_key = key[order]
+        delta[np.repeat(start, wraps) + k * np.repeat(w, wraps)] = np.repeat(
+            n - w + 1, wraps
+        )
+        delta[start] = first - np.concatenate([[0], last[:-1]])
+        key = np.cumsum(delta)
+        if n * n <= _RADIX_KEYS:
+            # numpy's stable sort on 16-bit keys is a linear-time radix
+            # sort: the same permutation as the int64 merge sort, ~6x
+            # faster. The sorted keys are then one run per cell, so
+            # they come from a bincount instead of a gather.
+            order = np.argsort(key.astype(np.uint16), kind="stable")
+            self.sorted_key = np.repeat(
+                np.arange(n * n, dtype=np.int64), np.bincount(key, minlength=n * n)
+            )
+        else:
+            order = np.argsort(key, kind="stable")
+            self.sorted_key = key[order]
         self.item_of = item[order]
 
     def query_points(self, px: np.ndarray, py: np.ndarray):
@@ -140,11 +168,11 @@ class CellBucketIndex:
         if total == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         q = np.repeat(pts, cnt)
-        base = np.repeat(lo, cnt)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(cnt) - cnt, cnt
+        # entry position = run start + rank within the run
+        pos = np.arange(total, dtype=np.int64) + np.repeat(
+            lo - (np.cumsum(cnt) - cnt), cnt
         )
-        return q, self.item_of[base + within]
+        return q, self.item_of[pos]
 
 
 class STRtree:

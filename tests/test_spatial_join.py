@@ -417,3 +417,73 @@ def test_salting_engages_and_bounds_cells(ray_session, sf_dir, monkeypatch):
         assert n > 200
         if si < 64:  # not capped (max_salt default)
             assert -(-n // si) <= 200
+
+
+def _even_odd(x, y, ring):
+    """Scalar even-odd ray crossing over the ring's implicit closure."""
+    xs, ys = ring[0::2], ring[1::2]
+    inside = False
+    for k in range(len(xs)):
+        x1, y1 = xs[k], ys[k]
+        x2, y2 = xs[(k + 1) % len(xs)], ys[(k + 1) % len(xs)]
+        if (y1 > y) != (y2 > y) and x < x1 + (y - y1) * (x2 - x1) / (y2 - y1):
+            inside = not inside
+    return inside
+
+
+def _edge_layer(rng, n_zones, with_triangles):
+    """Integer-cornered rectangles (and, optionally, every third zone a
+    triangle) plus points on a 0.5 lattice: many lie exactly on zone
+    edges and corners."""
+    from rsgislib_ray.functions.geom import rect_ring
+
+    rings = []
+    for j in range(n_zones):
+        x0, y0 = rng.integers(0, 20, 2).astype(float)
+        w, h = rng.integers(1, 6, 2).astype(float)
+        if with_triangles and j % 3 == 0:
+            rings.append(np.array([x0, y0, x0 + w, y0, x0, y0 + h]))
+        else:
+            rings.append(rect_ring(x0, y0, x0 + w, y0 + h))
+    lens = [len(r) for r in rings]
+    tbl = pa.table(
+        {
+            "fid": pa.array(np.arange(100, 100 + n_zones), pa.int64()),
+            "ring_xy": pa.ListArray.from_arrays(
+                pa.array(np.concatenate([[0], np.cumsum(lens)]), pa.int32()),
+                pa.array(np.concatenate(rings)),
+            ),
+        }
+    )
+    px = rng.integers(-2, 52, 600) / 2.0
+    py = rng.integers(-2, 52, 600) / 2.0
+    return tbl, rings, px, py
+
+
+@pytest.mark.parametrize("with_triangles", [False, True])
+def test_match_points_equals_brute_force_in_order(with_triangles):
+    """``match_points`` on the default cell-bucket index gives exactly the
+    brute-force pairs, ordered by point then zone, whether one chunk or
+    many."""
+    from rsgislib_ray.stages.spatial_join import ZoneSet
+
+    rng = np.random.default_rng(5)
+    tbl, rings, px, py = _edge_layer(rng, 120, with_triangles)
+    zs = ZoneSet.from_table(tbl)
+    assert zs.is_rect.all() != with_triangles
+    want = np.array(
+        [
+            (p, z)
+            for p in range(len(px))
+            for z in range(len(rings))
+            if _even_odd(px[p], py[p], rings[z])
+        ],
+        dtype=np.int64,
+    )
+    assert len(want) > 0
+    idx = zs.build_index()
+    for chunk in (ZoneSet.MATCH_CHUNK, 37):
+        zs.MATCH_CHUNK = chunk
+        pi, zi = zs.match_points(idx, px, py)
+        np.testing.assert_array_equal(pi, want[:, 0])
+        np.testing.assert_array_equal(zi, want[:, 1])

@@ -65,3 +65,47 @@ def test_tree_is_picklable_and_stable():
     q2, i2 = tree2.query_points(px, py)
     np.testing.assert_array_equal(q1, q2)
     np.testing.assert_array_equal(i1, i2)
+
+
+def _naive_bucket_entries(bounds, idx):
+    """Every (cell key, item) entry of a CellBucketIndex, built with
+    Python loops, then ordered by a stable int64 argsort."""
+    n = idx.n_side
+    keys, items = [], []
+    for j, (xmin, xmax, ymin, ymax) in enumerate(bounds):
+        c0, c1 = (
+            min(max(int(np.floor((v - idx.x0) / idx.cw)), 0), n - 1)
+            for v in (xmin, xmax)
+        )
+        r0, r1 = (
+            min(max(int(np.floor((v - idx.y0) / idx.ch)), 0), n - 1)
+            for v in (ymin, ymax)
+        )
+        for r in range(r0, r1 + 1):
+            for c in range(c0, c1 + 1):
+                keys.append(r * n + c)
+                items.append(j)
+    keys = np.array(keys, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.array(items, dtype=np.int64)[order]
+
+
+def test_cell_bucket_build_matches_naive_int64_sort():
+    """Radix build (level <= 8) and int64 build (level > 8) both give
+    exactly the entries and order of a naive stable int64 argsort."""
+    from rsgislib_ray.state.strtree import CellBucketIndex
+
+    rng = np.random.default_rng(11)
+    b = _rand_bounds(rng, 400, max_sz=12.0)
+    for level in (6, 8, 9, 10):
+        idx = CellBucketIndex(b, level=level)
+        want_key, want_item = _naive_bucket_entries(b, idx)
+        assert idx.sorted_key.dtype == np.int64
+        assert idx.item_of.dtype == np.int64
+        np.testing.assert_array_equal(idx.sorted_key, want_key)
+        np.testing.assert_array_equal(idx.item_of, want_item)
+    # a column-major bounds array builds the same index as a row-major one
+    idx_c = CellBucketIndex(b)
+    idx_f = CellBucketIndex(np.asfortranarray(b))
+    np.testing.assert_array_equal(idx_c.sorted_key, idx_f.sorted_key)
+    np.testing.assert_array_equal(idx_c.item_of, idx_f.item_of)

@@ -351,3 +351,61 @@ def test_zonal_native_combine_equals_driver(ray_session, sf_dir):
     import pandas as pd
 
     pd.testing.assert_frame_equal(a, b)
+
+
+def test_moment_partial_equals_pandas_groupby():
+    """The scatter-add zonal partial equals a pandas groupby over the
+    brute-force (point, zone) matches: negative values, zones without
+    matches left out, and accumulation across point chunks."""
+    import pandas as pd
+
+    from rsgislib_ray.functions.geom import points_in_ring, rect_ring
+    from rsgislib_ray.stages.spatial_join import ZoneSet
+    from rsgislib_ray.stages.zonal import _moment_partial
+
+    rng = np.random.default_rng(9)
+    rings = [rect_ring(x, y, x + 4, y + 3) for x, y in rng.integers(0, 20, (40, 2))]
+    rings.append(np.array([5.0, 5.0, 15.0, 5.0, 5.0, 15.0]))  # triangle
+    rings.append(rect_ring(100.0, 100.0, 101.0, 101.0))  # no point reaches it
+    lens = [len(r) for r in rings]
+    zones = ZoneSet.from_table(
+        pa.table(
+            {
+                "fid": pa.array(np.arange(len(rings)) * 3 + 7, pa.int64()),
+                "ring_xy": pa.ListArray.from_arrays(
+                    pa.array(np.concatenate([[0], np.cumsum(lens)]), pa.int32()),
+                    pa.array(np.concatenate(rings)),
+                ),
+            }
+        )
+    )
+    zones.MATCH_CHUNK = 50
+    n = 500
+    cells = pa.table(
+        {
+            "x": rng.integers(0, 50, n) / 2.0,
+            "y": rng.integers(0, 50, n) / 2.0,
+            "val": rng.integers(-1000, 1000, n),
+        }
+    )
+    got = _moment_partial(cells, zones_ref=zones).to_pandas()
+
+    px, py, v = (cells[c].to_numpy() for c in ("x", "y", "val"))
+    pairs = [
+        pd.DataFrame({"fid": zones.fid[z], "v": v[points_in_ring(px, py, r)]})
+        for z, r in enumerate(rings)
+    ]
+    m = pd.concat(pairs).assign(sq=lambda d: d["v"] * d["v"])
+    want = m.groupby("fid", as_index=False).agg(
+        cnt=("v", "size"),
+        sum_v=("v", "sum"),
+        sumsq_v=("sq", "sum"),
+        min_v=("v", "min"),
+        max_v=("v", "max"),
+    )
+    assert zones.fid[-1] not in set(got["fid"])
+    assert (want["min_v"] < 0).any()
+    pd.testing.assert_frame_equal(
+        got.sort_values("fid").reset_index(drop=True),
+        want.astype(got.dtypes.to_dict()),
+    )

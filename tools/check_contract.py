@@ -9,11 +9,16 @@ order-insensitive value hash. Usage:
 
 from __future__ import annotations
 
+import os
 import sys
+from pathlib import Path
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+# the checkout this script lives in, whatever its path
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
@@ -49,6 +54,12 @@ def value_hash(df: pd.DataFrame) -> int:
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    # Ray workers import the engine from this process's working
+    # directory, so run from this checkout: this process and its
+    # workers then load the same rsgislib_ray.
+    sf_dir = os.path.abspath(sf_dir)
+    os.chdir(REPO_ROOT)
+    sys.path.insert(0, str(REPO_ROOT))
 
     import ray
 
@@ -63,7 +74,6 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
@@ -76,9 +86,11 @@ def main() -> int:
         )
 
     failures = []
+    ran = 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        ran += 1
         import time
 
         t0 = time.time()
@@ -127,7 +139,7 @@ def main() -> int:
 
     ray.shutdown()
     print(
-        f"\n{len(qs) - len(failures)}/{len(qs)} queries pass"
+        f"\n{ran - len(failures)}/{ran} queries pass"
         + (f"; FAILURES: {failures}" if failures else "")
     )
     return 1 if failures else 0
