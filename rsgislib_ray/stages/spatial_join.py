@@ -8,23 +8,24 @@ Reimplements the reference's join family on Ray Data:
 - ``count_pt_intersects`` per-polygon point counts (``:1022-1102``)
 - bbox selects (vectorutils/__init__.py:1269-1380)
 
-Three physical strategies, chosen by layer sizes:
+What ships (BENCH_r05, sf0.1 at 32 CPUs, inner join):
 
-1. **Broadcast** (default; zones fit in a worker's heap — the common
-   case, like the reference's in-memory rtree): the packed zone arrays
-   are ``ray.put`` ONCE; each actor in the ``map_batches`` pool builds
-   its STRtree ONCE in ``__init__`` and streams point batches through
-   — no shuffle at all, scales linearly with point count.
-2. **Cell-partitioned groupby** (both sides large): assign each point
-   to a cell at a join level, duplicate each zone into every cell its
-   envelope covers (the same duplication the reference does by
-   rasterizing per feature envelope, zonalstats/__init__.py:340-430),
-   then ``groupby(cell)`` + per-group local STRtree join. Point cells
-   are unique per point, so no post-join dedup is needed.
-3. **Native hash join** (both sides large, preferred):
-   ``Dataset.join`` on the cell key — a vectorized hash-partitioned
-   shuffle — then a stateless PIP-refine ``map_batches`` over the
-   candidate pairs. Scales with partition count, no per-group Python.
+1. **Broadcast** (``spatial_join_points``, ``count_points_per_zone``;
+   the flagship and the small-zone join queries; 0.99 s): the packed zone
+   arrays are ``ray.put`` ONCE; each process builds its cell-bucket
+   index ONCE and streams point batches through — no shuffle at all.
+2. **Sort-merge** (``spatial_join_points_sortmerge``; both sides
+   large, inner/left/semi/anti, optional hot-cell salting; 1.77 s):
+   both sides union into ONE range shuffle on the cell key; sorted
+   blocks join their cell runs vectorized, and the cells that straddle
+   a block boundary go to one small Ray task. No other all-to-all.
+3. ``spatial_join_auto`` picks broadcast while the zone side is under
+   ``BROADCAST_ZONE_LIMIT`` rows, else sort-merge.
+
+Kept as controls, not routed to: the native ``Dataset.join`` hash join
+(``spatial_join_points_hashjoin``, the ``spatial_join_hash`` row; 3.36
+s), and the test-only blob-packed join and ``groupby(cell)`` variant
+(``spatial_join_points_packjoin``, ``spatial_join_points_partitioned``).
 
 All return identical rows (tested); the span-sequence invariant holds
 because point rows pass through ``take`` untouched.
@@ -897,28 +898,205 @@ def spatial_join_points_packjoin(
 
 def _emit_how(
     how: str,
+    key_col: str,
     keys: np.ndarray,
     fids: np.ndarray,
     pkeys: np.ndarray,
     matched: np.ndarray,
 ) -> pa.Table:
-    """Shape the per-block join result for the requested join mode."""
-    if how == "inner":
-        return pa.table({"key": pa.array(keys), "fid": pa.array(fids)})
+    """Shape a run-join result as ``(key_col, fid)`` int64 rows for the
+    requested join mode."""
     neg1 = lambda n: np.full(n, -1, dtype=np.int64)  # noqa: E731
-    if how == "left":
+    if how == "inner":
+        k, f = keys, fids
+    elif how == "left":
         un = pkeys[~matched]
-        return pa.table(
-            {
-                "key": pa.array(np.concatenate([keys, un])),
-                "fid": pa.array(np.concatenate([fids, neg1(len(un))])),
-            }
+        k = np.concatenate([keys, un])
+        f = np.concatenate([fids, neg1(len(un))])
+    elif how == "semi":
+        k = pkeys[matched]
+        f = neg1(len(k))
+    else:  # anti
+        k = pkeys[~matched]
+        f = neg1(len(k))
+    return pa.table(
+        {key_col: pa.array(k, pa.int64()), "fid": pa.array(f, pa.int64())}
+    )
+
+
+def _join_arrays(pcell, pkey, ppx, ppy, zcell, zfid, zb, zv_lo, zv_hi, zvals):
+    """Vectorized run join: points x zones sharing a cell, with inline
+    rect / ring PIP refine. zcell must be sorted. zv_lo / zv_hi are
+    per-zone float64 slice bounds into zvals (equal for rect rows ->
+    empty ring). Returns (point keys, zone fids, per-point matched)."""
+    lo = np.searchsorted(zcell, pcell, side="left")
+    hi = np.searchsorted(zcell, pcell, side="right")
+    cnt = hi - lo
+    total = int(cnt.sum())
+    if total == 0:
+        return (
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.zeros(len(pcell), dtype=bool),
         )
-    if how == "semi":
-        m = pkeys[matched]
-        return pa.table({"key": pa.array(m), "fid": pa.array(neg1(len(m)))})
-    un = pkeys[~matched]  # anti
-    return pa.table({"key": pa.array(un), "fid": pa.array(neg1(len(un)))})
+    rep = np.repeat(np.arange(len(pcell), dtype=np.int64), cnt)
+    within = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    zi = lo[rep] + within
+    px_p = ppx[rep]
+    py_p = ppy[rep]
+    ok = np.zeros(total, dtype=bool)
+    zwidth = zv_hi - zv_lo
+    is_rect_pair = zwidth[zi] == 0
+    pr = np.flatnonzero(is_rect_pair)
+    if len(pr):
+        zsel = zi[pr]
+        ok[pr] = (
+            (px_p[pr] >= zb[zsel, 0])
+            & (px_p[pr] < zb[zsel, 1])
+            & (py_p[pr] >= zb[zsel, 2])
+            & (py_p[pr] < zb[zsel, 3])
+        )
+    gp = np.flatnonzero(~is_rect_pair)
+    if len(gp):
+        gen_rows = np.flatnonzero(zwidth > 0)
+        goff = np.concatenate(
+            [[0], np.cumsum(zwidth[gen_rows] // 2)]
+        ).astype(np.int64)
+        gvals = (
+            np.concatenate([zvals[zv_lo[i] : zv_hi[i]] for i in gen_rows])
+            if len(gen_rows)
+            else np.empty(0)
+        )
+        row_to_gen = np.full(len(zcell), -1, dtype=np.int64)
+        row_to_gen[gen_rows] = np.arange(len(gen_rows))
+        ok[gp] = pip_pairs(
+            px_p[gp], py_p[gp], gvals, goff,
+            np.arange(len(gp), dtype=np.int64), row_to_gen[zi[gp]],
+        )
+    matched = np.zeros(len(pcell), dtype=bool)
+    matched[rep[ok]] = True
+    return pkey[rep[ok]], zfid[zi[ok]], matched
+
+
+def _split_blob(col):
+    """(int64 byte offsets, uint8 data) of a binary column."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    off_all = np.frombuffer(col.buffers()[1], dtype=np.int32)
+    off = off_all[col.offset : col.offset + len(col) + 1].astype(np.int64)
+    buf = col.buffers()[2]
+    data = (
+        np.frombuffer(buf, dtype=np.uint8) if buf is not None
+        else np.empty(0, dtype=np.uint8)
+    )
+    return off, data
+
+
+def _join_sorted(
+    t: pa.Table,
+    how: str,
+    x_col: str,
+    y_col: str,
+    key_col: str,
+    rows: np.ndarray | None = None,
+) -> pa.Table:
+    """Sort-merge run join over a cell-sorted union table (the rows
+    ``spatial_join_points_sortmerge`` shuffles), restricted to the
+    ``rows`` mask when given. Every cell must have all its rows inside
+    the selection. Emits ``(key_col, fid)`` per ``how``; an empty ``t``
+    (which may carry no schema) gives a typed empty table."""
+    if t.num_rows == 0:
+        e = np.empty(0, dtype=np.int64)
+        return _emit_how(how, key_col, e, e, e, np.zeros(0, dtype=bool))
+    cell = t["cell"].to_numpy()
+    side = t["side"].to_numpy()
+    sel = np.ones(len(cell), dtype=bool) if rows is None else rows
+    rb_off, rb_data = _split_blob(t["ring_blob"])
+    vals = (
+        np.frombuffer(
+            np.ascontiguousarray(rb_data[rb_off[0] : rb_off[-1]]),
+            dtype=np.float64,
+        )
+        if rb_off[-1] > rb_off[0]
+        else np.empty(0)
+    )
+    voff = (rb_off - rb_off[0]) // 8
+    pi = np.flatnonzero(sel & (side == 0))
+    zi = np.flatnonzero(sel & (side == 1))
+    pkeys = t["key"].to_numpy()[pi]
+    if len(pi) and len(zi):
+        keys, fids, matched = _join_arrays(
+            cell[pi],
+            pkeys,
+            t[x_col].to_numpy()[pi],
+            t[y_col].to_numpy()[pi],
+            cell[zi],
+            t["fid"].to_numpy()[zi],
+            np.column_stack(
+                [t[c].to_numpy()[zi] for c in ("zxmin", "zxmax", "zymin", "zymax")]
+            ),
+            voff[zi],        # per-zone float64 slice bounds into the
+            voff[zi + 1],    # table's concatenated ring values
+            vals,
+        )
+    else:
+        keys = np.empty(0, dtype=np.int64)
+        fids = np.empty(0, dtype=np.int64)
+        matched = np.zeros(len(pi), dtype=bool)
+    return _emit_how(how, key_col, keys, fids, pkeys, matched)
+
+
+def _boundary_mask(cell: np.ndarray) -> np.ndarray:
+    """Rows of the first and last cell of one sorted block: the only
+    cells that can continue into a neighbouring block."""
+    return (cell == cell[0]) | (cell == cell[-1])
+
+
+def _boundary_rows(t: pa.Table) -> pa.Table:
+    """The boundary-cell rows of one non-empty sorted block."""
+    return t.filter(pa.array(_boundary_mask(t["cell"].to_numpy())))
+
+
+def _join_boundary(
+    how: str, x_col: str, y_col: str, key_col: str, *parts: pa.Table
+) -> pa.Table:
+    """Join the boundary rows of every sorted block. ``parts`` come in
+    block order, so their concatenation is cell-sorted and holds every
+    row of each boundary cell."""
+    t = pa.concat_tables(parts) if parts else pa.table({})
+    return _join_sorted(t, how, x_col, y_col, key_col)
+
+
+def _drop_empty_blocks(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, list]:
+    """A materialized ``ds`` without its empty blocks, and the refs of
+    the blocks kept, in order. A range sort emits schema-less empty
+    blocks when sampled boundaries repeat, and ``map_batches`` passes
+    an empty block through without calling the UDF, so a join mapped
+    over them would emit schema-less blocks. Built the way
+    ``Dataset.materialize`` builds its result, so the stats lineage
+    (the shuffle's operators) is kept."""
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data.dataset import MaterializedDataset
+
+    kept = [
+        RefBundle(blocks=[blk], owns_blocks=False, schema=b.schema)
+        for b in ds.iter_internal_ref_bundles()
+        for blk in b.blocks
+        if blk[1].num_rows
+    ]
+    out = MaterializedDataset(
+        ExecutionPlan(ds._plan.stats(), data_context=ds.context),
+        LogicalPlan(InputData(input_data=kept), ds.context),
+    )
+    out._plan.execute()  # no-op that marks the plan executed
+    return out, [b.blocks[0][0] for b in kept]
+
+
+_boundary_rows_task = ray.remote(_boundary_rows)
+_join_boundary_task = ray.remote(_join_boundary)
 
 
 def spatial_join_points_sortmerge(
@@ -934,28 +1112,33 @@ def spatial_join_points_sortmerge(
 ) -> ray.data.Dataset:
     """Both-sides-large spatial join, SORT-MERGE strategy.
 
-    ``Dataset.join`` pays two hash shuffles plus per-partition Acero
-    setup (~3.5 s fixed on this box regardless of row count). Here both
-    sides union into ONE range shuffle (``sort("cell")``) and each
-    sorted block joins its cell runs vectorized (searchsorted
-    expansion + inline PIP refine — no pair rows ever materialize
-    through a shuffle). Cells that straddle a block boundary are
-    resolved by a tiny ``groupby(cell).map_groups`` over at most
-    2 cells x blocks rows — fully distributed, no driver step.
-    Output contract: (key_col, fid) pair rows for ``how="inner"``;
-    ``"left"`` adds unmatched points with fid=-1; ``"semi"`` /
-    ``"anti"`` emit one (key_col, fid=-1) row per matched / unmatched
-    point. Inner rows identical to the other strategies (tested).
+    Both sides union into ONE range shuffle (``sort("cell")``), the
+    only all-to-all of the join, and each sorted block joins its
+    interior cell runs vectorized (searchsorted expansion + inline PIP
+    refine — no pair rows ever materialize through a shuffle). Cells
+    that may straddle a block boundary (the first and last cell of
+    each sorted block) are cut out by one small Ray task per block;
+    ONE task joins them, in block order, with the same kernel. That
+    set is at most the rows of 2 cells per block — with salting, at
+    most 2 x blocks x (``salt_threshold`` + the hot cell's zone
+    copies) — and is never fetched by the caller.
+    Output contract: (key_col, fid) int64 pair rows for
+    ``how="inner"``; ``"left"`` adds unmatched points with fid=-1;
+    ``"semi"`` / ``"anti"`` emit one (key_col, fid=-1) row per matched
+    / unmatched point. Every output block carries that schema, empty
+    ones included. Inner rows identical to the other strategies
+    (tested).
 
     ``salt_threshold`` enables HOT-CELL SALTING (VERDICT r3 #9 — the
-    skew path): a cheap pre-reduced count pass finds cells holding more
-    than ``salt_threshold`` points; each hot cell's points spread over
-    ``ceil(n/threshold)`` (capped ``max_salt``) salted sub-keys by
-    point-key hash, and the hot cell's ZONE rows replicate onto every
-    salt — so a cell holding 30% of the corpus becomes s balanced sort
-    keys instead of one giant boundary group, with identical output
-    pairs (each point keeps exactly one salt; its zone copies are
-    unique per salt).
+    skew path): a count pass emits one partial per distinct cell per
+    batch, and the caller sums them exactly (int64) into the cells
+    holding more than ``salt_threshold`` points; each hot cell's points
+    spread over ``ceil(n/threshold)`` (capped ``max_salt``) salted
+    sub-keys by point-key hash, and the hot cell's ZONE rows replicate
+    onto every salt — so a cell holding 30% of the corpus becomes s
+    balanced sort keys instead of one giant boundary run, with
+    identical output pairs (each point keeps exactly one salt; its
+    zone copies are unique per salt).
     """
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"unsupported how={how!r}")
@@ -965,8 +1148,6 @@ def spatial_join_points_sortmerge(
     _SALT_SHIFT = np.int64(20)
     salt_ref = None
     if salt_threshold is not None:
-        from ray.data.aggregate import Sum
-
         def cnt_partial(batch: pa.Table) -> pa.Table:
             cell = cellmod.cells_from_xy(
                 batch[x_col].to_numpy(), batch[y_col].to_numpy(), level
@@ -974,25 +1155,32 @@ def spatial_join_points_sortmerge(
             u, c = np.unique(cell[cell != -1], return_counts=True)
             return pa.table({"cell": u, "partial": c.astype(np.int64)})
 
-        cnts = (
-            points.map_batches(
-                cnt_partial, batch_format="pyarrow", batch_size=65536
+        # at most one row per distinct cell per batch: summing them
+        # here beats a groupby shuffle at this size
+        parts = [
+            t
+            for t in ray.get(
+                points.map_batches(
+                    cnt_partial, batch_format="pyarrow", batch_size=65536
+                )
+                .materialize()  # else to_arrow_refs re-runs it for the schema
+                .to_arrow_refs()
             )
-            .groupby("cell")
-            .aggregate(Sum("partial", alias_name="n"))
-            .to_pandas()
-        )
-        hot = cnts[cnts["n"] > salt_threshold]
-        if len(hot):
-            order = np.argsort(hot["cell"].to_numpy())
-            hcells = hot["cell"].to_numpy().astype(np.int64)[order]
-            nhot = hot["n"].to_numpy().astype(np.int64)[order]
-            s = np.minimum(
-                -(-nhot // int(salt_threshold)), max_salt
-            ).astype(np.int64)
-            import ray as _ray
-
-            salt_ref = _ray.put((hcells, s))
+            if t.num_rows
+        ]
+        if parts:
+            cells, inv = np.unique(
+                np.concatenate([t["cell"].to_numpy() for t in parts]),
+                return_inverse=True,
+            )
+            n = np.zeros(len(cells), dtype=np.int64)
+            np.add.at(
+                n, inv, np.concatenate([t["partial"].to_numpy() for t in parts])
+            )
+            hot = n > salt_threshold
+            if hot.any():
+                s = np.minimum(-(-n[hot] // int(salt_threshold)), max_salt)
+                salt_ref = ray.put((cells[hot], s))
 
     def _hot_lookup(cell: np.ndarray):
         from rsgislib_ray.state.broadcast import cached
@@ -1103,189 +1291,24 @@ def spatial_join_points_sortmerge(
             }
         )
 
-    both = (
+    # ONE range shuffle; the sorted union has two consumers below
+    both, blocks = _drop_empty_blocks(
         points.map_batches(prep_points, batch_format="pyarrow")
         .union(zones.map_batches(prep_zones, batch_format="pyarrow"))
         .sort("cell")
+        .materialize()
     )
-
-    def _join_arrays(
-        pcell, pkey, ppx, ppy, zcell, zfid, zb, zv_lo, zv_hi, zvals
-    ):
-        """Vectorized run join: points x zones sharing a cell, with
-        inline rect / ring PIP refine. zcell must be sorted. zv_lo /
-        zv_hi are per-zone float64 slice bounds into zvals (equal for
-        rect rows -> empty ring)."""
-        lo = np.searchsorted(zcell, pcell, side="left")
-        hi = np.searchsorted(zcell, pcell, side="right")
-        cnt = hi - lo
-        total = int(cnt.sum())
-        if total == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.zeros(len(pcell), dtype=bool),
-            )
-        rep = np.repeat(np.arange(len(pcell), dtype=np.int64), cnt)
-        within = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        zi = lo[rep] + within
-        px_p = ppx[rep]
-        py_p = ppy[rep]
-        ok = np.zeros(total, dtype=bool)
-        zwidth = zv_hi - zv_lo
-        is_rect_pair = zwidth[zi] == 0
-        pr = np.flatnonzero(is_rect_pair)
-        if len(pr):
-            zsel = zi[pr]
-            ok[pr] = (
-                (px_p[pr] >= zb[zsel, 0])
-                & (px_p[pr] < zb[zsel, 1])
-                & (py_p[pr] >= zb[zsel, 2])
-                & (py_p[pr] < zb[zsel, 3])
-            )
-        gp = np.flatnonzero(~is_rect_pair)
-        if len(gp):
-            gen_rows = np.flatnonzero(zwidth > 0)
-            goff = np.concatenate(
-                [[0], np.cumsum(zwidth[gen_rows] // 2)]
-            ).astype(np.int64)
-            gvals = (
-                np.concatenate(
-                    [zvals[zv_lo[i] : zv_hi[i]] for i in gen_rows]
-                )
-                if len(gen_rows)
-                else np.empty(0)
-            )
-            row_to_gen = np.full(len(zcell), -1, dtype=np.int64)
-            row_to_gen[gen_rows] = np.arange(len(gen_rows))
-            ok[gp] = pip_pairs(
-                px_p[gp], py_p[gp], gvals, goff,
-                np.arange(len(gp), dtype=np.int64), row_to_gen[zi[gp]],
-            )
-        matched = np.zeros(len(pcell), dtype=bool)
-        matched[rep[ok]] = True
-        return pkey[rep[ok]], zfid[zi[ok]], matched
-
-    def _split_blob(col):
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        off_all = np.frombuffer(col.buffers()[1], dtype=np.int32)
-        off = off_all[col.offset : col.offset + len(col) + 1].astype(np.int64)
-        buf = col.buffers()[2]
-        data = (
-            np.frombuffer(buf, dtype=np.uint8) if buf is not None
-            else np.empty(0, dtype=np.uint8)
-        )
-        return off, data
-
-    both = both.materialize()  # sorted union (narrow): ONE sort, two consumers
+    bnd_ref = _join_boundary_task.remote(
+        how, x_col, y_col, key_col, *[_boundary_rows_task.remote(b) for b in blocks]
+    )
 
     def emit_pairs(batch: pa.Table) -> pa.Table:
-        cell = batch["cell"].to_numpy()
-        if len(cell) == 0:
-            return pa.table(
-                {"key": pa.array([], pa.int64()), "fid": pa.array([], pa.int64())}
-            )
-        # boundary cells (first/last value of this sorted block) are
-        # resolved by the grouped pass below
-        interior = (cell != cell[0]) & (cell != cell[-1])
-        side = batch["side"].to_numpy()
-        rb_off, rb_data = _split_blob(batch["ring_blob"])
-        vals = (
-            np.frombuffer(
-                np.ascontiguousarray(rb_data[rb_off[0] : rb_off[-1]]),
-                dtype=np.float64,
-            )
-            if rb_off[-1] > rb_off[0]
-            else np.empty(0)
-        )
-        voff = (rb_off - rb_off[0]) // 8
-        pi = np.flatnonzero(interior & (side == 0))
-        zir = np.flatnonzero(interior & (side == 1))
-        pkeys = batch["key"].to_numpy()[pi]
-        if len(pi) and len(zir):
-            keys, fids, matched = _join_arrays(
-                cell[pi],
-                pkeys,
-                batch[x_col].to_numpy()[pi],
-                batch[y_col].to_numpy()[pi],
-                cell[zir],
-                batch["fid"].to_numpy()[zir],
-                np.column_stack(
-                    [
-                        batch["zxmin"].to_numpy()[zir],
-                        batch["zxmax"].to_numpy()[zir],
-                        batch["zymin"].to_numpy()[zir],
-                        batch["zymax"].to_numpy()[zir],
-                    ]
-                ),
-                voff[zir],        # per-zone float64 slice bounds into the
-                voff[zir + 1],    # block's concatenated ring values
-                vals,
-            )
-        else:
-            keys = np.empty(0, dtype=np.int64)
-            fids = np.empty(0, dtype=np.int64)
-            matched = np.zeros(len(pi), dtype=bool)
-        return _emit_how(how, keys, fids, pkeys, matched)
+        # boundary cells are left to the boundary task
+        interior = ~_boundary_mask(batch["cell"].to_numpy())
+        return _join_sorted(batch, how, x_col, y_col, key_col, rows=interior)
 
-    def extract_boundary(batch: pa.Table) -> pa.Table:
-        cell = batch["cell"].to_numpy()
-        if len(cell) == 0:
-            return batch
-        return batch.filter(pa.array((cell == cell[0]) | (cell == cell[-1])))
-
-    pairs = both.map_batches(emit_pairs, batch_format="pyarrow")
-
-    def bnd_join(g) -> "pd.DataFrame":
-        import pandas as pd
-
-        side = g["side"].to_numpy()
-        p = g[side == 0]
-        z = g[side == 1].sort_values("cell", kind="stable")
-        if len(p) == 0 or len(z) == 0:
-            pk = p["key"].to_numpy() if len(p) else np.empty(0, dtype=np.int64)
-            return _emit_how(
-                how,
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                pk,
-                np.zeros(len(pk), dtype=bool),
-            ).to_pandas()
-        blob = z["ring_blob"].to_numpy()
-        blob_len = np.array([len(b) for b in blob], dtype=np.int64)
-        vals = (
-            np.frombuffer(b"".join(blob), dtype=np.float64)
-            if blob_len.sum()
-            else np.empty(0)
-        )
-        voff = np.concatenate([[0], np.cumsum(blob_len)]) // 8
-        keys, fids, matched = _join_arrays(
-            p["cell"].to_numpy(),
-            p["key"].to_numpy(),
-            p[x_col].to_numpy(),
-            p[y_col].to_numpy(),
-            z["cell"].to_numpy(),
-            z["fid"].to_numpy(),
-            z[["zxmin", "zxmax", "zymin", "zymax"]].to_numpy(),
-            voff[:-1],
-            voff[1:],
-            vals,
-        )
-        out = _emit_how(how, keys, fids, p["key"].to_numpy(), matched)
-        return out.to_pandas()
-
-    bnd_pairs = (
-        both.map_batches(extract_boundary, batch_format="pyarrow")
-        .groupby("cell")
-        .map_groups(arrowize(bnd_join), batch_format="pandas")
-    )
-    out = pairs.union(bnd_pairs)
-    return out.map_batches(
-        lambda t: pa.table(
-            {key_col: t["key"], "fid": t["fid"]}
-        ),
-        batch_format="pyarrow",
+    return both.map_batches(emit_pairs, batch_format="pyarrow").union(
+        ray.data.from_arrow_refs(bnd_ref)
     )
 
 
