@@ -85,7 +85,7 @@ def headline(docs_path: str) -> tuple[float, int]:
     # broadcast-state cache -> no actor-spawn latency in the timed region
     def run() -> float:
         t0 = time.perf_counter()
-        flagship(docs, concurrency=None).count()
+        flagship(docs).count()
         return time.perf_counter() - t0
 
     run()  # warm workers/imports for this exact pipeline
@@ -183,7 +183,6 @@ def run_queries(sf_dir: str) -> dict[str, float]:
         # large idle-worker pool behind that breaks the per-process
         # broadcast-cache locality of later broadcast-path queries
         # (measured: pip_count 3.1s -> 11.8s when run after these)
-        "spatial_join_hash",
         "spatial_join_sortmerge",
         "spatial_join_skew",
         "spatial_join_skew_nosalt",

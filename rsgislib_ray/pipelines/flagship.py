@@ -6,7 +6,7 @@ on interleaved Lance table").
 Stages (all streaming, single broadcast, zero shuffles):
   read/synthesize docs -> parse geom spans (Arrow kernels) ->
   assign cell_id + tile_id (vectorized arithmetic) ->
-  PIP spatial join vs the zone layer (broadcast STRtree actor pool) ->
+  PIP spatial join vs the zone layer (broadcast index, stateless tasks) ->
   optional per-tile checkpointed sink / per-zone counts.
 
 The ``spans`` column rides along untouched end-to-end (span-sequence
@@ -83,7 +83,6 @@ def flagship(
     tilespec: TileSpec = DEFAULT_TILESPEC,
     cell_level: int = CELL_LEVEL,
     how: str = "inner",
-    concurrency=None,
 ) -> ray.data.Dataset:
     """docs (doc_id, spans) -> parsed + cell/tile-tagged + zone-joined."""
     if zones is None:
@@ -97,7 +96,6 @@ def flagship(
         how=how,
         attr_cols=["category"],
         zone_prefix="zone_",
-        concurrency=concurrency,
     )
     return joined
 
@@ -107,11 +105,9 @@ def flagship_synth(
     zones: pa.Table | None = None,
     how: str = "inner",
     override_num_blocks: int | None = None,
-    concurrency=None,
 ) -> ray.data.Dataset:
     return flagship(
         synth_docs_dataset(n_docs, override_num_blocks=override_num_blocks),
         zones,
         how=how,
-        concurrency=concurrency,
     )

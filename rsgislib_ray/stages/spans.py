@@ -36,6 +36,15 @@ def _list_parent_indices(arr: pa.ListArray) -> np.ndarray:
     return np.repeat(np.arange(len(arr), dtype=np.int64), np.diff(off))
 
 
+def _span_error(
+    batch: pa.Table, rows: np.ndarray, texts: pa.Array, i: int, kind: str, what: str
+) -> ValueError:
+    """The error for the ``i``-th span of one kind, naming its doc."""
+    row = int(rows[i])
+    doc = batch["doc_id"][row].as_py() if "doc_id" in batch.column_names else row
+    return ValueError(f"doc_id {doc}: {kind} span {texts[i].as_py()!r} {what}")
+
+
 def _check_span_tokens(
     batch: pa.Table,
     rows: np.ndarray,
@@ -52,12 +61,33 @@ def _check_span_tokens(
     if not bad.any():
         return
     i = int(np.flatnonzero(bad)[0])
-    row = int(rows[i])
-    doc = batch["doc_id"][row].as_py() if "doc_id" in batch.column_names else row
-    raise ValueError(
-        f"doc_id {doc}: {kind} span {texts[i].as_py()!r} must have {want} "
-        "coordinate tokens"
+    raise _span_error(
+        batch, rows, texts, i, kind, f"must have {want} coordinate tokens"
     )
+
+
+def _span_coords(
+    batch: pa.Table,
+    rows: np.ndarray,
+    texts: pa.Array,
+    parts: pa.ListArray,
+    kind: str,
+) -> np.ndarray:
+    """float64 value of every coordinate token, in one cast.
+
+    A non-numeric token fails the cast without naming its span; only
+    then are the spans cast one at a time to find the first bad one."""
+    try:
+        return pc.cast(parts.flatten(), pa.float64()).to_numpy(zero_copy_only=False)
+    except pa.ArrowInvalid:
+        for i in range(len(parts)):
+            try:
+                pc.cast(parts[i].values, pa.float64())
+            except pa.ArrowInvalid as err:
+                raise _span_error(
+                    batch, rows, texts, i, kind, "has a non-numeric coordinate token"
+                ) from err
+        raise
 
 
 def parse_geom_spans(batch: pa.Table, spans_col: str = "spans") -> pa.Table:
@@ -96,7 +126,7 @@ def parse_geom_spans(batch: pa.Table, spans_col: str = "spans") -> pa.Table:
         parts = pc.split_pattern(ptxt, " ")
         counts = pc.list_value_length(parts).to_numpy(zero_copy_only=False)
         _check_span_tokens(batch, rows, ptxt, counts != 2, "point", "exactly 2")
-        vals = pc.cast(parts.flatten(), pa.float64()).to_numpy(zero_copy_only=False)
+        vals = _span_coords(batch, rows, ptxt, parts, "point")
         px = vals[0::2]
         py = vals[1::2]
         x[rows] = px
@@ -118,7 +148,7 @@ def parse_geom_spans(batch: pa.Table, spans_col: str = "spans") -> pa.Table:
         parts = pc.split_pattern(flat_txt, " ")
         counts = pc.list_value_length(parts).to_numpy(zero_copy_only=False)
         _check_span_tokens(batch, rows, ptxt, counts % 2 != 0, "poly", "an even number of")
-        vals = pc.cast(parts.flatten(), pa.float64()).to_numpy(zero_copy_only=False)
+        vals = _span_coords(batch, rows, ptxt, parts, "poly")
         # envelope per poly via reduceat over coordinate pairs
         pair_counts = counts // 2
         pair_starts = np.cumsum(pair_counts) - pair_counts

@@ -22,12 +22,7 @@ What ships (BENCH_r05, sf0.1 at 32 CPUs, inner join):
 3. ``spatial_join_auto`` picks broadcast while the zone side is under
    ``BROADCAST_ZONE_LIMIT`` rows, else sort-merge.
 
-Kept as controls, not routed to: the native ``Dataset.join`` hash join
-(``spatial_join_points_hashjoin``, the ``spatial_join_hash`` row; 3.36
-s), and the test-only blob-packed join and ``groupby(cell)`` variant
-(``spatial_join_points_packjoin``, ``spatial_join_points_partitioned``).
-
-All return identical rows (tested); the span-sequence invariant holds
+Both return identical rows (tested); the span-sequence invariant holds
 because point rows pass through ``take`` untouched.
 """
 
@@ -42,7 +37,8 @@ from rsgislib_ray.functions import cells as cellmod
 from rsgislib_ray.functions.geom import pip_pairs
 from rsgislib_ray.state.strtree import STRtree
 
-from rsgislib_ray.functions.arrowize import arrowize
+# Join modes both strategies support, checked when the join is built.
+JOIN_HOWS = ("inner", "left", "semi", "anti")
 
 
 class ZoneSet:
@@ -199,9 +195,9 @@ class ZoneSet:
 
 # Per-worker-process cache of broadcast state (ZoneSet + its index).
 # Stateless map_batches TASKS run in pre-warmed worker processes and hit
-# this cache, avoiding the actor-pool alternative's fresh-process spawn
-# + import cost per execution; semantics are identical (state built once
-# per process, batches streamed through). LRU-capped in state.broadcast.
+# this cache, so the state is built once per process (not per batch)
+# with no actor spawn or import cost per execution. LRU-capped in
+# state.broadcast.
 def _zone_state(zones_ref):
     from rsgislib_ray.state.broadcast import cached
 
@@ -287,47 +283,9 @@ def _pip_join_task(
     return _join_batch(zones, tree, batch, how, x_col, y_col, zone_prefix, flag_col)
 
 
-class PIPJoin:
-    """Actor-pool stage: point batches -> joined batches.
-
-    State (packed zones + STRtree) is built once per actor from the
-    broadcast ObjectRef; ``__call__`` is pure vectorized numpy/Arrow.
-    (The task-pool variant ``_pip_join_task`` shares the same kernel
-    via the per-process cache.)
-    """
-
-    def __init__(
-        self,
-        zones_ref,
-        how: str = "inner",
-        x_col: str = "x",
-        y_col: str = "y",
-        zone_prefix: str = "",
-        flag_col: str = "in_zone",
-    ):
-        self.zones: ZoneSet = ray.get(zones_ref) if hasattr(zones_ref, "hex") else zones_ref
-        self.tree = self.zones.build_index()
-        self.how = how
-        self.x_col = x_col
-        self.y_col = y_col
-        self.zone_prefix = zone_prefix
-        self.flag_col = flag_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _join_batch(
-            self.zones,
-            self.tree,
-            batch,
-            self.how,
-            self.x_col,
-            self.y_col,
-            self.zone_prefix,
-            self.flag_col,
-        )
-
-
 def broadcast_zones(zones_tbl: pa.Table, attr_cols: list[str] | None = None):
-    """Pack + ``ray.put`` a zone table once; pass the ref to PIPJoin."""
+    """Pack + ``ray.put`` a zone table once; pass the ref to
+    ``_pip_join_task``, which builds the index from it once per process."""
     zs = ZoneSet.from_table(zones_tbl, attr_cols=attr_cols)
     return ray.put(zs)
 
@@ -340,18 +298,13 @@ def spatial_join_points(
     x_col: str = "x",
     y_col: str = "y",
     zone_prefix: str = "",
-    concurrency=None,
     batch_size: int = 32768,
 ) -> ray.data.Dataset:
-    """Broadcast spatial join: stream point batches through workers
-    holding the zone STRtree (built once per worker process from the
-    broadcast ref). No shuffle.
-
-    Default is the stateless-task path (pre-warmed worker processes,
-    per-process state cache — no actor spawn latency). Pass
-    ``concurrency`` to force a fixed actor pool instead, e.g. when the
-    zone state is so large that the scheduler must pin it to dedicated
-    actors."""
+    """Broadcast spatial join: stream point batches through stateless
+    tasks holding the zone index (built once per worker process from
+    the broadcast ref). No shuffle."""
+    if how not in JOIN_HOWS:
+        raise ValueError(f"unsupported how={how!r}")
     ref = broadcast_zones(zones_tbl, attr_cols)
     kwargs = {
         "zones_ref": ref,
@@ -360,19 +313,11 @@ def spatial_join_points(
         "y_col": y_col,
         "zone_prefix": zone_prefix,
     }
-    if concurrency is None:
-        return points.map_batches(
-            _pip_join_task,
-            fn_kwargs=kwargs,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
     return points.map_batches(
-        PIPJoin,
-        fn_constructor_kwargs=kwargs,
+        _pip_join_task,
+        fn_kwargs=kwargs,
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -389,7 +334,7 @@ def count_points_per_zone(
     (vectorattrs/__init__.py:1022-1102: inner sjoin -> groupby size ->
     merge back onto the polygon layer).
 
-    Counting is partial-aggregated inside the join actors' batches
+    Counting is partial-aggregated inside each point batch's task
     (np.bincount per batch) before a tiny groupby-sum, so the shuffle
     carries one row per (batch, zone), not one per matched point.
     """
@@ -441,7 +386,7 @@ def count_points_per_zone(
 
 
 # ---------------------------------------------------------------------------
-# Cell-partitioned path (both sides large)
+# Sort-merge path (both sides large)
 # ---------------------------------------------------------------------------
 
 
@@ -468,432 +413,6 @@ def _zones_to_cells(zones_tbl: pa.Table, level: int) -> pa.Table:
     )
     taken = zones_tbl.take(pa.array(rep, type=pa.int64()))
     return taken.append_column("cell", pa.array(cells, type=pa.int64()))
-
-
-def spatial_join_points_partitioned(
-    points: ray.data.Dataset,
-    zones: ray.data.Dataset | pa.Table,
-    level: int = 6,
-    x_col: str = "x",
-    y_col: str = "y",
-    key_col: str = "pt_row",
-) -> ray.data.Dataset:
-    """Shuffle join on the cell key for a LARGE zone side.
-
-    Emits (point key columns..., fid) — attribute fan-out happens via a
-    later equi-join on fid, keeping the shuffle narrow (SURVEY.md §7.4
-    wide-row rule). Zones spanning cells are duplicated per cell; each
-    point lives in exactly one cell, so results need no dedup.
-    """
-    import pandas as pd
-
-    if isinstance(zones, pa.Table):
-        zones = ray.data.from_arrow(zones)
-
-    zone_cells = zones.map_batches(
-        lambda t: _zones_to_cells(t, level), batch_format="pyarrow"
-    )
-
-    def tag_points(batch: pa.Table) -> pa.Table:
-        cell = cellmod.cells_from_xy(
-            batch[x_col].to_numpy(), batch[y_col].to_numpy(), level
-        )
-        return batch.append_column("cell", pa.array(cell, type=pa.int64()))
-
-    pts = points.map_batches(tag_points, batch_format="pyarrow")
-    pts = pts.map_batches(
-        lambda t: t.filter(pa.compute.not_equal(t["cell"], pa.scalar(-1))),
-        batch_format="pyarrow",
-    )
-
-    # Union with role tags; align schemas with nulls. (ds.schema()
-    # returns a Ray Data Schema: parallel .names / .types lists.)
-    p_schema = pts.schema()
-    z_schema = zone_cells.schema()
-    p_fields = list(zip(p_schema.names, p_schema.types))
-    z_fields = list(zip(z_schema.names, z_schema.types))
-    p_names = set(p_schema.names)
-    z_names = set(z_schema.names)
-
-    def pad(batch: pa.Table, other_fields: list, own: set, role: int) -> pa.Table:
-        out = batch
-        for name, typ in other_fields:
-            if name not in own:
-                out = out.append_column(name, pa.nulls(len(batch), typ))
-        out = out.append_column("__role", pa.array([role] * len(batch), pa.int8()))
-        # deterministic column order
-        return out.select(sorted(out.column_names))
-
-    pu = pts.map_batches(
-        lambda t: pad(t, z_fields, p_names, 0), batch_format="pyarrow"
-    )
-    zu = zone_cells.map_batches(
-        lambda t: pad(t, p_fields, z_names, 1), batch_format="pyarrow"
-    )
-    both = pu.union(zu)
-
-    def local_join(group: pd.DataFrame) -> pd.DataFrame:
-        zmask = group["__role"] == 1
-        zrows = group[zmask]
-        prows = group[~zmask]
-        if len(zrows) == 0 or len(prows) == 0:
-            return pd.DataFrame(
-                {
-                    key_col: pd.Series([], dtype="int64"),
-                    "fid": pd.Series([], dtype="int64"),
-                }
-            )
-        ztbl = pa.Table.from_pandas(
-            zrows[["fid", "ring_xy"]], preserve_index=False
-        ).replace_schema_metadata(None)
-        zs = ZoneSet.from_table(ztbl)
-        tree = zs.build_tree()
-        px = prows[x_col].to_numpy(dtype=np.float64)
-        py = prows[y_col].to_numpy(dtype=np.float64)
-        pi, zi = zs.match_points(tree, px, py)
-        return pd.DataFrame(
-            {
-                key_col: prows[key_col].to_numpy()[pi],
-                "fid": zs.fid[zi],
-            }
-        )
-
-    return both.groupby("cell").map_groups(arrowize(local_join), batch_format="pandas")
-
-
-def spatial_join_points_hashjoin(
-    points: ray.data.Dataset,
-    zones: ray.data.Dataset | pa.Table,
-    level: int = 6,
-    x_col: str = "x",
-    y_col: str = "y",
-    key_col: str = "pt_row",
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """Both-sides-large spatial join on Ray Data's NATIVE hash join.
-
-    Same semantics as :func:`spatial_join_points_partitioned` (cell
-    co-partition with zone duplication per covered cell) but the
-    exchange is ``Dataset.join`` — a vectorized hash-partitioned
-    shuffle — followed by a stateless PIP-refine ``map_batches`` over
-    the candidate pairs. No per-group Python, so it scales with
-    partition count rather than group count. Emits (key_col, fid).
-    """
-    if isinstance(zones, pa.Table):
-        zones = ray.data.from_arrow(zones)
-    num_partitions = _default_join_partitions(num_partitions)
-
-    def prep_zones(t: pa.Table) -> pa.Table:
-        out = _zones_to_cells(t, level).select(["fid", "ring_xy", "cell"])
-        ring = out["ring_xy"]
-        if isinstance(ring, pa.ChunkedArray):
-            ring = ring.combine_chunks()
-        # Acero's hash join rejects LIST payload columns entirely.
-        # Rectangle rings (detected once) need only their 4 bounds —
-        # plain float64 columns pass through the join; general rings
-        # ship as packed float64 bytes (binary passes too), with EMPTY
-        # blobs for rect rows so the shuffle payload stays narrow.
-        zsub = ZoneSet.from_table(out)
-        n = len(out)
-        keep_ring = ~zsub.is_rect
-        counts = np.where(keep_ring, np.diff(zsub.ring_offsets) * 2, 0)
-        byte_off = np.concatenate([[0], np.cumsum(counts * 8)]).astype(np.int32)
-        if keep_ring.any():
-            pieces = [
-                zsub.ring_xy[
-                    2 * zsub.ring_offsets[i] : 2 * zsub.ring_offsets[i + 1]
-                ]
-                for i in np.flatnonzero(keep_ring)
-            ]
-            vals = np.concatenate(pieces)
-        else:
-            vals = np.empty(0, dtype=np.float64)
-        blob_arr = pa.Array.from_buffers(
-            pa.binary(),
-            n,
-            [None, pa.py_buffer(byte_off.tobytes()), pa.py_buffer(vals.tobytes())],
-        )
-        return pa.table(
-            {
-                "fid": out["fid"],
-                "zxmin": zsub.bounds[:, 0],
-                "zxmax": zsub.bounds[:, 1],
-                "zymin": zsub.bounds[:, 2],
-                "zymax": zsub.bounds[:, 3],
-                "ring_blob": blob_arr,
-                "cell": out["cell"],
-            }
-        )
-
-    zone_cells = zones.map_batches(prep_zones, batch_format="pyarrow")
-
-    def tag_points(batch: pa.Table) -> pa.Table:
-        cell = cellmod.cells_from_xy(
-            batch[x_col].to_numpy(), batch[y_col].to_numpy(), level
-        )
-        out = pa.table(
-            {
-                key_col: batch[key_col],
-                x_col: batch[x_col],
-                y_col: batch[y_col],
-                "cell": pa.array(cell, type=pa.int64()),
-            }
-        )
-        return out.filter(pa.compute.not_equal(out["cell"], pa.scalar(-1)))
-
-    pts = points.map_batches(tag_points, batch_format="pyarrow")
-    joined = pts.join(
-        zone_cells,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("cell",),
-    )
-
-    def refine(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table(
-                {key_col: pa.array([], pa.int64()), "fid": pa.array([], pa.int64())}
-            )
-        px = batch[x_col].to_numpy()
-        py = batch[y_col].to_numpy()
-        ok = np.zeros(len(batch), dtype=bool)
-        # rect rows: empty blob -> exact half-open bounds compare
-        blob = batch["ring_blob"]
-        if isinstance(blob, pa.ChunkedArray):
-            blob = blob.combine_chunks()
-        boff_all = np.frombuffer(blob.buffers()[1], dtype=np.int32)
-        boff = boff_all[blob.offset : blob.offset + len(blob) + 1].astype(np.int64)
-        blob_len = np.diff(boff)
-        is_rect_row = blob_len == 0
-        if is_rect_row.any():
-            rp = np.flatnonzero(is_rect_row)
-            ok[rp] = (
-                (px[rp] >= batch["zxmin"].to_numpy()[rp])
-                & (px[rp] < batch["zxmax"].to_numpy()[rp])
-                & (py[rp] >= batch["zymin"].to_numpy()[rp])
-                & (py[rp] < batch["zymax"].to_numpy()[rp])
-            )
-        gen = np.flatnonzero(~is_rect_row)
-        if len(gen):
-            data = np.frombuffer(blob.buffers()[2], dtype=np.uint8)
-            seg = data[boff[0] : boff[-1]]
-            vals = np.ascontiguousarray(seg).view(np.float64)
-            off = (boff - boff[0]) // 8
-            # build a compact ring set over the non-rect rows only
-            goff = np.concatenate([[0], np.cumsum(blob_len[gen] // 16)]).astype(
-                np.int64
-            )
-            gvals = np.concatenate(
-                [vals[off[i] : off[i + 1]] for i in gen]
-            ) if len(gen) else np.empty(0)
-            idxs = np.arange(len(gen), dtype=np.int64)
-            ok[gen] = pip_pairs(px[gen], py[gen], gvals, goff, idxs, idxs)
-        keep = batch.filter(pa.array(ok))
-        return pa.table({key_col: keep[key_col], "fid": keep["fid"]})
-
-    return joined.map_batches(refine, batch_format="pyarrow")
-
-
-def spatial_join_points_packjoin(
-    points: ray.data.Dataset,
-    zones: ray.data.Dataset | pa.Table,
-    level: int = 6,
-    x_col: str = "x",
-    y_col: str = "y",
-    key_col: str = "pt_row",
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """Both-sides-large spatial join, PACK-JOIN strategy.
-
-    The hash-join strategy (:func:`spatial_join_points_hashjoin`)
-    materializes one Acero row PER CANDIDATE PAIR (~#points x
-    zones-per-cell) through the shuffle. Here points are sorted by cell
-    and PACKED — one row per per-block cell run carrying (ids, coords)
-    as binary blobs — so the join exchanges O(cells) pack rows against
-    the zone-cell table and the pair explosion happens VECTORIZED after
-    the join, never as Acero rows. Same output contract: (key_col, fid).
-    """
-    if isinstance(zones, pa.Table):
-        zones = ray.data.from_arrow(zones)
-    num_partitions = _default_join_partitions(num_partitions)
-
-    def prep_zones(t: pa.Table) -> pa.Table:
-        # identical payload narrowing to spatial_join_points_hashjoin:
-        # rect rows ship 4 bounds + empty blob, general rings ship
-        # packed float64 bytes (ZoneSet detects rects vectorized)
-        out = _zones_to_cells(t, level).select(["fid", "ring_xy", "cell"])
-        zsub = ZoneSet.from_table(out)
-        n = len(out)
-        keep_ring = ~zsub.is_rect
-        counts = np.where(keep_ring, np.diff(zsub.ring_offsets) * 2, 0)
-        byte_off = np.concatenate([[0], np.cumsum(counts * 8)]).astype(np.int32)
-        if keep_ring.any():
-            pieces = [
-                zsub.ring_xy[
-                    2 * zsub.ring_offsets[i] : 2 * zsub.ring_offsets[i + 1]
-                ]
-                for i in np.flatnonzero(keep_ring)
-            ]
-            vals = np.concatenate(pieces)
-        else:
-            vals = np.empty(0, dtype=np.float64)
-        blob_arr = pa.Array.from_buffers(
-            pa.binary(), n,
-            [None, pa.py_buffer(byte_off.tobytes()), pa.py_buffer(vals.tobytes())],
-        )
-        return pa.table(
-            {
-                "fid": out["fid"],
-                "zxmin": zsub.bounds[:, 0],
-                "zxmax": zsub.bounds[:, 1],
-                "zymin": zsub.bounds[:, 2],
-                "zymax": zsub.bounds[:, 3],
-                "ring_blob": blob_arr,
-                "cell": out["cell"],
-            }
-        )
-
-    zone_cells = zones.map_batches(prep_zones, batch_format="pyarrow")
-
-    def tag_points(batch: pa.Table) -> pa.Table:
-        cell = cellmod.cells_from_xy(
-            batch[x_col].to_numpy(), batch[y_col].to_numpy(), level
-        )
-        out = pa.table(
-            {
-                key_col: batch[key_col],
-                x_col: batch[x_col],
-                y_col: batch[y_col],
-                "cell": pa.array(cell, type=pa.int64()),
-            }
-        )
-        return out.filter(pa.compute.not_equal(out["cell"], pa.scalar(-1)))
-
-    def pack(batch: pa.Table) -> pa.Table:
-        cell = batch["cell"].to_numpy()
-        ids = batch[key_col].to_numpy().astype(np.int64)
-        px = batch[x_col].to_numpy().astype(np.float64)
-        py = batch[y_col].to_numpy().astype(np.float64)
-        order = np.argsort(cell, kind="stable")
-        c2, i2, x2, y2 = cell[order], ids[order], px[order], py[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(c2)) + 1])
-        counts = np.diff(np.concatenate([starts, [len(c2)]]))
-        id_off = (starts * 8).astype(np.int32)
-        id_off = np.concatenate([id_off, [np.int32(len(c2) * 8)]])
-        xy = np.empty(2 * len(c2))
-        xy[0::2] = x2
-        xy[1::2] = y2
-        xy_off = (starts * 16).astype(np.int32)
-        xy_off = np.concatenate([xy_off, [np.int32(len(c2) * 16)]])
-        id_blob = pa.Array.from_buffers(
-            pa.binary(), len(starts),
-            [None, pa.py_buffer(id_off.tobytes()), pa.py_buffer(i2.tobytes())],
-        )
-        xy_blob = pa.Array.from_buffers(
-            pa.binary(), len(starts),
-            [None, pa.py_buffer(xy_off.tobytes()), pa.py_buffer(xy.tobytes())],
-        )
-        return pa.table(
-            {"cell": pa.array(c2[starts]), "id_blob": id_blob, "xy_blob": xy_blob}
-        )
-
-    packs = (
-        points.map_batches(tag_points, batch_format="pyarrow")
-        .sort("cell")
-        .map_batches(pack, batch_format="pyarrow")
-    )
-
-    joined = packs.join(
-        zone_cells,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("cell",),
-    )
-
-    def _blob_parts(col):
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        off_all = np.frombuffer(col.buffers()[1], dtype=np.int32)
-        off = off_all[col.offset : col.offset + len(col) + 1].astype(np.int64)
-        data = np.frombuffer(col.buffers()[2], dtype=np.uint8)
-        return off, data
-
-    def refine(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table(
-                {key_col: pa.array([], pa.int64()), "fid": pa.array([], pa.int64())}
-            )
-        id_off, id_data = _blob_parts(batch["id_blob"])
-        xy_off, xy_data = _blob_parts(batch["xy_blob"])
-        n_pts = np.diff(id_off) // 8
-        rep = np.repeat(np.arange(len(batch), dtype=np.int64), n_pts)
-        total = int(n_pts.sum())
-        # flatten per-row point slices into pair-aligned arrays
-        within = np.arange(total) - np.repeat(np.cumsum(n_pts) - n_pts, n_pts)
-        ids_flat = np.frombuffer(
-            np.ascontiguousarray(id_data[id_off[0] : id_off[-1]]), dtype=np.int64
-        )
-        id_base = (id_off[rep] - id_off[0]) // 8 + within
-        pair_id = ids_flat[id_base]
-        xy_flat = np.frombuffer(
-            np.ascontiguousarray(xy_data[xy_off[0] : xy_off[-1]]),
-            dtype=np.float64,
-        )
-        xy_base = (xy_off[rep] - xy_off[0]) // 8 + 2 * within
-        ppx = xy_flat[xy_base]
-        ppy = xy_flat[xy_base + 1]
-
-        rb_off, rb_data = _blob_parts(batch["ring_blob"])
-        blob_len = np.diff(rb_off)
-        row_is_rect = blob_len == 0
-        ok = np.zeros(total, dtype=bool)
-        pr = row_is_rect[rep]
-        if pr.any():
-            zb = np.column_stack(
-                [
-                    batch["zxmin"].to_numpy(),
-                    batch["zxmax"].to_numpy(),
-                    batch["zymin"].to_numpy(),
-                    batch["zymax"].to_numpy(),
-                ]
-            )[rep[pr]]
-            ok[pr] = (
-                (ppx[pr] >= zb[:, 0])
-                & (ppx[pr] < zb[:, 1])
-                & (ppy[pr] >= zb[:, 2])
-                & (ppy[pr] < zb[:, 3])
-            )
-        gp = np.flatnonzero(~pr)
-        if len(gp):
-            gen_rows = np.flatnonzero(~row_is_rect)
-            vals = np.frombuffer(
-                np.ascontiguousarray(rb_data[rb_off[0] : rb_off[-1]]),
-                dtype=np.float64,
-            )
-            voff = (rb_off - rb_off[0]) // 8
-            goff = np.concatenate(
-                [[0], np.cumsum(blob_len[gen_rows] // 16)]
-            ).astype(np.int64)
-            gvals = (
-                np.concatenate([vals[voff[i] : voff[i + 1]] for i in gen_rows])
-                if len(gen_rows)
-                else np.empty(0)
-            )
-            row_to_gen = np.full(len(batch), -1, dtype=np.int64)
-            row_to_gen[gen_rows] = np.arange(len(gen_rows))
-            ok[gp] = pip_pairs(
-                ppx[gp], ppy[gp], gvals, goff,
-                np.arange(len(gp), dtype=np.int64), row_to_gen[rep[gp]],
-            )
-        fid = batch["fid"].to_numpy()[rep]
-        return pa.table(
-            {
-                key_col: pa.array(pair_id[ok], pa.int64()),
-                "fid": pa.array(fid[ok], pa.int64()),
-            }
-        )
-
-    return joined.map_batches(refine, batch_format="pyarrow")
 
 
 def _emit_how(
@@ -1126,7 +645,7 @@ def spatial_join_points_sortmerge(
     ``how="inner"``; ``"left"`` adds unmatched points with fid=-1;
     ``"semi"`` / ``"anti"`` emit one (key_col, fid=-1) row per matched
     / unmatched point. Every output block carries that schema, empty
-    ones included. Inner rows identical to the other strategies
+    ones included. Inner rows identical to the broadcast join
     (tested).
 
     ``salt_threshold`` enables HOT-CELL SALTING (VERDICT r3 #9 — the
@@ -1140,7 +659,7 @@ def spatial_join_points_sortmerge(
     identical output pairs (each point keeps exactly one salt; its
     zone copies are unique per salt).
     """
-    if how not in ("inner", "left", "semi", "anti"):
+    if how not in JOIN_HOWS:
         raise ValueError(f"unsupported how={how!r}")
     if isinstance(zones, pa.Table):
         zones = ray.data.from_arrow(zones)
@@ -1314,7 +833,7 @@ def spatial_join_points_sortmerge(
 
 # Zones above this row count stop being broadcast by default: the
 # packed arrays + per-process index build stop amortizing and the
-# shuffle strategies win (measured crossover region on the bench box).
+# sort-merge join wins (measured crossover region on the bench box).
 BROADCAST_ZONE_LIMIT = 2_000_000
 
 
@@ -1331,7 +850,7 @@ def spatial_join_auto(
     join: BROADCAST (zero-shuffle, per-process cached index) while the
     zone side fits comfortably, else SORT-MERGE (one range shuffle +
     vectorized run join — the fastest both-sides-large strategy, see
-    BASELINE.md). All strategies emit identical rows (tested)."""
+    BASELINE.md). Both strategies emit identical rows (tested)."""
     n_zones = (
         zones.num_rows if isinstance(zones, pa.Table) else zones.count()
     )
@@ -1357,7 +876,7 @@ def attach_zone_attrs(
     prefix: str = "zone_",
 ) -> ray.data.Dataset:
     """Fan zone attribute columns out onto a (key, fid) pair stream —
-    the follow-up that gives the shuffle join strategies the same
+    the follow-up that gives the sort-merge join the same
     output surface as the broadcast join (which copies attrs inline).
     Broadcast lookup: sorted fid -> attr row index, one searchsorted
     per batch."""

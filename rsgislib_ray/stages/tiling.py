@@ -58,8 +58,7 @@ def tile_counts(
     y_col: str = "y",
 ) -> ray.data.Dataset:
     """Rows-per-tile histogram, pre-aggregated per batch before the
-    (tiny) groupby — the skew probe used to pick adaptive cell splits
-    (SURVEY.md §4 skew row)."""
+    (tiny) groupby — the skew probe (SURVEY.md §4 skew row)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         tid = spec.assign(batch[x_col].to_numpy(), batch[y_col].to_numpy())
@@ -82,69 +81,3 @@ def write_tiled(
     """Tile-partitioned parquet sink (one directory per tile)."""
     tagged = assign_tiles(ds, spec, x_col, y_col)
     tagged.write_parquet(out_dir, partition_cols=["tile_id"])
-
-
-def split_hot_cells(
-    ds: ray.data.Dataset,
-    level: int,
-    threshold: int,
-    x_col: str = "x",
-    y_col: str = "y",
-    out_col: str = "part_cell",
-    max_level: int = 16,
-) -> ray.data.Dataset:
-    """Adaptive skew splitting: cells whose population exceeds
-    ``threshold`` are recursively re-keyed to finer levels until every
-    partition key is under threshold (or ``max_level``). The count
-    pre-passes are cheap per-batch partial-count groupbys; the final
-    tagging broadcasts the per-level hot-cell sets. (The reference has
-    no skew handling — uniform tiles; valid-data tiling is manual,
-    imageutils/tilingutils.py:87.)
-    """
-    from ray.data.aggregate import Sum
-
-    hot_per_level: dict[int, np.ndarray] = {}
-    lvl = level
-    while lvl < max_level:
-        # count rows per cell AT THE ROW'S EFFECTIVE LEVEL (rows inside
-        # a previously-hot cell are counted at lvl, others are settled)
-        hp = {k: v for k, v in hot_per_level.items()}
-
-        def partial(batch: pa.Table, _lvl=lvl, _hp=hp) -> pa.Table:
-            x = batch[x_col].to_numpy()
-            y = batch[y_col].to_numpy()
-            active = np.ones(len(x), dtype=bool)
-            for plvl, phot in _hp.items():
-                pc_ = cells_from_xy(x, y, plvl)
-                active &= np.isin(pc_, phot)
-            cid = cells_from_xy(x[active], y[active], _lvl)
-            u, c = np.unique(cid, return_counts=True)
-            return pa.table({"cell_id": u, "partial": c.astype(np.int64)})
-
-        counts = (
-            ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-            .groupby("cell_id")
-            .aggregate(Sum("partial", alias_name="n"))
-            .to_pandas()
-        )
-        hot = counts[counts["n"] > threshold]["cell_id"].to_numpy()
-        if len(hot) == 0:
-            break
-        hot_per_level[lvl] = np.sort(hot.astype(np.int64))
-        lvl += 1
-
-    levels_sorted = sorted(hot_per_level)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        x = batch[x_col].to_numpy()
-        y = batch[y_col].to_numpy()
-        out = cells_from_xy(x, y, level)
-        # descend: rows inside every hot ancestor keep getting finer keys
-        still = np.ones(len(x), dtype=bool)
-        for plvl in levels_sorted:
-            cid = cells_from_xy(x, y, plvl)
-            still = still & np.isin(cid, hot_per_level[plvl])
-            out = np.where(still, cells_from_xy(x, y, plvl + 1), out)
-        return batch.append_column(out_col, pa.array(out, type=pa.int64()))
-
-    return ds.map_batches(tag, batch_format="pyarrow")

@@ -84,39 +84,6 @@ def test_tile_bounds_contain_assigned_points():
     assert np.all((x >= xmin) & (x < xmax + 1e-9) & (y >= ymin) & (y < ymax + 1e-9))
 
 
-def test_split_hot_cells(ray_session=None):
-    """Adaptive skew splitting re-keys only over-threshold cells."""
-    import pyarrow as pa
-    import ray.data
-
-    from rsgislib_ray.functions.cells import decode_level
-    from rsgislib_ray.stages.tiling import split_hot_cells
-
-    rng = np.random.default_rng(42)
-    # 5000 points clustered at one hot spot + uniform background
-    hx = rng.normal(20.0, 0.2, 4000).clip(0, 99.99)
-    hy = rng.normal(30.0, 0.2, 4000).clip(0, 99.99)
-    ux = rng.uniform(0, 100, 1000)
-    uy = rng.uniform(0, 100, 1000)
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "id": np.arange(5000, dtype=np.int64),
-                "x": np.concatenate([hx, ux]),
-                "y": np.concatenate([hy, uy]),
-            }
-        )
-    ).repartition(4)
-    out = split_hot_cells(ds, level=4, threshold=500).to_pandas()
-    levels = decode_level(out["part_cell"].to_numpy())
-    # hot-cluster rows re-keyed to finer levels; background stays coarse
-    assert (levels > 4).sum() >= 3000
-    assert (levels == 4).sum() >= 900
-    # recursive splitting bounds every partition key near the threshold
-    split_max = out.groupby("part_cell").size().max()
-    assert split_max <= 500
-
-
 def test_hex_assignment_matches_nearest_center():
     from rsgislib_ray.functions.grid import assign_hex, hex_centers
 

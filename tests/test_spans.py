@@ -35,6 +35,21 @@ def test_poly_span_odd_token_count_raises():
         parse_geom_spans(docs)
 
 
+def test_point_span_non_numeric_token_names_doc():
+    """A non-numeric token used to surface as a bare ArrowInvalid from
+    the cast, naming no document."""
+    docs = _docs([("point", "1 2"), ("text", "hi"), ("point", "a b"), ("point", "5 6")])
+    with pytest.raises(ValueError, match=r"doc_id d2: point span 'a b'"):
+        parse_geom_spans(docs)
+
+
+def test_poly_span_non_numeric_token_names_doc():
+    docs = _docs([("poly", "0 0,4 0,4 4"), ("text", "t"), ("poly", "1 2,x 4")])
+    with pytest.raises(ValueError, match=r"doc_id d2: poly span '1 2,x 4'") as ei:
+        parse_geom_spans(docs)
+    assert isinstance(ei.value.__cause__, pa.ArrowInvalid)
+
+
 def test_well_formed_spans_parse():
     out = parse_geom_spans(
         _docs([("point", "1 2"), ("poly", "0 0,4 0,4 6"), ("text", "hi"), ("point", "5 6")])

@@ -1,4 +1,4 @@
-"""Spatial join vs DuckDB oracle + broadcast/partitioned equivalence."""
+"""Spatial join vs DuckDB oracle + broadcast/sort-merge equivalence."""
 
 import duckdb
 import numpy as np
@@ -9,7 +9,7 @@ from rsgislib_ray.sources import testdata as td
 from rsgislib_ray.stages.spatial_join import (
     count_points_per_zone,
     spatial_join_points,
-    spatial_join_points_partitioned,
+    spatial_join_points_sortmerge,
 )
 
 
@@ -107,23 +107,45 @@ def test_count_points_per_zone_matches_oracle(ray_session, sf_dir, oracle):
     )
 
 
-def test_partitioned_equals_broadcast(ray_session, sf_dir):
+@pytest.mark.parametrize("level", [5, 6])
+def test_sortmerge_equals_broadcast(ray_session, sf_dir, level):
+    """The two shipped strategies give the same (point, zone) pair set
+    at either cell level."""
+    pts = td.points_from_orders(sf_dir).map_batches(
+        lambda t: t.append_column("pt_row", t["pt_id"]), batch_format="pyarrow"
+    ).materialize()
+    zones = td.zones_from_part(sf_dir)
+    bc = spatial_join_points(pts, zones, how="inner").to_pandas()
+    want = sorted(zip(bc["pt_row"], bc["fid"]))
+    assert len(want) > 0
+    sm = spatial_join_points_sortmerge(
+        pts, zones, level=level, key_col="pt_row"
+    ).to_pandas()
+    assert sorted(zip(sm["pt_row"], sm["fid"])) == want
+
+
+def test_unsupported_how_rejected_at_call(ray_session):
+    """Both strategies reject an unknown ``how`` when the join is built,
+    before any Ray task runs."""
     import ray.data
 
-    pts = td.points_from_orders(sf_dir)
+    from rsgislib_ray.functions.geom import rect_ring
 
-    def add_key(t: pa.Table) -> pa.Table:
-        return t.append_column("pt_row", t["pt_id"])
-
-    pts_k = pts.map_batches(add_key, batch_format="pyarrow")
-    zones = td.zones_from_part(sf_dir)
-    bc = spatial_join_points(pts_k, zones, how="inner").to_pandas()
-    bc_pairs = sorted(zip(bc["pt_row"], bc["fid"]))
-    part = spatial_join_points_partitioned(
-        pts_k, zones, level=5, key_col="pt_row"
-    ).to_pandas()
-    part_pairs = sorted(zip(part["pt_row"], part["fid"]))
-    assert bc_pairs == part_pairs
+    pts = ray.data.from_arrow(
+        pa.table({"pt_row": [0], "x": [1.0], "y": [1.0]})
+    )
+    zones = pa.table(
+        {
+            "fid": pa.array([7], pa.int64()),
+            "ring_xy": pa.ListArray.from_arrays(
+                pa.array([0, 8], pa.int32()), pa.array(rect_ring(0, 0, 2, 2))
+            ),
+        }
+    )
+    with pytest.raises(ValueError, match="unsupported how"):
+        spatial_join_points(pts, zones, how="outer")
+    with pytest.raises(ValueError, match="unsupported how"):
+        spatial_join_points_sortmerge(pts, zones, how="outer")
 
 
 def test_rect_fastpath_matches_ray_crossing(ray_session):
@@ -160,54 +182,6 @@ def test_rect_fastpath_matches_ray_crossing(ray_session):
         inside = points_in_ring(px, py, ring)
         want |= {(int(p), z) for p in np.flatnonzero(inside)}
     assert got == want
-
-
-def test_hashjoin_equals_broadcast(ray_session, sf_dir):
-    from rsgislib_ray.stages.spatial_join import spatial_join_points_hashjoin
-
-    pts = td.points_from_orders(sf_dir)
-
-    def add_key(t: pa.Table) -> pa.Table:
-        return t.append_column("pt_row", t["pt_id"])
-
-    pts_k = pts.map_batches(add_key, batch_format="pyarrow")
-    zones = td.zones_from_part(sf_dir)
-    bc = spatial_join_points(pts_k, zones, how="inner").to_pandas()
-    bc_pairs = sorted(zip(bc["pt_row"], bc["fid"]))
-    hj = spatial_join_points_hashjoin(
-        pts_k, zones, level=5, key_col="pt_row", num_partitions=8
-    ).to_pandas()
-    hj_pairs = sorted(zip(hj["pt_row"], hj["fid"]))
-    assert bc_pairs == hj_pairs
-
-
-def test_all_join_strategies_equal(ray_session, sf_dir):
-    """broadcast / groupby / native-hash / pack / sort-merge must
-    produce identical (point, zone) pair sets."""
-    import numpy as np
-    import pyarrow as pa
-
-    from rsgislib_ray.sources import testdata as td
-    from rsgislib_ray.stages.spatial_join import (
-        spatial_join_points,
-        spatial_join_points_hashjoin,
-        spatial_join_points_packjoin,
-        spatial_join_points_sortmerge,
-    )
-
-    zones = td.zones_from_part(sf_dir)
-    pts = td.points_from_orders(sf_dir).map_batches(
-        lambda t: t.append_column("pt_row", t["pt_id"]), batch_format="pyarrow"
-    ).materialize()
-    base = spatial_join_points(pts, zones, how="inner").to_pandas()
-    want = sorted(zip(base["pt_id"], base["fid"]))
-    for fn in (
-        spatial_join_points_hashjoin,
-        spatial_join_points_packjoin,
-        spatial_join_points_sortmerge,
-    ):
-        got = fn(pts, zones, level=6, key_col="pt_row").to_pandas()
-        assert sorted(zip(got["pt_row"], got["fid"])) == want, fn.__name__
 
 
 def test_sortmerge_how_modes(ray_session, sf_dir):
