@@ -6,13 +6,21 @@ resumable only because each stage leaves files + a JSON manifest behind
 Here resume is a first-class contract (north rule: "resumable from
 per-partition checkpoints with lineage and metrics"):
 
-- output is partitioned by a key column (tile_id / cell range);
-- each partition is written ATOMICALLY: tmp dir -> fsync'd parquet ->
-  rename; a manifest row (partition, rows, span_sig fingerprint) is
-  appended only after the rename;
-- a rerun consults the manifest FIRST and filters finished partitions
-  out of the INPUT stream (partition pruning, not output skipping), so
-  wasted work is zero;
+- output is partitioned by a key column (tile_id / cell range); a
+  partition is a directory of immutable parquet fragments, at most one
+  per input block, written without a shuffle;
+- a partition becomes visible only through the manifest: its fragments
+  are renamed into one directory, the directory is renamed into place,
+  and only then is a manifest row (partition, rows, span_sig
+  fingerprint) appended. Nothing is fsync'd, so this does not promise
+  durability across a power loss; it promises that a killed process
+  leaves nothing half-committed (readers follow the manifest, and a
+  torn last manifest line counts as not committed);
+- a rerun consults the manifest and :func:`resume_filter` drops
+  finished partitions from the stream it is applied to, so they are
+  not written again. Work upstream of that point is redone: ``cli
+  flagship --resume`` filters the joined stream, so every doc is still
+  read, parsed and joined;
 - the manifest carries the lineage chain (op names + params) so a
   partition written by a different pipeline version is not silently
   reused.
@@ -20,20 +28,23 @@ per-partition checkpoints with lineage and metrics"):
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+import shutil
 import time
 import uuid
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data
 
-from rsgislib_ray.functions.arrowize import arrowize
-
 MANIFEST = "_MANIFEST.jsonl"
+# Per-run directory under ``out_dir`` that holds uncommitted fragments.
+STAGING_PREFIX = "_staging-"
 
 
 def _manifest_path(out_dir: str) -> str:
@@ -66,6 +77,89 @@ def lineage_fingerprint(lineage: list[dict]) -> str:
     ).hexdigest()[:16]
 
 
+def _remove_stale_staging(out_dir: str) -> None:
+    """Delete what a killed earlier run left uncommitted: staging roots
+    and the per-partition ``*.tmp-*`` dirs of the older writer."""
+    for d in glob.glob(os.path.join(out_dir, STAGING_PREFIX + "*")) + glob.glob(
+        os.path.join(out_dir, "*.tmp-*")
+    ):
+        shutil.rmtree(d, ignore_errors=True)
+
+
+def _fragment_writer(staging: str, partition_col: str, skip: set):
+    """Block -> one parquet fragment per partition key in ``staging``,
+    returning one row per fragment: (partition, rows, path, span_xor).
+    Keys in ``skip`` are not written and come back with an empty path."""
+    from rsgislib_ray.stages.spans import span_signature
+
+    def write_fragments(batch: pa.Table) -> pa.Table:
+        batch = batch.take(pc.sort_indices(batch[partition_col]))
+        runs = pc.value_counts(batch[partition_col])  # sorted, so in key order
+        counts = runs.field("counts").to_numpy()
+        starts = np.cumsum(counts) - counts
+        # one signature pass per block; rows are independent, so a
+        # fragment's XOR is a segment reduce over the sorted block
+        sigs = (
+            np.bitwise_xor.reduceat(span_signature(batch), starts).tolist()
+            if "spans" in batch.column_names
+            else [None] * len(starts)
+        )
+        rows, paths = [], []
+        for key, start, n in zip(runs.field("values"), starts.tolist(), counts.tolist()):
+            if key.as_py() in skip:
+                rows.append(0)
+                paths.append("")
+                continue
+            path = os.path.join(staging, f"{uuid.uuid4().hex}.parquet")
+            pq.write_table(batch.slice(start, n), path)
+            rows.append(n)
+            paths.append(path)
+        return pa.table(
+            {
+                "partition": runs.field("values"),
+                "rows": pa.array(rows, type=pa.int64()),
+                "path": pa.array(paths, type=pa.string()),
+                "span_xor": pa.array(sigs, type=pa.uint64()),
+            }
+        )
+
+    return write_fragments
+
+
+def _commit_partition(
+    out_dir: str,
+    staging: str,
+    partition_col: str,
+    key,
+    fragments: list[tuple[str, int, int | None]],
+    lineage_id: str,
+) -> int:
+    """Atomically publish one partition from ``fragments`` (path, rows,
+    span_xor), the fragments successful writer tasks returned; any other
+    file in ``staging`` is left there. Returns the partition's rows."""
+    name = f"{partition_col}={key}"
+    tmp = os.path.join(staging, name)
+    os.makedirs(tmp)
+    for i, (path, _, _) in enumerate(sorted(fragments)):
+        os.rename(path, os.path.join(tmp, f"part-{i}.parquet"))
+    pdir = os.path.join(out_dir, name)
+    if os.path.exists(pdir):  # an uncommitted leftover or another lineage's
+        shutil.rmtree(pdir)
+    os.rename(tmp, pdir)
+    rows = sum(n for _, n, _ in fragments)
+    rec = {"partition": key, "rows": rows, "lineage_id": lineage_id, "ts": time.time()}
+    if fragments[0][2] is not None:
+        # span-sequence integrity fingerprint (north-rule invariant):
+        # XOR of every row's span signature, then of the row count, so
+        # a reread partition can be checked against the manifest
+        rec["span_sig"] = rows
+        for _, _, sig in fragments:
+            rec["span_sig"] ^= sig
+    with open(_manifest_path(out_dir), "a") as f:
+        f.write(json.dumps(rec) + "\n")
+    return rows
+
+
 def checkpointed_write(
     ds: ray.data.Dataset,
     out_dir: str,
@@ -76,72 +170,58 @@ def checkpointed_write(
     """Write ``ds`` partitioned by ``partition_col`` with atomic commit
     + manifest append per partition. Returns a summary dict.
 
-    The partition writer runs inside ``groupby(partition_col)
-    .map_groups`` — each partition lands in parallel, commits
-    independently, and a killed run resumes by passing
-    ``finished_partitions()`` back as ``skip_partitions`` (better: use
-    :func:`resume_filter` on the INPUT before the expensive stages).
+    One ``map_batches`` stage, fused into the upstream operator, splits
+    each block by key and writes one parquet fragment per (block,
+    partition) into a per-run staging dir under ``out_dir``; no shuffle,
+    so a partition holds at most as many files as ``ds`` has blocks.
+    The driver then commits each partition (:func:`_commit_partition`)
+    from the fragment paths that successful tasks returned and deletes
+    the staging dir with whatever failed attempts left in it. A killed
+    run resumes by passing ``finished_partitions()`` back as
+    ``skip_partitions`` (better: use :func:`resume_filter` on the
+    stream first).
+
+    ``out_dir`` must have one writer at a time: a write starts by
+    deleting every staging dir found there.
     """
     os.makedirs(out_dir, exist_ok=True)
+    _remove_stale_staging(out_dir)
     lid = lineage_fingerprint(lineage)
     skip = skip_partitions if skip_partitions is not None else set()
-
-    def write_partition(g: pd.DataFrame) -> pd.DataFrame:
-        key = g[partition_col].iloc[0]
-        key_py = key.item() if hasattr(key, "item") else key
-        if key_py in skip:
-            return pd.DataFrame({"partition": [key_py], "rows": [0], "skipped": [True]})
-        pdir = os.path.join(out_dir, f"{partition_col}={key_py}")
-        tmp = pdir + f".tmp-{uuid.uuid4().hex[:8]}"
-        os.makedirs(tmp, exist_ok=True)
-        tbl = pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-        # span-sequence integrity fingerprint (north-rule invariant):
-        # order-insensitive combine of the per-row span signatures, so a
-        # reread partition can be checked against the manifest
-        span_sig = None
-        if "spans" in tbl.column_names:
-            from rsgislib_ray.stages.spans import span_signature
-
-            with np.errstate(over="ignore"):
-                span_sig = int(
-                    np.bitwise_xor.reduce(span_signature(tbl)) ^ np.uint64(len(tbl))
-                )
-        pq.write_table(tbl, os.path.join(tmp, "part-0.parquet"))
-        if os.path.exists(pdir):  # stale uncommitted rerun leftovers
-            import shutil
-
-            shutil.rmtree(pdir)
-        os.rename(tmp, pdir)
-        with open(_manifest_path(out_dir), "a") as f:
-            rec = {
-                "partition": key_py,
-                "rows": len(g),
-                "lineage_id": lid,
-                "ts": time.time(),
-            }
-            if span_sig is not None:
-                rec["span_sig"] = span_sig
-            f.write(json.dumps(rec) + "\n")
-        return pd.DataFrame({"partition": [key_py], "rows": [len(g)], "skipped": [False]})
-
-    results = (
-        ds.groupby(partition_col)
-        .map_groups(arrowize(write_partition), batch_format="pandas")
-        .to_pandas()
-    )
-    if len(results) == 0:
-        # everything was pruned upstream (fully-resumed run): nothing
-        # to write is a valid, successful outcome
-        results = pd.DataFrame(
-            {"partition": [], "rows": [], "skipped": []}
-        ).astype({"rows": "int64", "skipped": "bool"})
+    staging = os.path.join(out_dir, STAGING_PREFIX + uuid.uuid4().hex[:8])
+    os.makedirs(staging)
+    try:
+        # materialized once: the writer has side effects and must run once
+        written = ds.map_batches(
+            _fragment_writer(staging, partition_col, skip),
+            batch_size=None,
+            batch_format="pyarrow",
+        ).materialize()
+        fragments: dict = {}
+        skipped = set()
+        for t in ray.get(written.to_arrow_refs()):
+            if t.num_rows == 0:  # an empty block can pass through untouched
+                continue
+            for key, n, path, sig in zip(
+                *(t[c].to_pylist() for c in ("partition", "rows", "path", "span_xor"))
+            ):
+                if path:
+                    fragments.setdefault(key, []).append((path, n, sig))
+                else:
+                    skipped.add(key)
+        rows = sum(
+            _commit_partition(out_dir, staging, partition_col, key, frags, lid)
+            for key, frags in fragments.items()
+        )
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     meta = {
         "out_dir": out_dir,
         "lineage_id": lid,
         "lineage": lineage,
-        "partitions_written": int((~results["skipped"]).sum()),
-        "partitions_skipped": int(results["skipped"].sum()),
-        "rows_written": int(results["rows"].sum()),
+        "partitions_written": len(fragments),
+        "partitions_skipped": len(skipped),
+        "rows_written": rows,
     }
     with open(os.path.join(out_dir, "_LINEAGE.json"), "w") as f:
         json.dump(meta, f, indent=1)
@@ -202,10 +282,12 @@ def read_checkpointed(
                     continue
                 seen.add(rec["partition"])
                 parts.append(os.path.join(out_dir, f"*={rec['partition']}"))
-    import glob
-
     files = []
     for pat in parts:
         for d in glob.glob(pat):
             files.extend(glob.glob(os.path.join(d, "*.parquet")))
+    if not files:
+        raise ValueError(
+            f"no committed partitions in {out_dir!r} for lineage_id {lineage_id!r}"
+        )
     return ray.data.read_parquet(files)

@@ -92,7 +92,8 @@ def test_atomic_layout(ray_session, tmp_path):
 
 def test_span_signature_in_manifest(ray_session, tmp_path):
     """Partitions carrying a spans column get an integrity fingerprint
-    that matches a recomputation from the reread data."""
+    that matches a recomputation over every fragment of the reread
+    partition (the per-fragment XORs must combine correctly)."""
     import json
 
     import pyarrow.parquet as pq
@@ -109,14 +110,121 @@ def test_span_signature_in_manifest(ray_session, tmp_path):
     checkpointed_write(tagged, out, "tile_id", [{"op": "t"}])
     with open(os.path.join(out, "_MANIFEST.jsonl")) as f:
         recs = [json.loads(l) for l in f]
-    assert all("span_sig" in r for r in recs)
-    # recompute from a reread partition
-    r0 = recs[0]
-    tbl = pq.read_table(
-        glob.glob(os.path.join(out, f"tile_id={r0['partition']}", "*.parquet"))[0]
+    assert recs and all("span_sig" in r for r in recs)
+    n_files = []
+    for rec in recs:
+        files = glob.glob(os.path.join(out, f"tile_id={rec['partition']}", "*.parquet"))
+        n_files.append(len(files))
+        tbl = pa.concat_tables([pq.read_table(f) for f in files])
+        assert tbl.num_rows == rec["rows"]
+        sig = int(np.bitwise_xor.reduce(span_signature(tbl)) ^ np.uint64(len(tbl)))
+        assert sig == rec["span_sig"]
+    assert max(n_files) >= 2  # some partition really spans fragments
+
+
+def test_written_fragments_keep_input_schema(ray_session, tmp_path):
+    """Regression: the written parquet keeps the input schema (a pandas
+    round trip reordered the span struct, widened its offset to int64
+    and turned the left join's nullable zone columns into doubles)."""
+    import pyarrow.parquet as pq
+
+    from rsgislib_ray.pipelines.flagship import flagship_synth
+
+    ds = flagship_synth(3000, how="left").materialize()
+    out = str(tmp_path / "o")
+    checkpointed_write(ds, out, "tile_id", LINEAGE)
+    files = glob.glob(os.path.join(out, "tile_id=*", "*.parquet"))
+    assert files
+    want = ds.schema().base_schema
+    assert want.field("zone_fid").type == pa.int64()
+    for f in files:
+        assert pq.read_schema(f).remove_metadata().equals(want.remove_metadata())
+
+
+def test_commit_ignores_unlisted_fragments(ray_session, tmp_path):
+    """Only the fragments a successful writer task returned are
+    committed; an orphan left in the staging dir (a failed attempt's
+    file) is never read back and is not moved into the partition."""
+    import pyarrow.parquet as pq
+
+    from rsgislib_ray.runtime.checkpoint import STAGING_PREFIX, _commit_partition
+
+    out = str(tmp_path / "out")
+    staging = os.path.join(out, STAGING_PREFIX + "t")
+    os.makedirs(staging)
+    listed = []
+    for i in range(2):
+        path = os.path.join(staging, f"ok{i}.parquet")
+        pq.write_table(pa.table({"id": [2 * i, 2 * i + 1], "part": [0, 0]}), path)
+        listed.append((path, 2, None))
+    pq.write_table(
+        pa.table({"id": [99], "part": [0]}), os.path.join(staging, "orphan.parquet")
     )
-    sig = int(np.bitwise_xor.reduce(span_signature(tbl)) ^ np.uint64(len(tbl)))
-    assert sig == r0["span_sig"]
+    lid = lineage_fingerprint(LINEAGE)
+    assert _commit_partition(out, staging, "part", 0, listed, lid) == 4
+    assert finished_partitions(out, lid) == {0}
+    assert len(glob.glob(os.path.join(out, "part=0", "*.parquet"))) == 2
+    back = read_checkpointed(out, lineage_id=lid).to_pandas()
+    assert sorted(back["id"]) == [0, 1, 2, 3]
+    assert os.path.exists(os.path.join(staging, "orphan.parquet"))
+
+
+def test_stale_staging_removed_by_next_write(ray_session, tmp_path):
+    """Staging dirs a killed run left behind (the current staging root
+    and the older per-partition ``*.tmp-*`` dirs) are gone after the
+    next write into the same out_dir."""
+    from rsgislib_ray.runtime.checkpoint import STAGING_PREFIX
+
+    out = str(tmp_path / "out")
+    stale = [
+        os.path.join(out, STAGING_PREFIX + "dead", "part=3"),
+        os.path.join(out, "part=3.tmp-0badc0de"),
+    ]
+    for d in stale:
+        os.makedirs(d)
+        with open(os.path.join(d, "x.parquet"), "wb") as f:
+            f.write(b"torn")
+    checkpointed_write(_pts(), out, "part", LINEAGE)
+    assert not glob.glob(os.path.join(out, STAGING_PREFIX + "*"))
+    assert not glob.glob(os.path.join(out, "*.tmp-*"))
+    assert len(read_checkpointed(out).to_pandas()) == 500
+
+
+def test_fully_resumed_run_writes_nothing(ray_session, tmp_path):
+    """With every partition skipped or pruned, the write returns zero
+    rows and partitions and adds no partition dir or manifest line."""
+    out = str(tmp_path / "out")
+    # every key in skip_partitions, fresh out_dir
+    meta = checkpointed_write(_pts(), out, "part", LINEAGE, skip_partitions=set(range(7)))
+    assert (meta["rows_written"], meta["partitions_written"]) == (0, 0)
+    assert meta["partitions_skipped"] == 7
+    assert not glob.glob(os.path.join(out, "part=*"))
+    assert not os.path.exists(os.path.join(out, "_MANIFEST.jsonl"))
+
+    # every partition committed, then pruned by resume_filter
+    checkpointed_write(_pts(), out, "part", LINEAGE)
+    manifest = os.path.join(out, "_MANIFEST.jsonl")
+    with open(manifest) as f:
+        before = f.read()
+    dirs = sorted(os.listdir(out))
+    pruned, done = resume_filter(
+        _pts(), out, "part", lambda b: b["part"].to_numpy(), LINEAGE
+    )
+    meta = checkpointed_write(pruned, out, "part", LINEAGE, skip_partitions=done)
+    assert (meta["rows_written"], meta["partitions_written"]) == (0, 0)
+    with open(manifest) as f:
+        assert f.read() == before
+    assert sorted(os.listdir(out)) == dirs
+
+
+def test_read_with_nothing_committed_names_dir(ray_session, tmp_path):
+    out = str(tmp_path / "empty")
+    os.makedirs(out)
+    with pytest.raises(ValueError, match="empty.*nolineage"):
+        read_checkpointed(out, lineage_id="nolineage")
+    checkpointed_write(_pts(), out, "part", LINEAGE)
+    with pytest.raises(ValueError, match="other"):
+        read_checkpointed(out, lineage_id="other")
 
 
 @pytest.mark.slow
