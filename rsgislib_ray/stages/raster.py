@@ -133,17 +133,18 @@ def rasterize_zones(
     Each pixel row gains ``burn`` — the burn value of the LAST covering
     feature in fid order (GDAL RasterizeLayer overwrite order,
     createrasters.py:108-116), or ``background`` when uncovered. The
-    zone side is broadcast; pixel batches stream through an actor pool.
+    zone side is broadcast with its prebuilt index; pixel batches stream
+    through stateless tasks.
     """
     attr_np = zones_tbl[burn_attr].to_numpy() if burn_attr else None
     ref = broadcast_zones(zones_tbl)
     from rsgislib_ray.state.broadcast import cached
 
     def burn_batch(batch: pa.Table) -> pa.Table:
-        zones, idx = cached(ref, lambda zs: (zs, zs.build_index()))
+        zones: ZoneSet = cached(ref)
         px = batch[x_col].to_numpy()
         py = batch[y_col].to_numpy()
-        pi, zi = zones.match_points(idx, px, py)
+        pi, zi = zones.match_points(zones.index, px, py)
         burn = np.full(len(batch), background, dtype=np.float64)
         if len(pi):
             # last-wins by fid: order pairs by (pixel, fid) and keep
@@ -166,10 +167,8 @@ def make_pixel_centers(grid: RasterGrid, override_num_blocks: int | None = None)
     """Dense pixel-center Dataset for a grid (the rasterize canvas).
 
     Default block sizing targets ~256k pixels per block: a small
-    canvas stays one task (so a broadcast consumer builds its
-    per-process index ONCE instead of once per worker — measured 2x
-    on the rasterize bench row), while a 10^9-pixel canvas still
-    fans out to thousands of blocks."""
+    canvas stays one task, while a 10^9-pixel canvas still fans out to
+    thousands of blocks."""
     n = grid.n_cols * grid.n_rows
     if override_num_blocks is None:
         override_num_blocks = max(1, n // 262144)

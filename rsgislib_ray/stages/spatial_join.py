@@ -11,9 +11,11 @@ Reimplements the reference's join family on Ray Data:
 What ships (BENCH_r05, sf0.1 at 32 CPUs, inner join):
 
 1. **Broadcast** (``spatial_join_points``, ``count_points_per_zone``;
-   the flagship and the small-zone join queries; 0.99 s): the packed zone
-   arrays are ``ray.put`` ONCE; each process builds its cell-bucket
-   index ONCE and streams point batches through — no shuffle at all.
+   the flagship and the small-zone join queries; 0.99 s): the driver
+   packs the zone table and builds its cell-bucket index once per Ray
+   session (:func:`broadcast_zones` memoizes the ref by table content);
+   worker processes only fetch it, zero-copy, and stream point batches
+   through — no shuffle at all.
 2. **Sort-merge** (``spatial_join_points_sortmerge``; both sides
    large, inner/left/semi/anti, optional hot-cell salting; 1.77 s):
    both sides union into ONE range shuffle on the cell key; sorted
@@ -28,6 +30,10 @@ because point rows pass through ``take`` untouched.
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
+from functools import cached_property
+
 import numpy as np
 import pyarrow as pa
 import ray
@@ -35,6 +41,7 @@ import ray.data
 
 from rsgislib_ray.functions import cells as cellmod
 from rsgislib_ray.functions.geom import pip_pairs
+from rsgislib_ray.state.broadcast import _MAX_ENTRIES, cached
 from rsgislib_ray.state.strtree import STRtree
 
 # Join modes both strategies support, checked when the join is built.
@@ -45,7 +52,9 @@ class ZoneSet:
     """Packed polygon side-table: numpy arrays + attr columns.
 
     Cheap to pickle/broadcast; rebuildable STRtree. ``ring_offsets``
-    are coordinate-PAIR offsets (n_zones+1).
+    are coordinate-PAIR offsets (n_zones+1). :attr:`index` is built on
+    first use and pickles with the arrays, so a ZoneSet broadcast after
+    it is built reaches the workers with its index.
     """
 
     def __init__(
@@ -143,6 +152,11 @@ class ZoneSet:
 
         return CellBucketIndex(self.bounds)
 
+    @cached_property
+    def index(self):
+        """The :meth:`build_index` index, built once per ZoneSet."""
+        return self.build_index()
+
     # Points per internal chunk: keeps candidate-pair temporaries in the
     # tens-of-MB range so concurrent tasks don't blow worker heaps /
     # thrash memory bandwidth (dense layers can produce >100 candidate
@@ -191,17 +205,6 @@ class ZoneSet:
                     px, py, self.ring_xy, self.ring_offsets, cand_pt[gp], cand_zone[gp]
                 )
         return cand_pt[ok], cand_zone[ok]
-
-
-# Per-worker-process cache of broadcast state (ZoneSet + its index).
-# Stateless map_batches TASKS run in pre-warmed worker processes and hit
-# this cache, so the state is built once per process (not per batch)
-# with no actor spawn or import cost per execution. LRU-capped in
-# state.broadcast.
-def _zone_state(zones_ref):
-    from rsgislib_ray.state.broadcast import cached
-
-    return cached(zones_ref, lambda zs: (zs, zs.build_index()))
 
 
 def _zone_cols(
@@ -279,15 +282,49 @@ def _pip_join_task(
     zone_prefix: str = "",
     flag_col: str = "in_zone",
 ) -> pa.Table:
-    zones, tree = _zone_state(zones_ref)
-    return _join_batch(zones, tree, batch, how, x_col, y_col, zone_prefix, flag_col)
+    zones = cached(zones_ref)
+    return _join_batch(
+        zones, zones.index, batch, how, x_col, y_col, zone_prefix, flag_col
+    )
+
+
+# Driver-side memo of broadcast zone layers: (Ray session, content
+# digest) -> ObjectRef of the packed ZoneSet with its index built.
+_BROADCASTS: OrderedDict = OrderedDict()
+
+
+def _zones_key(zones_tbl: pa.Table, attr_cols: list[str] | None) -> tuple:
+    """The Ray session (node and job) plus a blake2b-128 digest of the
+    columns :meth:`ZoneSet.from_table` reads. Their Arrow IPC stream
+    carries the schema, lengths, offsets and buffers, normalized for
+    slicing and (after ``combine_chunks``) for chunking, so equal
+    digests mean equal zone layers."""
+    ctx = ray.get_runtime_context()
+    cols = zones_tbl.select(["fid", "ring_xy", *(attr_cols or [])])
+    cols = cols.combine_chunks().replace_schema_metadata(None)
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, cols.schema) as w:
+        w.write_table(cols)
+    digest = hashlib.blake2b(sink.getvalue(), digest_size=16).hexdigest()
+    return ctx.get_node_id(), ctx.get_job_id(), digest
 
 
 def broadcast_zones(zones_tbl: pa.Table, attr_cols: list[str] | None = None):
-    """Pack + ``ray.put`` a zone table once; pass the ref to
-    ``_pip_join_task``, which builds the index from it once per process."""
-    zs = ZoneSet.from_table(zones_tbl, attr_cols=attr_cols)
-    return ray.put(zs)
+    """Pack a zone table, build its index on the driver and ``ray.put``
+    both once per session: calls over an equal table (and ``attr_cols``)
+    get the same ref back, so every worker process that already read
+    it keeps its :func:`cached` copy, and none builds an index.
+    LRU-capped like the per-process cache."""
+    key = _zones_key(zones_tbl, attr_cols)
+    ref = _BROADCASTS.get(key)
+    if ref is None:
+        zs = ZoneSet.from_table(zones_tbl, attr_cols=attr_cols)
+        zs.index  # built here, once, and pickled with the arrays
+        ref = _BROADCASTS[key] = ray.put(zs)
+        while len(_BROADCASTS) > _MAX_ENTRIES:
+            _BROADCASTS.popitem(last=False)
+    _BROADCASTS.move_to_end(key)
+    return ref
 
 
 def spatial_join_points(
@@ -301,8 +338,8 @@ def spatial_join_points(
     batch_size: int = 32768,
 ) -> ray.data.Dataset:
     """Broadcast spatial join: stream point batches through stateless
-    tasks holding the zone index (built once per worker process from
-    the broadcast ref). No shuffle."""
+    tasks reading the zone layer and its prebuilt index from the
+    broadcast ref. No shuffle."""
     if how not in JOIN_HOWS:
         raise ValueError(f"unsupported how={how!r}")
     ref = broadcast_zones(zones_tbl, attr_cols)
@@ -341,9 +378,9 @@ def count_points_per_zone(
     ref = broadcast_zones(zones_tbl)
 
     def count_partial(batch: pa.Table) -> pa.Table:
-        zones, idx = _zone_state(ref)
+        zones = cached(ref)
         _, zone_idx = zones.match_points(
-            idx, batch[x_col].to_numpy(), batch[y_col].to_numpy()
+            zones.index, batch[x_col].to_numpy(), batch[y_col].to_numpy()
         )
         counts = np.bincount(zone_idx, minlength=len(zones))
         nz = np.flatnonzero(counts)
@@ -702,8 +739,6 @@ def spatial_join_points_sortmerge(
                 salt_ref = ray.put((cells[hot], s))
 
     def _hot_lookup(cell: np.ndarray):
-        from rsgislib_ray.state.broadcast import cached
-
         hc, s = cached(salt_ref)
         pos = np.searchsorted(hc, cell)
         safe = np.minimum(pos, len(hc) - 1)
@@ -832,7 +867,7 @@ def spatial_join_points_sortmerge(
 
 
 # Zones above this row count stop being broadcast by default: the
-# packed arrays + per-process index build stop amortizing and the
+# packed arrays + their driver-built index stop amortizing and the
 # sort-merge join wins (measured crossover region on the bench box).
 BROADCAST_ZONE_LIMIT = 2_000_000
 
@@ -847,7 +882,7 @@ def spatial_join_auto(
     **broadcast_kwargs,
 ) -> ray.data.Dataset:
     """Strategy-selecting entry point for the inner point-in-polygon
-    join: BROADCAST (zero-shuffle, per-process cached index) while the
+    join: BROADCAST (zero-shuffle, index built once per session) while the
     zone side fits comfortably, else SORT-MERGE (one range shuffle +
     vectorized run join — the fastest both-sides-large strategy, see
     BASELINE.md). Both strategies emit identical rows (tested)."""
@@ -887,8 +922,6 @@ def attach_zone_attrs(
     )
 
     def fan(batch: pa.Table) -> pa.Table:
-        from rsgislib_ray.state.broadcast import cached
-
         sfid, attrs = cached(ref)
         f = batch[fid_col].to_numpy().astype(np.int64)
         pos = np.minimum(np.searchsorted(sfid, f), len(sfid) - 1)

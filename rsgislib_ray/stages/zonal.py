@@ -7,14 +7,18 @@ RAT populators (``populate_rat_with_stats``,
 percentiles :513-558; mode rastergis.cpp:1807) as a two-stage Ray Data
 aggregation:
 
-1. an actor-pool ``map_batches`` stage holds the broadcast zone STRtree
-   and COMBINES WITHIN EACH BATCH (sort-free scatters into dense
+1. a stateless-task ``map_batches`` stage reads the broadcast zone
+   layer and its prebuilt cell-bucket index
+   (:func:`~rsgislib_ray.stages.spatial_join.broadcast_zones`) and
+   COMBINES WITHIN EACH BATCH (sort-free scatters into dense
    per-zone accumulators: ``np.bincount`` / ``np.add.at`` /
    ``np.minimum.at`` / ``np.maximum.at``): it emits
    one partial row per (batch, zone) — count/sum/sumsq/min/max, or
-   per-(zone, value) counts for the order statistics. The all-to-all
-   ``groupby(fid)`` therefore shuffles partials, not matched cells;
-2. ``groupby("fid").map_groups`` finalizes.
+   per-(zone, value) counts for the order statistics;
+2. the partials reduce by fid — on the driver (numpy scatters for the
+   moments, pandas for the histograms) or, past a measured size, in a
+   Ray ``groupby("fid").aggregate`` — and one vectorized pass
+   finalizes.
 
 Pinned exact-match semantics (SURVEY.md §5):
 - stddev is POPULATION std (ddof=0 — zonalstats/__init__.py:458), via
@@ -38,15 +42,10 @@ import ray
 import ray.data
 
 from rsgislib_ray.stages.spatial_join import ZoneSet, broadcast_zones
+from rsgislib_ray.state.broadcast import cached
 
 MOMENT_STATS = ("count", "sum", "min", "max", "mean", "stddev")
 ORDER_STATS = ("mode", "median")
-
-
-def _zone_index(zones_ref):
-    from rsgislib_ray.state.broadcast import cached
-
-    return cached(zones_ref, lambda zs: (zs, zs.build_index()))
 
 
 def _moment_partial(
@@ -69,7 +68,8 @@ def _moment_partial(
     accumulators keep every result exact and independent of match
     order.
     """
-    zones, idx = _zone_index(zones_ref)
+    zones: ZoneSet = cached(zones_ref)
+    idx = zones.index
     px = batch[x_col].to_numpy()
     py = batch[y_col].to_numpy()
     vals_all = batch[value_col].to_numpy()
@@ -111,7 +111,8 @@ def _value_count_partial(
     x_col: str = "x",
     y_col: str = "y",
 ) -> pa.Table:
-    zones, idx = _zone_index(zones_ref)
+    zones: ZoneSet = cached(zones_ref)
+    idx = zones.index
     px = batch[x_col].to_numpy()
     py = batch[y_col].to_numpy()
     vals_all = batch[value_col].to_numpy().astype(np.int64)
@@ -190,7 +191,6 @@ def zonal_stats(
     x_col: str = "x",
     y_col: str = "y",
     value_scale: float = 1.0,
-    concurrency=(1, 8),
     combine: str = "auto",
 ) -> pa.Table:
     """Per-zone stats table (one row per zone fid, empty zones filled
@@ -198,8 +198,8 @@ def zonal_stats(
     the natural unit when the value column is pre-scaled to integers
     (e.g. cents -> value_scale=100).
 
-    ``combine`` selects where partials reduce: ``"driver"`` (one pandas
-    groupby over (blocks x zones-touched) rows — fastest at moderate
+    ``combine`` selects where partials reduce: ``"driver"`` (numpy
+    scatters over (blocks x zones-touched) rows — fastest at moderate
     zone counts, no shuffle) or ``"native"`` (Ray
     ``groupby().aggregate(Sum/Min/Max)`` — the 10^8-zones path: the
     driver only ever sees the FINAL one-row-per-zone result, identical
@@ -269,17 +269,27 @@ def zonal_stats(
         else:
             # Partial rows number (blocks x zones-touched) — small
             # relative to the cell stream. Combine on the driver with
-            # one pandas groupby (exact integer sums, order-
+            # int64 scatters onto the sorted unique fids (exact, order-
             # independent); avoids a full Ray sort-shuffle whose fixed
             # cost dominates at these partial sizes.
-            pdf = partials.to_pandas()
-            agg = pdf.groupby("fid", as_index=False).agg(
-                cnt=("cnt", "sum"),
-                sum_v=("sum_v", "sum"),
-                sumsq_v=("sumsq_v", "sum"),
-                min_v=("min_v", "min"),
-                max_v=("max_v", "max"),
-            )
+            blocks = [b for b in ray.get(partials.to_arrow_refs()) if b.num_rows]
+
+            def col(name: str) -> np.ndarray:
+                parts = [b[name].to_numpy() for b in blocks]
+                return np.concatenate(parts) if parts else np.empty(0, np.int64)
+
+            fid, inv = np.unique(col("fid"), return_inverse=True)
+            agg = {"fid": fid}
+            for name, ufunc, init in (
+                ("cnt", np.add, 0),
+                ("sum_v", np.add, 0),
+                ("sumsq_v", np.add, 0),
+                ("min_v", np.minimum, np.iinfo(np.int64).max),
+                ("max_v", np.maximum, np.iinfo(np.int64).min),
+            ):
+                agg[name] = np.full(len(fid), init, dtype=np.int64)
+                ufunc.at(agg[name], inv, col(name))
+            agg = pd.DataFrame(agg)
         cnt = agg["cnt"].to_numpy().astype(np.int64)
         s = agg["sum_v"].to_numpy().astype(np.int64)
         q = agg["sumsq_v"].to_numpy().astype(np.int64)
@@ -440,8 +450,6 @@ def kmeans_cluster(
         ref = _ray.put(C)
 
         def partial(batch: pa.Table) -> pa.Table:
-            from rsgislib_ray.state.broadcast import cached
-
             cc = cached(ref)
             M = np.column_stack(
                 [batch[c].to_numpy().astype(np.float64) for c in feature_cols]
@@ -476,8 +484,6 @@ def kmeans_cluster(
     ref = _ray.put(C)
 
     def assign(batch: pa.Table) -> pa.Table:
-        from rsgislib_ray.state.broadcast import cached
-
         cc = cached(ref)
         M = np.column_stack(
             [batch[c].to_numpy().astype(np.float64) for c in feature_cols]
@@ -599,8 +605,6 @@ def isodata_cluster(
         ref = _ray.put(C)
 
         def partial(batch: pa.Table) -> pa.Table:
-            from rsgislib_ray.state.broadcast import cached
-
             cc = cached(ref)
             M = np.column_stack(
                 [batch[c].to_numpy().astype(np.float64) for c in feature_cols]
@@ -686,8 +690,6 @@ def isodata_cluster(
     ref = _ray.put(C)
 
     def assign(batch: pa.Table) -> pa.Table:
-        from rsgislib_ray.state.broadcast import cached
-
         cc = cached(ref)
         M = np.column_stack(
             [batch[c].to_numpy().astype(np.float64) for c in feature_cols]
@@ -870,8 +872,6 @@ def kmeans_cluster_exact(
         ref = _ray.put(C)
 
         def part(batch: pa.Table) -> pa.Table:
-            from rsgislib_ray.state.broadcast import cached
-
             cc = cached(ref)
             M = np.column_stack(
                 [batch[c].to_numpy().astype(np.int64) for c in int_cols]
@@ -906,8 +906,6 @@ def kmeans_cluster_exact(
     ref = _ray.put(C)
 
     def assign(batch: pa.Table) -> pa.Table:
-        from rsgislib_ray.state.broadcast import cached
-
         cc = cached(ref)
         M = np.column_stack(
             [batch[c].to_numpy().astype(np.int64) for c in int_cols]

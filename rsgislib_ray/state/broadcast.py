@@ -3,10 +3,19 @@
 Stateless ``map_batches`` TASKS running in pre-warmed Ray worker
 processes call :func:`cached` with the ObjectRef; the first call in
 each process materializes the value (and optionally builds derived
-state like a spatial index), later calls are dict hits. This gives the
+state with ``build``), later calls are dict hits. This gives the
 actor-pool pattern's build-once-per-worker amortization WITHOUT the
 actor pool's fresh-process spawn + import latency per execution, and
 without capping parallelism at the pool size.
+
+One shape per ref: the cache keys on the ref alone, so whichever
+``build`` reads a ref first decides what every later reader of that
+ref in the process gets. A ref must therefore always be read with the
+same ``build`` (or always without one). Zone layers keep to this by
+shipping their index inside the broadcast value
+(:func:`rsgislib_ray.stages.spatial_join.broadcast_zones`, which also
+reuses one ref for equal zone tables) and being read as bare
+``cached(ref)``.
 """
 
 from __future__ import annotations
@@ -42,7 +51,8 @@ def cached_multi(refs, build: Callable[[list], Any] | None = None):
 def cached(ref, build: Callable[[Any], Any] | None = None):
     """Return (and memoize, LRU-capped) the broadcast value for this
     process. ``build`` post-processes the fetched value once per
-    process (e.g. ``lambda zs: (zs, zs.build_index())``).
+    process (e.g. ``lambda b: (b, STRtree(b))``); every reader of one
+    ref must pass the same ``build`` (see the module docstring).
     """
     key = ref.hex() if hasattr(ref, "hex") else id(ref)
     if key in _CACHE:
