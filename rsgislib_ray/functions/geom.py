@@ -19,12 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def ring_bbox(ring: np.ndarray) -> tuple[float, float, float, float]:
-    xs = ring[0::2]
-    ys = ring[1::2]
-    return float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
-
-
 def rings_bbox(
     ring_xy: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

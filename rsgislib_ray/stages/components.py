@@ -8,8 +8,8 @@ whole-row analogue is rm_feat_att_duplicates at
 /root/reference/python/rsgislib/vectorutils/__init__.py:3443, lifted
 to the transitive-closure setting). Two physical strategies:
 
-- ``"driver"`` (misnomer kept for symmetry with zonal's ``combine=``;
-  nothing is pulled to the driver): the edge blocks are MATERIALIZED
+- ``"driver"`` (a misnomer: nothing is pulled to the driver): the
+  edge blocks are MATERIALIZED
   TO THE OBJECT STORE and every worker process builds the root map
   once via the vectorized min-hooking + pointer-jumping union-find
   (:func:`edge_components_minlabel` — numpy, no per-edge Python).
@@ -161,28 +161,6 @@ def root_map_blocks(
     ``cached_multi(refs, lambda ts: build_root_arrays(ts, u, v))`` —
     the pair list never lands on the driver."""
     return pairs.select_columns([u_col, v_col]).materialize().to_arrow_refs()
-
-
-def _prereduce_min(node_col: str, lbl_col: str):
-    """In-batch (node -> min(lbl)) pre-reduction before the segment
-    shuffle — the partial-before-shuffle pattern."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table(
-                {
-                    node_col: pa.array([], pa.int64()),
-                    lbl_col: pa.array([], pa.int64()),
-                }
-            )
-        n = batch[node_col].to_numpy().astype(np.int64)
-        l = batch[lbl_col].to_numpy().astype(np.int64)
-        order = np.lexsort((l, n))
-        n2, l2 = n[order], l[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(n2)) + 1])
-        return pa.table({node_col: n2[starts], lbl_col: l2[starts]})
-
-    return fn
 
 
 #: per-batch union-find bundling bound for the propagation pre-reduce:

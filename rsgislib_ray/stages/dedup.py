@@ -83,7 +83,7 @@ def exact_dedup(
       over the wide rows, no driver materialization anywhere.
     - ``strategy="auto"`` (default): routes by the MEASURED dup-group
       count — the exact table the broadcast would ship (the
-      ``resolve_combine`` pattern, VERDICT r4 #6): ``"join"`` above
+      :func:`segsum.route` pattern): ``"join"`` above
       :data:`segsum.AUTO_NATIVE_ROWS` dup groups, else broadcast.
       The measuring pass reduces each winner block to one count row,
       so no winner data reaches the driver.

@@ -16,6 +16,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from rsgislib_ray.stages.segsum import combine_arrays, combine_dataset, route
+
 
 def tumbling_windows(
     ds: ray.data.Dataset,
@@ -24,27 +26,18 @@ def tumbling_windows(
     user_col: str = "user_id",
     value_col: str = "value",
     slide: int = 1,
-    combine: str = "auto",
-) -> pa.Table | ray.data.Dataset:
+) -> ray.data.Dataset:
     """Tumbling (``slide=1``) or sliding (``slide=k``: each event lands
     in k consecutive windows — the duplicate-and-tumble rewrite)
     per-user windowed COUNT + exact integer SUM(round(value*100)).
 
-    ``combine`` selects where the per-(batch, user, window) partials
-    reduce — the same switch :func:`rsgislib_ray.stages.zonal
-    .zonal_stats` has:
-
-    - ``"driver"``: one pandas groupby over the pre-reduced partials —
-      fastest while active (user, window) cardinality is modest; this
-      is what a dashboard query wants.
-    - ``"native"``: distributed ``groupby([user, window]).aggregate
-      (Sum, Sum)`` — the 10^9-user event-log path: the driver never
-      sees a partial row, identical values since partials are exact
-      integers. Returns a streaming Dataset.
-    - ``"auto"`` (default): pick by the MEASURED partial row count
-      (:func:`rsgislib_ray.stages.segsum.resolve_combine`).
+    Each batch pre-reduces to per-(user, window) partial rows;
+    :func:`rsgislib_ray.stages.segsum.combine_dataset` sums them — on
+    the driver, or past a measured size with the distributed
+    sort-based ``segment_sum``, whose rows never reach the driver (the
+    10^9-user event-log path). Values are identical either way.
+    Columns: ``user_id``, ``window_id``, ``n``, ``sum_cents``.
     """
-    from rsgislib_ray.stages.segsum import resolve_combine
 
     def partial(batch: pa.Table) -> pa.Table:
         ts = (
@@ -57,47 +50,15 @@ def tumbling_windows(
             uid = np.tile(uid, slide)
             cents = np.tile(cents, slide)
             win = np.concatenate([win - k for k in range(slide)])
-        df = pd.DataFrame(
-            {"user_id": uid, "window_id": win, "cents": cents}
+        return combine_arrays(
+            {"user_id": uid, "window_id": win},
+            {"n": np.ones(len(uid), np.int64), "sum_cents": cents},
         )
-        g = df.groupby(["user_id", "window_id"], as_index=False).agg(
-            n=("cents", "size"), sum_cents=("cents", "sum")
-        )
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
 
     partials = ds.map_batches(
         partial, batch_format="pyarrow", batch_size=65536
     )
-    partials, combine = resolve_combine(partials, combine)
-    if combine == "native":
-        from ray.data.aggregate import Sum
-
-        agg = partials.groupby(["user_id", "window_id"]).aggregate(
-            Sum("n"), Sum("sum_cents")
-        )
-
-        def rename(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "user_id": t["user_id"],
-                    "window_id": t["window_id"],
-                    "n": t["sum(n)"],
-                    "sum_cents": t["sum(sum_cents)"],
-                }
-            )
-
-        return agg.map_batches(rename, batch_format="pyarrow")
-    if combine != "driver":
-        raise ValueError(f"unknown combine {combine!r}")
-    pdf = partials.to_pandas()
-    out = pdf.groupby(["user_id", "window_id"], as_index=False).agg(
-        n=("n", "sum"), sum_cents=("sum_cents", "sum")
-    )
-    return pa.Table.from_pandas(
-        out, preserve_index=False
-    ).replace_schema_metadata(None)
+    return combine_dataset(partials, ["user_id", "window_id"], ["n", "sum_cents"])
 
 
 def event_retention(
@@ -488,8 +449,7 @@ def event_funnel(
     earliest step-2 event STRICTLY after it, the earliest step-3 event
     strictly after that, and the number of steps completed.
 
-    ``combine`` picks the reduction site — the same switch
-    :func:`tumbling_windows` has:
+    ``combine`` picks the strategy:
 
     - ``"driver"``: each step is one streaming ``map_batches`` pass
       pre-reducing to per-user partial minima (filtered against the
@@ -506,7 +466,7 @@ def event_funnel(
       :func:`event_retention` pattern). Returns a streaming Dataset
       with identical values.
     - ``"auto"`` (default): route by the MEASURED step-1 partial row
-      count (:func:`rsgislib_ray.stages.segsum.resolve_combine` —
+      count (:func:`rsgislib_ray.stages.segsum.route` —
       step 1's per-batch per-user minima bound every later step's
       combined size, since each step only filters users forward); the
       materialized probe is reused as the driver path's step-1
@@ -547,14 +507,12 @@ def event_funnel(
 
     probe_mat = None
     if combine == "auto":
-        from rsgislib_ray.stages.segsum import resolve_combine
-
-        probe_mat, combine = resolve_combine(
+        probe_mat, distributed = route(
             events.map_batches(
                 make_partial(steps[0], None), batch_format="pyarrow"
-            ),
-            "auto",
+            )
         )
+        combine = "native" if distributed else "driver"
     if combine == "native":
         return _event_funnel_native(
             events, steps, user_col, ts_col, type_col, num_partitions

@@ -797,65 +797,6 @@ def histogram_thresholds(hist: np.ndarray) -> dict:
     }
 
 
-def closed_form_thresholds(hist: np.ndarray) -> dict:
-    """Otsu / Yen / Ridler-Calvard thresholds recomputed from INTEGER
-    cumulatives only (counts, Σh², Σh·v — no float cumsum anywhere),
-    so every intermediate double is a ratio of exact int64 sums and a
-    SQL mirror reproduces the values bit-exactly. Semantics match
-    :func:`histogram_thresholds` (same formulas, same tie rules); this
-    variant exists so the closed-form members of the family can be
-    driver-verified while Li (iterative) stays rows-only."""
-    nz = np.flatnonzero(hist)
-    vmin, vmax = int(nz[0]), int(nz[-1])
-    vals = np.arange(vmin, vmax + 1, dtype=np.int64)
-    h = hist[vmin : vmax + 1].astype(np.int64)
-    n = int(h.sum())
-    cum = np.cumsum(h)  # int64
-    cumv = np.cumsum(h * vals)  # int64
-    ch2 = np.cumsum(h * h)  # int64
-    tot_v = int(cumv[-1])
-    tot_h2 = int(ch2[-1])
-    n2 = float(n) * float(n)
-
-    # --- otsu: exact integer criterion argmax (ties -> lowest value)
-    w0 = cum[:-1]
-    s0 = cumv[:-1]
-    num = (
-        ((n - w0) * s0 - w0 * (tot_v - s0)).astype(object) ** 2
-    )
-    den = (w0 * (n - w0)).astype(object)
-    best, besti = None, 0
-    for i in range(len(num)):
-        if den[i] == 0:
-            continue
-        if best is None or num[i] * best[1] > best[0] * den[i]:
-            best, besti = (num[i], den[i]), i
-    otsu = int(vals[besti])
-
-    # --- yen: crit from integer-cum ratios, argmax (first max)
-    p1 = cum[:-1].astype(np.float64) / n
-    p1sq = ch2[:-1].astype(np.float64) / n2
-    p2sq = (tot_h2 - ch2[:-1]).astype(np.float64) / n2
-    ok = (ch2[:-1] > 0) & ((tot_h2 - ch2[:-1]) > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crit = np.log(
-            1.0 / (p1sq * p2sq) * (p1 * (1.0 - p1)) ** 2
-        )
-    crit = np.where(ok, crit, -np.inf)
-    yen = int(vals[int(np.argmax(crit))])
-
-    # --- isodata: integer-cum fixed-point test, first qualifying bin
-    lower = cumv[:-1].astype(np.float64) / cum[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        higher = (tot_v - cumv[:-1]).astype(np.float64) / (n - cum[:-1])
-    all_mean = (lower + higher) / 2.0
-    dist = all_mean - vals[:-1]
-    okb = (cum[:-1] > 0) & ((n - cum[:-1]) > 0) & (dist >= 0) & (dist < 1.0)
-    isodata = int(vals[:-1][np.flatnonzero(okb)[0]])
-
-    return {"otsu": otsu, "yen": yen, "isodata": isodata}
-
-
 def sym3_eig_closed(A: np.ndarray):
     """Eigenvalues (descending) and eigenvectors of a symmetric 3x3
     via the trigonometric closed form (Smith 1961): the same scalar

@@ -30,6 +30,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages.segsum import combine_arrays, combine_dataset
 from rsgislib_ray.stages.spatial_join import ZoneSet, broadcast_zones
 
 from rsgislib_ray.functions.arrowize import arrowize
@@ -184,27 +185,6 @@ def make_pixel_centers(grid: RasterGrid, override_num_blocks: int | None = None)
     return ray.data.range(n, override_num_blocks=override_num_blocks).map_batches(
         gen, batch_format="pyarrow"
     )
-
-
-def vectorise_pixels_to_points(
-    raster: ray.data.Dataset,
-    grid: RasterGrid,
-    value_col: str,
-    no_data: float,
-) -> ray.data.Dataset:
-    """vectorise_pxls_to_pts: pixels != nodata -> center-point rows."""
-
-    def conv(batch: pa.Table) -> pa.Table:
-        keep = batch.filter(
-            pa.compute.not_equal(batch[value_col], pa.scalar(no_data))
-        )
-        cx, cy = grid.centers(keep["pixel_id"].to_numpy())
-        return keep.append_column("x", pa.array(cx)).append_column(
-            "y", pa.array(cy)
-        )
-
-    return raster.map_batches(conv, batch_format="pyarrow")
-
 
 
 def _halo_dup_fn(tile_size: int, halo: int):
@@ -679,7 +659,6 @@ def build_pyramid(
     value_col: str = "val_cents",
     x_col: str = "x",
     y_col: str = "y",
-    combine: str = "auto",
 ) -> ray.data.Dataset:
     """Image pyramid / overview levels (reference
     imageutils.gen_overviews + pop_img_stats shape,
@@ -687,13 +666,13 @@ def build_pyramid(
     pixel grid (level 0) and 2x-coarser levels by exact integer sums.
 
     One pass: each batch emits per-(level, pixel) partial rows for ALL
-    levels (a cell contributes to `levels` rows), pre-reduced with a
-    vectorized pandas groupby BEFORE the single narrow
-    groupby-aggregate shuffle of pixel partials — the
-    partial-before-shuffle pattern. Output per (level, px, py):
+    levels (a cell contributes to `levels` rows), pre-reduced in the
+    batch with :func:`rsgislib_ray.stages.segsum.combine_arrays`;
+    :func:`rsgislib_ray.stages.segsum.combine_dataset` then sums the
+    pixel partials — on the driver, or past a measured size with the
+    distributed sort-based ``segment_sum``. Output per (level, px, py):
     n_cells, sum (exact int64) and mean (= sum/n, bit-stable).
     """
-    import pandas as pd
 
     # pack (level, px, py) into one int64 key: px,py < 2^20, level < 16
     def partial(batch: pa.Table) -> pa.Table:
@@ -713,90 +692,38 @@ def build_pyramid(
                 "the packed (level, px, py) key; shift/rescale inputs"
             )
         v = batch[value_col].to_numpy().astype(np.int64)
-        frames = []
-        for lvl in range(levels):
-            key = (
+        key = np.concatenate(
+            [
                 (np.int64(lvl) << np.int64(40))
                 | ((px0 >> lvl) << np.int64(20))
                 | (py0 >> lvl)
-            )
-            g = (
-                pd.DataFrame({"k": key, "v": v})
-                .groupby("k", as_index=False)
-                .agg(n=("v", "size"), s=("v", "sum"))
-            )
-            frames.append(g)
-        out = pd.concat(frames, ignore_index=True)
+                for lvl in range(levels)
+            ]
+        )
+        return combine_arrays(
+            {"k": key},
+            {"n_partial": np.ones(len(key), np.int64), "s_partial": np.tile(v, levels)},
+        )
+
+    def finish(batch: pa.Table) -> pa.Table:
+        k = batch["k"].to_numpy()
+        n = batch["n_partial"].to_numpy()
+        s = batch["s_partial"].to_numpy()
         return pa.table(
             {
-                "k": out["k"].to_numpy(),
-                "n_partial": out["n"].to_numpy().astype(np.int64),
-                "s_partial": out["s"].to_numpy().astype(np.int64),
+                "level": (k >> np.int64(40)),
+                "px": (k >> np.int64(20)) & np.int64((1 << 20) - 1),
+                "py": k & np.int64((1 << 20) - 1),
+                "n_cells": n,
+                "sum_val": s,
+                "mean_val": s.astype(np.float64) / n,
             }
         )
 
     partials = cells.map_batches(
         partial, batch_format="pyarrow", batch_size=65536
     )
-    if combine == "auto":
-        # route by the MEASURED pre-reduced partial row count
-        # (metadata-only materialize; the scale-safe path no longer
-        # relies on the caller knowing the flag)
-        from rsgislib_ray.stages.segsum import resolve_combine
-
-        partials, combine = resolve_combine(partials, combine)
-    if combine == "native":
-        # the 10^10-pixel path: finish with the all-to-all aggregate
-        agg = partials.groupby("k").sum(["n_partial", "s_partial"])
-
-        def finish(batch: pa.Table) -> pa.Table:
-            k = batch["k"].to_numpy()
-            n = batch["sum(n_partial)"].to_numpy().astype(np.int64)
-            s = batch["sum(s_partial)"].to_numpy().astype(np.int64)
-            return pa.table(
-                {
-                    "level": (k >> np.int64(40)),
-                    "px": (k >> np.int64(20)) & np.int64((1 << 20) - 1),
-                    "py": k & np.int64((1 << 20) - 1),
-                    "n_cells": n,
-                    "sum_val": s,
-                    "mean_val": s.astype(np.float64) / n,
-                }
-            )
-
-        return agg.map_batches(finish, batch_format="pyarrow")
-
-    # default: per-(level, pixel) partials are bounded by raster size x
-    # blocks — one exact pandas combine beats the sort-shuffle's fixed
-    # cost at these sizes (same trade as stages/zonal.zonal_stats)
-    import pandas as pd
-
-    t = pa.concat_tables(
-        [
-            b
-            for b in (ray.get(r) for r in partials.to_arrow_refs())
-            if b.num_rows
-        ]
-    )
-    g = (
-        t.to_pandas()
-        .groupby("k", as_index=False)
-        .agg(n=("n_partial", "sum"), s=("s_partial", "sum"))
-    )
-    k = g["k"].to_numpy()
-    n = g["n"].to_numpy().astype(np.int64)
-    s = g["s"].to_numpy().astype(np.int64)
-    out = pa.table(
-        {
-            "level": (k >> np.int64(40)),
-            "px": (k >> np.int64(20)) & np.int64((1 << 20) - 1),
-            "py": k & np.int64((1 << 20) - 1),
-            "n_cells": n,
-            "sum_val": s,
-            "mean_val": s.astype(np.float64) / n,
-        }
-    )
-    return ray.data.from_arrow(out)
+    return combine_dataset(partials, "k", ["n_partial", "s_partial"], finish=finish)
 
 
 def local_minima(

@@ -41,6 +41,7 @@ import ray.data
 
 from rsgislib_ray.functions import cells as cellmod
 from rsgislib_ray.functions.geom import pip_pairs
+from rsgislib_ray.stages.segsum import combine
 from rsgislib_ray.state.broadcast import _MAX_ENTRIES, cached
 from rsgislib_ray.state.strtree import STRtree
 
@@ -364,16 +365,15 @@ def count_points_per_zone(
     x_col: str = "x",
     y_col: str = "y",
     out_col: str = "n_points",
-    combine: str = "auto",
 ) -> pa.Table:
-    """Per-polygon point count, zero-count zones included — the
-    reference's ``count_pt_intersects``
+    """Per-polygon point count, zero-count zones included, sorted by
+    fid — the reference's ``count_pt_intersects``
     (vectorattrs/__init__.py:1022-1102: inner sjoin -> groupby size ->
     merge back onto the polygon layer).
 
-    Counting is partial-aggregated inside each point batch's task
-    (np.bincount per batch) before a tiny groupby-sum, so the shuffle
-    carries one row per (batch, zone), not one per matched point.
+    Each point batch's task counts its matches (np.bincount) into one
+    row per zone touched; :func:`rsgislib_ray.stages.segsum.combine`
+    sums those partials by fid.
     """
     ref = broadcast_zones(zones_tbl)
 
@@ -391,35 +391,16 @@ def count_points_per_zone(
     partials = points.map_batches(
         count_partial, batch_format="pyarrow", batch_size=65536
     )
-    import pandas as pd
-
-    from rsgislib_ray.stages.segsum import resolve_combine
-
-    # default "auto": route by the measured partial row count
-    partials, combine = resolve_combine(partials, combine)
-
-    if combine == "native":
-        # distributed combine: the driver only sees one row per zone —
-        # the extreme-zone-count path (same trade as zonal_stats)
-        agg = (
-            partials.groupby("fid")
-            .sum("partial")
-            .to_pandas()
-            .rename(columns={"sum(partial)": out_col})
-        )
-    else:
-        # partials are pre-reduced to (blocks x zones-touched) rows; one
-        # driver pandas groupby beats a full sort-shuffle at this size
-        agg = (
-            partials.to_pandas()
-            .groupby("fid", as_index=False)["partial"]
-            .sum()
-            .rename(columns={"partial": out_col})
-        )
-    base = pd.DataFrame({"fid": zones_tbl["fid"].to_numpy()})
-    merged = base.merge(agg, on="fid", how="left")
-    merged[out_col] = merged[out_col].fillna(0).astype(np.int64)
-    return pa.Table.from_pandas(merged, preserve_index=False).replace_schema_metadata(None)
+    agg = combine(partials, "fid", ["partial"])
+    # left-join the sorted per-fid sums onto the zone layer's fids
+    fid = np.sort(zones_tbl["fid"].to_numpy(), kind="stable")
+    kf = agg["fid"].to_numpy()
+    pos = np.searchsorted(kf, fid)
+    hit = pos < len(kf)
+    hit[hit] = kf[pos[hit]] == fid[hit]
+    n = np.zeros(len(fid), dtype=np.int64)
+    n[hit] = agg["partial"].to_numpy()[pos[hit]]
+    return pa.table({"fid": fid, out_col: n})
 
 
 # ---------------------------------------------------------------------------

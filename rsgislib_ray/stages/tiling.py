@@ -17,6 +17,7 @@ import ray.data
 
 from rsgislib_ray.functions.cells import cells_from_xy
 from rsgislib_ray.functions.grid import TileSpec
+from rsgislib_ray.stages.segsum import combine
 
 
 def assign_tiles(
@@ -56,19 +57,21 @@ def tile_counts(
     spec: TileSpec,
     x_col: str = "x",
     y_col: str = "y",
-) -> ray.data.Dataset:
-    """Rows-per-tile histogram, pre-aggregated per batch before the
-    (tiny) groupby — the skew probe (SURVEY.md §4 skew row)."""
+) -> pa.Table:
+    """Rows-per-tile histogram (``tile_id``, ``n_rows``; tile -1 counts
+    rows outside the bbox), sorted by tile — the skew probe (SURVEY.md
+    §4 skew row). Each batch counts its tiles; the per-batch counts
+    are summed by :func:`rsgislib_ray.stages.segsum.combine`."""
 
     def partial(batch: pa.Table) -> pa.Table:
         tid = spec.assign(batch[x_col].to_numpy(), batch[y_col].to_numpy())
         u, c = np.unique(tid, return_counts=True)
         return pa.table({"tile_id": u, "partial": c.astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
     partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    return partials.groupby("tile_id").aggregate(Sum("partial", alias_name="n_rows"))
+    return combine(partials, "tile_id", ["partial"]).rename_columns(
+        ["tile_id", "n_rows"]
+    )
 
 
 def write_tiled(

@@ -168,8 +168,8 @@ def season_trend_moments(
     t0) table once per worker via the object store — right while the
     pixel count fits a worker heap; ``"join"`` hash-joins it instead
     (the 10^9-pixel shape).  The default ``"auto"`` routes by
-    MEASURED pixel count (the ``resolve_combine`` pattern, VERDICT r4
-    #6): the t0 table is materialized (it is the table the broadcast
+    MEASURED pixel count (the :func:`segsum.route` pattern): the t0
+    table is materialized (it is the table the broadcast
     would pull anyway; counting is metadata-only) and ``"join"`` is
     picked above :data:`segsum.AUTO_NATIVE_ROWS` pixels — no 100-TB
     path depends on a caller flag."""

@@ -15,10 +15,10 @@ aggregation:
    ``np.minimum.at`` / ``np.maximum.at``): it emits
    one partial row per (batch, zone) — count/sum/sumsq/min/max, or
    per-(zone, value) counts for the order statistics;
-2. the partials reduce by fid — on the driver (numpy scatters for the
-   moments, pandas for the histograms) or, past a measured size, in a
-   Ray ``groupby("fid").aggregate`` — and one vectorized pass
-   finalizes.
+2. the partials reduce by fid (by (fid, value) for the histograms)
+   through :func:`rsgislib_ray.stages.segsum.combine` — numpy scatters
+   on the driver, or past a measured size the distributed sort-based
+   ``segment_sum`` — and one vectorized pass finalizes.
 
 Pinned exact-match semantics (SURVEY.md §5):
 - stddev is POPULATION std (ddof=0 — zonalstats/__init__.py:458), via
@@ -41,6 +41,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages.segsum import combine
 from rsgislib_ray.stages.spatial_join import ZoneSet, broadcast_zones
 from rsgislib_ray.state.broadcast import cached
 
@@ -191,23 +192,17 @@ def zonal_stats(
     x_col: str = "x",
     y_col: str = "y",
     value_scale: float = 1.0,
-    combine: str = "auto",
 ) -> pa.Table:
     """Per-zone stats table (one row per zone fid, empty zones filled
     with ``out_no_data``). ``value_scale`` divides sums/means back to
     the natural unit when the value column is pre-scaled to integers
     (e.g. cents -> value_scale=100).
 
-    ``combine`` selects where partials reduce: ``"driver"`` (numpy
-    scatters over (blocks x zones-touched) rows — fastest at moderate
-    zone counts, no shuffle) or ``"native"`` (Ray
-    ``groupby().aggregate(Sum/Min/Max)`` — the 10^8-zones path: the
-    driver only ever sees the FINAL one-row-per-zone result, identical
-    values since all partials are exact integers). Default ``"auto"``
-    picks by the MEASURED partial row count
-    (:func:`rsgislib_ray.stages.segsum.resolve_combine`), so the
-    100x-safe path never relies on the caller knowing the flag."""
-    from rsgislib_ray.stages.segsum import resolve_combine
+    Per-block partials reduce by fid through
+    :func:`rsgislib_ray.stages.segsum.combine`: on the driver while
+    the measured partial row count is at most ``AUTO_NATIVE_ROWS``,
+    else distributed, with identical values since every partial is an
+    exact integer."""
     want_moments = [s for s in stats if s in MOMENT_STATS]
     # order stats: mode / median / pNN percentiles (numpy-linear
     # interpolation over the exact per-zone histogram — the reference's
@@ -244,55 +239,15 @@ def zonal_stats(
             # the sources already size for the CPU width.
             batch_size=None,
         )
-        partials, m_combine = resolve_combine(partials, combine)
-
-        if m_combine == "native":
-            from ray.data.aggregate import Max, Min, Sum
-
-            agg = (
-                partials.groupby("fid")
-                .aggregate(
-                    Sum("cnt"), Sum("sum_v"), Sum("sumsq_v"),
-                    Min("min_v"), Max("max_v"),
-                )
-                .to_pandas()
-                .rename(
-                    columns={
-                        "sum(cnt)": "cnt",
-                        "sum(sum_v)": "sum_v",
-                        "sum(sumsq_v)": "sumsq_v",
-                        "min(min_v)": "min_v",
-                        "max(max_v)": "max_v",
-                    }
-                )
-            )
-        else:
-            # Partial rows number (blocks x zones-touched) — small
-            # relative to the cell stream. Combine on the driver with
-            # int64 scatters onto the sorted unique fids (exact, order-
-            # independent); avoids a full Ray sort-shuffle whose fixed
-            # cost dominates at these partial sizes.
-            blocks = [b for b in ray.get(partials.to_arrow_refs()) if b.num_rows]
-
-            def col(name: str) -> np.ndarray:
-                parts = [b[name].to_numpy() for b in blocks]
-                return np.concatenate(parts) if parts else np.empty(0, np.int64)
-
-            fid, inv = np.unique(col("fid"), return_inverse=True)
-            agg = {"fid": fid}
-            for name, ufunc, init in (
-                ("cnt", np.add, 0),
-                ("sum_v", np.add, 0),
-                ("sumsq_v", np.add, 0),
-                ("min_v", np.minimum, np.iinfo(np.int64).max),
-                ("max_v", np.maximum, np.iinfo(np.int64).min),
-            ):
-                agg[name] = np.full(len(fid), init, dtype=np.int64)
-                ufunc.at(agg[name], inv, col(name))
-            agg = pd.DataFrame(agg)
-        cnt = agg["cnt"].to_numpy().astype(np.int64)
-        s = agg["sum_v"].to_numpy().astype(np.int64)
-        q = agg["sumsq_v"].to_numpy().astype(np.int64)
+        agg = combine(
+            partials,
+            "fid",
+            ["cnt", "sum_v", "sumsq_v", "min_v", "max_v"],
+            ["sum", "sum", "sum", "min", "max"],
+        )
+        cnt = agg["cnt"].to_numpy()
+        s = agg["sum_v"].to_numpy()
+        q = agg["sumsq_v"].to_numpy()
         m = cnt.astype(np.float64)
         sd = s.astype(np.float64)
         qd = q.astype(np.float64)
@@ -300,7 +255,7 @@ def zonal_stats(
         var = qd / m - (sd / m) * (sd / m)
         mom = pd.DataFrame(
             {
-                "fid": agg["fid"].to_numpy().astype(np.int64),
+                "fid": agg["fid"].to_numpy(),
                 "count": cnt,
                 "sum": sd / value_scale,
                 "min": agg["min_v"].to_numpy().astype(np.float64) / value_scale,
@@ -324,29 +279,9 @@ def zonal_stats(
             batch_size=None,  # same per-block reasoning as moments
         )
 
-        # (fid, val) histograms are pre-reduced per batch; combine on
-        # the driver (exact counts) or natively, then finalize with one
-        # pandas pass over the contracted per-zone histograms.
-        partials, o_combine = resolve_combine(partials, combine)
-        if o_combine == "native":
-            from ray.data.aggregate import Sum
-
-            vc = (
-                partials.groupby(["fid", "val"])
-                .aggregate(Sum("n"))
-                .to_pandas()
-                .rename(columns={"sum(n)": "n"})
-                .sort_values(["fid", "val"])
-                .reset_index(drop=True)
-            )
-        else:
-            vc = (
-                partials.to_pandas()
-                .groupby(["fid", "val"], as_index=False)["n"]
-                .sum()
-                .sort_values(["fid", "val"])
-                .reset_index(drop=True)
-            )
+        # (fid, val) histograms are pre-reduced per batch; the combine
+        # returns them sorted by (fid, val) for the finalize below.
+        vc = combine(partials, ["fid", "val"], ["n"])
         pcts = [
             (s, float(s[1:]) / 100.0)
             for s in want_order
@@ -357,10 +292,12 @@ def zonal_stats(
         # increasing, so the k-th order stat of zone f is one GLOBAL
         # searchsorted at (cumulative offset of f) + k.
         vals = vc["val"].to_numpy().astype(np.float64)
-        counts = vc["n"].to_numpy().astype(np.int64)
+        counts = vc["n"].to_numpy()
         fids_v = vc["fid"].to_numpy()
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(fids_v)) + 1])
-        run_len = np.diff(np.concatenate([starts, [len(fids_v)]]))
+        new = np.ones(len(fids_v), dtype=bool)
+        new[1:] = fids_v[1:] != fids_v[:-1]
+        starts = np.flatnonzero(new)
+        run_len = np.diff(np.append(starts, len(fids_v)))
         run_fid = fids_v[starts]
         totals = np.add.reduceat(counts, starts)
         cum = np.cumsum(counts)

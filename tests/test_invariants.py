@@ -148,33 +148,6 @@ def test_sortmerge_and_events_partition_independent(ray_session, sf_dir):
     np.testing.assert_array_equal(sess_at(2), sess_at(11))
 
 
-def test_tumbling_windows_native_combine_identical(ray_session, sf_dir):
-    """VERDICT r2 #2: the event-window family's combine="native" path
-    (distributed groupby aggregate — the 10^9-user shape) is
-    bit-identical to the default driver combine, for tumbling (slide=1)
-    and sliding (slide=2) windows."""
-    from rsgislib_ray.sources import testdata as td
-    from rsgislib_ray.stages.events import tumbling_windows
-
-    ds = td.read_parquet_clean(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
-    ).repartition(8)
-    for slide in (1, 2):
-        drv = (
-            tumbling_windows(ds, slide=slide, combine="driver")
-            .to_pandas()
-            .sort_values(["user_id", "window_id"])
-            .reset_index(drop=True)
-        )
-        nat = (
-            tumbling_windows(ds, slide=slide, combine="native")
-            .to_pandas()
-            .sort_values(["user_id", "window_id"])
-            .reset_index(drop=True)[drv.columns]
-        )
-        assert (drv.to_numpy() == nat.to_numpy()).all(), slide
-
-
 def test_event_funnel_native_combine_identical(ray_session, sf_dir):
     """VERDICT r3 #1: the funnel's combine="native" path (hash-join
     per-step minima + distributed segment-min — the 10^9-user shape)
@@ -291,54 +264,3 @@ def test_asof_and_interval_join_partition_independent(ray_session, sf_dir):
         return sorted(zip(out["pt_id"], out["interval_id"]))
 
     assert iv_at(2) == iv_at(9)
-
-
-def test_combine_auto_routes_by_partial_size(ray_session, sf_dir, monkeypatch):
-    """VERDICT r3 #5: combine="auto" (the new default for zonal_stats /
-    count_points_per_zone / tumbling_windows) routes by MEASURED
-    partial row count — a high-cardinality fixture goes native, a small
-    one stays driver — and both routes are bit-identical."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from rsgislib_ray.sources import testdata as td
-    from rsgislib_ray.stages import segsum
-    from rsgislib_ray.stages.events import tumbling_windows
-    from rsgislib_ray.stages.segsum import resolve_combine
-
-    small = ray.data.from_arrow(
-        pa.table({"k": np.arange(10, dtype=np.int64)})
-    )
-    _, route = resolve_combine(small, "auto", threshold=100)
-    assert route == "driver"
-    _, route = resolve_combine(small, "auto", threshold=5)
-    assert route == "native"
-    # explicit values pass through; unknown raises
-    _, route = resolve_combine(small, "native")
-    assert route == "native"
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="unknown combine"):
-        resolve_combine(small, "banana")
-
-    # end-to-end: force the auto default onto the native route and
-    # check bit-equality with the driver route
-    ds = td.read_parquet_clean(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
-    ).repartition(8)
-    drv = (
-        tumbling_windows(ds, combine="driver")
-        .to_pandas()
-        .sort_values(["user_id", "window_id"])
-        .reset_index(drop=True)
-    )
-    monkeypatch.setattr(segsum, "AUTO_NATIVE_ROWS", 1)
-    auto = tumbling_windows(ds, combine="auto")
-    assert isinstance(auto, ray.data.Dataset)  # proves native routing
-    auto = (
-        auto.to_pandas()
-        .sort_values(["user_id", "window_id"])
-        .reset_index(drop=True)[drv.columns]
-    )
-    assert (drv.to_numpy() == auto.to_numpy()).all()

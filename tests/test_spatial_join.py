@@ -245,25 +245,6 @@ def test_spatial_join_auto_selects_and_matches(ray_session, sf_dir):
     assert sorted(zip(got_s["pt_row"], got_s["fid"])) == want
 
 
-def test_pip_count_native_combine_equals_driver(ray_session, sf_dir):
-    from rsgislib_ray.sources import testdata as td
-    from rsgislib_ray.stages.spatial_join import count_points_per_zone
-
-    pts = td.points_from_orders(sf_dir)
-    zones = td.zones_from_part(sf_dir)
-    a = count_points_per_zone(pts, zones).to_pandas().sort_values("fid")
-    b = (
-        count_points_per_zone(pts, zones, combine="native")
-        .to_pandas()
-        .sort_values("fid")
-    )
-    import pandas as pd
-
-    pd.testing.assert_frame_equal(
-        a.reset_index(drop=True), b.reset_index(drop=True)
-    )
-
-
 def test_sortmerge_with_attrs_matches_broadcast(ray_session, sf_dir):
     """sortmerge pairs + attach_zone_attrs == broadcast inner join with
     inline attr copy."""

@@ -332,27 +332,6 @@ def test_isodata_split_and_merge(ray_session):
     assert ca.iloc[0] != cb.iloc[0]
 
 
-def test_zonal_native_combine_equals_driver(ray_session, sf_dir):
-    """combine='native' (distributed groupby.aggregate) must be
-    bit-identical to the driver-side pandas combine."""
-    from rsgislib_ray.sources import testdata as td
-    from rsgislib_ray.stages.zonal import zonal_stats
-
-    cells = td.cells_from_lineitem(sf_dir)
-    zones = td.zones_from_part(sf_dir)
-    stats = ("count", "sum", "min", "max", "mean", "stddev", "median", "p75")
-    a = zonal_stats(
-        cells, zones, "val_cents", stats=stats, value_scale=100.0
-    ).to_pandas().sort_values("fid").reset_index(drop=True)
-    b = zonal_stats(
-        cells, zones, "val_cents", stats=stats, value_scale=100.0,
-        combine="native",
-    ).to_pandas().sort_values("fid").reset_index(drop=True)
-    import pandas as pd
-
-    pd.testing.assert_frame_equal(a, b)
-
-
 def test_moment_partial_equals_pandas_groupby():
     """The scatter-add zonal partial equals a pandas groupby over the
     brute-force (point, zone) matches: negative values, zones without

@@ -3,7 +3,7 @@
 ``broadcast_zones`` memoizes its ref by table content, and the ZoneSet
 it puts carries its prebuilt index. These tests pin the build count,
 the one-shape rule of the per-process cache, the memo's lifetime, and
-the driver-side numpy combine of ``zonal_stats``.
+that ``zonal_stats``'s two combine routes agree.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages import segsum
 from rsgislib_ray.stages.spatial_join import (
     ZoneSet,
     broadcast_zones,
@@ -164,10 +165,11 @@ def test_equal_zone_tables_build_one_index(ray_session, monkeypatch):
     assert (joined["name"] == joined["fid"].map(names)).all()
 
 
-def test_zonal_driver_combine_equals_native(ray_session):
-    """The numpy driver combine and Ray's groupby.aggregate return
-    bit-identical tables: negative values, empty zones filled with
-    ``out_no_data``, and two zones sharing one fid."""
+def test_zonal_driver_combine_equals_native(ray_session, monkeypatch):
+    """The driver route and the distributed route (forced with
+    ``AUTO_NATIVE_ROWS = 0``) return bit-identical tables: negative
+    values, empty zones filled with ``out_no_data``, and two zones
+    sharing one fid."""
     zones, cells = _zones(81, n=200), _cells(82)
     fid = zones["fid"].to_numpy().copy()
     fid[5] = fid[4]
@@ -180,8 +182,9 @@ def test_zonal_driver_combine_equals_native(ray_session):
             "ring_xy": pa.FixedSizeListArray.from_arrays(pa.array(ring), 8),
         }
     )
-    driver = zonal_stats(_ds(cells), zones, "val", combine="driver")
-    native = zonal_stats(_ds(cells), zones, "val", combine="native")
+    driver = zonal_stats(_ds(cells), zones, "val")
+    monkeypatch.setattr(segsum, "AUTO_NATIVE_ROWS", 0)
+    native = zonal_stats(_ds(cells), zones, "val")
     assert driver.equals(native)
     df = driver.to_pandas()
     assert (df["min"] < 0).any()
