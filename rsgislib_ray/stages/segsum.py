@@ -190,16 +190,18 @@ def combine_dataset(
     partials: ray.data.Dataset,
     key_col: str | list[str],
     value_cols: list[str],
-    aggs: list[str] | None = None,
     finish: Callable[[pa.Table], pa.Table] | None = None,
 ) -> ray.data.Dataset:
-    """Partials reduced to one row per key, as a Dataset — for outputs
+    """Partials summed to one row per key, as a Dataset — for outputs
     with no bound: the distributed route never lands them on the
-    driver. ``finish`` maps the reduced rows (per block, or once on
-    the driver route)."""
+    driver. ``finish`` maps the summed rows (per block, or once on the
+    driver route). It runs here rather than in the caller because Ray's
+    ``map_batches`` skips a zero-row block and emits it without a
+    schema; the driver route applies it to the kernel's typed table, so
+    an empty result keeps the caller's columns."""
     partials, distributed = route(partials)
     if distributed:
-        out = segment_sum(partials, key_col, value_cols, aggs)
+        out = segment_sum(partials, key_col, value_cols)
         return out.map_batches(finish, batch_format="pyarrow") if finish else out
-    tbl = combine_blocks(ray.get(partials.to_arrow_refs()), key_col, value_cols, aggs)
+    tbl = combine_blocks(ray.get(partials.to_arrow_refs()), key_col, value_cols)
     return ray.data.from_arrow(finish(tbl) if finish else tbl)
