@@ -12,10 +12,10 @@ Two protocols:
   resolves broadcast side-state once per worker process (the
   build-once-per-worker contract of RSGISCalcImage's visitor setup).
 - :class:`Aggregator` — ``partial(batch) -> pa.Table`` (one pre-reduced
-  row per key, columns combined per ``combine`` spec) + ``final
+  row per key, integer columns combined per ``combine`` spec) + ``final
   (combined) -> pa.Table``; :func:`apply_aggregator` wires the partials
-  through the NATIVE distributed groupby so user aggregations get the
-  same partial+final shape as the built-in zonal stats (§2.5).
+  through :func:`rsgislib_ray.stages.segsum.combine`, the same partial
+  combine as the built-in zonal stats (§2.5).
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from typing import Any, Callable, Protocol, runtime_checkable
 import pyarrow as pa
 import ray
 import ray.data
+
+from rsgislib_ray.stages.segsum import combine
 
 
 class OpContext:
@@ -87,29 +89,16 @@ def apply_aggregator(
     agg,
     batch_size: int = 65536,
 ) -> pa.Table:
-    """partial (map_batches, pre-reduced per key) -> native distributed
-    ``groupby(key).aggregate(Sum/Min/Max per combine spec)`` -> final.
-    The driver only ever sees one combined row per key."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    specs = []
-    renames = {}
+    """partial (map_batches, pre-reduced per key) -> per-key combine of
+    each partial column by its ``combine`` spec (sum/min/max) -> final.
+    The key and partial columns must be integer (a float column raises
+    ``ValueError``); ``final`` receives one combined row per key, sorted
+    by key."""
+    cols, hows = list(agg.combine), list(agg.combine.values())
     for col, how in agg.combine.items():
-        if how == "sum":
-            specs.append(Sum(col))
-            renames[f"sum({col})"] = col
-        elif how == "min":
-            specs.append(Min(col))
-            renames[f"min({col})"] = col
-        elif how == "max":
-            specs.append(Max(col))
-            renames[f"max({col})"] = col
-        else:
+        if how not in ("sum", "min", "max"):
             raise ValueError(f"unknown combine {how!r} for {col!r}")
-
     partials = ds.map_batches(
         agg.partial, batch_format="pyarrow", batch_size=batch_size
     )
-    combined = partials.groupby(agg.key_col).aggregate(*specs).to_pandas()
-    combined = combined.rename(columns=renames)
-    return agg.final(pa.Table.from_pandas(combined, preserve_index=False).replace_schema_metadata(None))
+    return agg.final(combine(partials, agg.key_col, cols, hows))

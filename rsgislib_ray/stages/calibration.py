@@ -44,6 +44,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages.segsum import combine
+
 __all__ = [
     "LandsatRadGainOffs",
     "julian_day",
@@ -480,16 +482,15 @@ def band_dark_percentiles(
             }
         )
 
-    pdf = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .to_pandas()
-        .groupby(["b", "v"], as_index=False)["n_partial"]
-        .sum()
+    agg = combine(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        ["b", "v"],
+        ["n_partial"],
     )
+    b, v, n_all = (agg[c].to_numpy() for c in ("b", "v", "n_partial"))
     out: dict[str, int] = {}
     for bi, c in enumerate(cols):
-        g = pdf[pdf["b"] == bi].sort_values("v")
-        cnt = g["n_partial"].to_numpy()
+        cnt = n_all[b == bi]
         n = int(cnt.sum())
         if n == 0:  # band entirely nodata: no dark object, offset 0
             out[c] = 0
@@ -498,7 +499,7 @@ def band_dark_percentiles(
             -(-n * fr.numerator // fr.denominator), 1
         )  # exact ceil(n*p), at least 1
         cum = np.cumsum(cnt)
-        out[c] = int(g["v"].to_numpy()[np.searchsorted(cum, rank)])
+        out[c] = int(v[b == bi][np.searchsorted(cum, rank)])
     return out
 
 

@@ -9,8 +9,8 @@ accuracies, :120-248) and ``cls_quantity_accuracy`` (Pontius &
 Millones 2011 quantity/allocation disagreement, :47-119). The
 reference computes everything on driver-resident sample arrays via
 sklearn; ours reduces the (ref, pred) pair counts with ONE
-pre-reduced distributed groupby — the only part that scales with
-sample count — and derives every metric from the k x k integer
+pre-reduced combine (:mod:`rsgislib_ray.stages.segsum`) — the only
+part that scales with sample count — and derives every metric from the k x k integer
 confusion matrix in fixed-order float chains (documented below and
 mirrored literally by the SQL oracles, so results are bit-exact).
 
@@ -26,43 +26,29 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from rsgislib_ray.stages.segsum import combine_arrays, combine_dataset
+
 
 def confusion_dataset(
     ds: ray.data.Dataset, ref_col: str, pred_col: str
 ) -> ray.data.Dataset:
     """Distributed confusion counts: per-batch pre-reduced (ref,
-    pred) partial counts, one small groupby — rows (ref, pred, n)
-    for present combinations only."""
+    pred) partial counts, one :func:`rsgislib_ray.stages.segsum.combine_dataset`
+    — rows (ref, pred, n) for present combinations only."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        r = batch[ref_col].to_numpy().astype(np.int64)
-        p = batch[pred_col].to_numpy().astype(np.int64)
-        key = r * np.int64(1 << 32) + p
-        uk, cnt = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                "ref": uk >> np.int64(32),
-                "pred": uk & np.int64((1 << 32) - 1),
-                "n_partial": cnt.astype(np.int64),
-            }
+        r = batch[ref_col].to_numpy()
+        p = batch[pred_col].to_numpy()
+        return combine_arrays(
+            {"ref": r, "pred": p}, {"n_partial": np.ones(len(r), np.int64)}
         )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby(["ref", "pred"])
-        .sum("n_partial")
+    return combine_dataset(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        ["ref", "pred"],
+        ["n_partial"],
+        finish=lambda t: t.rename_columns(["ref", "pred", "n"]),
     )
-
-    def flat(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "ref": batch["ref"],
-                "pred": batch["pred"],
-                "n": batch["sum(n_partial)"],
-            }
-        )
-
-    return agg.map_batches(flat, batch_format="pyarrow")
 
 
 def confusion_counts(

@@ -45,6 +45,7 @@ import pyarrow as pa
 import ray.data
 
 from rsgislib_ray.functions.hashing import splitmix64
+from rsgislib_ray.stages.segsum import combine
 from rsgislib_ray.stages.timeseries import chol_solve_np
 
 TWO_PI = 6.283185307179586  # repr(2*math.pi): the SQL literal
@@ -327,16 +328,13 @@ def _hist_counts(
             }
         )
 
-    pdf = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .to_pandas()
-        .groupby(["node", "feat", "val", "cls"], as_index=False)["cnt"]
-        .sum()
+    agg = combine(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        ["node", "feat", "val", "cls"],
+        ["cnt"],
     )
-    for row in pdf.itertuples(index=False):
-        counts.setdefault(int(row.node), {}).setdefault(
-            (int(row.feat), int(row.val)), {}
-        )[int(row.cls)] = int(row.cnt)
+    for node, feat, val, cls, cnt in zip(*agg.to_pydict().values()):
+        counts.setdefault(node, {}).setdefault((feat, val), {})[cls] = cnt
     return counts
 
 
@@ -503,13 +501,12 @@ def _class_counts(ds, class_col) -> dict:
         u, ct = np.unique(y, return_counts=True)
         return pa.table({"y": u, "n": ct.astype(np.int64)})
 
-    pdf = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .to_pandas()
-        .groupby("y")["n"]
-        .sum()
+    agg = combine(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "y",
+        ["n"],
     )
-    return {int(k): int(v) for k, v in pdf.items()}
+    return dict(zip(agg["y"].to_pylist(), agg["n"].to_pylist()))
 
 
 def group_rank_thresholds(
@@ -543,15 +540,14 @@ def group_rank_thresholds(
         out["b"] = np.arange(65536, dtype=np.int64)
         return pa.table(out)
 
-    pdf = ds.map_batches(
-        hist_partial, batch_format="pyarrow", batch_size=262144
-    ).to_pandas()
-    hists = {
-        c: pdf.groupby("b")[f"h{c}"].sum().reindex(
-            range(65536), fill_value=0
-        ).to_numpy()
-        for c in ks
-    }
+    agg = combine(
+        ds.map_batches(hist_partial, batch_format="pyarrow", batch_size=262144),
+        "b",
+        [f"h{c}" for c in ks],
+    )
+    hists = {c: np.zeros(65536, dtype=np.int64) for c in ks}
+    for c in ks:
+        hists[c][agg["b"].to_numpy()] = agg[f"h{c}"].to_numpy()
     buckets = {}
     for c in ks:
         k = ranks[c]

@@ -79,8 +79,8 @@ def event_retention(
     2. per-user first period via a second narrow segment min;
     3. a hash-partitioned ``Dataset.join`` attaches cohorts (the
        broadcast alternative breaks at 10^9 users, so the join is the
-       default), then pre-reduced partial counts finish in a tiny
-       native groupby.
+       default), then per-batch partial counts finish in
+       :func:`rsgislib_ray.stages.segsum.combine_dataset`.
 
     Returns (cohort_period, period_offset, n_users)."""
     from rsgislib_ray.stages.components import drop_empty_blocks
@@ -161,39 +161,19 @@ def event_retention(
     )
 
     def count_partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         co = t["cohort"].to_numpy()
-        off = t["per"].to_numpy() - co
-        g = (
-            pd.DataFrame({"cohort_period": co, "period_offset": off})
-            .groupby(["cohort_period", "period_offset"], as_index=False)
-            .size()
-        )
-        return pa.table(
-            {
-                "cohort_period": g["cohort_period"].to_numpy(),
-                "period_offset": g["period_offset"].to_numpy(),
-                "partial": g["size"].to_numpy().astype(np.int64),
-            }
+        return combine_arrays(
+            {"cohort_period": co, "period_offset": t["per"].to_numpy() - co},
+            {"partial": np.ones(len(co), np.int64)},
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        joined.map_batches(count_partial, batch_format="pyarrow")
-        .groupby(["cohort_period", "period_offset"])
-        .aggregate(Sum("partial"))
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "cohort_period": t["cohort_period"],
-                "period_offset": t["period_offset"],
-                "n_users": t["sum(partial)"],
-            }
+    return combine_dataset(
+        joined.map_batches(count_partial, batch_format="pyarrow"),
+        ["cohort_period", "period_offset"],
+        ["partial"],
+        finish=lambda t: t.rename_columns(
+            ["cohort_period", "period_offset", "n_users"]
         ),
-        batch_format="pyarrow",
     )
 
 

@@ -30,8 +30,8 @@ each point is duplicated into its home cell plus the (at most 4)
 LOWER-keyed ring cells within max_lag, ONE ``groupby(cell_id)``
 shuffle co-locates every qualifying pair, pairing runs vectorized
 per cell, and the per-cell (lag_bin, count, sq_sum) partials reduce
-through a tiny native groupby. Same exact int64 reducers — the two
-paths are bit-identical (pytest-enforced).
+through :func:`rsgislib_ray.stages.segsum.combine`. Same exact int64
+reducers — the two paths are bit-identical (pytest-enforced).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import ray.data
 
 from rsgislib_ray.functions.cells import DEFAULT_FRAME
 from rsgislib_ray.stages.knn import _TargetIndex, broadcast_targets
+from rsgislib_ray.stages.segsum import combine
 
 
 def semivariogram(
@@ -172,23 +173,21 @@ def semivariogram(
             }
         )
 
-    pdf = (
-        points.map_batches(
-            pair_partials, batch_format="pyarrow", batch_size=16384
-        )
-        .to_pandas()
-        .groupby("lag_bin", as_index=False)
-        .sum()
+    partials = points.map_batches(
+        pair_partials, batch_format="pyarrow", batch_size=16384
     )
-    n_pairs = pdf["n_partial"].to_numpy().astype(np.int64)
-    sq = pdf["sq_partial"].to_numpy().astype(np.int64)
-    return _finish(n_pairs, sq, max_lag, n_lags)
+    return _finish(partials, max_lag, n_lags)
 
 
-def _finish(
-    n_pairs: np.ndarray, sq: np.ndarray, max_lag: float, n_lags: int
-) -> pa.Table:
-    """Shared final assembly: one float division per bin."""
+def _finish(partials: ray.data.Dataset, max_lag: float, n_lags: int) -> pa.Table:
+    """Shared final assembly: the per-bin partials combined, then one
+    float division per bin (bins with no partial row count zero)."""
+    agg = combine(partials, "lag_bin", ["n_partial", "sq_partial"])
+    n_pairs = np.zeros(n_lags, dtype=np.int64)
+    sq = np.zeros(n_lags, dtype=np.int64)
+    b = agg["lag_bin"].to_numpy() - 1
+    n_pairs[b] = agg["n_partial"].to_numpy()
+    sq[b] = agg["sq_partial"].to_numpy()
     has = n_pairs > 0
     return pa.table(
         {
@@ -315,20 +314,9 @@ def semivariogram_copart(
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
+    partials = (
         points.map_batches(fanout, batch_format="pyarrow", batch_size=16384)
         .groupby("cell_id")
         .map_groups(pair_group, batch_format="pyarrow")
-        .groupby("lag_bin")
-        .aggregate(Sum("n_partial"), Sum("sq_partial"))
-        .to_pandas()
-        .sort_values("lag_bin")
     )
-    n_pairs = np.zeros(n_lags, dtype=np.int64)
-    sq = np.zeros(n_lags, dtype=np.int64)
-    bi = agg["lag_bin"].to_numpy().astype(np.int64) - 1
-    n_pairs[bi] = agg["sum(n_partial)"].to_numpy().astype(np.int64)
-    sq[bi] = agg["sum(sq_partial)"].to_numpy().astype(np.int64)
-    return _finish(n_pairs, sq, max_lag, n_lags)
+    return _finish(partials, max_lag, n_lags)

@@ -14,21 +14,23 @@ a SQL oracle can unroll the iterations bit-exactly.
 
 Scale shape: the per-node rank vector is broadcast state (ray.put once
 per iteration, read per worker); edge batches stream through
-map_batches producing per-target partial sums, finished by ONE narrow
-groupby per iteration. This is the broadcast-state regime (node count
-<< edge count, the usual kNN-graph case). For graphs whose node state
-exceeds worker memory, swap the broadcast for a hash-partitioned
-join of (edges ⋈ ranks) on u — the partial/groupby stages are
-unchanged.
+map_batches producing per-target partial sums, finished by ONE
+:func:`rsgislib_ray.stages.segsum.combine` per iteration. This is the
+broadcast-state regime (node count << edge count, the usual kNN-graph
+case). For graphs whose node state exceeds worker memory, swap the
+broadcast for a hash-partitioned join of (edges ⋈ ranks) on u — the
+partial/combine stages are unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
+
+from rsgislib_ray.stages.segsum import combine, combine_arrays
+from rsgislib_ray.state.broadcast import cached
 
 
 def knn_edges(
@@ -92,48 +94,18 @@ def pagerank(
         pr_ref = ray.put((nids, pr))
 
         def partial(batch: pa.Table, _ref=pr_ref) -> pa.Table:
-            from rsgislib_ray.state.broadcast import cached
-
             cn, cp = cached(_ref)
             u = batch["u"].to_numpy()
-            v = batch["v"].to_numpy()
             share = (cp[np.searchsorted(cn, u)] * damping_pct) // (
                 100 * outdeg
             )
-            g = (
-                pd.DataFrame({"v": v, "share": share})
-                .groupby("v", as_index=False)["share"]
-                .sum()
-            )
-            return pa.table(
-                {
-                    "v": g["v"].to_numpy(),
-                    "share": g["share"].to_numpy().astype(np.int64),
-                }
-            )
+            return combine_arrays({"v": batch["v"].to_numpy()}, {"share": share})
 
-        partials = edges.map_batches(partial, batch_format="pyarrow")
-        # combine the contracted partials (<= blocks x nodes rows, the
-        # same size class as the broadcast rank vector itself) with one
-        # exact-integer pandas groupby — a Ray sort-shuffle's fixed cost
-        # dominates at per-node sizes; swap for groupby("v").sum when
-        # node state outgrows the broadcast regime (module docstring)
-        t = pa.concat_tables(
-            [
-                b
-                for b in (ray.get(r) for r in partials.to_arrow_refs())
-                if b.num_rows
-            ]
-        )
-        new_pr = np.full(len(nids), base, dtype=np.int64)
-        if t.num_rows:
-            g = (
-                t.to_pandas()
-                .groupby("v", as_index=False)["share"]
-                .sum()
-            )
-            pos = np.searchsorted(nids, g["v"].to_numpy())
-            new_pr[pos] += g["share"].to_numpy().astype(np.int64)
-        pr = new_pr
+        # the contracted partials number <= blocks x nodes rows; the
+        # combine reduces them on the driver, or distributed once they
+        # outgrow the broadcast regime (module docstring)
+        agg = combine(edges.map_batches(partial, batch_format="pyarrow"), "v", ["share"])
+        pr = np.full(len(nids), base, dtype=np.int64)
+        pr[np.searchsorted(nids, agg["v"].to_numpy())] += agg["share"].to_numpy()
 
     return pa.table({"node": pa.array(nids), "pr": pa.array(pr)})

@@ -36,6 +36,8 @@ import pyarrow as pa
 
 import ray.data
 
+from rsgislib_ray.stages.segsum import combine, segment_sum
+
 
 # ---------------------------------------------------------------------------
 # Cross-band moments
@@ -242,14 +244,13 @@ def joint_histogram_pmi(
             {"code": nz.astype(np.int64), "cnt": c[nz].astype(np.int64)}
         )
 
-    pdf = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .to_pandas()
-        .groupby("code", as_index=False)["cnt"]
-        .sum()
+    agg = combine(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "code",
+        ["cnt"],
     )
-    code = pdf["code"].to_numpy()
-    cnt = pdf["cnt"].to_numpy()
+    code = agg["code"].to_numpy()
+    cnt = agg["cnt"].to_numpy()
     va, vb = code // card_b, code % card_b
     ra = np.bincount(va, weights=cnt, minlength=card_a).astype(np.int64)
     cb = np.bincount(vb, weights=cnt, minlength=card_b).astype(np.int64)
@@ -311,18 +312,16 @@ def histogram_emd(
             )
         return pa.concat_tables(rows)
 
-    pdf = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .to_pandas()
-        .groupby(["which", "val"], as_index=False)["cnt"]
-        .sum()
+    agg = combine(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        ["which", "val"],
+        ["cnt"],
     )
+    which, val, cnt = (agg[c].to_numpy() for c in ("which", "val", "cnt"))
     ca = np.zeros(card, dtype=np.int64)
     cb = np.zeros(card, dtype=np.int64)
-    a_rows = pdf[pdf["which"] == 0]
-    b_rows = pdf[pdf["which"] == 1]
-    ca[a_rows["val"].to_numpy()] = a_rows["cnt"].to_numpy()
-    cb[b_rows["val"].to_numpy()] = b_rows["cnt"].to_numpy()
+    ca[val[which == 0]] = cnt[which == 0]
+    cb[val[which == 1]] = cnt[which == 1]
     na, nb = int(ca.sum()), int(cb.sum())
     cum_a = np.cumsum(ca)
     cum_b = np.cumsum(cb)
@@ -379,8 +378,6 @@ def curve_auc(
             }
         )
 
-    from rsgislib_ray.stages.segsum import segment_sum
-
     slots = ds.map_batches(emit, batch_format="pyarrow", batch_size=65536)
     pairs = segment_sum(slots, "slot", ["yr", "cr", "yl", "cl"])
 
@@ -431,18 +428,17 @@ def split_window_otsu(
             {"code": nz.astype(np.int64), "cnt": c[nz].astype(np.int64)}
         )
 
-    pdf = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .to_pandas()
-        .groupby("code", as_index=False)["cnt"]
-        .sum()
+    agg = combine(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "code",
+        ["cnt"],
     )
-    tiles = np.unique(pdf["code"].to_numpy() // card)
+    code, cnt = agg["code"].to_numpy(), agg["cnt"].to_numpy()
+    tile = code // card
     out_tile, out_thr, out_crit, out_n = [], [], [], []
-    for tid in tiles:
-        sel = pdf[pdf["code"] // card == tid]
+    for tid in np.unique(tile):
         hist = np.zeros(card, dtype=np.int64)
-        hist[sel["code"].to_numpy() % card] = sel["cnt"].to_numpy()
+        hist[code[tile == tid] % card] = cnt[tile == tid]
         w = int(hist.sum())
         if w < min_n_vals:
             continue
@@ -547,8 +543,6 @@ def neighbor_differences(
             x = batch[cname].to_numpy().astype(np.int64)
             cols_out[f"d{k}"] = np.concatenate([-x[left_ok], x[right_ok]])
         return pa.table(cols_out)
-
-    from rsgislib_ray.stages.segsum import segment_sum
 
     dcols = [f"d{k}" for k in range(len(cols))] + ["cl", "cr"]
     summed = segment_sum(
@@ -675,14 +669,13 @@ def global_histogram(
             {"v": nz.astype(np.int64), "n_partial": cnt[nz]}
         )
 
-    pdf = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .to_pandas()
-        .groupby("v")["n_partial"]
-        .sum()
+    agg = combine(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "v",
+        ["n_partial"],
     )
     hist = np.zeros(card, dtype=np.int64)
-    hist[pdf.index.to_numpy()] = pdf.to_numpy()
+    hist[agg["v"].to_numpy()] = agg["n_partial"].to_numpy()
     return hist
 
 

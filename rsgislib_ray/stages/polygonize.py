@@ -42,6 +42,7 @@ from rsgislib_ray.functions.arrowize import arrowize
 from rsgislib_ray.stages.components import (
     edge_components_minlabel as _edge_components_minlabel,
 )
+from rsgislib_ray.stages.segsum import combine, combine_arrays
 
 
 def _local_cc_unionfind(
@@ -273,64 +274,45 @@ def clump(
 
 def components_summary(clumped: ray.data.Dataset, value_col: str = "value") -> pa.Table:
     """Per-component RAT-style summary (clump size / extent / centroid —
-    rastergis clumps_spatial_location/extent analog). Partial-aggregated
-    per batch before the groupby."""
+    rastergis clumps_spatial_location/extent analog). Each batch
+    reduces to one int64 partial row per component (count, value, row
+    and col sums and bounds); :func:`rsgislib_ray.stages.segsum.combine`
+    reduces those (components can number in the millions) and one
+    vectorized pass finalizes. ``value`` is the component's smallest
+    value (a clump's value is constant). Integer value column
+    required; the centroid and bound columns are DOUBLE."""
+    cols = ["n", "value", "sum_r", "sum_c", "min_r", "max_r", "min_c", "max_c"]
+    aggs = ["sum", "min", "sum", "sum", "min", "max", "min", "max"]
 
     def partial(batch: pa.Table) -> pa.Table:
-        lab = batch["comp_label"].to_numpy()
-        r = batch["row"].to_numpy().astype(np.float64)
-        c = batch["col"].to_numpy().astype(np.float64)
-        v = batch[value_col].to_numpy()
-        order = np.argsort(lab, kind="stable")
-        sl = lab[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(sl)) + 1])
-        take = order[starts]
-        return pa.table(
-            {
-                "comp_label": sl[starts],
-                "n": np.diff(np.concatenate([starts, [len(sl)]])).astype(np.int64),
-                "value": v[take],
-                "sum_r": np.add.reduceat(r[order], starts),
-                "sum_c": np.add.reduceat(c[order], starts),
-                "min_r": np.minimum.reduceat(r[order], starts),
-                "max_r": np.maximum.reduceat(r[order], starts),
-                "min_c": np.minimum.reduceat(c[order], starts),
-                "max_c": np.maximum.reduceat(c[order], starts),
-            }
+        r = batch["row"].to_numpy()
+        c = batch["col"].to_numpy()
+        vals = [np.ones(len(r), np.int64), batch[value_col].to_numpy(), r, c, r, r, c, c]
+        return combine_arrays(
+            {"comp_label": batch["comp_label"].to_numpy()}, dict(zip(cols, vals)), aggs
         )
 
-    partials = clumped.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-
-    # NATIVE distributed combine (one Sum/Min/Max aggregate — no
-    # per-component Python; components can number in the millions) then
-    # a vectorized finalize on the per-component rows.
-    from ray.data.aggregate import Max, Min, Sum
-
-    agg = (
-        partials.groupby("comp_label")
-        .aggregate(
-            Sum("n"), Min("value"), Sum("sum_r"), Sum("sum_c"),
-            Min("min_r"), Max("max_r"), Min("min_c"), Max("max_c"),
-        )
-        .to_pandas()
-        .sort_values("comp_label")
-        .reset_index(drop=True)
+    agg = combine(
+        clumped.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "comp_label",
+        cols,
+        aggs,
     )
-    n = agg["sum(n)"].to_numpy().astype(np.int64)
-    out = pd.DataFrame(
+    n = agg["n"].to_numpy()
+    f64 = lambda c: agg[c].to_numpy().astype(np.float64)  # noqa: E731
+    return pa.table(
         {
-            "comp_label": agg["comp_label"].astype(np.int64),
-            "value": agg["min(value)"],
-            "n_pixels": n,
-            "centroid_row": agg["sum(sum_r)"].to_numpy() / n,
-            "centroid_col": agg["sum(sum_c)"].to_numpy() / n,
-            "min_row": agg["min(min_r)"],
-            "max_row": agg["max(max_r)"],
-            "min_col": agg["min(min_c)"],
-            "max_col": agg["max(max_c)"],
+            "comp_label": agg["comp_label"],
+            "value": agg["value"],
+            "n_pixels": agg["n"],
+            "centroid_row": agg["sum_r"].to_numpy() / n,
+            "centroid_col": agg["sum_c"].to_numpy() / n,
+            "min_row": f64("min_r"),
+            "max_row": f64("max_r"),
+            "min_col": f64("min_c"),
+            "max_col": f64("max_c"),
         }
     )
-    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
 
 # left-turn preference at pinch vertices: for incoming direction d the

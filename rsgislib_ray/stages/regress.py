@@ -58,6 +58,7 @@ import pyarrow as pa
 import ray.data
 
 from rsgislib_ray.stages.classify import group_rank_thresholds
+from rsgislib_ray.stages.segsum import combine
 from rsgislib_ray.stages.timeseries import chol_solve_np
 
 MICRO = 1000000.0  # residual quantization unit (half-up micro-units)
@@ -523,20 +524,15 @@ def _reg_hist(
             {k: np.array(v, dtype=np.int64) for k, v in rows.items()}
         )
 
-    pdf = ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=batch_size
-    ).to_pandas()
-    agg = pdf.groupby(["node", "feat", "val"], as_index=False)[
-        ["n", "sy", "syy"]
-    ].sum()
-    out: dict = {}
-    for r in agg.itertuples(index=False):
-        out[(int(r.node), int(r.feat), int(r.val))] = (
-            int(r.n),
-            int(r.sy),
-            int(r.syy),
-        )
-    return out
+    agg = combine(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size),
+        ["node", "feat", "val"],
+        ["n", "sy", "syy"],
+    )
+    return {
+        (nd, f, v): (n, sy, syy)
+        for nd, f, v, n, sy, syy in zip(*agg.to_pydict().values())
+    }
 
 
 def _best_reg_split(hist: dict, node: int, d: int, domains: list[int]):

@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import ray
 import ray.data
 
 from rsgislib_ray.functions.cells import cells_from_xy
+from rsgislib_ray.stages.segsum import combine, combine_arrays
+from rsgislib_ray.state.broadcast import cached
 
 KNUTH = 2654435761
 
@@ -83,8 +86,8 @@ def thin_by_cell(
     """Spatial thinning: keep the lowest-key row per cell at ``level``
     (deterministic first-wins; guarantees a minimum spacing of one cell
     between survivors of different cells). Partial min per batch ->
-    tiny groupby -> semi-join back by key."""
-    from ray.data.aggregate import Min
+    :func:`rsgislib_ray.stages.segsum.combine` (a min) -> broadcast
+    semi-join back by key. Integer key column required."""
 
     def tag(batch: pa.Table) -> pa.Table:
         cell = cells_from_xy(batch[x_col].to_numpy(), batch[y_col].to_numpy(), level)
@@ -93,33 +96,29 @@ def thin_by_cell(
     tagged = ds.map_batches(tag, batch_format="pyarrow")
 
     def partial(batch: pa.Table) -> pa.Table:
-        cell = batch["__cell"].to_numpy()
-        key = batch[key_col].to_numpy()
-        order = np.lexsort((key, cell))
-        c = cell[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(c)) + 1])
-        return pa.table({"__cell": c[starts], "k": key[order][starts]})
+        return combine_arrays(
+            {"__cell": batch["__cell"].to_numpy()},
+            {"k": batch[key_col].to_numpy()},
+            ["min"],
+        )
 
-    winners = (
-        tagged.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("__cell")
-        .aggregate(Min("k", alias_name="k"))
-        .to_pandas()
+    winners = combine(
+        tagged.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "__cell",
+        ["k"],
+        ["min"],
     )
-    keep_keys = np.sort(winners["k"].to_numpy().astype(np.int64))
-    import ray
-
-    ref = ray.put(keep_keys)
+    if winners.num_rows == 0:
+        # no input rows; the input keeps its schema, a mapped empty
+        # block would not
+        return ds
+    ref = ray.put(np.sort(winners["k"].to_numpy()))
 
     def filt(batch: pa.Table) -> pa.Table:
-        kk = ray.get(ref) if hasattr(ref, "hex") else ref
+        kk = cached(ref)
         keys = batch[key_col].to_numpy()
-        if len(kk) == 0:
-            keep = np.zeros(len(keys), dtype=bool)
-        else:
-            pos = np.clip(np.searchsorted(kk, keys), 0, len(kk) - 1)
-            keep = kk[pos] == keys
-        return batch.drop_columns(["__cell"]).filter(pa.array(keep))
+        pos = np.clip(np.searchsorted(kk, keys), 0, len(kk) - 1)
+        return batch.drop_columns(["__cell"]).filter(pa.array(kk[pos] == keys))
 
     return tagged.map_batches(filt, batch_format="pyarrow")
 

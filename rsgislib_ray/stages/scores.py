@@ -11,11 +11,11 @@ AUC, point-biserial r, average precision, Brier score, log loss) and
 ``bias_score`` / ``decompose_bias_variance`` (:1023-1082).
 
 Distribution model: the only data-sized pass is a pre-reduced
-groupby — a 2x2 confusion count for the binary panel, a
-per-score-value (n_pos, n_neg) histogram for the probabilistic panel
-(scores live on an integer lattice 0..score_scale, the quantized-
-probability contract), and exact integer difference moments for the
-bias panel. Every metric is then a fixed-order float chain over those
+combine (:mod:`rsgislib_ray.stages.segsum`) — a 2x2 confusion count
+for the binary panel, a per-score-value (n_pos, n_neg) histogram for
+the probabilistic panel (scores live on an integer lattice
+0..score_scale, the quantized-probability contract), and exact
+integer difference moments for the bias panel. Every metric is then a fixed-order float chain over those
 integers (driver-side, k or score_scale+1 terms), mirrored literally
 by the SQL oracles. The two ln-based outputs (log loss, NMI) are
 emitted as half-up nano-unit integers because np.log and DuckDB ln
@@ -31,7 +31,12 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from rsgislib_ray.stages.segsum import combine, combine_arrays
+
 LOG_EPS = 1e-15  # sklearn log_loss clipping
+_BP_SCHEMA = pa.schema(
+    [("n", pa.int64()), ("lm_stat", pa.float64()), ("aux_r2", pa.float64())]
+)
 
 
 def binary_confusion(
@@ -53,18 +58,17 @@ def binary_confusion(
             }
         )
 
-    pdf = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .to_pandas()
-        .groupby("k")["n_partial"]
-        .sum()
+    agg = combine(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "k",
+        ["n_partial"],
     )
-    get = lambda k: int(pdf.get(k, 0))  # noqa: E731
+    n = dict(zip(agg["k"].to_pylist(), agg["n_partial"].to_pylist()))
     return {
-        "TP": get(3),
-        "TA": get(0),
-        "FP": get(2),  # true presence predicted absent (sic)
-        "FA": get(1),  # true absence predicted present (sic)
+        "TP": n.get(3, 0),
+        "TA": n.get(0, 0),
+        "FP": n.get(2, 0),  # true presence predicted absent (sic)
+        "FA": n.get(1, 0),  # true absence predicted present (sic)
     }
 
 
@@ -169,16 +173,14 @@ def prob_score_histogram(
             {"k": nz.astype(np.int64), "n_partial": cnt[nz]}
         )
 
-    pdf = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .to_pandas()
-        .groupby("k")["n_partial"]
-        .sum()
+    agg = combine(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "k",
+        ["n_partial"],
     )
-    hist = np.zeros((score_scale + 1, 2), dtype=np.int64)
-    for k, v in pdf.items():
-        hist[int(k) // 2, int(k) % 2] = int(v)
-    return hist
+    hist = np.zeros(2 * (score_scale + 1), dtype=np.int64)
+    hist[agg["k"].to_numpy()] = agg["n_partial"].to_numpy()
+    return hist.reshape(score_scale + 1, 2)
 
 
 def bin_accuracy_scores_prob(
@@ -325,37 +327,28 @@ def breusch_pagan(
     and R^2 are emitted and the p-value is documented out).
 
     Distribution model: x lives on a bounded integer domain, so ONE
-    pre-reduced groupby collects per-x power sums of y (count,
+    pre-reduced combine collects per-x power sums of y (count,
     sum y..sum y^4 — exact int64); every residual moment then
     decomposes per x-group (sum (y - C)^k expands over the power
     sums with C = a + b*x), and the driver accumulates the float
     group terms in ascending-x order — the fixed chain the unrolled
-    SQL oracle replays."""
+    SQL oracle replays. An empty input gives a zero-row table."""
 
     def partial(batch: pa.Table) -> pa.Table:
         x = batch[x_col].to_numpy().astype(np.int64)
         y = batch[y_col].to_numpy().astype(np.int64)
-        ux, inv = np.unique(x, return_inverse=True)
-        out = {"x": ux}
-        for k in range(5):
-            a = np.zeros(len(ux), dtype=np.int64)
-            np.add.at(a, inv, y**k if k else np.ones(len(y), np.int64))
-            out[f"s{k}"] = a
-        return pa.table(out)
+        return combine_arrays({"x": x}, {f"s{k}": y**k for k in range(5)})
 
-    pdf = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("x")
-        .sum([f"s{k}" for k in range(5)])
-        .to_pandas()
-        .sort_values("x")
+    agg = combine(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "x",
+        [f"s{k}" for k in range(5)],
     )
-    g = {
-        int(r["x"]): tuple(int(r[f"sum(s{k})"]) for k in range(5))
-        for _i, r in pdf.iterrows()
-    }
+    g = {x: s for x, *s in zip(*agg.to_pydict().values())}
     # exact integer global moments
     n = sum(s[0] for s in g.values())
+    if n == 0:
+        return _BP_SCHEMA.empty_table()
     Sx = sum(x * s[0] for x, s in g.items())
     Sxx = sum(x * x * s[0] for x, s in g.items())
     Sy = sum(s[1] for s in g.values())
@@ -385,13 +378,7 @@ def breusch_pagan(
     num = nf * Szx - float(Sx) * Sz
     r2 = (num * num) / (float(det) * (nf * Szz - Sz * Sz))
     lm = nf * r2
-    return pa.table(
-        {
-            "n": pa.array([n], pa.int64()),
-            "lm_stat": pa.array([lm], pa.float64()),
-            "aux_r2": pa.array([r2], pa.float64()),
-        }
-    )
+    return pa.table({"n": [n], "lm_stat": [lm], "aux_r2": [r2]}, schema=_BP_SCHEMA)
 
 
 # ---------------------------------------------------------------------------

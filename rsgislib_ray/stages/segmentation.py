@@ -25,9 +25,9 @@ Reference semantics (replicated exactly):
 
 Ray-Data-first decomposition:
 
-1. per-clump size + band sums: ``map_batches`` partials (sort +
-   ``reduceat``) -> native ``groupby(label).aggregate(Sum)`` — one row
-   per clump reaches the driver, never pixels.
+1. per-clump size + band sums: per-batch partials
+   (``segsum.combine_arrays``) -> :func:`rsgislib_ray.stages.segsum.combine`
+   — one row per clump reaches the driver, never pixels.
 2. adjacency: per-tile dense-grid shift comparison emits DISTINCT
    neighbour-label pairs; tile-frame pixels flow through the same
    sorted probe-row pairing as ``clump`` for cross-tile edges. Only the
@@ -62,6 +62,7 @@ import ray
 import ray.data
 
 from rsgislib_ray.functions.arrowize import arrowize
+from rsgislib_ray.stages.segsum import combine, combine_arrays
 
 
 def clump_sums(
@@ -69,42 +70,23 @@ def clump_sums(
     band_cols: list[str],
     label_col: str = "comp_label",
 ) -> pd.DataFrame:
-    """Per-clump pixel count + per-band sums (distributed partials +
-    native groupby). Returns a driver DataFrame with one row per clump:
-    (label, n, sum_<band>...)."""
+    """Per-clump pixel count + per-band sums (per-batch partials +
+    :func:`rsgislib_ray.stages.segsum.combine`). Returns a driver
+    DataFrame with one row per clump, sorted by label: (label, n,
+    sum_<band>...); zero rows for an empty input."""
 
     def partial(batch: pa.Table) -> pa.Table:
         lab = batch[label_col].to_numpy()
-        order = np.argsort(lab, kind="stable")
-        sl = lab[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(sl)) + 1])
-        cols = {
-            label_col: sl[starts],
-            "n": np.diff(np.concatenate([starts, [len(sl)]])).astype(np.int64),
-        }
-        for b in band_cols:
-            v = batch[b].to_numpy().astype(np.int64)
-            cols[f"sum_{b}"] = np.add.reduceat(v[order], starts)
-        return pa.table(cols)
+        sums = {f"sum_{b}": batch[b].to_numpy().astype(np.int64) for b in band_cols}
+        return combine_arrays(
+            {label_col: lab}, {"n": np.ones(len(lab), np.int64), **sums}
+        )
 
-    from ray.data.aggregate import Sum
-
-    partials = clumped.map_batches(
-        partial, batch_format="pyarrow", batch_size=65536
-    )
-    aggs = [Sum("n")] + [Sum(f"sum_{b}") for b in band_cols]
-    df = (
-        partials.groupby(label_col)
-        .aggregate(*aggs)
-        .to_pandas()
-        .sort_values(label_col)
-        .reset_index(drop=True)
-    )
-    out = pd.DataFrame({label_col: df[label_col].astype(np.int64)})
-    out["n"] = df["sum(n)"].astype(np.int64)
-    for b in band_cols:
-        out[f"sum_{b}"] = df[f"sum(sum_{b})"].astype(np.int64)
-    return out
+    return combine(
+        clumped.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        label_col,
+        ["n"] + [f"sum_{b}" for b in band_cols],
+    ).to_pandas()
 
 
 def clump_adjacency(

@@ -1,10 +1,12 @@
 """Partial combine — the engine's ``GROUP BY key`` over exact int64
 partial rows.
 
-Stages that pre-reduce each batch to per-key partial rows (zonal
-moments and histograms, point-in-zone counts, tile counts, pyramid
-pixels, event windows) finish here, through one measured decision and
-two implementations that return bit-identical rows:
+Every stage that pre-reduces each batch to per-key integer partial
+rows (zonal moments and histograms, counts, value histograms, tile and
+pyramid pixels, event windows, tree and score histograms, user
+``Aggregator``s — README "Partials before groupbys" lists them)
+finishes here, through one measured decision and two implementations
+that return bit-identical rows:
 
 - :func:`route` materializes the partials and compares their row count
   with :data:`AUTO_NATIVE_ROWS` — the one adaptive choice;
@@ -29,6 +31,9 @@ keys that is ~100× slower than a range-partitioned sort (measured:
 3. Edge rows are O(2 × blocks) regardless of data size; the driver
    kernel combines them and they are unioned back with the untouched
    interior stream.
+
+Key and value columns must be integer: a float column raises
+``ValueError`` naming it, since int64 arithmetic would truncate it.
 
 The one materialization holds the already-reduced post-sort stream so
 the interior/edge split does not re-execute the sort; it is the same
@@ -60,6 +65,15 @@ def _keys(key_col: str | list[str]) -> list[str]:
     return [key_col] if isinstance(key_col, str) else list(key_col)
 
 
+def _integer(name: str, col) -> np.ndarray:
+    """``col`` as an array, or ValueError naming it: the combine is
+    exact integer arithmetic, so a float column would be truncated."""
+    a = np.asarray(col)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"segsum: column {name!r} is {a.dtype}, not an integer type")
+    return a
+
+
 def combine_arrays(
     keys: dict[str, np.ndarray],
     values: dict[str, np.ndarray],
@@ -72,7 +86,7 @@ def combine_arrays(
     ``rank * n_unique + code`` so codes stay below ``rows**2``. Zero
     rows give a zero-row table with the same int64 columns."""
     aggs = aggs or ["sum"] * len(values)
-    cols = [np.asarray(k, dtype=np.int64) for k in keys.values()]
+    cols = [_integer(n, k).astype(np.int64) for n, k in keys.items()]
     uniq, inv = np.unique(cols[0], return_inverse=True)
     if len(cols) == 1:
         out = {next(iter(keys)): uniq}
@@ -85,7 +99,7 @@ def combine_arrays(
         out = {name: c[first] for name, c in zip(keys, cols)}
     for (name, v), a in zip(values.items(), aggs):
         acc = np.full(len(uniq), _INIT[a], dtype=np.int64)
-        _UFUNC[a].at(acc, inv, np.asarray(v, dtype=np.int64))
+        _UFUNC[a].at(acc, inv, _integer(name, v).astype(np.int64))
         out[name] = acc
     return pa.table(out)
 
@@ -124,14 +138,14 @@ def segment_sum(
     aggs = aggs or ["sum"] * len(value_cols)
 
     def block_reduce(batch: pa.Table) -> pa.Table:
-        ks = [batch[c].to_numpy() for c in keys]
+        ks = [_integer(c, batch[c].to_numpy()) for c in keys]
         brk = np.zeros(max(len(batch) - 1, 0), dtype=bool)
         for k in ks:
             brk |= k[1:] != k[:-1]
         starts = np.concatenate([[0], np.flatnonzero(brk) + 1])
         out = {c: k[starts] for c, k in zip(keys, ks)}
         for c, a in zip(value_cols, aggs):
-            v = batch[c].to_numpy().astype(np.int64)
+            v = _integer(c, batch[c].to_numpy()).astype(np.int64)
             out[c] = _UFUNC[a].reduceat(v, starts)
         edge = np.zeros(len(starts), dtype=np.int8)
         edge[0] = 1

@@ -26,8 +26,8 @@ contract, zonal.py:803):
 
 Physical plan: one zero-shuffle ``map_batches`` pass per iteration —
 per-batch assignment against the broadcast center table, pre-reduced
-per-batch per-cluster partials (k rows per batch) combined on the
-driver in Python ints — then one labeling pass.
+per-batch per-cluster partials (k rows per batch) combined through
+:func:`rsgislib_ray.stages.segsum.combine` — then one labeling pass.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
+
+from rsgislib_ray.stages.segsum import combine
+from rsgislib_ray.state.broadcast import cached
 
 
 def slic_superpixels(
@@ -123,7 +126,7 @@ def slic_superpixels(
         cref = ray.put(centers)
 
         def partial(batch: pa.Table) -> pa.Table:
-            ctr = ray.get(cref)
+            ctr = cached(cref)
             r, c, v, bid, _ = assign(batch, ctr)
             k = len(ctr)
             return pa.table(
@@ -142,26 +145,25 @@ def slic_superpixels(
                 }
             )
 
-        pdf = (
+        agg = combine(
             raster.map_batches(
                 partial, batch_format="pyarrow", batch_size=batch_size
-            )
-            .to_pandas()
-            .groupby("cid")
-            .sum()
+            ),
+            "cid",
+            ["cnt", "sr", "sc", "sv"],
         )
-        cnt = pdf["cnt"].to_numpy()
+        cnt = agg["cnt"].to_numpy()
         new = centers.copy()
         nz = cnt > 0
-        new[nz, 0] = pdf["sr"].to_numpy()[nz] / cnt[nz]
-        new[nz, 1] = pdf["sc"].to_numpy()[nz] / cnt[nz]
-        new[nz, 2] = pdf["sv"].to_numpy()[nz] / cnt[nz]
+        new[nz, 0] = agg["sr"].to_numpy()[nz] / cnt[nz]
+        new[nz, 1] = agg["sc"].to_numpy()[nz] / cnt[nz]
+        new[nz, 2] = agg["sv"].to_numpy()[nz] / cnt[nz]
         centers = new
 
     cref = ray.put(centers)
 
     def label(batch: pa.Table) -> pa.Table:
-        ctr = ray.get(cref)
+        ctr = cached(cref)
         _, _, _, bid, bd = assign(batch, ctr)
         return pa.table(
             {

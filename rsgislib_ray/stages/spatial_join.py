@@ -668,9 +668,9 @@ def spatial_join_points_sortmerge(
 
     ``salt_threshold`` enables HOT-CELL SALTING (VERDICT r3 #9 — the
     skew path): a count pass emits one partial per distinct cell per
-    batch, and the caller sums them exactly (int64) into the cells
-    holding more than ``salt_threshold`` points; each hot cell's points
-    spread over ``ceil(n/threshold)`` (capped ``max_salt``) salted
+    batch, and :func:`rsgislib_ray.stages.segsum.combine` sums them
+    exactly (int64) into the cells holding more than
+    ``salt_threshold`` points; each hot cell's points spread over ``ceil(n/threshold)`` (capped ``max_salt``) salted
     sub-keys by point-key hash, and the hot cell's ZONE rows replicate
     onto every salt — so a cell holding 30% of the corpus becomes s
     balanced sort keys instead of one giant boundary run, with
@@ -692,32 +692,17 @@ def spatial_join_points_sortmerge(
             u, c = np.unique(cell[cell != -1], return_counts=True)
             return pa.table({"cell": u, "partial": c.astype(np.int64)})
 
-        # at most one row per distinct cell per batch: summing them
-        # here beats a groupby shuffle at this size
-        parts = [
-            t
-            for t in ray.get(
-                points.map_batches(
-                    cnt_partial, batch_format="pyarrow", batch_size=65536
-                )
-                .materialize()  # else to_arrow_refs re-runs it for the schema
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-        if parts:
-            cells, inv = np.unique(
-                np.concatenate([t["cell"].to_numpy() for t in parts]),
-                return_inverse=True,
-            )
-            n = np.zeros(len(cells), dtype=np.int64)
-            np.add.at(
-                n, inv, np.concatenate([t["partial"].to_numpy() for t in parts])
-            )
-            hot = n > salt_threshold
-            if hot.any():
-                s = np.minimum(-(-n[hot] // int(salt_threshold)), max_salt)
-                salt_ref = ray.put((cells[hot], s))
+        # at most one row per distinct cell per batch
+        agg = combine(
+            points.map_batches(cnt_partial, batch_format="pyarrow", batch_size=65536),
+            "cell",
+            ["partial"],
+        )
+        cells, n = agg["cell"].to_numpy(), agg["partial"].to_numpy()
+        hot = n > salt_threshold
+        if hot.any():
+            s = np.minimum(-(-n[hot] // int(salt_threshold)), max_salt)
+            salt_ref = ray.put((cells[hot], s))
 
     def _hot_lookup(cell: np.ndarray):
         hc, s = cached(salt_ref)

@@ -14,6 +14,7 @@ import ray.data
 
 from rsgislib_ray.functions.hashing import doc_fingerprint
 from rsgislib_ray.functions.textstats import langid_scores, quality_stats, token_count
+from rsgislib_ray.stages.segsum import combine_dataset
 
 
 def add_token_count(
@@ -868,7 +869,7 @@ def bpe_pair_counts(
     so document junctions are pair-breaks like any other space) and
     counts pair codes b[i]*256+b[i+1] where neither byte is a space —
     a single vectorized bincount; the partial is at most the nonzero
-    pair codes (<= 65536 rows), so the per-pair groupby is narrow and
+    pair codes (<= 65536 rows), so the per-pair combine is narrow and
     the global top-k is a native sort+limit over a tiny table. Zero
     text bytes ever shuffle.
     """
@@ -890,12 +891,6 @@ def bpe_pair_counts(
         nz = np.flatnonzero(cnt)
         return pa.table({"pair_code": nz, "partial": cnt[nz]})
 
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("pair_code")
-        .sum("partial")
-    )
-
     def decode(batch: pa.Table) -> pa.Table:
         code = batch["pair_code"].to_numpy()
         pairs = [
@@ -904,12 +899,17 @@ def bpe_pair_counts(
         return pa.table(
             {
                 "pair": pa.array(pairs, pa.string()),
-                "n_pairs": batch["sum(partial)"].cast(pa.int64()),
+                "n_pairs": batch["partial"],
             }
         )
 
     return (
-        counts.map_batches(decode, batch_format="pyarrow")
+        combine_dataset(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            "pair_code",
+            ["partial"],
+            finish=decode,
+        )
         .sort(["n_pairs", "pair"], descending=[True, False])
         .limit(top_k)
     )

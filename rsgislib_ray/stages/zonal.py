@@ -41,7 +41,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from rsgislib_ray.stages.segsum import combine
+from rsgislib_ray.stages.segsum import combine, combine_arrays
 from rsgislib_ray.stages.spatial_join import ZoneSet, broadcast_zones
 from rsgislib_ray.state.broadcast import cached
 
@@ -450,28 +450,16 @@ def class_separability(
     JM = 2*(1-exp(-B)) mirrors the SQL oracle bit-for-bit."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        cls = batch[class_col].to_numpy().astype(np.int64)
         v = batch[value_col].to_numpy().astype(np.int64)
-        order = np.argsort(cls, kind="stable")
-        sc, sv = cls[order], v[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(sc)) + 1])
-        return pa.table(
-            {
-                "cls": sc[starts],
-                "n": np.diff(np.concatenate([starts, [len(sc)]])).astype(
-                    np.int64
-                ),
-                "s": np.add.reduceat(sv, starts),
-                "ss": np.add.reduceat(sv * sv, starts),
-            }
+        return combine_arrays(
+            {"cls": batch[class_col].to_numpy()},
+            {"n": np.ones(len(v), np.int64), "s": v, "ss": v * v},
         )
 
-    st = (
-        cells.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .to_pandas()
-        .groupby("cls", as_index=False)
-        .sum()
-        .sort_values("cls")
+    st = combine(
+        cells.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "cls",
+        ["n", "s", "ss"],
     )
     cls = st["cls"].to_numpy()
     n = st["n"].to_numpy().astype(np.float64)
@@ -673,15 +661,9 @@ def zonal_winsorized_mean(
         batch_format="pyarrow",
         batch_size=65536,
     )
-    vc = (
-        partials.to_pandas()
-        .groupby(["fid", "val"], as_index=False)["n"]
-        .sum()
-        .sort_values(["fid", "val"])
-        .reset_index(drop=True)
-    )
+    vc = combine(partials, ["fid", "val"], ["n"])
     vals = vc["val"].to_numpy().astype(np.float64)
-    counts = vc["n"].to_numpy().astype(np.int64)
+    counts = vc["n"].to_numpy()
     fids_v = vc["fid"].to_numpy()
     starts = np.concatenate([[0], np.flatnonzero(np.diff(fids_v)) + 1])
     run_len = np.diff(np.concatenate([starts, [len(fids_v)]]))
@@ -787,18 +769,17 @@ def kmeans_cluster_exact(
             }
         )
 
-    pdf = (
-        cells.map_batches(hist_partial, batch_format="pyarrow", batch_size=65536)
-        .to_pandas()
-        .groupby(["f", "v"], as_index=False)["cnt"]
-        .sum()
+    hist = combine(
+        cells.map_batches(hist_partial, batch_format="pyarrow", batch_size=65536),
+        ["f", "v"],
+        ["cnt"],
     )
-    n_total = int(pdf[pdf["f"] == 0]["cnt"].sum())
+    f, v, cnt = (hist[c].to_numpy() for c in ("f", "v", "cnt"))
+    n_total = int(cnt[f == 0].sum())
     C = np.empty((n_clusters, d), dtype=np.float64)
     for j in range(d):
-        g = pdf[pdf["f"] == j].sort_values("v")
         hist_j = np.zeros(card, dtype=np.int64)
-        hist_j[g["v"].to_numpy()] = g["cnt"].to_numpy()
+        hist_j[v[f == j]] = cnt[f == j]
         cum = np.cumsum(hist_j)
         for kk in range(n_clusters):
             rank = (n_total * (kk + 1) + n_clusters) // (n_clusters + 1)
@@ -825,20 +806,18 @@ def kmeans_cluster_exact(
                 cols[f"s{j}"] = s
             return pa.table(cols)
 
-        agg = (
-            cells.map_batches(part, batch_format="pyarrow", batch_size=65536)
-            .to_pandas()
-            .groupby("cluster")
-            .sum()
-            .sort_index()
+        sums = [f"s{j}" for j in range(d)]
+        agg = combine(
+            cells.map_batches(part, batch_format="pyarrow", batch_size=65536),
+            "cluster",
+            ["n"] + sums,
         )
-        sizes = agg["n"].to_numpy().astype(np.int64)
+        sizes = agg["n"].to_numpy()
+        S = np.column_stack([agg[c].to_numpy() for c in sums])
         for kk in range(n_clusters):
             if sizes[kk] > 0:
                 for j in range(d):
-                    C[kk, j] = float(int(agg[f"s{j}"].iloc[kk])) / float(
-                        sizes[kk]
-                    )
+                    C[kk, j] = float(int(S[kk, j])) / float(sizes[kk])
 
     ref = _ray.put(C)
 
