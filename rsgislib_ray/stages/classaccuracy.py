@@ -10,9 +10,10 @@ Millones 2011 quantity/allocation disagreement, :47-119). The
 reference computes everything on driver-resident sample arrays via
 sklearn; ours reduces the (ref, pred) pair counts with ONE
 pre-reduced combine (:mod:`rsgislib_ray.stages.segsum`) — the only
-part that scales with sample count — and derives every metric from the k x k integer
-confusion matrix in fixed-order float chains (documented below and
-mirrored literally by the SQL oracles, so results are bit-exact).
+part that scales with sample count — and derives every metric from
+the k x k integer confusion matrix in fixed-order float chains
+(documented below and mirrored literally by the SQL oracles, so
+results are bit-exact).
 
 Chain conventions (the parity contract): all class loops accumulate
 left-associatively in ascending class-index order; every ratio is a
@@ -26,15 +27,13 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from rsgislib_ray.stages.segsum import combine_arrays, combine_dataset
+from rsgislib_ray.stages.segsum import combine, combine_arrays, combine_dataset
 
 
-def confusion_dataset(
+def _pair_partials(
     ds: ray.data.Dataset, ref_col: str, pred_col: str
 ) -> ray.data.Dataset:
-    """Distributed confusion counts: per-batch pre-reduced (ref,
-    pred) partial counts, one :func:`rsgislib_ray.stages.segsum.combine_dataset`
-    — rows (ref, pred, n) for present combinations only."""
+    """Per-batch pre-reduced (ref, pred, n_partial) pair counts."""
 
     def partial(batch: pa.Table) -> pa.Table:
         r = batch[ref_col].to_numpy()
@@ -43,8 +42,17 @@ def confusion_dataset(
             {"ref": r, "pred": p}, {"n_partial": np.ones(len(r), np.int64)}
         )
 
+    return ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
+
+
+def confusion_dataset(
+    ds: ray.data.Dataset, ref_col: str, pred_col: str
+) -> ray.data.Dataset:
+    """Distributed confusion counts as a Dataset, through one
+    :func:`rsgislib_ray.stages.segsum.combine_dataset` — rows (ref,
+    pred, n) for present combinations only."""
     return combine_dataset(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        _pair_partials(ds, ref_col, pred_col),
         ["ref", "pred"],
         ["n_partial"],
         finish=lambda t: t.rename_columns(["ref", "pred", "n"]),
@@ -54,12 +62,10 @@ def confusion_dataset(
 def confusion_counts(
     ds: ray.data.Dataset, ref_col: str, pred_col: str
 ) -> dict[tuple[int, int], int]:
-    """Confusion counts as a tiny driver dict (k^2 entries)."""
-    t = confusion_dataset(ds, ref_col, pred_col).to_pandas()
-    return {
-        (int(r), int(p)): int(n)
-        for r, p, n in zip(t["ref"], t["pred"], t["n"])
-    }
+    """Confusion counts as a tiny driver dict (k^2 entries), through one
+    :func:`rsgislib_ray.stages.segsum.combine`."""
+    t = combine(_pair_partials(ds, ref_col, pred_col), ["ref", "pred"], ["n_partial"])
+    return {(r, p): n for r, p, n in zip(*t.to_pydict().values())}
 
 
 def _cm_array(

@@ -66,12 +66,13 @@ def _keys(key_col: str | list[str]) -> list[str]:
 
 
 def _integer(name: str, col) -> np.ndarray:
-    """``col`` as an array, or ValueError naming it: the combine is
-    exact integer arithmetic, so a float column would be truncated."""
+    """``col`` as an int64 array (no copy when it already is one), or
+    ValueError naming it: the combine is exact integer arithmetic, so a
+    float column would be truncated."""
     a = np.asarray(col)
     if not np.issubdtype(a.dtype, np.integer):
         raise ValueError(f"segsum: column {name!r} is {a.dtype}, not an integer type")
-    return a
+    return a.astype(np.int64, copy=False)
 
 
 def combine_arrays(
@@ -86,7 +87,7 @@ def combine_arrays(
     ``rank * n_unique + code`` so codes stay below ``rows**2``. Zero
     rows give a zero-row table with the same int64 columns."""
     aggs = aggs or ["sum"] * len(values)
-    cols = [_integer(n, k).astype(np.int64) for n, k in keys.items()]
+    cols = [_integer(n, k) for n, k in keys.items()]
     uniq, inv = np.unique(cols[0], return_inverse=True)
     if len(cols) == 1:
         out = {next(iter(keys)): uniq}
@@ -99,7 +100,7 @@ def combine_arrays(
         out = {name: c[first] for name, c in zip(keys, cols)}
     for (name, v), a in zip(values.items(), aggs):
         acc = np.full(len(uniq), _INIT[a], dtype=np.int64)
-        _UFUNC[a].at(acc, inv, _integer(name, v).astype(np.int64))
+        _UFUNC[a].at(acc, inv, _integer(name, v))
         out[name] = acc
     return pa.table(out)
 
@@ -145,7 +146,7 @@ def segment_sum(
         starts = np.concatenate([[0], np.flatnonzero(brk) + 1])
         out = {c: k[starts] for c, k in zip(keys, ks)}
         for c, a in zip(value_cols, aggs):
-            v = _integer(c, batch[c].to_numpy()).astype(np.int64)
+            v = _integer(c, batch[c].to_numpy())
             out[c] = _UFUNC[a].reduceat(v, starts)
         edge = np.zeros(len(starts), dtype=np.int8)
         edge[0] = 1
