@@ -19,7 +19,7 @@ from rsgislib_ray.ops import apply_aggregator
 from rsgislib_ray.sources import testdata as td
 from rsgislib_ray.stages import segsum
 from rsgislib_ray.stages.calibration import band_dark_percentiles
-from rsgislib_ray.stages.classaccuracy import confusion_dataset
+from rsgislib_ray.stages.classaccuracy import confusion_counts, confusion_dataset
 from rsgislib_ray.stages.classify import (
     _class_counts,
     _hist_counts,
@@ -432,6 +432,10 @@ SITES = {
     "confusion_dataset": (
         _ints,
         lambda ds, sf: confusion_dataset(ds, "cls", "k7"),
+    ),
+    "confusion_counts": (
+        _ints,
+        lambda ds, sf: _tab(confusion_counts(ds, "cls", "k7")),
     ),
     "bpe_pair_counts": (_docs, lambda ds, sf: bpe_pair_counts(ds)),
     "thin_by_cell": (
