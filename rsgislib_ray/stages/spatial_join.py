@@ -18,9 +18,11 @@ What ships (BENCH_r05, sf0.1 at 32 CPUs, inner join):
    through — no shuffle at all.
 2. **Sort-merge** (``spatial_join_points_sortmerge``; both sides
    large, inner/left/semi/anti, optional hot-cell salting; 1.77 s):
-   both sides union into ONE range shuffle on the cell key; sorted
-   blocks join their cell runs vectorized, and the cells that straddle
-   a block boundary go to one small Ray task. No other all-to-all.
+   both sides union into ONE range shuffle on the cell key; each
+   sorted block is joined, vectorized, by one plain Ray task, which
+   also hands over the rows of the cells that may straddle a block
+   boundary; one more small task joins those. No other all-to-all,
+   and no Ray Data execution after the shuffle's.
 3. ``spatial_join_auto`` picks broadcast while the zone side is under
    ``BROADCAST_ZONE_LIMIT`` rows, else sort-merge.
 
@@ -38,6 +40,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
+from ray.data.block import BlockMetadataWithSchema
 
 from rsgislib_ray.functions import cells as cellmod
 from rsgislib_ray.functions.geom import pip_pairs
@@ -421,18 +424,6 @@ def _default_join_partitions(requested: int | None) -> int:
     return min(requested, cap) if requested else cap
 
 
-def _zones_to_cells(zones_tbl: pa.Table, level: int) -> pa.Table:
-    """Duplicate each zone row into every cell its envelope covers
-    (vectorized — no per-zone Python loop)."""
-    zs = ZoneSet.from_table(zones_tbl)
-    rep, cells = cellmod.covering_cells_bboxes(
-        zs.bounds[:, 0], zs.bounds[:, 1], zs.bounds[:, 2], zs.bounds[:, 3],
-        level,
-    )
-    taken = zones_tbl.take(pa.array(rep, type=pa.int64()))
-    return taken.append_column("cell", pa.array(cells, type=pa.int64()))
-
-
 def _emit_how(
     how: str,
     key_col: str,
@@ -583,15 +574,25 @@ def _join_sorted(
     return _emit_how(how, key_col, keys, fids, pkeys, matched)
 
 
+def _positive_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+
+
 def _boundary_mask(cell: np.ndarray) -> np.ndarray:
     """Rows of the first and last cell of one sorted block: the only
     cells that can continue into a neighbouring block."""
     return (cell == cell[0]) | (cell == cell[-1])
 
 
-def _boundary_rows(t: pa.Table) -> pa.Table:
-    """The boundary-cell rows of one non-empty sorted block."""
-    return t.filter(pa.array(_boundary_mask(t["cell"].to_numpy())))
+def _join_block(
+    how: str, x_col: str, y_col: str, key_col: str, t: pa.Table
+) -> tuple[pa.Table, pa.Table]:
+    """Join the interior cell runs of one non-empty sorted block, and
+    cut out its boundary-cell rows for :func:`_join_boundary`:
+    ``(pairs, boundary rows)``."""
+    bnd = _boundary_mask(t["cell"].to_numpy())
+    pairs = _join_sorted(t, how, x_col, y_col, key_col, rows=~bnd)
+    return pairs, t.filter(pa.array(bnd))
 
 
 def _join_boundary(
@@ -604,36 +605,45 @@ def _join_boundary(
     return _join_sorted(t, how, x_col, y_col, key_col)
 
 
-def _drop_empty_blocks(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, list]:
-    """A materialized ``ds`` without its empty blocks, and the refs of
-    the blocks kept, in order. A range sort emits schema-less empty
-    blocks when sampled boundaries repeat, and ``map_batches`` passes
-    an empty block through without calling the UDF, so a join mapped
-    over them would emit schema-less blocks. Built the way
-    ``Dataset.materialize`` builds its result, so the stats lineage
-    (the shuffle's operators) is kept."""
+# The join tasks hand back each pair block's metadata with it, so the
+# result Dataset is built without a metadata task per block.
+@ray.remote(num_returns=3)
+def _join_block_task(*args):
+    pairs, bnd = _join_block(*args)
+    return pairs, BlockMetadataWithSchema.from_block(pairs), bnd
+
+
+@ray.remote(num_returns=2)
+def _join_boundary_task(*args):
+    pairs = _join_boundary(*args)
+    return pairs, BlockMetadataWithSchema.from_block(pairs)
+
+
+def _pair_dataset(
+    sorted_ds: ray.data.MaterializedDataset, parts: list[tuple]
+) -> ray.data.MaterializedDataset:
+    """The ``(pair block ref, metadata ref)`` ``parts`` as one
+    materialized Dataset, in order, whose stats lineage continues
+    ``sorted_ds``'s, so ``Dataset.stats()`` of the join still shows
+    its range shuffle. Built the way ``Dataset.materialize`` builds
+    its result."""
     from ray.data._internal.execution.interfaces import RefBundle
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.input_data_operator import InputData
     from ray.data._internal.plan import ExecutionPlan
     from ray.data.dataset import MaterializedDataset
 
-    kept = [
-        RefBundle(blocks=[blk], owns_blocks=False, schema=b.schema)
-        for b in ds.iter_internal_ref_bundles()
-        for blk in b.blocks
-        if blk[1].num_rows
+    metas = ray.get([m for _, m in parts])
+    bundles = [
+        RefBundle(blocks=[(ref, m.metadata)], owns_blocks=False, schema=m.schema)
+        for (ref, _), m in zip(parts, metas)
     ]
     out = MaterializedDataset(
-        ExecutionPlan(ds._plan.stats(), data_context=ds.context),
-        LogicalPlan(InputData(input_data=kept), ds.context),
+        ExecutionPlan(sorted_ds._plan.stats(), data_context=sorted_ds.context),
+        LogicalPlan(InputData(input_data=bundles), sorted_ds.context),
     )
     out._plan.execute()  # no-op that marks the plan executed
-    return out, [b.blocks[0][0] for b in kept]
-
-
-_boundary_rows_task = ray.remote(_boundary_rows)
-_join_boundary_task = ray.remote(_join_boundary)
+    return out
 
 
 def spatial_join_points_sortmerge(
@@ -650,15 +660,18 @@ def spatial_join_points_sortmerge(
     """Both-sides-large spatial join, SORT-MERGE strategy.
 
     Both sides union into ONE range shuffle (``sort("cell")``), the
-    only all-to-all of the join, and each sorted block joins its
-    interior cell runs vectorized (searchsorted expansion + inline PIP
-    refine — no pair rows ever materialize through a shuffle). Cells
-    that may straddle a block boundary (the first and last cell of
-    each sorted block) are cut out by one small Ray task per block;
-    ONE task joins them, in block order, with the same kernel. That
-    set is at most the rows of 2 cells per block — with salting, at
-    most 2 x blocks x (``salt_threshold`` + the hot cell's zone
-    copies) — and is never fetched by the caller.
+    only all-to-all of the join. Each non-empty sorted block then goes
+    to one plain Ray task that joins its interior cell runs vectorized
+    (searchsorted expansion + inline PIP refine — no pair rows ever
+    materialize through a shuffle) and hands back, with the pairs, the
+    rows of the cells that may straddle a block boundary (the block's
+    first and last cell). ONE task joins those, in block order, with
+    the same kernel. That set is at most the rows of 2 cells per block
+    — with salting, at most 2 x blocks x (``salt_threshold`` + the hot
+    cell's zone copies) — and is never fetched by the caller.
+    The result is materialized: the interior pair blocks in block
+    order, then the boundary pairs, with the range shuffle kept in its
+    ``stats()`` lineage.
     Output contract: (key_col, fid) int64 pair rows for
     ``how="inner"``; ``"left"`` adds unmatched points with fid=-1;
     ``"semi"`` / ``"anti"`` emit one (key_col, fid=-1) row per matched
@@ -670,15 +683,24 @@ def spatial_join_points_sortmerge(
     skew path): a count pass emits one partial per distinct cell per
     batch, and :func:`rsgislib_ray.stages.segsum.combine` sums them
     exactly (int64) into the cells holding more than
-    ``salt_threshold`` points; each hot cell's points spread over ``ceil(n/threshold)`` (capped ``max_salt``) salted
-    sub-keys by point-key hash, and the hot cell's ZONE rows replicate
-    onto every salt — so a cell holding 30% of the corpus becomes s
-    balanced sort keys instead of one giant boundary run, with
-    identical output pairs (each point keeps exactly one salt; its
-    zone copies are unique per salt).
+    ``salt_threshold`` points; each hot cell's points spread over
+    ``ceil(n/threshold)`` (capped ``max_salt``) salted sub-keys by
+    point-key hash, and the hot cell's ZONE rows replicate onto every
+    salt — so a cell holding 30% of the corpus becomes s balanced sort
+    keys instead of one giant boundary run, with identical output
+    pairs (each point keeps exactly one salt; its zone copies are
+    unique per salt). ``salt_threshold`` must be None or an int >= 1,
+    and ``max_salt`` an int >= 1: a ValueError says so when the join
+    is built.
     """
     if how not in JOIN_HOWS:
         raise ValueError(f"unsupported how={how!r}")
+    if salt_threshold is not None and not _positive_int(salt_threshold):
+        raise ValueError(
+            f"salt_threshold must be None or an int >= 1, got {salt_threshold!r}"
+        )
+    if not _positive_int(max_salt):
+        raise ValueError(f"max_salt must be an int >= 1, got {max_salt!r}")
     if isinstance(zones, pa.Table):
         zones = ray.data.from_arrow(zones)
 
@@ -712,40 +734,32 @@ def spatial_join_points_sortmerge(
         return ishot, s[safe]
 
     def prep_zones(t: pa.Table) -> pa.Table:
-        out = _zones_to_cells(t, level).select(["fid", "ring_xy", "cell"])
+        # one ZoneSet over the source rows; each union row (one per
+        # covering cell, then one per salt of a hot cell) gathers from
+        # it through its source row index
+        zs = ZoneSet.from_table(t)
+        src, cell = cellmod.covering_cells_bboxes(
+            zs.bounds[:, 0], zs.bounds[:, 1], zs.bounds[:, 2], zs.bounds[:, 3],
+            level,
+        )
         if salt_ref is not None:
             # replicate each hot cell's zone rows onto every salt
-            zc = out["cell"].to_numpy()
-            ishot, s_at = _hot_lookup(zc)
+            ishot, s_at = _hot_lookup(cell)
             per = np.where(ishot, s_at, 1)
-            rep = np.repeat(np.arange(len(zc), dtype=np.int64), per)
-            total = int(per.sum())
-            within = np.arange(total, dtype=np.int64) - np.repeat(
+            rep = np.repeat(np.arange(len(cell), dtype=np.int64), per)
+            within = np.arange(len(rep), dtype=np.int64) - np.repeat(
                 np.cumsum(per) - per, per
             )
-            salted = np.where(
-                zc[rep] >= 0, (zc[rep] << _SALT_SHIFT) | within, zc[rep]
+            cell = np.where(
+                cell[rep] >= 0, (cell[rep] << _SALT_SHIFT) | within, cell[rep]
             )
-            out = out.take(pa.array(rep)).set_column(
-                out.schema.get_field_index("cell"),
-                "cell",
-                pa.array(salted, pa.int64()),
-            )
-        zsub = ZoneSet.from_table(out)
-        n = len(out)
-        keep_ring = ~zsub.is_rect
-        counts = np.where(keep_ring, np.diff(zsub.ring_offsets) * 2, 0)
-        byte_off = np.concatenate([[0], np.cumsum(counts * 8)]).astype(np.int32)
-        if keep_ring.any():
-            pieces = [
-                zsub.ring_xy[
-                    2 * zsub.ring_offsets[i] : 2 * zsub.ring_offsets[i + 1]
-                ]
-                for i in np.flatnonzero(keep_ring)
-            ]
-            vals = np.concatenate(pieces)
-        else:
-            vals = np.empty(0, dtype=np.float64)
+            src = src[rep]
+        n = len(src)
+        # ring values of the non-rectangle rows, concatenated in row order
+        width = np.where(zs.is_rect[src], 0, 2 * np.diff(zs.ring_offsets)[src])
+        byte_off = np.concatenate([[0], np.cumsum(width * 8)]).astype(np.int32)
+        first = 2 * zs.ring_offsets[src] - (np.cumsum(width) - width)
+        vals = zs.ring_xy[np.repeat(first, width) + np.arange(int(width.sum()))]
         blob_arr = pa.Array.from_buffers(
             pa.binary(), n,
             [None, pa.py_buffer(byte_off.tobytes()), pa.py_buffer(vals.tobytes())],
@@ -753,16 +767,16 @@ def spatial_join_points_sortmerge(
         zeros = np.zeros(n)
         return pa.table(
             {
-                "cell": out["cell"],
+                "cell": pa.array(cell, pa.int64()),
                 "side": pa.array(np.ones(n, dtype=np.int8)),
                 "key": pa.array(np.zeros(n, dtype=np.int64)),
-                "fid": out["fid"],
+                "fid": t["fid"].take(pa.array(src, pa.int64())),
                 x_col: zeros,
                 y_col: zeros,
-                "zxmin": zsub.bounds[:, 0],
-                "zxmax": zsub.bounds[:, 1],
-                "zymin": zsub.bounds[:, 2],
-                "zymax": zsub.bounds[:, 3],
+                "zxmin": zs.bounds[src, 0],
+                "zxmax": zs.bounds[src, 1],
+                "zymin": zs.bounds[src, 2],
+                "zymax": zs.bounds[src, 3],
                 "ring_blob": blob_arr,
             }
         )
@@ -811,25 +825,23 @@ def spatial_join_points_sortmerge(
             }
         )
 
-    # ONE range shuffle; the sorted union has two consumers below
-    both, blocks = _drop_empty_blocks(
+    # ONE range shuffle; each non-empty sorted block gets one join task
+    sorted_ds = (
         points.map_batches(prep_points, batch_format="pyarrow")
         .union(zones.map_batches(prep_zones, batch_format="pyarrow"))
         .sort("cell")
         .materialize()
     )
-    bnd_ref = _join_boundary_task.remote(
-        how, x_col, y_col, key_col, *[_boundary_rows_task.remote(b) for b in blocks]
+    joined = [
+        _join_block_task.remote(how, x_col, y_col, key_col, blk)
+        for bundle in sorted_ds.iter_internal_ref_bundles()
+        for blk, m in bundle.blocks
+        if m.num_rows  # a range sort emits empty, schema-less blocks
+    ]
+    bnd = _join_boundary_task.remote(
+        how, x_col, y_col, key_col, *[rows for _, _, rows in joined]
     )
-
-    def emit_pairs(batch: pa.Table) -> pa.Table:
-        # boundary cells are left to the boundary task
-        interior = ~_boundary_mask(batch["cell"].to_numpy())
-        return _join_sorted(batch, how, x_col, y_col, key_col, rows=interior)
-
-    return both.map_batches(emit_pairs, batch_format="pyarrow").union(
-        ray.data.from_arrow_refs(bnd_ref)
-    )
+    return _pair_dataset(sorted_ds, [(p, m) for p, m, _ in joined] + [bnd])
 
 
 # Zones above this row count stop being broadcast by default: the

@@ -12,10 +12,8 @@ import pytest
 from rsgislib_ray.functions.cells import cells_from_xy
 from rsgislib_ray.sources import testdata as td
 from rsgislib_ray.stages.spatial_join import (
-    _boundary_mask,
-    _boundary_rows,
+    _join_block,
     _join_boundary,
-    _join_sorted,
     spatial_join_points_sortmerge,
 )
 from tests.test_spatial_join import _even_odd
@@ -144,15 +142,9 @@ def test_interior_plus_boundary_equals_brute_force(how):
     blocks = [t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
     assert sum(3 in b["cell"].to_numpy() for b in blocks) == 3
 
-    outs = [
-        _join_sorted(
-            b, how, "x", "y", "pt_row", rows=~_boundary_mask(b["cell"].to_numpy())
-        )
-        for b in blocks
-    ]
-    outs.append(
-        _join_boundary(how, "x", "y", "pt_row", *[_boundary_rows(b) for b in blocks])
-    )
+    joined = [_join_block(how, "x", "y", "pt_row", b) for b in blocks]
+    outs = [pairs for pairs, _ in joined]
+    outs.append(_join_boundary(how, "x", "y", "pt_row", *[rows for _, rows in joined]))
     assert all(o.schema == PAIR_SCHEMA for o in outs)
     got = pa.concat_tables(outs)
     assert sorted(zip(got["pt_row"].to_pylist(), got["fid"].to_pylist())) == _brute(
@@ -284,7 +276,8 @@ def _executed_ops(stats: str) -> set[tuple[str, str]]:
 def test_salted_sortmerge_runs_one_shuffle(ray_session, sf_dir, monkeypatch):
     """Across every dataset the salted join builds, the executed
     operators hold exactly one all-to-all, the range ``Sort``, and no
-    ``Aggregate`` or ``MapGroups`` (read from ``Dataset.stats()``)."""
+    ``Aggregate`` or ``MapGroups``, and are exactly those of the count
+    pass and the shuffle (read from ``Dataset.stats()``)."""
     import ray.data
 
     src = ray.data.from_arrow(_skew_table(sf_dir)).repartition(8).materialize()
@@ -305,7 +298,18 @@ def test_salted_sortmerge_runs_one_shuffle(ray_session, sf_dir, monkeypatch):
     ops = set().union(*(_executed_ops(ds.stats()) for ds in made))
     ops -= _executed_ops(src.stats())  # the input's own repartition
     names = sorted(name for name, _ in ops)
-    assert "MapBatches(cnt_partial)" in names and "MapBatches(emit_pairs)" in names
+    # two executions: the count pass, then prep + union + Sort; the
+    # sorted blocks are joined by plain tasks, with no third execution
+    union = [n for n in names if n.startswith("Union")]
+    assert union and [n for n in names if n not in union] == [
+        "MapBatches(cnt_partial)",
+        "MapBatches(prep_points)",
+        "MapBatches(prep_zones)",
+        "Sort",
+    ], names
+    # the result keeps the range shuffle in its stats lineage
+    stats = out.stats()
+    assert "SortMap" in stats and "SortReduce" in stats
     assert not any("Aggregate" in n or "MapGroups" in n for n in names), names
     all_to_all = [n for n in names if n in ("Sort", "Repartition", "RandomShuffle")]
     assert all_to_all == ["Sort"], names

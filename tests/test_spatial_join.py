@@ -146,6 +146,16 @@ def test_unsupported_how_rejected_at_call(ray_session):
         spatial_join_points(pts, zones, how="outer")
     with pytest.raises(ValueError, match="unsupported how"):
         spatial_join_points_sortmerge(pts, zones, how="outer")
+    # salt parameters are checked when the join is built: a threshold
+    # or max_salt of 0 would copy each hot zone row 0 times (no pairs)
+    for kw, name in (
+        ({"salt_threshold": 0}, "salt_threshold"),
+        ({"salt_threshold": -3}, "salt_threshold"),
+        ({"salt_threshold": 2.5}, "salt_threshold"),
+        ({"salt_threshold": 5, "max_salt": 0}, "max_salt"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            spatial_join_points_sortmerge(pts, zones, **kw)
 
 
 def test_rect_fastpath_matches_ray_crossing(ray_session):
@@ -442,3 +452,50 @@ def test_match_points_equals_brute_force_in_order(with_triangles):
         pi, zi = zs.match_points(idx, px, py)
         np.testing.assert_array_equal(pi, want[:, 0])
         np.testing.assert_array_equal(zi, want[:, 1])
+
+
+@pytest.mark.parametrize("salt", [None, 2])
+def test_sortmerge_triangles_equal_brute_force(ray_session, salt):
+    """Sort-merge over rectangles and triangles (ring PIP refine, ring
+    blobs packed per covering cell and per salt) gives exactly the
+    brute-force even-odd pairs for every join mode; salted, a cell
+    holding a triangle is hot."""
+    import ray
+    import ray.data
+
+    from rsgislib_ray.functions.cells import cells_from_xy, covering_cells_bboxes
+    from rsgislib_ray.stages.spatial_join import ZoneSet
+
+    tbl, rings, px, py = _edge_layer(np.random.default_rng(11), 150, True)
+    key = np.arange(len(px), dtype=np.int64)
+    pts = pa.table({"pt_row": key * 3 + 1, "x": px, "y": py})
+    hit = {
+        k: [100 + z for z in range(len(rings)) if _even_odd(px[k], py[k], rings[z])]
+        for k in key
+    }
+    pairs = sorted((3 * k + 1, f) for k, fs in hit.items() for f in fs)
+    un = [(3 * k + 1, -1) for k, fs in hit.items() if not fs]
+    want = {
+        "inner": pairs,
+        "left": sorted(pairs + un),
+        "semi": [(3 * k + 1, -1) for k, fs in hit.items() if fs],
+        "anti": un,
+    }
+    assert want["inner"] and want["anti"]
+    if salt is not None:
+        cell = cells_from_xy(px, py, 6)
+        u, c = np.unique(cell[cell != -1], return_counts=True)
+        zs = ZoneSet.from_table(tbl)
+        owner, zcell = covering_cells_bboxes(
+            *(zs.bounds[:, i] for i in range(4)), 6
+        )
+        assert np.isin(zcell[~zs.is_rect[owner]], u[c > salt]).any()
+    for how in ("inner", "left", "semi", "anti"):
+        out = spatial_join_points_sortmerge(
+            ray.data.from_arrow(pts).repartition(4), tbl,
+            level=6, key_col="pt_row", how=how, salt_threshold=salt,
+        )
+        got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        assert sorted(zip(got["pt_row"].to_pylist(), got["fid"].to_pylist())) == (
+            want[how]
+        ), how
