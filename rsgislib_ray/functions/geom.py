@@ -73,25 +73,44 @@ def pip_pairs(
     pair_pt: np.ndarray,
     pair_poly: np.ndarray,
 ) -> np.ndarray:
-    """PIP refinement over candidate (point, polygon) pairs.
+    """PIP refinement over candidate (point, polygon) pairs — the
+    refine step after an STRtree/cell candidate pass. Returns bool per
+    pair, bit-identical to :func:`points_in_ring` on each pair.
 
-    Groups the pairs by polygon and runs :func:`points_in_ring` once per
-    distinct polygon with all its candidate points — the refine step
-    after an STRtree/cell candidate pass. Returns bool per pair.
+    Loops over EDGE INDEX, not over polygons: the pairs are ordered by
+    their polygon's edge count, descending, so step ``e`` tests edge
+    ``e`` of a prefix (every pair whose polygon has more than ``e``
+    edges) and XORs its crossings in. The cost is one vectorized pass
+    per edge of the largest ring, however many polygons there are.
     """
     out = np.zeros(len(pair_pt), dtype=bool)
     if len(pair_pt) == 0:
         return out
-    order = np.argsort(pair_poly, kind="stable")
-    sp = pair_poly[order]
-    bounds = np.flatnonzero(np.diff(sp)) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [len(sp)]])
-    for s, e in zip(starts, ends):
-        poly = int(sp[s])
-        idx = order[s:e]
-        ring = ring_xy[2 * ring_offsets[poly] : 2 * ring_offsets[poly + 1]]
-        out[idx] = points_in_ring(px[pair_pt[idx]], py[pair_pt[idx]], ring)
+    xs, ys = ring_xy[0::2], ring_xy[1::2]
+    start = ring_offsets[pair_poly]
+    m = ring_offsets[pair_poly + 1] - start
+    # drop an explicit closing vertex, as points_in_ring does
+    h = np.flatnonzero(m > 1)
+    first, last = start[h], start[h] + m[h] - 1
+    m[h] -= (xs[first] == xs[last]) & (ys[first] == ys[last])
+    order = np.argsort(-m, kind="stable")
+    m, start = m[order], start[order]
+    p_x = np.asarray(px, dtype=np.float64)[pair_pt[order]]
+    p_y = np.asarray(py, dtype=np.float64)[pair_pt[order]]
+    odd = np.zeros(len(order), dtype=bool)
+    neg_m = -m  # ascending
+    for e in range(int(m[0])):
+        k = int(np.searchsorted(neg_m, -e, "left"))  # pairs with m > e
+        s = start[:k]
+        i1 = s + e
+        i2 = s + np.where(e + 1 < m[:k], e + 1, 0)
+        x1, y1, x2, y2 = xs[i1], ys[i1], xs[i2], ys[i2]
+        q_y = p_y[:k]
+        crosses = (y1 > q_y) != (y2 > q_y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_at = x1 + (q_y - y1) * (x2 - x1) / (y2 - y1)
+        odd[:k] ^= crosses & (p_x[:k] < x_at)
+    out[order] = odd
     return out
 
 

@@ -17,12 +17,13 @@ What ships (BENCH_r05, sf0.1 at 32 CPUs, inner join):
    worker processes only fetch it, zero-copy, and stream point batches
    through — no shuffle at all.
 2. **Sort-merge** (``spatial_join_points_sortmerge``; both sides
-   large, inner/left/semi/anti, optional hot-cell salting; 1.77 s):
-   both sides union into ONE range shuffle on the cell key; each
-   sorted block is joined, vectorized, by one plain Ray task, which
-   also hands over the rows of the cells that may straddle a block
-   boundary; one more small task joins those. No other all-to-all,
-   and no Ray Data execution after the shuffle's.
+   large, inner/left/semi/anti, optional hot-cell salting; 1.77 s in
+   BENCH_r05, an earlier design): a count pass gives the exact
+   per-cell point histogram; the driver places range boundaries over
+   the (salted) cell key from it, so no cell straddles two partitions;
+   each block's rows are split by those boundaries and each partition
+   is joined, vectorized, by one plain Ray task. No Ray Data
+   all-to-all runs.
 3. ``spatial_join_auto`` picks broadcast while the zone side is under
    ``BROADCAST_ZONE_LIMIT`` rows, else sort-merge.
 
@@ -44,6 +45,7 @@ from ray.data.block import BlockMetadataWithSchema
 
 from rsgislib_ray.functions import cells as cellmod
 from rsgislib_ray.functions.geom import pip_pairs
+from rsgislib_ray.functions.hashing import splitmix64
 from rsgislib_ray.stages.segsum import combine
 from rsgislib_ray.state.broadcast import _MAX_ENTRIES, cached
 from rsgislib_ray.state.strtree import STRtree
@@ -412,11 +414,13 @@ def count_points_per_zone(
 
 
 def _default_join_partitions(requested: int | None) -> int:
-    """Clamp join partition count to the cluster's CPU count: Ray's
-    hash-shuffle join spawns ~one aggregator actor per partition, and
-    partitions >> CPUs oversubscribes a small cluster into ray.get
-    convoys (measured: 32 partitions on 4 CPUs runs minutes instead of
-    seconds)."""
+    """Clamp join partition count to the cluster's CPU count (at least
+    4): Ray's hash-shuffle join spawns ~one aggregator actor per
+    partition, and partitions >> CPUs oversubscribes a small cluster
+    into ray.get convoys (measured: 32 partitions on 4 CPUs runs
+    minutes instead of seconds). With ``None`` it is also the number of
+    exact-histogram key ranges of the sort-merge spatial join, one
+    plain join task each."""
     import ray as _ray
 
     cpus = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
@@ -487,14 +491,13 @@ def _join_arrays(pcell, pkey, ppx, ppy, zcell, zfid, zb, zv_lo, zv_hi, zvals):
     gp = np.flatnonzero(~is_rect_pair)
     if len(gp):
         gen_rows = np.flatnonzero(zwidth > 0)
-        goff = np.concatenate(
-            [[0], np.cumsum(zwidth[gen_rows] // 2)]
-        ).astype(np.int64)
-        gvals = (
-            np.concatenate([zvals[zv_lo[i] : zv_hi[i]] for i in gen_rows])
-            if len(gen_rows)
-            else np.empty(0)
-        )
+        gw = zwidth[gen_rows]
+        goff = np.concatenate([[0], np.cumsum(gw // 2)]).astype(np.int64)
+        # the rows' ring slices, concatenated in one gather
+        gvals = zvals[
+            np.repeat(zv_lo[gen_rows] - (np.cumsum(gw) - gw), gw)
+            + np.arange(int(gw.sum()))
+        ]
         row_to_gen = np.full(len(zcell), -1, dtype=np.int64)
         row_to_gen[gen_rows] = np.arange(len(gen_rows))
         ok[gp] = pip_pairs(
@@ -526,19 +529,17 @@ def _join_sorted(
     x_col: str,
     y_col: str,
     key_col: str,
-    rows: np.ndarray | None = None,
 ) -> pa.Table:
-    """Sort-merge run join over a cell-sorted union table (the rows
-    ``spatial_join_points_sortmerge`` shuffles), restricted to the
-    ``rows`` mask when given. Every cell must have all its rows inside
-    the selection. Emits ``(key_col, fid)`` per ``how``; an empty ``t``
-    (which may carry no schema) gives a typed empty table."""
+    """Sort-merge run join over a cell-sorted table of point and zone
+    rows (one key range of ``spatial_join_points_sortmerge``), which
+    must hold every row of each of its cells. Emits ``(key_col, fid)``
+    per ``how``; an empty ``t`` (which may carry no schema) gives a
+    typed empty table."""
     if t.num_rows == 0:
         e = np.empty(0, dtype=np.int64)
         return _emit_how(how, key_col, e, e, e, np.zeros(0, dtype=bool))
     cell = t["cell"].to_numpy()
     side = t["side"].to_numpy()
-    sel = np.ones(len(cell), dtype=bool) if rows is None else rows
     rb_off, rb_data = _split_blob(t["ring_blob"])
     vals = (
         np.frombuffer(
@@ -549,8 +550,8 @@ def _join_sorted(
         else np.empty(0)
     )
     voff = (rb_off - rb_off[0]) // 8
-    pi = np.flatnonzero(sel & (side == 0))
-    zi = np.flatnonzero(sel & (side == 1))
+    pi = np.flatnonzero(side == 0)
+    zi = np.flatnonzero(side == 1)
     pkeys = t["key"].to_numpy()[pi]
     if len(pi) and len(zi):
         keys, fids, matched = _join_arrays(
@@ -578,72 +579,260 @@ def _positive_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
 
 
-def _boundary_mask(cell: np.ndarray) -> np.ndarray:
-    """Rows of the first and last cell of one sorted block: the only
-    cells that can continue into a neighbouring block."""
-    return (cell == cell[0]) | (cell == cell[-1])
+# A salted join key is ``cell << _SALT_SHIFT | salt``.
+_SALT_SHIFT = np.int64(20)
 
 
-def _join_block(
-    how: str, x_col: str, y_col: str, key_col: str, t: pa.Table
-) -> tuple[pa.Table, pa.Table]:
-    """Join the interior cell runs of one non-empty sorted block, and
-    cut out its boundary-cell rows for :func:`_join_boundary`:
-    ``(pairs, boundary rows)``."""
-    bnd = _boundary_mask(t["cell"].to_numpy())
-    pairs = _join_sorted(t, how, x_col, y_col, key_col, rows=~bnd)
-    return pairs, t.filter(pa.array(bnd))
+def _expand(per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``i`` repeated ``per[i]`` times: (source row, copy number)
+    of each copy."""
+    rep = np.repeat(np.arange(len(per), dtype=np.int64), per)
+    within = np.arange(len(rep), dtype=np.int64) - np.repeat(
+        np.cumsum(per) - per, per
+    )
+    return rep, within
 
 
-def _join_boundary(
-    how: str, x_col: str, y_col: str, key_col: str, *parts: pa.Table
+def _hot_lookup(plan, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(is hot, salt count where hot) per cell under a salt plan."""
+    hc, s = plan
+    pos = np.searchsorted(hc, cell)
+    safe = np.minimum(pos, len(hc) - 1)
+    ishot = (pos < len(hc)) & (hc[safe] == cell)
+    return ishot, s[safe]
+
+
+@ray.remote(num_returns=2)
+def _cell_counts_task(block: pa.Table, x_col: str, y_col: str, level: int):
+    """One points block's in-frame point count per cell, with its block
+    metadata."""
+    cell = cellmod.cells_from_xy(
+        block[x_col].to_numpy(), block[y_col].to_numpy(), level
+    )
+    u, c = np.unique(cell[cell != -1], return_counts=True)
+    t = pa.table({"cell": u, "partial": c.astype(np.int64)})
+    return t, BlockMetadataWithSchema.from_block(t)
+
+
+def _cell_histogram(
+    blocks: list, x_col: str, y_col: str, level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cells ascending, in-frame point count of each) over the points
+    ``blocks``: one count task per block (at most one row per distinct
+    cell per block), summed by :func:`rsgislib_ray.stages.segsum.combine`."""
+    hist = combine(
+        _arrow_dataset(
+            [_cell_counts_task.remote(b, x_col, y_col, level) for b in blocks]
+        ),
+        "cell",
+        ["partial"],
+    )
+    return hist["cell"].to_numpy(), hist["partial"].to_numpy()
+
+
+def _salt_plan(cells: np.ndarray, n: np.ndarray, salt_threshold, max_salt: int):
+    """``(hot cells, salt counts)`` from the exact per-cell point counts
+    ``n``: the cells holding more than ``salt_threshold`` points, each
+    split into ``ceil(n / salt_threshold)`` salts, capped at
+    ``max_salt``. None when salting is off or no cell is hot."""
+    if salt_threshold is None:
+        return None
+    hot = n > salt_threshold
+    if not hot.any():
+        return None
+    return cells[hot], np.minimum(-(-n[hot] // int(salt_threshold)), max_salt)
+
+
+def _range_bounds(
+    cells: np.ndarray, n: np.ndarray, plan, parts: int
+) -> np.ndarray:
+    """``parts - 1`` ascending join-key boundaries that cut the key
+    space into ``parts`` ranges of about equal point count, placed from
+    the exact histogram: ``n[i]`` points in cell ``cells[i]`` (cells
+    ascending). The keys are the cells, or under a salt plan
+    ``cell << _SALT_SHIFT | salt``, each salt of a hot cell counting an
+    even share of its cell's points. A key goes to range
+    ``searchsorted(bounds, key, "right")``. Every boundary is a key, so
+    no key is split, and a range holds at most ``ceil(total / parts)``
+    points plus those of one key; ranges past the last key are empty
+    (boundary int64 max)."""
+    keys, w = cells, n
+    if plan is not None:
+        per = np.ones(len(cells), dtype=np.int64)
+        per[np.searchsorted(cells, plan[0])] = plan[1]
+        rep, salt = _expand(per)
+        keys = (cells[rep] << _SALT_SHIFT) | salt
+        w = n[rep] // per[rep] + (salt < n[rep] % per[rep])
+        # the shift wraps a cell's level bits out of int64: above level
+        # 21 the salted keys need not ascend with the cells
+        order = np.argsort(keys, kind="stable")
+        keys, w = keys[order], w[order]
+    # range of a key: where its first point falls in the running count
+    rng = (np.cumsum(w) - w) * parts // max(int(w.sum()), 1)
+    first = np.searchsorted(rng, np.arange(1, parts), "left")
+    return np.append(keys, np.iinfo(np.int64).max)[first]
+
+
+def _prep_zones(t: pa.Table, plan, level: int, x_col: str, y_col: str) -> pa.Table:
+    """Zone rows in the sort-merge row layout, one per covering cell,
+    and for a hot cell one per salt, keyed by (salted) cell."""
+    # one ZoneSet over the source rows; each row gathers from it
+    # through its source row index
+    zs = ZoneSet.from_table(t)
+    src, cell = cellmod.covering_cells_bboxes(
+        zs.bounds[:, 0], zs.bounds[:, 1], zs.bounds[:, 2], zs.bounds[:, 3], level
+    )
+    if plan is not None:
+        # replicate each hot cell's zone rows onto every salt
+        ishot, s_at = _hot_lookup(plan, cell)
+        rep, within = _expand(np.where(ishot, s_at, 1))
+        cell = np.where(
+            cell[rep] >= 0, (cell[rep] << _SALT_SHIFT) | within, cell[rep]
+        )
+        src = src[rep]
+    n = len(src)
+    # ring values of the non-rectangle rows, concatenated in row order
+    width = np.where(zs.is_rect[src], 0, 2 * np.diff(zs.ring_offsets)[src])
+    byte_off = np.concatenate([[0], np.cumsum(width * 8)]).astype(np.int32)
+    first = 2 * zs.ring_offsets[src] - (np.cumsum(width) - width)
+    vals = zs.ring_xy[np.repeat(first, width) + np.arange(int(width.sum()))]
+    blob_arr = pa.Array.from_buffers(
+        pa.binary(), n,
+        [None, pa.py_buffer(byte_off.tobytes()), pa.py_buffer(vals.tobytes())],
+    )
+    zeros = np.zeros(n)
+    return pa.table(
+        {
+            "cell": pa.array(cell, pa.int64()),
+            "side": pa.array(np.ones(n, dtype=np.int8)),
+            "key": pa.array(np.zeros(n, dtype=np.int64)),
+            "fid": pa.array(zs.fid[src]),
+            x_col: zeros,
+            y_col: zeros,
+            "zxmin": zs.bounds[src, 0],
+            "zxmax": zs.bounds[src, 1],
+            "zymin": zs.bounds[src, 2],
+            "zymax": zs.bounds[src, 3],
+            "ring_blob": blob_arr,
+        }
+    )
+
+
+def _prep_points(
+    batch: pa.Table, plan, level: int, x_col: str, y_col: str, key_col: str, how: str
 ) -> pa.Table:
-    """Join the boundary rows of every sorted block. ``parts`` come in
-    block order, so their concatenation is cell-sorted and holds every
-    row of each boundary cell."""
+    """Point rows in the sort-merge row layout, keyed by (salted) cell:
+    a hot cell's point takes salt ``splitmix64(key) % s``."""
+    cell = cellmod.cells_from_xy(
+        batch[x_col].to_numpy(), batch[y_col].to_numpy(), level
+    )
+    if plan is not None:
+        ishot, s_at = _hot_lookup(plan, cell)
+        keys64 = batch[key_col].to_numpy().astype(np.uint64)
+        salt = np.zeros(len(cell), dtype=np.int64)
+        salt[ishot] = (
+            splitmix64(keys64[ishot]) % s_at[ishot].astype(np.uint64)
+        ).astype(np.int64)
+        cell = np.where(cell >= 0, (cell << _SALT_SHIFT) | salt, cell)
+    # out-of-frame points (cell -1) stay in the stream for left/anti
+    # semantics: no zone ever maps to cell -1, so they flow through as
+    # unmatched; inner emits nothing for them
+    ok = np.ones(len(cell), dtype=bool) if how != "inner" else cell != -1
+    n = int(ok.sum())
+    empty_blob = pa.Array.from_buffers(
+        pa.binary(), n,
+        [None, pa.py_buffer(np.zeros(n + 1, dtype=np.int32).tobytes()),
+         pa.py_buffer(b"")],
+    )
+    zeros = np.zeros(n)
+    return pa.table(
+        {
+            "cell": pa.array(cell[ok], pa.int64()),
+            "side": pa.array(np.zeros(n, dtype=np.int8)),
+            "key": pa.array(batch[key_col].to_numpy()[ok].astype(np.int64)),
+            "fid": pa.array(np.zeros(n, dtype=np.int64)),
+            x_col: batch[x_col].to_numpy()[ok].astype(np.float64),
+            y_col: batch[y_col].to_numpy()[ok].astype(np.float64),
+            "zxmin": zeros,
+            "zxmax": zeros,
+            "zymin": zeros,
+            "zymax": zeros,
+            "ring_blob": empty_blob,
+        }
+    )
+
+
+def _range_split(t: pa.Table, bounds: np.ndarray) -> list[pa.Table]:
+    """``t`` sorted by its ``cell`` key and cut into the
+    ``len(bounds) + 1`` ranges of :func:`_range_bounds`."""
+    key = t["cell"].to_numpy()
+    order = np.argsort(key, kind="stable")
+    cut = np.searchsorted(key[order], bounds, "left")
+    t = t.take(pa.array(order))
+    edges = np.concatenate([[0], cut, [len(key)]])
+    return [t.slice(a, b - a) for a, b in zip(edges[:-1], edges[1:])]
+
+
+@ray.remote
+def _prep_task(prep, bounds: np.ndarray, block: pa.Table, plan, *args):
+    """One input block through ``prep`` into its range parts; called
+    with ``num_returns=len(bounds) + 1``."""
+    return tuple(_range_split(prep(block, plan, *args), bounds))
+
+
+def _join_range(how: str, x_col: str, y_col: str, key_col: str, *parts) -> pa.Table:
+    """Join one key range: its parts from every block, stable-sorted by
+    key (each part already is), then the run join."""
     t = pa.concat_tables(parts) if parts else pa.table({})
+    if t.num_rows:
+        t = t.take(pa.array(np.argsort(t["cell"].to_numpy(), kind="stable")))
     return _join_sorted(t, how, x_col, y_col, key_col)
 
 
 # The join tasks hand back each pair block's metadata with it, so the
 # result Dataset is built without a metadata task per block.
-@ray.remote(num_returns=3)
-def _join_block_task(*args):
-    pairs, bnd = _join_block(*args)
-    return pairs, BlockMetadataWithSchema.from_block(pairs), bnd
-
-
 @ray.remote(num_returns=2)
-def _join_boundary_task(*args):
-    pairs = _join_boundary(*args)
+def _join_range_task(*args):
+    pairs = _join_range(*args)
     return pairs, BlockMetadataWithSchema.from_block(pairs)
 
 
-def _pair_dataset(
-    sorted_ds: ray.data.MaterializedDataset, parts: list[tuple]
-) -> ray.data.MaterializedDataset:
-    """The ``(pair block ref, metadata ref)`` ``parts`` as one
-    materialized Dataset, in order, whose stats lineage continues
-    ``sorted_ds``'s, so ``Dataset.stats()`` of the join still shows
-    its range shuffle. Built the way ``Dataset.materialize`` builds
-    its result."""
-    from ray.data._internal.execution.interfaces import RefBundle
+def _arrow_dataset(parts: list) -> ray.data.MaterializedDataset:
+    """The ``(table ref, BlockMetadataWithSchema ref)`` ``parts`` as one
+    materialized Dataset, in order, built the way
+    ``ray.data.from_arrow_refs`` builds it, minus its metadata task per
+    block."""
     from ray.data._internal.logical.interfaces import LogicalPlan
-    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.logical.operators.from_operators import FromArrow
     from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
     from ray.data.dataset import MaterializedDataset
 
+    refs = [t for t, _ in parts]
     metas = ray.get([m for _, m in parts])
-    bundles = [
-        RefBundle(blocks=[(ref, m.metadata)], owns_blocks=False, schema=m.schema)
-        for (ref, _), m in zip(parts, metas)
-    ]
-    out = MaterializedDataset(
-        ExecutionPlan(sorted_ds._plan.stats(), data_context=sorted_ds.context),
-        LogicalPlan(InputData(input_data=bundles), sorted_ds.context),
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": metas}, parent=None),
+        DataContext.get_current().copy(),
     )
-    out._plan.execute()  # no-op that marks the plan executed
+    out = MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
+    # marks the plan executed, without an executor (its source holds the
+    # blocks), so iterating the result starts no execution
+    out._plan.execute()
     return out
+
+
+def _block_refs(ds: ray.data.Dataset) -> list:
+    """Refs of the non-empty blocks of ``ds``, executing it once.
+    ``materialize`` returns the blocks of an input that already holds
+    them (``from_arrow``, a materialized Dataset) without starting an
+    execution, which ``iter_internal_ref_bundles`` alone would."""
+    return [
+        blk
+        for bundle in ds.materialize().iter_internal_ref_bundles()
+        for blk, m in bundle.blocks
+        if m.num_rows
+    ]
 
 
 def spatial_join_points_sortmerge(
@@ -657,21 +846,32 @@ def spatial_join_points_sortmerge(
     salt_threshold: int | None = None,
     max_salt: int = 64,
 ) -> ray.data.Dataset:
-    """Both-sides-large spatial join, SORT-MERGE strategy.
+    """Both-sides-large spatial join, SORT-MERGE strategy over
+    exact-histogram range partitions. No Ray Data all-to-all runs.
 
-    Both sides union into ONE range shuffle (``sort("cell")``), the
-    only all-to-all of the join. Each non-empty sorted block then goes
-    to one plain Ray task that joins its interior cell runs vectorized
-    (searchsorted expansion + inline PIP refine — no pair rows ever
-    materialize through a shuffle) and hands back, with the pairs, the
-    rows of the cells that may straddle a block boundary (the block's
-    first and last cell). ONE task joins those, in block order, with
-    the same kernel. That set is at most the rows of 2 cells per block
-    — with salting, at most 2 x blocks x (``salt_threshold`` + the hot
-    cell's zone copies) — and is never fetched by the caller.
-    The result is materialized: the interior pair blocks in block
-    order, then the boundary pairs, with the range shuffle kept in its
-    ``stats()`` lineage.
+    1. The points' blocks are taken once (a lazy input executes once).
+       One plain Ray task per block counts its points per level-``level``
+       cell; :func:`rsgislib_ray.stages.segsum.combine` sums the counts
+       exactly (int64) into the per-cell histogram.
+    2. The driver derives the salt plan and
+       ``_default_join_partitions(None)`` range boundaries over the
+       (salted) cell key from that histogram (:func:`_range_bounds`):
+       boundaries fall between whole keys, so no cell straddles two
+       partitions, and a partition holds at most its even share of the
+       points plus one key's.
+    3. One plain task per points block and per zone block builds its
+       rows in the sort-merge layout (:func:`_prep_points`,
+       :func:`_prep_zones`), sorts them by key and returns one part per
+       partition.
+    4. One plain task per partition concatenates its parts, stable-sorts
+       them by key and joins the cell runs vectorized
+       (:func:`_join_sorted`: searchsorted expansion + inline PIP
+       refine).
+
+    The result is materialized: one pair block per partition, in key
+    order. The boundaries come from the data, not from a random sample,
+    so for the same input blocks the output blocks are the same, row
+    order included.
     Output contract: (key_col, fid) int64 pair rows for
     ``how="inner"``; ``"left"`` adds unmatched points with fid=-1;
     ``"semi"`` / ``"anti"`` emit one (key_col, fid=-1) row per matched
@@ -680,18 +880,15 @@ def spatial_join_points_sortmerge(
     (tested).
 
     ``salt_threshold`` enables HOT-CELL SALTING (VERDICT r3 #9 — the
-    skew path): a count pass emits one partial per distinct cell per
-    batch, and :func:`rsgislib_ray.stages.segsum.combine` sums them
-    exactly (int64) into the cells holding more than
-    ``salt_threshold`` points; each hot cell's points spread over
-    ``ceil(n/threshold)`` (capped ``max_salt``) salted sub-keys by
-    point-key hash, and the hot cell's ZONE rows replicate onto every
-    salt — so a cell holding 30% of the corpus becomes s balanced sort
-    keys instead of one giant boundary run, with identical output
-    pairs (each point keeps exactly one salt; its zone copies are
-    unique per salt). ``salt_threshold`` must be None or an int >= 1,
-    and ``max_salt`` an int >= 1: a ValueError says so when the join
-    is built.
+    skew path): each cell holding more than ``salt_threshold`` points
+    spreads its points over ``ceil(n/threshold)`` (capped ``max_salt``)
+    salted sub-keys by point-key hash, and the hot cell's ZONE rows
+    replicate onto every salt — so a cell holding 30% of the corpus
+    becomes s keys that the boundaries can place in different
+    partitions, with identical output pairs (each point keeps exactly
+    one salt; its zone copies are unique per salt). ``salt_threshold``
+    must be None or an int >= 1, and ``max_salt`` an int >= 1: a
+    ValueError says so when the join is built.
     """
     if how not in JOIN_HOWS:
         raise ValueError(f"unsupported how={how!r}")
@@ -701,147 +898,30 @@ def spatial_join_points_sortmerge(
         )
     if not _positive_int(max_salt):
         raise ValueError(f"max_salt must be an int >= 1, got {max_salt!r}")
-    if isinstance(zones, pa.Table):
-        zones = ray.data.from_arrow(zones)
+    pblocks = _block_refs(points)
+    zblocks = [zones] if isinstance(zones, pa.Table) else _block_refs(zones)
 
-    _SALT_SHIFT = np.int64(20)
-    salt_ref = None
-    if salt_threshold is not None:
-        def cnt_partial(batch: pa.Table) -> pa.Table:
-            cell = cellmod.cells_from_xy(
-                batch[x_col].to_numpy(), batch[y_col].to_numpy(), level
-            )
-            u, c = np.unique(cell[cell != -1], return_counts=True)
-            return pa.table({"cell": u, "partial": c.astype(np.int64)})
+    cells, n = _cell_histogram(pblocks, x_col, y_col, level)
+    plan = _salt_plan(cells, n, salt_threshold, max_salt)
+    bounds = _range_bounds(cells, n, plan, _default_join_partitions(None))
+    plan_ref = None if plan is None else ray.put(plan)
 
-        # at most one row per distinct cell per batch
-        agg = combine(
-            points.map_batches(cnt_partial, batch_format="pyarrow", batch_size=65536),
-            "cell",
-            ["partial"],
+    prep = _prep_task.options(num_returns=len(bounds) + 1)
+    parts = [
+        prep.remote(
+            _prep_points, bounds, b, plan_ref, level, x_col, y_col, key_col, how
         )
-        cells, n = agg["cell"].to_numpy(), agg["partial"].to_numpy()
-        hot = n > salt_threshold
-        if hot.any():
-            s = np.minimum(-(-n[hot] // int(salt_threshold)), max_salt)
-            salt_ref = ray.put((cells[hot], s))
-
-    def _hot_lookup(cell: np.ndarray):
-        hc, s = cached(salt_ref)
-        pos = np.searchsorted(hc, cell)
-        safe = np.minimum(pos, len(hc) - 1)
-        ishot = (pos < len(hc)) & (hc[safe] == cell)
-        return ishot, s[safe]
-
-    def prep_zones(t: pa.Table) -> pa.Table:
-        # one ZoneSet over the source rows; each union row (one per
-        # covering cell, then one per salt of a hot cell) gathers from
-        # it through its source row index
-        zs = ZoneSet.from_table(t)
-        src, cell = cellmod.covering_cells_bboxes(
-            zs.bounds[:, 0], zs.bounds[:, 1], zs.bounds[:, 2], zs.bounds[:, 3],
-            level,
-        )
-        if salt_ref is not None:
-            # replicate each hot cell's zone rows onto every salt
-            ishot, s_at = _hot_lookup(cell)
-            per = np.where(ishot, s_at, 1)
-            rep = np.repeat(np.arange(len(cell), dtype=np.int64), per)
-            within = np.arange(len(rep), dtype=np.int64) - np.repeat(
-                np.cumsum(per) - per, per
-            )
-            cell = np.where(
-                cell[rep] >= 0, (cell[rep] << _SALT_SHIFT) | within, cell[rep]
-            )
-            src = src[rep]
-        n = len(src)
-        # ring values of the non-rectangle rows, concatenated in row order
-        width = np.where(zs.is_rect[src], 0, 2 * np.diff(zs.ring_offsets)[src])
-        byte_off = np.concatenate([[0], np.cumsum(width * 8)]).astype(np.int32)
-        first = 2 * zs.ring_offsets[src] - (np.cumsum(width) - width)
-        vals = zs.ring_xy[np.repeat(first, width) + np.arange(int(width.sum()))]
-        blob_arr = pa.Array.from_buffers(
-            pa.binary(), n,
-            [None, pa.py_buffer(byte_off.tobytes()), pa.py_buffer(vals.tobytes())],
-        )
-        zeros = np.zeros(n)
-        return pa.table(
-            {
-                "cell": pa.array(cell, pa.int64()),
-                "side": pa.array(np.ones(n, dtype=np.int8)),
-                "key": pa.array(np.zeros(n, dtype=np.int64)),
-                "fid": t["fid"].take(pa.array(src, pa.int64())),
-                x_col: zeros,
-                y_col: zeros,
-                "zxmin": zs.bounds[src, 0],
-                "zxmax": zs.bounds[src, 1],
-                "zymin": zs.bounds[src, 2],
-                "zymax": zs.bounds[src, 3],
-                "ring_blob": blob_arr,
-            }
-        )
-
-    def prep_points(batch: pa.Table) -> pa.Table:
-        cell = cellmod.cells_from_xy(
-            batch[x_col].to_numpy(), batch[y_col].to_numpy(), level
-        )
-        if salt_ref is not None:
-            from rsgislib_ray.functions.hashing import splitmix64
-
-            ishot, s_at = _hot_lookup(cell)
-            keys64 = batch[key_col].to_numpy().astype(np.uint64)
-            salt = np.zeros(len(cell), dtype=np.int64)
-            if ishot.any():
-                salt[ishot] = (
-                    splitmix64(keys64[ishot]) % s_at[ishot].astype(np.uint64)
-                ).astype(np.int64)
-            cell = np.where(cell >= 0, (cell << _SALT_SHIFT) | salt, cell)
-        # out-of-frame points (cell -1) stay in the stream for
-        # left/anti semantics: no zone ever maps to cell -1, so they
-        # flow through as unmatched; inner emits nothing for them
-        ok = np.ones(len(cell), dtype=bool) if how != "inner" else cell != -1
-        n = int(ok.sum())
-        empty_blob = pa.Array.from_buffers(
-            pa.binary(), n,
-            [None, pa.py_buffer(np.zeros(n + 1, dtype=np.int32).tobytes()),
-             pa.py_buffer(b"")],
-        )
-        zeros = np.zeros(n)
-        return pa.table(
-            {
-                "cell": pa.array(cell[ok], pa.int64()),
-                "side": pa.array(np.zeros(n, dtype=np.int8)),
-                "key": pa.array(
-                    batch[key_col].to_numpy()[ok].astype(np.int64)
-                ),
-                "fid": pa.array(np.zeros(n, dtype=np.int64)),
-                x_col: batch[x_col].to_numpy()[ok].astype(np.float64),
-                y_col: batch[y_col].to_numpy()[ok].astype(np.float64),
-                "zxmin": zeros,
-                "zxmax": zeros,
-                "zymin": zeros,
-                "zymax": zeros,
-                "ring_blob": empty_blob,
-            }
-        )
-
-    # ONE range shuffle; each non-empty sorted block gets one join task
-    sorted_ds = (
-        points.map_batches(prep_points, batch_format="pyarrow")
-        .union(zones.map_batches(prep_zones, batch_format="pyarrow"))
-        .sort("cell")
-        .materialize()
-    )
-    joined = [
-        _join_block_task.remote(how, x_col, y_col, key_col, blk)
-        for bundle in sorted_ds.iter_internal_ref_bundles()
-        for blk, m in bundle.blocks
-        if m.num_rows  # a range sort emits empty, schema-less blocks
+        for b in pblocks
+    ] + [
+        prep.remote(_prep_zones, bounds, b, plan_ref, level, x_col, y_col)
+        for b in zblocks
     ]
-    bnd = _join_boundary_task.remote(
-        how, x_col, y_col, key_col, *[rows for _, _, rows in joined]
+    return _arrow_dataset(
+        [
+            _join_range_task.remote(how, x_col, y_col, key_col, *[p[i] for p in parts])
+            for i in range(len(bounds) + 1)
+        ]
     )
-    return _pair_dataset(sorted_ds, [(p, m) for p, m, _ in joined] + [bnd])
 
 
 # Zones above this row count stop being broadcast by default: the
@@ -861,9 +941,9 @@ def spatial_join_auto(
 ) -> ray.data.Dataset:
     """Strategy-selecting entry point for the inner point-in-polygon
     join: BROADCAST (zero-shuffle, index built once per session) while the
-    zone side fits comfortably, else SORT-MERGE (one range shuffle +
-    vectorized run join — the fastest both-sides-large strategy, see
-    BASELINE.md). Both strategies emit identical rows (tested)."""
+    zone side fits comfortably, else SORT-MERGE (exact-histogram range
+    partitions + vectorized run join — the fastest both-sides-large
+    strategy, see BASELINE.md). Both strategies emit identical rows (tested)."""
     n_zones = (
         zones.num_rows if isinstance(zones, pa.Table) else zones.count()
     )
@@ -903,17 +983,11 @@ def attach_zone_attrs(
         sfid, attrs = cached(ref)
         f = batch[fid_col].to_numpy().astype(np.int64)
         pos = np.minimum(np.searchsorted(sfid, f), len(sfid) - 1)
-        ok = sfid[pos] == f  # left-join rows with fid=-1 keep nulls
-        taken = attrs.take(pa.array(np.where(ok, pos, 0)))
+        ok = sfid[pos] == f  # left-join rows with fid=-1 take nulls
+        taken = attrs.take(pa.array(pos, mask=~ok))
         out = batch
         for name in taken.column_names:
-            col = taken[name].combine_chunks()
-            if not ok.all():
-                col = pa.array(
-                    [col[i].as_py() if ok[i] else None for i in range(len(ok))],
-                    type=col.type,
-                )
-            out = out.append_column(f"{prefix}{name}", col)
+            out = out.append_column(f"{prefix}{name}", taken[name])
         return out
 
     return pairs.map_batches(fan, batch_format="pyarrow")

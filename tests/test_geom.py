@@ -94,6 +94,37 @@ def test_pip_pairs_grouped_refine():
         )
 
 
+def test_pip_pairs_equals_points_in_ring_per_pair():
+    """Rings of 3 to 40 vertices on a half-integer lattice, every third
+    with an explicit closing vertex, with horizontal edges and points on
+    edges and vertices: each pair equals ``points_in_ring``, whatever
+    the pair order and the mix of ring sizes."""
+    rng = np.random.default_rng(3)
+    rings = []
+    for j in range(60):
+        k = int(rng.integers(3, 41))
+        xy = rng.integers(0, 24, (k, 2)) / 2.0
+        xy[1::4, 1] = xy[0::4, 1][: len(xy[1::4])]  # horizontal edges
+        if j % 3 == 0:
+            xy = np.vstack([xy, xy[:1]])
+        rings.append(xy.ravel())
+    offsets = np.concatenate([[0], np.cumsum([len(r) // 2 for r in rings])])
+    ring_xy = np.concatenate(rings)
+    px = rng.integers(-2, 26, 400) / 2.0
+    py = rng.integers(-2, 26, 400) / 2.0
+    pair_pt = rng.integers(0, len(px), 5000)
+    pair_poly = rng.integers(0, len(rings), 5000)
+    got = G.pip_pairs(px, py, ring_xy, offsets, pair_pt, pair_poly)
+    want = np.array(
+        [
+            G.points_in_ring(px[p : p + 1], py[p : p + 1], rings[z])[0]
+            for p, z in zip(pair_pt, pair_poly)
+        ]
+    )
+    np.testing.assert_array_equal(got, want)
+    assert 0 < want.sum() < len(want)
+
+
 def test_clip_polygon_convex():
     from rsgislib_ray.functions.geom import clip_polygon_convex
 

@@ -461,7 +461,6 @@ OWN_SHUFFLE = {
     "semivariogram_copart",
     "event_retention",
     "bpe_pair_counts",
-    "sortmerge_salt_plan",
 }
 
 

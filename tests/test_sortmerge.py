@@ -1,6 +1,7 @@
-"""Sort-merge join internals: the run-join kernel over interior and
-boundary rows, the salt plan summed by the caller, the output block
-schema and the single-shuffle plan shape."""
+"""Sort-merge join internals: the run-join kernel over range
+partitions, the exact cell histogram, the salt plan and range
+boundaries derived from it, deterministic output blocks with the pair
+schema, and a plan with no all-to-all."""
 
 import re
 
@@ -12,8 +13,14 @@ import pytest
 from rsgislib_ray.functions.cells import cells_from_xy
 from rsgislib_ray.sources import testdata as td
 from rsgislib_ray.stages.spatial_join import (
-    _join_block,
-    _join_boundary,
+    _SALT_SHIFT,
+    _cell_histogram,
+    _join_range,
+    _prep_points,
+    _prep_zones,
+    _range_bounds,
+    _range_split,
+    _salt_plan,
     spatial_join_points_sortmerge,
 )
 from tests.test_spatial_join import _even_odd
@@ -35,28 +42,8 @@ def _skew_table(sf_dir):
     return pa.table({"pt_row": pid, "x": x, "y": y})
 
 
-def _plan_spy(monkeypatch):
-    """Capture the (hcells, s) salt plan handed to ray.put."""
-    import ray
-
-    captured = {}
-    orig_put = ray.put
-
-    def spy(obj, *a, **k):
-        if (
-            isinstance(obj, tuple)
-            and len(obj) == 2
-            and all(isinstance(o, np.ndarray) for o in obj)
-        ):
-            captured["plan"] = obj
-        return orig_put(obj, *a, **k)
-
-    monkeypatch.setattr(ray, "put", spy)
-    return captured
-
-
 # ---------------------------------------------------------------------------
-# kernel: interior + boundary == brute force
+# kernel: each range partition joined on its own == brute force
 # ---------------------------------------------------------------------------
 
 
@@ -64,7 +51,7 @@ def _hand_union(rng):
     """A cell-sorted union table in the sort-merge row layout: lattice
     points (some off-frame, cell -1) and integer rectangles plus
     triangles (ring rows), each zone copied into 1-2 cells. Cell 3 is
-    given most of the rows so it can span three blocks."""
+    given most of the rows."""
     cells = np.array([1, 2, 3, 3, 3, 3, 3, 3, 4, 5, 6])
     gx, gy = np.meshgrid(np.arange(0, 4.01, 0.5), np.arange(0, 4.01, 0.5))
     px, py = gx.ravel(), gy.ravel()
@@ -133,67 +120,149 @@ def _brute(t, zones, how):
 
 
 @pytest.mark.parametrize("how", HOWS)
-def test_interior_plus_boundary_equals_brute_force(how):
-    t, zones = _hand_union(np.random.default_rng(7))
-    cell = t["cell"].to_numpy()
-    lo3, hi3 = np.searchsorted(cell, 3), np.searchsorted(cell, 3, "right")
-    assert hi3 - lo3 >= 6
-    cuts = [0, lo3 - 2, lo3 + 2, hi3 - 2, hi3 + 3, len(t)]
-    blocks = [t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
-    assert sum(3 in b["cell"].to_numpy() for b in blocks) == 3
-
-    joined = [_join_block(how, "x", "y", "pt_row", b) for b in blocks]
-    outs = [pairs for pairs, _ in joined]
-    outs.append(_join_boundary(how, "x", "y", "pt_row", *[rows for _, rows in joined]))
-    assert all(o.schema == PAIR_SCHEMA for o in outs)
-    got = pa.concat_tables(outs)
-    assert sorted(zip(got["pt_row"].to_pylist(), got["fid"].to_pylist())) == _brute(
-        t, zones, how
-    )
+def test_range_partitions_equal_brute_force(how):
+    """The union rows, shuffled into two blocks, each block cut by
+    :func:`_range_split` at boundaries from the points' cell histogram,
+    and each range joined on its own by :func:`_join_range`: together
+    exactly the brute-force rows, for every partition count."""
+    rng = np.random.default_rng(7)
+    t, zones = _hand_union(rng)
+    cell, side = t["cell"].to_numpy(), t["side"].to_numpy()
+    cells, n = np.unique(cell[(side == 0) & (cell != -1)], return_counts=True)
+    shuffled = t.take(pa.array(rng.permutation(len(t))))
+    blocks = [shuffled.slice(0, 40), shuffled.slice(40)]
+    want = _brute(t, zones, how)
+    for parts in (1, 3, 5):
+        bounds = _range_bounds(cells, n, None, parts)
+        split = [_range_split(b, bounds) for b in blocks]
+        assert all(len(sp) == parts for sp in split)
+        ranges = [[sp[i] for sp in split] for i in range(parts)]
+        assert sum(any(p.num_rows for p in r) for r in ranges) >= min(parts, 2)
+        outs = [_join_range(how, "x", "y", "pt_row", *r) for r in ranges]
+        assert all(o.schema == PAIR_SCHEMA for o in outs)
+        got = pa.concat_tables(outs)
+        assert sorted(
+            zip(got["pt_row"].to_pylist(), got["fid"].to_pylist())
+        ) == want, parts
     if how == "inner":
-        assert got.num_rows > 20
+        assert len(want) > 20
 
 
-def test_join_boundary_with_no_blocks_is_typed_empty():
+def test_join_range_with_no_rows_is_typed_empty():
+    t, _ = _hand_union(np.random.default_rng(7))
     for how in HOWS:
-        out = _join_boundary(how, "x", "y", "pt_row")
-        assert out.num_rows == 0 and out.schema == PAIR_SCHEMA
+        for parts in ((), (t.slice(0, 0), t.slice(3, 0))):
+            out = _join_range(how, "x", "y", "pt_row", *parts)
+            assert out.num_rows == 0 and out.schema == PAIR_SCHEMA
 
 
 # ---------------------------------------------------------------------------
-# salt plan
+# cell histogram, salt plan and range boundaries
 # ---------------------------------------------------------------------------
 
 
-def test_salt_plan_equals_naive_count(ray_session, sf_dir, monkeypatch):
-    import ray.data
-
+def _two_hot_spots(sf_dir):
+    """The skew corpus plus a second, smaller hot spot, so a plan holds
+    a capped and an uncapped cell."""
     skew = _skew_table(sf_dir)
-    # a second, smaller hot spot, so the plan holds a capped and an
-    # uncapped cell
     x, y = skew["x"].to_numpy().copy(), skew["y"].to_numpy().copy()
     second = skew["pt_row"].to_numpy() % 10 == 3
     x[second] = 25.0 + (x[second] - np.floor(x[second])) / 2
     y[second] = 25.0 + (y[second] - np.floor(y[second])) / 2
-    skew = pa.table({"pt_row": skew["pt_row"], "x": x, "y": y})
-    captured = _plan_spy(monkeypatch)
+    return pa.table({"pt_row": skew["pt_row"], "x": x, "y": y})
+
+
+def _naive_counts(pts):
+    cell = cells_from_xy(pts["x"].to_numpy(), pts["y"].to_numpy(), 6)
+    return np.unique(cell[cell != -1], return_counts=True)
+
+
+def test_salt_plan_equals_naive_count(ray_session, sf_dir):
+    import ray
+
+    skew = _two_hot_spots(sf_dir)
+    step = -(-skew.num_rows // 8)
+    blocks = [ray.put(skew.slice(i, step)) for i in range(0, skew.num_rows, step)]
+    cells, n = _cell_histogram(blocks, "x", "y", 6)
+    u, c = _naive_counts(skew)
+    assert cells.dtype == np.int64 and n.dtype == np.int64
+    np.testing.assert_array_equal(cells, u)
+    np.testing.assert_array_equal(n, c)
     threshold, max_salt = 100, 4
-    spatial_join_points_sortmerge(
-        ray.data.from_arrow(skew).repartition(8), td.zones_from_part(sf_dir),
-        level=6, key_col="pt_row", salt_threshold=threshold, max_salt=max_salt,
-    ).count()
-    cell = cells_from_xy(skew["x"].to_numpy(), skew["y"].to_numpy(), 6)
-    u, c = np.unique(cell[cell != -1], return_counts=True)
     hot = c > threshold
     assert hot.sum() == 2
-    hcells, s = captured["plan"]
+    hcells, s = _salt_plan(cells, n, threshold, max_salt)
     assert hcells.dtype == np.int64 and s.dtype == np.int64
     np.testing.assert_array_equal(hcells, u[hot])
     np.testing.assert_array_equal(s, np.minimum(-(-c[hot] // threshold), max_salt))
     assert (s == max_salt).any() and (s < max_salt).any()
+    assert _salt_plan(cells, n, None, max_salt) is None
+    assert _salt_plan(cells, n, int(c.max()), max_salt) is None
 
 
-def test_all_off_frame_points_build_no_plan(ray_session, sf_dir, monkeypatch):
+def _naive_keys(cells, n, plan):
+    """(join key, planned points) per key: a cell, or each salt of a hot
+    cell with an even share of its points (the first n % s salts take
+    one more)."""
+    hot = {} if plan is None else dict(zip(plan[0].tolist(), plan[1].tolist()))
+    keys, w = [], []
+    for c, k in zip(cells.tolist(), n.tolist()):
+        if plan is None:
+            keys.append(c)
+            w.append(k)
+            continue
+        s = hot.get(c, 1)
+        salted = (np.full(s, c, dtype=np.int64) << _SALT_SHIFT) | np.arange(s)
+        for j in range(s):
+            keys.append(salted[j])
+            w.append(k // s + (j < k % s))
+    return np.array(keys, dtype=np.int64), np.array(w, dtype=np.int64)
+
+
+@pytest.mark.parametrize("salt", [None, 200])
+def test_range_bounds_keep_keys_whole_and_balance(sf_dir, salt):
+    """Boundaries from the exact histogram: every key, point or zone,
+    lands in exactly one range, and each range plans at most
+    ceil(total / P) points plus the largest single key's; unsalted,
+    that bound holds for the rows the split really produces."""
+    skew = _two_hot_spots(sf_dir)
+    zones = td.zones_from_part(sf_dir)
+    cells, n = _naive_counts(skew)
+    plan = _salt_plan(cells, n, salt, 64)
+    assert (plan is None) == (salt is None)
+    keys, w = _naive_keys(cells, n, plan)
+    total = int(w.sum())
+    half = skew.num_rows // 2
+    for parts in (1, 2, 4, 7, 16):
+        bounds = _range_bounds(cells, n, plan, parts)
+        assert bounds.dtype == np.int64 and len(bounds) == parts - 1
+        assert (np.diff(bounds) >= 0).all()
+        planned = np.bincount(
+            np.searchsorted(bounds, keys, "right"), weights=w, minlength=parts
+        )
+        assert planned.max() <= -(-total // parts) + w.max(), parts
+        split = [
+            _range_split(
+                _prep_points(b, plan, 6, "x", "y", "pt_row", "inner"), bounds
+            )
+            for b in (skew.slice(0, half), skew.slice(half))
+        ]
+        split.append(_range_split(_prep_zones(zones, plan, 6, "x", "y"), bounds))
+        per_range = [
+            set(np.concatenate([sp[i]["cell"].to_numpy() for sp in split]).tolist())
+            for i in range(parts)
+        ]
+        assert sum(map(len, per_range)) == len(set().union(*per_range)), parts
+        if plan is None:
+            real = [
+                sum(int((sp[i]["side"].to_numpy() == 0).sum()) for sp in split[:2])
+                for i in range(parts)
+            ]
+            assert sum(real) == total
+            assert max(real) <= -(-total // parts) + int(n.max()), parts
+
+
+def test_all_off_frame_points_build_no_plan(ray_session, sf_dir):
     import ray
     import ray.data
 
@@ -206,8 +275,10 @@ def test_all_off_frame_points_build_no_plan(ray_session, sf_dir, monkeypatch):
         }
     )
     assert (cells_from_xy(pts["x"].to_numpy(), pts["y"].to_numpy(), 6) == -1).all()
+    cells, counts = _cell_histogram([ray.put(pts)], "x", "y", 6)
+    assert len(cells) == 0 and _salt_plan(cells, counts, 1, 64) is None
+    assert (_range_bounds(cells, counts, None, 4) == np.iinfo(np.int64).max).all()
     zones = td.zones_from_part(sf_dir)
-    captured = _plan_spy(monkeypatch)
 
     def run(how, salt):
         out = spatial_join_points_sortmerge(
@@ -219,7 +290,6 @@ def test_all_off_frame_points_build_no_plan(ray_session, sf_dir, monkeypatch):
 
     for how in HOWS:
         assert run(how, 1) == run(how, None), how
-    assert "plan" not in captured
     assert run("anti", 1) == [(i, -1) for i in range(n)]
 
 
@@ -230,11 +300,14 @@ def test_all_off_frame_points_build_no_plan(ray_session, sf_dir, monkeypatch):
 
 @pytest.mark.parametrize("how", HOWS)
 def test_output_blocks_carry_pair_schema(ray_session, sf_dir, how):
-    """Every raw output block is (pt_row int64, fid int64), so the
-    blocks concatenate as-is — on the salted skew corpus, and on one
-    whose points all share a cell, so most sorted blocks are empty."""
+    """Every raw output block, one per range partition, is (pt_row
+    int64, fid int64), so the blocks concatenate as-is — on the salted
+    skew corpus, and on one whose points all share a cell, so all but
+    one range is empty."""
     import ray
     import ray.data
+
+    from rsgislib_ray.stages.spatial_join import _default_join_partitions
 
     skew = _skew_table(sf_dir)
     one_cell = skew.set_column(1, "x", pa.array(np.full(skew.num_rows, 50.5)))
@@ -246,8 +319,33 @@ def test_output_blocks_carry_pair_schema(ray_session, sf_dir, how):
             level=6, key_col="pt_row", how=how, salt_threshold=salt,
         )
         blocks = ray.get(out.to_arrow_refs())
+        assert len(blocks) == _default_join_partitions(None)
         assert all(b.schema == PAIR_SCHEMA for b in blocks)
         assert pa.concat_tables(blocks).num_rows == out.count()
+    assert sum(b.num_rows > 0 for b in blocks) <= 1
+
+
+def test_salted_join_output_blocks_are_deterministic(ray_session, sf_dir):
+    """Two runs of the salted join on one input give equal output block
+    lists: the same rows in the same order, split into the same blocks.
+    The range boundaries come from the exact histogram, not from a
+    random sample."""
+    import ray
+    import ray.data
+
+    src = ray.data.from_arrow(_skew_table(sf_dir)).repartition(8).materialize()
+    zones = td.zones_from_part(sf_dir)
+
+    def blocks():
+        out = spatial_join_points_sortmerge(
+            src, zones, level=6, key_col="pt_row", salt_threshold=200
+        )
+        return ray.get(out.to_arrow_refs())
+
+    a, b = blocks(), blocks()
+    assert [t.num_rows for t in a] == [t.num_rows for t in b]
+    assert sum(t.num_rows > 0 for t in a) > 1
+    assert all(x.equals(y) for x, y in zip(a, b))
 
 
 _OP = re.compile(r"^Operator \d+ (.+?): (.*)$")
@@ -273,16 +371,19 @@ def _executed_ops(stats: str) -> set[tuple[str, str]]:
     return out
 
 
-def test_salted_sortmerge_runs_one_shuffle(ray_session, sf_dir, monkeypatch):
-    """Across every dataset the salted join builds, the executed
-    operators hold exactly one all-to-all, the range ``Sort``, and no
-    ``Aggregate`` or ``MapGroups``, and are exactly those of the count
-    pass and the shuffle (read from ``Dataset.stats()``)."""
+def test_salted_sortmerge_runs_no_all_to_all(ray_session, sf_dir, monkeypatch):
+    """Across the lazy input and every dataset the salted join builds,
+    the one operator executed is the input's own map, once: the count
+    pass, the range split and the join are plain Ray tasks, wrapped as
+    ``FromArrow`` sources, so no ``Sort``, ``Repartition``,
+    ``RandomShuffle``, ``Aggregate`` or ``MapGroups`` runs (read from
+    ``Dataset.stats()``)."""
     import ray.data
 
     src = ray.data.from_arrow(_skew_table(sf_dir)).repartition(8).materialize()
+    lazy = src.map_batches(_tag, batch_format="pyarrow")
     zones = td.zones_from_part(sf_dir)
-    made = []
+    made = [lazy]
     orig_init = ray.data.Dataset.__init__
 
     def spy(self, *a, **k):
@@ -291,25 +392,15 @@ def test_salted_sortmerge_runs_one_shuffle(ray_session, sf_dir, monkeypatch):
 
     monkeypatch.setattr(ray.data.Dataset, "__init__", spy)
     out = spatial_join_points_sortmerge(
-        src, zones, level=6, key_col="pt_row", salt_threshold=200
+        lazy, zones, level=6, key_col="pt_row", salt_threshold=200
     )
     assert out.count() > 0
     monkeypatch.undo()
     ops = set().union(*(_executed_ops(ds.stats()) for ds in made))
     ops -= _executed_ops(src.stats())  # the input's own repartition
-    names = sorted(name for name, _ in ops)
-    # two executions: the count pass, then prep + union + Sort; the
-    # sorted blocks are joined by plain tasks, with no third execution
-    union = [n for n in names if n.startswith("Union")]
-    assert union and [n for n in names if n not in union] == [
-        "MapBatches(cnt_partial)",
-        "MapBatches(prep_points)",
-        "MapBatches(prep_zones)",
-        "Sort",
-    ], names
-    # the result keeps the range shuffle in its stats lineage
-    stats = out.stats()
-    assert "SortMap" in stats and "SortReduce" in stats
-    assert not any("Aggregate" in n or "MapGroups" in n for n in names), names
-    all_to_all = [n for n in names if n in ("Sort", "Repartition", "RandomShuffle")]
-    assert all_to_all == ["Sort"], names
+    names = sorted(name for name, _ in ops if name != "FromArrow")
+    assert names == ["MapBatches(_tag)"], names
+
+
+def _tag(batch: pa.Table) -> pa.Table:
+    return batch
