@@ -8,8 +8,10 @@ pyramid pixels, event windows, tree and score histograms, user
 finishes here, through one measured decision and two implementations
 that return bit-identical rows:
 
-- :func:`route` materializes the partials and compares their row count
-  with :data:`AUTO_NATIVE_ROWS` — the one adaptive choice;
+- :func:`route` takes the partials' blocks (:func:`held_blocks`: a
+  lazy plan executes once, a Dataset that already holds its blocks
+  starts no execution) and compares their row count with
+  :data:`AUTO_NATIVE_ROWS` — the one adaptive choice;
 - at or below it, :func:`combine_arrays` reduces on the driver:
   ``np.unique(return_inverse=True)`` per key column plus int64
   ``ufunc.at`` scatters, keys sorted in the result;
@@ -173,14 +175,34 @@ def segment_sum(
     return inner.union(ray.data.from_arrow(fixed))
 
 
+def held_blocks(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, list]:
+    """``ds`` and the ``(block ref, BlockMetadata)`` of each of its
+    blocks, in order. Blocks that exist already — of a ``from_arrow``
+    source, a ``MaterializedDataset``, an executed plan — are read off
+    the plan: no Ray Data execution, which ``iter_internal_ref_bundles``
+    starts on a plan not marked executed, and no ``materialize``, which
+    copies the Dataset with round trips to the cluster. A lazy plan is
+    materialized once, and that MaterializedDataset is returned in
+    place of ``ds``."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+
+    if ds._plan.has_computed_output():
+        return ds, list(ds._plan._snapshot_bundle.blocks)
+    dag = ds._logical_plan.dag
+    if not (isinstance(dag, SourceOperator) and dag.output_data() is not None):
+        ds = ds.materialize()
+        dag = ds._logical_plan.dag
+    return ds, [bm for bundle in dag.output_data() for bm in bundle.blocks]
+
+
 def route(partials: ray.data.Dataset) -> tuple[ray.data.Dataset, bool]:
-    """The combine decision, made from MEASURED size: materialize the
-    pre-reduced partials (the rows the combine consumes anyway; the
-    count is metadata-only, no driver data pull) and return them with
-    ``True`` (distributed) when they number more than
+    """The combine decision, made from MEASURED size: take the
+    pre-reduced partials' blocks (:func:`held_blocks`; the count is
+    their metadata, no driver data pull) and return the Dataset holding
+    them with ``True`` (distributed) when they number more than
     :data:`AUTO_NATIVE_ROWS`. Zero partial rows never distribute."""
-    mat = partials.materialize()
-    return mat, mat.count() > AUTO_NATIVE_ROWS
+    partials, blocks = held_blocks(partials)
+    return partials, sum(m.num_rows for _, m in blocks) > AUTO_NATIVE_ROWS
 
 
 def combine(
@@ -196,9 +218,8 @@ def combine(
     if distributed:
         # one row per key already; the kernel only sorts and types it
         partials = segment_sum(partials, key_col, value_cols, aggs)
-    return combine_blocks(
-        ray.get(partials.to_arrow_refs()), key_col, value_cols, aggs
-    )
+    refs = [ref for ref, _ in held_blocks(partials)[1]]
+    return combine_blocks(ray.get(refs), key_col, value_cols, aggs)
 
 
 def combine_dataset(
@@ -218,5 +239,6 @@ def combine_dataset(
     if distributed:
         out = segment_sum(partials, key_col, value_cols)
         return out.map_batches(finish, batch_format="pyarrow") if finish else out
-    tbl = combine_blocks(ray.get(partials.to_arrow_refs()), key_col, value_cols)
+    refs = [ref for ref, _ in held_blocks(partials)[1]]
+    tbl = combine_blocks(ray.get(refs), key_col, value_cols)
     return ray.data.from_arrow(finish(tbl) if finish else tbl)

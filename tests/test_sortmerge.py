@@ -1,7 +1,10 @@
 """Sort-merge join internals: the run-join kernel over range
-partitions, the exact cell histogram, the salt plan and range
-boundaries derived from it, deterministic output blocks with the pair
-schema, and a plan with no all-to-all."""
+partitions, the exact cell histogram, the salt plan, rank keys and
+range boundaries derived from it, zone rows only in cells that hold
+points, deterministic output blocks with the pair schema, a plan with
+no all-to-all and no execution over inputs that hold their blocks, and
+a differential test against the broadcast join and brute force over
+every cell level."""
 
 import re
 
@@ -9,11 +12,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rsgislib_ray.functions.cells import cells_from_xy
 from rsgislib_ray.sources import testdata as td
 from rsgislib_ray.stages.spatial_join import (
-    _SALT_SHIFT,
     _cell_histogram,
     _join_range,
     _prep_points,
@@ -48,15 +51,15 @@ def _skew_table(sf_dir):
 
 
 def _hand_union(rng):
-    """A cell-sorted union table in the sort-merge row layout: lattice
-    points (some off-frame, cell -1) and integer rectangles plus
-    triangles (ring rows), each zone copied into 1-2 cells. Cell 3 is
+    """A rank-sorted union table in the sort-merge row layout: lattice
+    points (some off-frame, rank -1) and integer rectangles plus
+    triangles (ring rows), each zone copied onto 1-2 ranks. Rank 2 is
     given most of the rows."""
-    cells = np.array([1, 2, 3, 3, 3, 3, 3, 3, 4, 5, 6])
+    ranks = np.array([0, 1, 2, 2, 2, 2, 2, 2, 3, 4, 5])
     gx, gy = np.meshgrid(np.arange(0, 4.01, 0.5), np.arange(0, 4.01, 0.5))
     px, py = gx.ravel(), gy.ravel()
-    pcell = rng.choice(cells, len(px))
-    pcell[:4] = -1
+    prank = rng.choice(ranks, len(px))
+    prank[:4] = -1
     zones = []
     for fid in range(24):
         x0, y0 = rng.integers(0, 3, 2).astype(float)
@@ -66,11 +69,11 @@ def _hand_union(rng):
             if fid % 3 == 0
             else None
         )
-        for c in rng.choice(cells, rng.integers(1, 3), replace=False):
+        for c in rng.choice(ranks, rng.integers(1, 3), replace=False):
             zones.append((int(c), fid, x0, x1, y0, y1, ring))
     n_p, n_z = len(px), len(zones)
     rows = {
-        "cell": np.concatenate([pcell, [z[0] for z in zones]]).astype(np.int64),
+        "rank": np.concatenate([prank, [z[0] for z in zones]]).astype(np.int64),
         "side": np.concatenate([np.zeros(n_p), np.ones(n_z)]).astype(np.int8),
         "key": np.concatenate([np.arange(100, 100 + n_p), np.zeros(n_z)]).astype(
             np.int64
@@ -87,9 +90,9 @@ def _hand_union(rng):
         b"" if z[6] is None else z[6].tobytes() for z in zones
     ]
     t = pa.table({**rows, "ring_blob": pa.array(blobs, pa.binary())})
-    # sides interleave within a cell, as after the range shuffle
+    # sides interleave within a rank, as after the range split
     perm = rng.permutation(len(t))
-    order = np.argsort(rows["cell"][perm], kind="stable")
+    order = np.argsort(rows["rank"][perm], kind="stable")
     t = t.take(pa.array(perm[order]))
     return t, zones
 
@@ -97,7 +100,7 @@ def _hand_union(rng):
 def _brute(t, zones, how):
     pts = t.filter(pc.equal(t["side"], 0)).to_pydict()
     pairs, matched = [], set()
-    for c, k, x, y in zip(pts["cell"], pts["key"], pts["x"], pts["y"]):
+    for c, k, x, y in zip(pts["rank"], pts["key"], pts["x"], pts["y"]):
         for zc, fid, x0, x1, y0, y1, ring in zones:
             if zc != c:
                 continue
@@ -122,22 +125,26 @@ def _brute(t, zones, how):
 @pytest.mark.parametrize("how", HOWS)
 def test_range_partitions_equal_brute_force(how):
     """The union rows, shuffled into two blocks, each block cut by
-    :func:`_range_split` at boundaries from the points' cell histogram,
+    :func:`_range_split` at boundaries from the points' rank histogram,
     and each range joined on its own by :func:`_join_range`: together
-    exactly the brute-force rows, for every partition count."""
+    exactly the brute-force rows, for every partition count, with no
+    empty range."""
     rng = np.random.default_rng(7)
     t, zones = _hand_union(rng)
-    cell, side = t["cell"].to_numpy(), t["side"].to_numpy()
-    cells, n = np.unique(cell[(side == 0) & (cell != -1)], return_counts=True)
+    rank, side = t["rank"].to_numpy(), t["side"].to_numpy()
+    ranks, n = np.unique(rank[(side == 0) & (rank != -1)], return_counts=True)
+    np.testing.assert_array_equal(ranks, np.arange(6))
     shuffled = t.take(pa.array(rng.permutation(len(t))))
     blocks = [shuffled.slice(0, 40), shuffled.slice(40)]
     want = _brute(t, zones, how)
     for parts in (1, 3, 5):
-        bounds = _range_bounds(cells, n, None, parts)
+        bounds = _range_bounds(n, np.ones_like(n), parts)
+        assert len(bounds) < parts
         split = [_range_split(b, bounds) for b in blocks]
-        assert all(len(sp) == parts for sp in split)
-        ranges = [[sp[i] for sp in split] for i in range(parts)]
-        assert sum(any(p.num_rows for p in r) for r in ranges) >= min(parts, 2)
+        assert all(len(sp) == len(bounds) + 1 for sp in split)
+        ranges = [[sp[i] for sp in split] for i in range(len(bounds) + 1)]
+        assert all(any(p.num_rows for p in r) for r in ranges)
+        assert len(ranges) >= min(parts, 2)
         outs = [_join_range(how, "x", "y", "pt_row", *r) for r in ranges]
         assert all(o.schema == PAIR_SCHEMA for o in outs)
         got = pa.concat_tables(outs)
@@ -191,72 +198,73 @@ def test_salt_plan_equals_naive_count(ray_session, sf_dir):
     threshold, max_salt = 100, 4
     hot = c > threshold
     assert hot.sum() == 2
-    hcells, s = _salt_plan(cells, n, threshold, max_salt)
-    assert hcells.dtype == np.int64 and s.dtype == np.int64
-    np.testing.assert_array_equal(hcells, u[hot])
-    np.testing.assert_array_equal(s, np.minimum(-(-c[hot] // threshold), max_salt))
-    assert (s == max_salt).any() and (s < max_salt).any()
-    assert _salt_plan(cells, n, None, max_salt) is None
-    assert _salt_plan(cells, n, int(c.max()), max_salt) is None
+    per = _salt_plan(n, threshold, max_salt)
+    assert per.dtype == np.int64 and len(per) == len(cells)
+    np.testing.assert_array_equal(
+        per[hot], np.minimum(-(-c[hot] // threshold), max_salt)
+    )
+    assert (per[~hot] == 1).all()
+    assert (per == max_salt).any() and ((per > 1) & (per < max_salt)).any()
+    assert (_salt_plan(n, None, max_salt) == 1).all()
+    assert (_salt_plan(n, int(c.max()), max_salt) == 1).all()
 
 
-def _naive_keys(cells, n, plan):
-    """(join key, planned points) per key: a cell, or each salt of a hot
-    cell with an even share of its points (the first n % s salts take
-    one more)."""
-    hot = {} if plan is None else dict(zip(plan[0].tolist(), plan[1].tolist()))
+def _naive_ranks(n, per):
+    """(rank, planned points) per (cell, salt), counted cell by cell
+    and salt by salt: each salt of a cell takes an even share of its
+    points (the first n % s salts take one more)."""
     keys, w = [], []
-    for c, k in zip(cells.tolist(), n.tolist()):
-        if plan is None:
-            keys.append(c)
-            w.append(k)
-            continue
-        s = hot.get(c, 1)
-        salted = (np.full(s, c, dtype=np.int64) << _SALT_SHIFT) | np.arange(s)
+    for k, s in zip(n.tolist(), per.tolist()):
         for j in range(s):
-            keys.append(salted[j])
+            keys.append(len(keys))
             w.append(k // s + (j < k % s))
     return np.array(keys, dtype=np.int64), np.array(w, dtype=np.int64)
 
 
 @pytest.mark.parametrize("salt", [None, 200])
 def test_range_bounds_keep_keys_whole_and_balance(sf_dir, salt):
-    """Boundaries from the exact histogram: every key, point or zone,
+    """Boundaries from the exact histogram: strictly ascending ranks
+    below the last, so no range is empty; every rank, point or zone,
     lands in exactly one range, and each range plans at most
-    ceil(total / P) points plus the largest single key's; unsalted,
+    ceil(total / P) points plus the largest single rank's; unsalted,
     that bound holds for the rows the split really produces."""
     skew = _two_hot_spots(sf_dir)
     zones = td.zones_from_part(sf_dir)
     cells, n = _naive_counts(skew)
-    plan = _salt_plan(cells, n, salt, 64)
-    assert (plan is None) == (salt is None)
-    keys, w = _naive_keys(cells, n, plan)
+    per = _salt_plan(n, salt, 64)
+    assert (per > 1).any() == (salt is not None)
+    keys, w = _naive_ranks(n, per)
     total = int(w.sum())
     half = skew.num_rows // 2
     for parts in (1, 2, 4, 7, 16):
-        bounds = _range_bounds(cells, n, plan, parts)
-        assert bounds.dtype == np.int64 and len(bounds) == parts - 1
-        assert (np.diff(bounds) >= 0).all()
+        bounds = _range_bounds(n, per, parts)
+        ranges = len(bounds) + 1
+        assert bounds.dtype == np.int64 and ranges <= parts
+        assert (np.diff(bounds) > 0).all() and (bounds < len(keys)).all()
         planned = np.bincount(
-            np.searchsorted(bounds, keys, "right"), weights=w, minlength=parts
+            np.searchsorted(bounds, keys, "right"), weights=w, minlength=ranges
         )
+        assert (planned > 0).all() and len(planned) == ranges, parts
         assert planned.max() <= -(-total // parts) + w.max(), parts
         split = [
             _range_split(
-                _prep_points(b, plan, 6, "x", "y", "pt_row", "inner"), bounds
+                _prep_points(b, (cells, per), 6, "x", "y", "pt_row", "inner"),
+                bounds,
             )
             for b in (skew.slice(0, half), skew.slice(half))
         ]
-        split.append(_range_split(_prep_zones(zones, plan, 6, "x", "y"), bounds))
+        split.append(
+            _range_split(_prep_zones(zones, (cells, per), 6, "x", "y"), bounds)
+        )
         per_range = [
-            set(np.concatenate([sp[i]["cell"].to_numpy() for sp in split]).tolist())
-            for i in range(parts)
+            set(np.concatenate([sp[i]["rank"].to_numpy() for sp in split]).tolist())
+            for i in range(ranges)
         ]
         assert sum(map(len, per_range)) == len(set().union(*per_range)), parts
-        if plan is None:
+        if salt is None:
             real = [
                 sum(int((sp[i]["side"].to_numpy() == 0).sum()) for sp in split[:2])
-                for i in range(parts)
+                for i in range(ranges)
             ]
             assert sum(real) == total
             assert max(real) <= -(-total // parts) + int(n.max()), parts
@@ -276,8 +284,9 @@ def test_all_off_frame_points_build_no_plan(ray_session, sf_dir):
     )
     assert (cells_from_xy(pts["x"].to_numpy(), pts["y"].to_numpy(), 6) == -1).all()
     cells, counts = _cell_histogram([ray.put(pts)], "x", "y", 6)
-    assert len(cells) == 0 and _salt_plan(cells, counts, 1, 64) is None
-    assert (_range_bounds(cells, counts, None, 4) == np.iinfo(np.int64).max).all()
+    per = _salt_plan(counts, 1, 64)
+    assert len(cells) == 0 and len(per) == 0
+    assert len(_range_bounds(counts, per, 4)) == 0
     zones = td.zones_from_part(sf_dir)
 
     def run(how, salt):
@@ -291,6 +300,14 @@ def test_all_off_frame_points_build_no_plan(ray_session, sf_dir):
     for how in HOWS:
         assert run(how, 1) == run(how, None), how
     assert run("anti", 1) == [(i, -1) for i in range(n)]
+    # no points at all: one typed empty block for every how
+    for how in HOWS:
+        out = spatial_join_points_sortmerge(
+            ray.data.from_arrow(pts.slice(0, 0)), zones,
+            key_col="pt_row", how=how, salt_threshold=1,
+        )
+        blocks = ray.get(out.to_arrow_refs())
+        assert [(b.num_rows, b.schema) for b in blocks] == [(0, PAIR_SCHEMA)], how
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +317,10 @@ def test_all_off_frame_points_build_no_plan(ray_session, sf_dir):
 
 @pytest.mark.parametrize("how", HOWS)
 def test_output_blocks_carry_pair_schema(ray_session, sf_dir, how):
-    """Every raw output block, one per range partition, is (pt_row
-    int64, fid int64), so the blocks concatenate as-is — on the salted
-    skew corpus, and on one whose points all share a cell, so all but
-    one range is empty."""
+    """Every raw output block, one per range that yields rows, is
+    (pt_row int64, fid int64), so the blocks concatenate as-is — on
+    the salted skew corpus, and on one whose points all share a cell,
+    so one range is left."""
     import ray
     import ray.data
 
@@ -319,10 +336,10 @@ def test_output_blocks_carry_pair_schema(ray_session, sf_dir, how):
             level=6, key_col="pt_row", how=how, salt_threshold=salt,
         )
         blocks = ray.get(out.to_arrow_refs())
-        assert len(blocks) == _default_join_partitions(None)
+        assert 1 <= len(blocks) <= _default_join_partitions(None)
         assert all(b.schema == PAIR_SCHEMA for b in blocks)
         assert pa.concat_tables(blocks).num_rows == out.count()
-    assert sum(b.num_rows > 0 for b in blocks) <= 1
+    assert len(blocks) == 1
 
 
 def test_salted_join_output_blocks_are_deterministic(ray_session, sf_dir):
@@ -404,3 +421,218 @@ def test_salted_sortmerge_runs_no_all_to_all(ray_session, sf_dir, monkeypatch):
 
 def _tag(batch: pa.Table) -> pa.Table:
     return batch
+
+
+# ---------------------------------------------------------------------------
+# live zone rows, held inputs, downstream schema
+# ---------------------------------------------------------------------------
+
+
+def test_prep_zones_ships_live_rows_only(sf_dir):
+    """:func:`_prep_zones` emits one row per (zone, covering cell) whose
+    cell holds points, times the cell's salts, keyed by the rank of
+    each salt — and none for the covering cells without points, which
+    this corpus has."""
+    from rsgislib_ray.functions.cells import covering_cells_bboxes
+    from rsgislib_ray.stages.spatial_join import ZoneSet
+
+    zones = td.zones_from_part(sf_dir)
+    cells, n = _naive_counts(_two_hot_spots(sf_dir))
+    per = _salt_plan(n, 100, 4)
+    got = _prep_zones(zones, (cells, per), 6, "x", "y")
+    zs = ZoneSet.from_table(zones)
+    src, cell = covering_cells_bboxes(*(zs.bounds[:, i] for i in range(4)), 6)
+    salts = dict(zip(cells.tolist(), per.tolist()))
+    base = dict(zip(cells.tolist(), (np.cumsum(per) - per).tolist()))
+    want = sorted(
+        (int(zs.fid[z]), base[c] + j)
+        for z, c in zip(src.tolist(), cell.tolist())
+        if c in salts
+        for j in range(salts[c])
+    )
+    assert sorted(zip(got["fid"].to_pylist(), got["rank"].to_pylist())) == want
+    assert (per > 1).any() and not np.isin(cell, cells).all()
+    assert got.num_rows == sum(salts.get(c, 0) for c in cell.tolist())
+
+
+def test_held_inputs_start_no_execution(ray_session, sf_dir, monkeypatch):
+    """The salted join over a ``from_arrow`` input, and ``combine`` over
+    an already built ``FromArrow`` result, start no Ray Data execution
+    and call no ``materialize`` (a copy of the Dataset, and driver
+    round trips): their blocks exist, so they are taken as they are.
+    A lazy input executes, and materializes, exactly once."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from rsgislib_ray.stages import segsum
+    from rsgislib_ray.stages.spatial_join import _arrow_dataset, _cell_counts_task
+
+    runs, mats = [], []
+
+    def spy(log, fn):
+        def wrapped(self, *a, **k):
+            log.append(self)
+            return fn(self, *a, **k)
+
+        return wrapped
+
+    skew = _skew_table(sf_dir)
+    half = skew.num_rows // 2
+    held = ray.data.from_arrow([skew.slice(0, half), skew.slice(half)])
+    zones = td.zones_from_part(sf_dir)
+    monkeypatch.setattr(
+        StreamingExecutor, "execute", spy(runs, StreamingExecutor.execute)
+    )
+    monkeypatch.setattr(
+        ray.data.Dataset, "materialize", spy(mats, ray.data.Dataset.materialize)
+    )
+    out = spatial_join_points_sortmerge(
+        held, zones, level=6, key_col="pt_row", salt_threshold=200
+    )
+    assert out.count() > 0 and runs == [] and mats == []
+    parts = _arrow_dataset([_cell_counts_task.remote(skew, "x", "y", 6)])
+    hist = segsum.combine(parts, "cell", ["partial"])
+    assert hist["partial"].to_numpy().sum() == skew.num_rows
+    assert runs == [] and mats == []
+    spatial_join_points_sortmerge(
+        held.map_batches(_tag, batch_format="pyarrow"), zones,
+        level=6, key_col="pt_row", salt_threshold=200,
+    )
+    assert len(runs) == 1 and len(mats) == 1
+
+
+def test_sortmerge_query_blocks_keep_schema_downstream(
+    ray_session, sf_dir, monkeypatch
+):
+    """The ``spatial_join_sortmerge`` query, then an identity
+    ``map_batches``: every block carries the (pt_id, fid) schema. With
+    8 partitions, as on the 8-CPU contract runner, the last ones lie
+    past the last cell of this corpus; an empty range block would come
+    out of the query's map without a schema."""
+    import ray
+
+    from rsgislib_ray.pipelines.queries import q_spatial_join_sortmerge
+    from rsgislib_ray.stages import spatial_join
+
+    monkeypatch.setattr(spatial_join, "_default_join_partitions", lambda _: 8)
+
+    out = q_spatial_join_sortmerge(sf_dir).map_batches(_tag, batch_format="pyarrow")
+    blocks = ray.get(out.to_arrow_refs())
+    schema = pa.schema([("pt_id", pa.int64()), ("fid", pa.int64())])
+    assert blocks and all(b.schema == schema for b in blocks)
+    assert sum(b.num_rows for b in blocks) > 0
+
+
+# ---------------------------------------------------------------------------
+# differential: sort-merge == broadcast == brute force at every level
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _join_cases(draw):
+    """(level, anchor col, anchor row, points, zones) near one anchor
+    cell anywhere in the level's grid. Points are (x, y) and zones
+    (x, y, width, height, is_triangle) in quarter cells from the
+    anchor's corner, so many points lie on zone and cell edges; zones
+    may reach past the frame, points stay inside it."""
+    level = draw(st.integers(0, 26))
+    side = 1 << level
+    span = min(side, 4)
+    col0 = draw(st.integers(0, side - span))
+    row0 = draw(st.integers(0, side - span))
+    q = st.integers(0, 4 * span - 1)
+    pts = draw(st.lists(st.tuples(q, q), min_size=1, max_size=30))
+    zones = draw(
+        st.lists(
+            st.tuples(q, q, st.integers(1, 8), st.integers(1, 8), st.booleans()),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return level, col0, row0, pts, zones
+
+
+# Level-23 cells (col 5, row 7) and (col 5, row 7 + 2**22): one zone
+# covers both. Their keys collided under the old salted key
+# ``cell << 20 | salt``, which joined the zone twice to their points.
+_COLLIDING = (
+    23, 5, 7,
+    [(2, 2), (3, 3), (2, 4 * 2**22 + 2)],
+    [(1, 1, 2, 4 * 2**22 + 2, False)],
+)
+
+
+@settings(max_examples=12, deadline=None)
+@example(case=_COLLIDING)
+@given(case=_join_cases())
+def test_rank_keyed_join_equals_broadcast_and_brute_force(ray_session, case):
+    """At any level 0-26, for every ``how``, salted (every cell with two
+    points is hot, salts capped at 2) and not: the sort-merge join,
+    the broadcast join and brute-force even-odd PIP give the same
+    rows. One out-of-frame point rides along for left / anti."""
+    import ray
+    import ray.data
+
+    from rsgislib_ray.functions.geom import rect_ring
+    from rsgislib_ray.stages.spatial_join import spatial_join_points
+
+    level, col0, row0, pts, zones = case
+    cw = 100.0 / (1 << level)
+    px = np.array([(col0 + a / 4) * cw for a, _ in pts] + [-1.0])
+    py = np.array([(row0 + b / 4) * cw for _, b in pts] + [-1.0])
+    rings = []
+    for a, b, w, h, tri in zones:
+        x0, y0 = (col0 + a / 4) * cw, (row0 + b / 4) * cw
+        x1, y1 = (col0 + (a + w) / 4) * cw, (row0 + (b + h) / 4) * cw
+        rings.append(
+            np.array([x0, y0, x1, y0, x0, y1]) if tri else rect_ring(x0, y0, x1, y1)
+        )
+    fids = np.arange(100, 100 + len(rings))
+    tbl = pa.table(
+        {
+            "fid": pa.array(fids, pa.int64()),
+            "ring_xy": pa.ListArray.from_arrays(
+                pa.array(np.cumsum([0] + [len(r) for r in rings]), pa.int32()),
+                pa.array(np.concatenate(rings)),
+            ),
+        }
+    )
+    key = np.arange(len(px), dtype=np.int64) * 3 + 1
+    points = pa.table({"pt_row": key, "x": px, "y": py})
+    hit = {
+        k: [f for f, r in zip(fids.tolist(), rings) if _even_odd(x, y, r)]
+        for k, x, y in zip(key.tolist(), px, py)
+    }
+    pairs = sorted((k, f) for k, fs in hit.items() for f in fs)
+    un = [(k, -1) for k, fs in hit.items() if not fs]
+    want = {
+        "inner": pairs,
+        "left": sorted(pairs + un),
+        "semi": [(k, -1) for k, fs in hit.items() if fs],
+        "anti": un,
+    }
+
+    def rows(t):
+        """(pt_row, fid) rows; fid -1 where the join gives none."""
+        if "fid" in t.column_names:
+            fid = t["fid"].fill_null(-1).to_pylist()
+        else:
+            fid = [-1] * t.num_rows
+        return sorted(zip(t["pt_row"].to_pylist(), fid))
+
+    half = len(px) // 2
+    src = ray.data.from_arrow([points.slice(0, half), points.slice(half)])
+    for how in HOWS:
+        bc = pa.concat_tables(
+            ray.get(spatial_join_points(src, tbl, how=how).to_arrow_refs())
+        )
+        if how == "semi":
+            bc = bc.filter(bc["in_zone"])
+        assert rows(bc) == want[how], ("broadcast", how)
+        for salt in (None, 1):
+            out = spatial_join_points_sortmerge(
+                src, tbl, level=level, key_col="pt_row", how=how,
+                salt_threshold=salt, max_salt=2,
+            )
+            got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+            assert rows(got) == want[how], ("sortmerge", how, salt)
