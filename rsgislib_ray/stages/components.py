@@ -65,11 +65,11 @@ def measured_join_partitions(
     with the data, but a small side doesn't pay CPU-count-wide
     aggregator-actor startup. An explicit ``requested`` only gets the
     CPU clamp."""
-    from rsgislib_ray.stages.spatial_join import _default_join_partitions
+    from rsgislib_ray.stages.partition import default_partitions
 
     if requested is not None:
-        return _default_join_partitions(requested)
-    cap = _default_join_partitions(None)
+        return default_partitions(requested)
+    cap = default_partitions(None)
     return max(2, min(cap, -(-rows // rows_per_partition)))
 
 
@@ -79,16 +79,12 @@ def drop_empty_blocks_counted(
     """:func:`drop_empty_blocks` that also returns the total row count
     (free — it comes from the same block metadata sweep), so callers can
     make size-based routing decisions without a count() job."""
-    mat = ds.materialize()
-    refs, rows = [], 0
-    for rb in mat.iter_internal_ref_bundles():
-        for ref, meta in zip(rb.block_refs, rb.metadata):
-            if meta.num_rows:
-                refs.append(ref)
-                rows += meta.num_rows
-    if not refs:
+    from rsgislib_ray.stages.partition import held_blocks
+
+    held = [(ref, m.num_rows) for ref, m in held_blocks(ds)[1] if m.num_rows]
+    if not held:
         return None, 0
-    return ray.data.from_arrow_refs(refs), rows
+    return ray.data.from_arrow_refs([r for r, _ in held]), sum(n for _, n in held)
 
 
 def drop_empty_blocks(ds: ray.data.Dataset) -> ray.data.Dataset | None:
@@ -278,7 +274,7 @@ def components_native_labels(
         "node",
         ["lbl"],
         aggs=["min"],
-    ).materialize()
+    )
     prev_sum = _lbl_checksum(labels)
     for _ in range(max_iters):
         compact = drop_empty_blocks(labels)
@@ -307,7 +303,7 @@ def components_native_labels(
             "node",
             ["lbl"],
             aggs=["min"],
-        ).materialize()
+        )
         s = _lbl_checksum(labels)
         if s == prev_sum:
             break
@@ -401,12 +397,12 @@ def attach_roots(
 
     if finish != "join":
         raise ValueError(f"unknown finish {finish!r}")
-    from rsgislib_ray.stages.spatial_join import _default_join_partitions
+    from rsgislib_ray.stages.partition import default_partitions
 
     joined = base.join(
         roots,
         join_type="left_outer",
-        num_partitions=_default_join_partitions(num_partitions),
+        num_partitions=default_partitions(num_partitions),
         on=(id_col,),
     )
 

@@ -69,8 +69,9 @@ def exact_dedup(
     duplicate group). Returns the surviving rows.
 
     Shape: per-batch partial (hash, min_id) pre-reduce -> distributed
-    ``segment_sum(min)`` winner selection (sort + reduceat; the combine
-    never runs on the driver) -> winner filter:
+    ``segment_sum(min)`` winner selection (hash partitions, each
+    reduced in one task; the combine never runs on the driver) ->
+    winner filter:
 
     - ``strategy="broadcast"``: the winner blocks stay in the object
       store (``to_arrow_refs``); each worker process fetches + sorts
@@ -112,15 +113,10 @@ def exact_dedup(
         "content_hash",
         ["min_id", "cnt"],
         aggs=["min", "sum"],
-    )  # columns: content_hash, min_id, cnt — sort+reduceat distributed
-    # (Ray's native groupby.min runs its combine per group in Python;
-    # the segment reducer is ~100x faster at high hash cardinality —
-    # see stages/segsum.py.)
+    )  # columns: content_hash, min_id, cnt; materialized
 
     if strategy == "auto":
         from rsgislib_ray.stages import segsum as _segsum
-
-        winners = winners.materialize()
 
         def count_dups(b: pa.Table) -> pa.Table:
             return pa.table(
@@ -138,9 +134,9 @@ def exact_dedup(
         )
 
     if strategy == "join":
-        from rsgislib_ray.stages.spatial_join import _default_join_partitions
+        from rsgislib_ray.stages.partition import default_partitions
 
-        num_partitions = _default_join_partitions(num_partitions)
+        num_partitions = default_partitions(num_partitions)
 
         # only hashes seen >= 2 times need adjudication — a unique
         # hash's single row is its own winner. Filtering the right side

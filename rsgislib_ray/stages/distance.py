@@ -221,11 +221,12 @@ def clump_min_distances(
       clump d² matrix masked at ``max_dist²`` → per-clump partial
       minima (exact integers);
     - partials union a per-clump sentinel row and reduce through the
-      sort-based ``segment_sum(min)``, so clumps with no neighbour in
-      range come out as ``-1`` without a join.
+      hash-partitioned ``segment_sum(min)``, so clumps with no
+      neighbour in range come out as ``-1`` without a join.
 
-    Output: (clump, min_d2, dist) ordered by clump; dist = √min_d2,
-    −1/−1.0 when no other clump lies within ``max_dist``."""
+    Output: (clump, min_d2, dist), one row per clump in no set order
+    (sort by clump for a stable order); dist = √min_d2, −1/−1.0 when
+    no other clump lies within ``max_dist``."""
     from rsgislib_ray.stages.segsum import segment_sum
 
     cell = int(max_dist)

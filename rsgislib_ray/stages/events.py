@@ -3,19 +3,21 @@
 Session windows / lag (as-of) are per-user ORDERED computations. The
 naive shape — ``groupby(user_id).map_groups`` — calls Python once per
 user (10^5 users = 10^5 calls; at 10^9 users it is the pipeline). Here
-the log is range-sorted ONCE on (user_id, ts, event_id); each sorted
-block computes every fully-contained user vectorized, and only the
-users touching a block edge (<= 2 per block, by sortedness) fall back
-to a tiny grouped pass. Same pattern as the sort-merge spatial join.
+the log is hash-split by user ONCE (``stages/partition.py``, the plan
+``segsum.segment_sum`` uses); each partition holds every row of its
+users, is sorted on (user_id, ts, event_id) and computed vectorized.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from rsgislib_ray.stages import partition
 from rsgislib_ray.stages.segsum import combine_arrays, combine_dataset, route
 
 
@@ -34,8 +36,8 @@ def tumbling_windows(
     Each batch pre-reduces to per-(user, window) partial rows;
     :func:`rsgislib_ray.stages.segsum.combine_dataset` sums them — on
     the driver, or past a measured size with the distributed
-    sort-based ``segment_sum``, whose rows never reach the driver (the
-    10^9-user event-log path). Values are identical either way.
+    hash-partitioned ``segment_sum``, whose rows never reach the driver
+    (the 10^9-user event-log path). Values are identical either way.
     Columns: ``user_id``, ``window_id``, ``n``, ``sum_cents``.
     """
 
@@ -85,7 +87,6 @@ def event_retention(
     Returns (cohort_period, period_offset, n_users)."""
     from rsgislib_ray.stages.components import drop_empty_blocks
     from rsgislib_ray.stages.segsum import segment_sum
-    from rsgislib_ray.stages.spatial_join import _default_join_partitions
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         us = (
@@ -156,7 +157,7 @@ def event_retention(
     joined = pairs.join(
         first,
         join_type="inner",
-        num_partitions=_default_join_partitions(num_partitions),
+        num_partitions=partition.default_partitions(num_partitions),
         on=("user_id",),
     )
 
@@ -177,52 +178,29 @@ def event_retention(
     )
 
 
+def _sorted_apply(block_fn, by: list[str], *parts: pa.Table) -> pa.Table:
+    """``block_fn`` over one partition's rows, sorted by ``by``."""
+    if not parts:
+        return pa.table({})
+    return block_fn(pa.concat_tables(parts).sort_by([(c, "ascending") for c in by]))
+
+
 def sorted_user_apply(
     ds: ray.data.Dataset,
     block_fn,
-    group_fn,
     user_col: str = "user_id",
     sort_cols: tuple = ("ts", "event_id"),
 ) -> ray.data.Dataset:
-    """Sort by (user, *sort_cols); apply ``block_fn(batch) -> table``
-    to the rows of users fully contained in each sorted block
-    (vectorized), and ``group_fn(pandas_group) -> df`` to the <= 2
-    boundary users per block via groupby. Both must emit the same
-    schema."""
-    # two passes over the materialized sorted dataset (sort runs once):
-    # interior users vectorized per block, edge users grouped
-    both = ds.sort([user_col, *sort_cols]).materialize()
-
-    def interior(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return block_fn(batch)
-        u = batch[user_col].to_numpy()
-        boundary = (u == u[0]) | (u == u[-1])
-        return block_fn(batch.filter(pa.array(~boundary)))
-
-    def edge(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch
-        u = batch[user_col].to_numpy()
-        boundary = (u == u[0]) | (u == u[-1])
-        return batch.filter(pa.array(boundary))
-
-    done = both.map_batches(interior, batch_format="pyarrow")
-    bnd = (
-        both.map_batches(edge, batch_format="pyarrow")
-        .groupby(user_col)
-        # emit arrow blocks: pandas blocks carry an unhashable
-        # PandasBlockSchema that defeats Ray's schema dedup (benign
-        # "Failed to hash the schemas" warnings) and cost a conversion
-        # in every downstream union/reduce
-        .map_groups(
-            lambda g: pa.Table.from_pandas(
-                group_fn(g), preserve_index=False
-            ).replace_schema_metadata(None),
-            batch_format="pandas",
-        )
+    """``block_fn(batch) -> table`` over whole users' rows sorted by
+    (user, *sort_cols), vectorized: the rows are hash-split by user
+    (``stages/partition.py``), so one task holds every row of its
+    users, sorts them and applies ``block_fn``. No Ray Data sort,
+    ``map_groups`` or union runs."""
+    return partition.hash_reduce(
+        partition.held_blocks(ds)[1],
+        [user_col],
+        functools.partial(_sorted_apply, block_fn, [user_col, *sort_cols]),
     )
-    return done.union(bnd)
 
 
 def event_lag(
@@ -250,21 +228,7 @@ def event_lag(
             }
         )
 
-    def group_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([ts_col, id_col]).reset_index(drop=True)
-        cents = np.rint(g[value_col].to_numpy() * 100)
-        prev = np.empty(len(g), dtype=np.float64)
-        prev[0] = np.nan
-        prev[1:] = cents[:-1]
-        return pd.DataFrame(
-            {
-                id_col: g[id_col],
-                user_col: g[user_col],
-                "prev_cents": prev,
-            }
-        )
-
-    return sorted_user_apply(ds, block_fn, group_fn, user_col, (ts_col, id_col))
+    return sorted_user_apply(ds, block_fn, user_col, (ts_col, id_col))
 
 
 def event_sessions(
@@ -313,21 +277,7 @@ def event_sessions(
             cols[c] = batch[c]
         return pa.table(cols)
 
-    def group_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([ts_col, id_col]).reset_index(drop=True)
-        us = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
-        gap = np.diff(us, prepend=us[0] - 10**18)
-        new = (gap > gap_us).astype(np.int64)
-        out = {
-            id_col: g[id_col],
-            user_col: g[user_col],
-            "session_id": np.cumsum(new),
-        }
-        for c in keep_cols:
-            out[c] = g[c]
-        return pd.DataFrame(out)
-
-    return sorted_user_apply(ds, block_fn, group_fn, user_col, (ts_col, id_col))
+    return sorted_user_apply(ds, block_fn, user_col, (ts_col, id_col))
 
 
 def asof_join_broadcast(
@@ -487,12 +437,12 @@ def event_funnel(
 
     probe_mat = None
     if combine == "auto":
-        probe_mat, distributed = route(
+        probe_mat, blocks = partition.held_blocks(
             events.map_batches(
                 make_partial(steps[0], None), batch_format="pyarrow"
             )
         )
-        combine = "native" if distributed else "driver"
+        combine = "native" if route(blocks) else "driver"
     if combine == "native":
         return _event_funnel_native(
             events, steps, user_col, ts_col, type_col, num_partitions
@@ -573,11 +523,10 @@ def _event_funnel_native(
     microsecond timestamps)."""
     from rsgislib_ray.stages.components import drop_empty_blocks
     from rsgislib_ray.stages.segsum import segment_sum
-    from rsgislib_ray.stages.spatial_join import _default_join_partitions
 
     import pyarrow.compute as pc
 
-    nparts = _default_join_partitions(num_partitions)
+    nparts = partition.default_partitions(num_partitions)
 
     def _empty(cols: dict) -> ray.data.Dataset:
         return ray.data.from_arrow(
@@ -774,36 +723,4 @@ def sequence_segments(
             }
         )
 
-    def group_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([ts_col, id_col]).reset_index(drop=True)
-        xs = g[x_col].to_numpy().astype(np.int64)
-        ys = g[y_col].to_numpy().astype(np.int64)
-        n = len(g)
-        if n < 2:
-            return pd.DataFrame(
-                {
-                    user_col: pd.Series([], dtype="int64"),
-                    "seg_idx": pd.Series([], dtype="int64"),
-                    "x1": pd.Series([], dtype="int64"),
-                    "y1": pd.Series([], dtype="int64"),
-                    "x2": pd.Series([], dtype="int64"),
-                    "y2": pd.Series([], dtype="int64"),
-                    "length": pd.Series([], dtype="float64"),
-                }
-            )
-        dx = xs[1:] - xs[:-1]
-        dy = ys[1:] - ys[:-1]
-        d2 = dx * dx + dy * dy
-        return pd.DataFrame(
-            {
-                user_col: g[user_col].to_numpy()[:-1],
-                "seg_idx": np.arange(1, n, dtype=np.int64),
-                "x1": xs[:-1],
-                "y1": ys[:-1],
-                "x2": xs[1:],
-                "y2": ys[1:],
-                "length": np.sqrt(d2.astype(np.float64)),
-            }
-        )
-
-    return sorted_user_apply(ds, block_fn, group_fn, user_col, (ts_col, id_col))
+    return sorted_user_apply(ds, block_fn, user_col, (ts_col, id_col))

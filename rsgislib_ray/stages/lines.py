@@ -32,7 +32,6 @@ or single-vertex) line emits nothing.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
@@ -156,21 +155,8 @@ def points_along_lines(
             )
         )
 
-    def group_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(seq_col)
-        return pd.DataFrame(
-            _points_core(
-                g[line_col].to_numpy().astype(np.int64),
-                g[x_col].to_numpy().astype(np.float64),
-                g[y_col].to_numpy().astype(np.float64),
-                step_micro,
-                int_scale,
-            )
-        )
-
     return sorted_user_apply(
-        vertices, block_fn, group_fn, user_col=line_col,
-        sort_cols=(seq_col,),
+        vertices, block_fn, user_col=line_col, sort_cols=(seq_col,)
     )
 
 
@@ -505,18 +491,6 @@ def orthogonal_lines(
             )
         )
 
-    def group_fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(seq_col)
-        return finish(
-            _points_core(
-                g[line_col].to_numpy().astype(np.int64),
-                g[x_col].to_numpy().astype(np.float64),
-                g[y_col].to_numpy().astype(np.float64),
-                step_micro, int_scale, emit_dir=True,
-            )
-        ).to_pandas()
-
     return sorted_user_apply(
-        vertices, block_fn, group_fn, user_col=line_col,
-        sort_cols=(seq_col,),
+        vertices, block_fn, user_col=line_col, sort_cols=(seq_col,)
     )

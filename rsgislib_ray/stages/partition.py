@@ -1,0 +1,164 @@
+"""Engine-owned shuffles: held blocks split by a partition id in plain
+Ray tasks, one plain Ray task reducing each partition, and no Ray Data
+all-to-all. :func:`split` starts one task per block; a caller's
+``rows`` function gives the block's rows and each row's partition id,
+from one of two plans:
+
+- :func:`range_ids`, ranges between ascending boundaries: the
+  sort-merge spatial join's exact-histogram rank ranges;
+- :func:`hash_ids`, ``splitmix64`` folded over int64 key columns
+  ``% parts``: ``segsum.segment_sum``, where every row of a key lands
+  in one partition, which is then reduced whole.
+
+:func:`reduce` runs one task per partition over its parts, in block
+order, and wraps the results as one materialized Dataset;
+:func:`hash_reduce` is the hash plan end to end.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+
+import numpy as np
+import pyarrow as pa
+import ray
+import ray.data
+from ray.data.block import BlockMetadataWithSchema
+
+from rsgislib_ray.functions.hashing import hash_combine, splitmix64
+
+
+def held_blocks(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, list]:
+    """``ds`` and the ``(block ref, BlockMetadata)`` of each of its
+    blocks, in order. Blocks that exist already (a ``from_arrow``
+    source, an executed plan) are read off the plan, with no Ray Data
+    execution and no ``materialize`` copy; a lazy plan is materialized
+    once, and that Dataset is returned in place of ``ds``."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+
+    if ds._plan.has_computed_output():
+        return ds, list(ds._plan._snapshot_bundle.blocks)
+    dag = ds._logical_plan.dag
+    if not (isinstance(dag, SourceOperator) and dag.output_data() is not None):
+        ds = ds.materialize()
+        dag = ds._logical_plan.dag
+    return ds, [bm for bundle in dag.output_data() for bm in bundle.blocks]
+
+
+def default_partitions(requested: int | None = None) -> int:
+    """Clamp a partition count to the cluster's CPU count (at least 4):
+    Ray's hash-shuffle join spawns ~one aggregator actor per partition,
+    and partitions >> CPUs oversubscribes a small cluster into ray.get
+    convoys (measured: 32 partitions on 4 CPUs runs minutes instead of
+    seconds). ``None`` gives the partition count of the engine's own
+    split and reduce tasks."""
+    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    cap = max(4, cpus)
+    return min(requested, cap) if requested else cap
+
+
+def range_ids(key: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The range plan: the range of each ``key`` between the ascending
+    ``bounds``, ``len(bounds) + 1`` ranges in all."""
+    return np.searchsorted(bounds, key, "right")
+
+
+def hash_ids(cols: list[np.ndarray], parts: int) -> np.ndarray:
+    """The hash plan: ``splitmix64`` folded over the int64 key columns
+    ``cols``, ``% parts``; rows with equal keys share a partition."""
+    h = splitmix64(cols[0].view(np.uint64))
+    for c in cols[1:]:
+        h = hash_combine(h, c.view(np.uint64))
+    return (h % np.uint64(parts)).astype(np.int64)
+
+
+def hashed(keys: list[str], parts: int, block: pa.Table):
+    """The hash plan's rows: ``block``, each row to the partition of
+    its integer ``keys`` columns."""
+    cols = [block[k].to_numpy().astype(np.int64, copy=False) for k in keys]
+    return block, hash_ids(cols, parts)
+
+
+def group(t: pa.Table, ids: np.ndarray, parts: int) -> list[pa.Table]:
+    """The rows of ``t`` grouped stably by partition id ``ids``, as
+    ``parts`` tables (zero-row ones keep the schema)."""
+    order = np.argsort(ids, kind="stable")
+    cut = np.searchsorted(ids[order], np.arange(parts + 1), "left")
+    t = t.take(pa.array(order))
+    return [t.slice(a, b - a) for a, b in zip(cut[:-1], cut[1:])]
+
+
+@ray.remote
+def _split_task(rows: Callable, parts: int, *args):
+    """One block's ``rows(*args)`` grouped into its ``parts``; started
+    with ``num_returns=parts``, so one partition returns its part
+    alone."""
+    out = group(*rows(*args), parts)
+    return tuple(out) if parts > 1 else out[0]
+
+
+def split(rows: Callable, parts: int, *args) -> list:
+    """Start one split task: ``rows(*args)`` gives ``(table, partition
+    id of each row)``. Returns the refs of its ``parts`` tables.
+    ``args`` are passed to the task as they are, so a ref among them is
+    resolved there."""
+    out = _split_task.options(num_returns=parts).remote(rows, parts, *args)
+    return list(out) if parts > 1 else [out]
+
+
+# The reduce tasks hand back each block's metadata with it, so the
+# result Dataset is built without a metadata task per block.
+@ray.remote(num_returns=2)
+def _reduce_task(fn: Callable, *parts):
+    out = fn(*parts)
+    return out, BlockMetadataWithSchema.from_block(out)
+
+
+def reduce(fn: Callable, splits: list[list], parts: int) -> ray.data.Dataset:
+    """One task per partition ``i``: ``fn(*[s[i] for s in splits])``,
+    the partition's parts in split order, to one table. The tables, as
+    one materialized Dataset in partition order (:func:`arrow_dataset`)."""
+    return arrow_dataset(
+        [_reduce_task.remote(fn, *[s[i] for s in splits]) for i in range(parts)]
+    )
+
+
+def hash_reduce(blocks: list, keys: list[str], fn: Callable) -> ray.data.Dataset:
+    """The held ``(ref, metadata)`` ``blocks`` hash-split by ``keys``
+    into :func:`default_partitions` partitions, each reduced by ``fn``
+    (:func:`reduce`): every row of a key reaches the same ``fn`` call."""
+    parts = default_partitions()
+    splits = [split(hashed, parts, keys, parts, ref) for ref, m in blocks if m.num_rows]
+    return reduce(fn, splits, parts)
+
+
+def arrow_dataset(parts: list) -> ray.data.MaterializedDataset:
+    """The ``(table ref, BlockMetadataWithSchema ref)`` ``parts`` as one
+    materialized Dataset, in order, as ``ray.data.from_arrow_refs``
+    builds it minus its metadata task per block. Zero-row parts are
+    left out (a downstream ``map_batches`` would pass them on without a
+    schema), except the first when all are, so the result stays
+    typed."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    metas = ray.get([m for _, m in parts])
+    keep = [i for i, m in enumerate(metas) if m.num_rows]
+    if not keep and parts:
+        keep = [0]
+    refs = [parts[i][0] for i in keep]
+    metas = [metas[i] for i in keep]
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": metas}, parent=None),
+        DataContext.get_current().copy(),
+    )
+    out = MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
+    # marks the plan executed, without an executor (its source holds the
+    # blocks), so iterating the result starts no execution
+    out._plan.execute()
+    return out
+

@@ -670,7 +670,7 @@ def build_pyramid(
     batch with :func:`rsgislib_ray.stages.segsum.combine_arrays`;
     :func:`rsgislib_ray.stages.segsum.combine_dataset` then sums the
     pixel partials — on the driver, or past a measured size with the
-    distributed sort-based ``segment_sum``. Output per (level, px, py):
+    distributed hash-partitioned ``segment_sum``. Output per (level, px, py):
     n_cells, sum (exact int64) and mean (= sum/n, bit-stable).
     """
 

@@ -102,7 +102,7 @@ def coregister_shifted(
     from rsgislib_ray.stages.segsum import segment_sum
 
     # pre-reduce per batch (many points share a cell), then the
-    # sort-based segment reduction (native groupby aggregate is the
+    # hash-partitioned segment reduction (native groupby aggregate is the
     # measured ~100x trap at high key cardinality, stages/segsum.py)
     def prereduce(batch: pa.Table) -> pa.Table:
         k = batch["k"].to_numpy()

@@ -6,9 +6,9 @@ Join-based physical plan (no raster broadcast): every TARGET pixel
 emits its source-pixel requests (1 for nearest, the 4 bilinear
 corners) as ``(tgt_id, src_pid, w_num)`` rows via flat-map arithmetic,
 the requests hash-join the source table on ``pixel_id`` (measured
-partition count), and bilinear reassembles through the sort-based
-:func:`segment_sum` — so both rasters stream, and a 100-TB source is
-just a bigger join, never a worker-heap dense array.
+partition count), and bilinear reassembles through the
+hash-partitioned :func:`segment_sum` — so both rasters stream, and a
+100-TB source is just a bigger join, never a worker-heap dense array.
 
 Exactness: coordinates are integer micro-units; the bilinear output is
 ``exact-int Σ w·val / res²`` — ONE correctly-rounded float division,

@@ -2,64 +2,48 @@
 partial rows.
 
 Every stage that pre-reduces each batch to per-key integer partial
-rows (zonal moments and histograms, counts, value histograms, tile and
-pyramid pixels, event windows, tree and score histograms, user
-``Aggregator``s — README "Partials before groupbys" lists them)
-finishes here, through one measured decision and two implementations
-that return bit-identical rows:
+rows (README "Partials before groupbys" lists them) finishes here,
+through one measured decision and two implementations that return
+bit-identical rows:
 
-- :func:`route` takes the partials' blocks (:func:`held_blocks`: a
-  lazy plan executes once, a Dataset that already holds its blocks
-  starts no execution) and compares their row count with
-  :data:`AUTO_NATIVE_ROWS` — the one adaptive choice;
+- :func:`route` counts the partials' held blocks from their metadata
+  against :data:`AUTO_NATIVE_ROWS` — the one adaptive choice;
 - at or below it, :func:`combine_arrays` reduces on the driver:
   ``np.unique(return_inverse=True)`` per key column plus int64
   ``ufunc.at`` scatters, keys sorted in the result;
-- above it, :func:`segment_sum` reduces distributed, without a driver
-  pull of the partials.
+- above it, :func:`segment_sum` reduces distributed, with no driver
+  pull of the partials, on ``stages/partition.py``'s plain tasks: one
+  task per block splits its rows by the hash of their keys, and one
+  task per partition reduces all the rows of its keys with the same
+  kernel. No Ray Data all-to-all runs.
 
-:func:`segment_sum` replaces Ray's native ``groupby().aggregate(...)``,
-which runs its combine per GROUP in Python; at millions of distinct
-keys that is ~100× slower than a range-partitioned sort (measured:
-1.2M rows / 1M keys → 31 s native aggregate vs 0.3 s
-``Dataset.sort``). It keeps the wide work vectorized:
-
-1. ``ds.sort(keys)`` — one all-to-all range shuffle; blocks come back
-   key-contiguous.
-2. Per block (``map_batches``): ``ufunc.reduceat`` over the key runs —
-   one aggregated row per in-block group. Groups touching the block's
-   first or last row are flagged as EDGE rows (a group split across
-   blocks appears as an edge in every block it touches).
-3. Edge rows are O(2 × blocks) regardless of data size; the driver
-   kernel combines them and they are unioned back with the untouched
-   interior stream.
+Ray's native ``groupby().aggregate(...)`` runs its combine per GROUP
+in Python: it took 31 s at 1.2M rows / 1M keys, where the hash
+partitions take 0.38 s at 3M rows / 1M keys on one CPU (BASELINE.md).
 
 Key and value columns must be integer: a float column raises
 ``ValueError`` naming it, since int64 arithmetic would truncate it.
-
-The one materialization holds the already-reduced post-sort stream so
-the interior/edge split does not re-execute the sort; it is the same
-object-store residency the sort's reduce stage produces anyway.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
 
-_EDGE = "__edge"
+from rsgislib_ray.stages import partition
+from rsgislib_ray.stages.partition import held_blocks
 
 _UFUNC = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 _INIT = {"sum": 0, "min": np.iinfo(np.int64).max, "max": np.iinfo(np.int64).min}
 
 #: Partial row count above which :func:`route` picks the distributed
 #: :func:`segment_sum` — below it one driver combine beats a full
-#: sort-shuffle (measured); above it, the driver pull is
-#: the 100x cap.
+#: shuffle (measured); above it, the driver pull is the 100x cap.
 AUTO_NATIVE_ROWS = 2_000_000
 
 
@@ -126,6 +110,28 @@ def combine_blocks(
     )
 
 
+def _reduce(keys, value_cols, aggs, finish, *parts: pa.Table) -> pa.Table:
+    """One hash partition's parts, fully reduced: every row of its keys
+    is here."""
+    out = combine_blocks(list(parts), keys, value_cols, aggs)
+    return finish(out) if finish else out
+
+
+def _segment(
+    blocks: list,
+    key_col: str | list[str],
+    value_cols: list[str],
+    aggs: list[str] | None = None,
+    finish: Callable[[pa.Table], pa.Table] | None = None,
+) -> ray.data.Dataset:
+    """:func:`segment_sum` over held ``(ref, metadata)`` blocks, with
+    ``finish`` mapping each partition's result in its reduce task."""
+    keys = _keys(key_col)
+    return partition.hash_reduce(
+        blocks, keys, partial(_reduce, keys, value_cols, aggs, finish)
+    )
+
+
 def segment_sum(
     ds: ray.data.Dataset,
     key_col: str | list[str],
@@ -136,73 +142,33 @@ def segment_sum(
     values, exact) for arbitrarily high key cardinality. ``key_col`` is
     one column or a list; ``aggs`` picks per-column reducers from
     sum/min/max (default: all sum). Output columns keep their input
-    names; rows are not in key order."""
-    keys = _keys(key_col)
-    aggs = aggs or ["sum"] * len(value_cols)
-
-    def block_reduce(batch: pa.Table) -> pa.Table:
-        ks = [_integer(c, batch[c].to_numpy()) for c in keys]
-        brk = np.zeros(max(len(batch) - 1, 0), dtype=bool)
-        for k in ks:
-            brk |= k[1:] != k[:-1]
-        starts = np.concatenate([[0], np.flatnonzero(brk) + 1])
-        out = {c: k[starts] for c, k in zip(keys, ks)}
-        for c, a in zip(value_cols, aggs):
-            v = _integer(c, batch[c].to_numpy())
-            out[c] = _UFUNC[a].reduceat(v, starts)
-        edge = np.zeros(len(starts), dtype=np.int8)
-        edge[0] = 1
-        edge[-1] = 1
-        out[_EDGE] = edge
-        return pa.table(out)
-
-    reduced = ds.sort(keys).map_batches(
-        block_reduce, batch_format="pyarrow"
-    ).materialize()
-
-    def split(flag: int):
-        def keep(batch: pa.Table) -> pa.Table:
-            mask = pa.array(batch[_EDGE].to_numpy() == flag)
-            return batch.filter(mask).drop_columns([_EDGE])
-
-        return keep
-
-    edges = reduced.map_batches(split(1), batch_format="pyarrow")
-    fixed = combine_blocks(ray.get(edges.to_arrow_refs()), keys, value_cols, aggs)
-    inner = reduced.map_batches(split(0), batch_format="pyarrow")
-    if fixed.num_rows == 0:
-        return inner
-    return inner.union(ray.data.from_arrow(fixed))
+    names; rows are in key order within a block, and blocks are hash
+    partitions, not key ranges."""
+    return _segment(held_blocks(ds)[1], key_col, value_cols, aggs)
 
 
-def held_blocks(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, list]:
-    """``ds`` and the ``(block ref, BlockMetadata)`` of each of its
-    blocks, in order. Blocks that exist already — of a ``from_arrow``
-    source, a ``MaterializedDataset``, an executed plan — are read off
-    the plan: no Ray Data execution, which ``iter_internal_ref_bundles``
-    starts on a plan not marked executed, and no ``materialize``, which
-    copies the Dataset with round trips to the cluster. A lazy plan is
-    materialized once, and that MaterializedDataset is returned in
-    place of ``ds``."""
-    from ray.data._internal.logical.interfaces import SourceOperator
-
-    if ds._plan.has_computed_output():
-        return ds, list(ds._plan._snapshot_bundle.blocks)
-    dag = ds._logical_plan.dag
-    if not (isinstance(dag, SourceOperator) and dag.output_data() is not None):
-        ds = ds.materialize()
-        dag = ds._logical_plan.dag
-    return ds, [bm for bundle in dag.output_data() for bm in bundle.blocks]
+def route(blocks: list) -> bool:
+    """The combine decision, made from MEASURED size: ``True``
+    (distributed) when the partials' held ``(ref, metadata)`` blocks
+    hold more than :data:`AUTO_NATIVE_ROWS` rows, counted from their
+    metadata (no driver data pull). Zero partial rows never
+    distribute."""
+    return sum(m.num_rows for _, m in blocks) > AUTO_NATIVE_ROWS
 
 
-def route(partials: ray.data.Dataset) -> tuple[ray.data.Dataset, bool]:
-    """The combine decision, made from MEASURED size: take the
-    pre-reduced partials' blocks (:func:`held_blocks`; the count is
-    their metadata, no driver data pull) and return the Dataset holding
-    them with ``True`` (distributed) when they number more than
-    :data:`AUTO_NATIVE_ROWS`. Zero partial rows never distribute."""
-    partials, blocks = held_blocks(partials)
-    return partials, sum(m.num_rows for _, m in blocks) > AUTO_NATIVE_ROWS
+def combine_held(
+    blocks: list,
+    key_col: str | list[str],
+    value_cols: list[str],
+    aggs: list[str] | None = None,
+) -> pa.Table:
+    """:func:`combine` over held ``(ref, metadata)`` partial blocks,
+    such as a task's ``(table, BlockMetadataWithSchema)`` returns."""
+    if route(blocks):
+        # one row per key already; the kernel only sorts and types it
+        blocks = held_blocks(_segment(blocks, key_col, value_cols, aggs))[1]
+    refs = [ref for ref, _ in blocks]
+    return combine_blocks(ray.get(refs), key_col, value_cols, aggs)
 
 
 def combine(
@@ -214,12 +180,7 @@ def combine(
     """Partials reduced to one row per key, collected as a table sorted
     by key — for outputs bounded by what the driver already holds (a
     zone layer, a tile grid)."""
-    partials, distributed = route(partials)
-    if distributed:
-        # one row per key already; the kernel only sorts and types it
-        partials = segment_sum(partials, key_col, value_cols, aggs)
-    refs = [ref for ref, _ in held_blocks(partials)[1]]
-    return combine_blocks(ray.get(refs), key_col, value_cols, aggs)
+    return combine_held(held_blocks(partials)[1], key_col, value_cols, aggs)
 
 
 def combine_dataset(
@@ -230,15 +191,11 @@ def combine_dataset(
 ) -> ray.data.Dataset:
     """Partials summed to one row per key, as a Dataset — for outputs
     with no bound: the distributed route never lands them on the
-    driver. ``finish`` maps the summed rows (per block, or once on the
-    driver route). It runs here rather than in the caller because Ray's
-    ``map_batches`` skips a zero-row block and emits it without a
-    schema; the driver route applies it to the kernel's typed table, so
-    an empty result keeps the caller's columns."""
-    partials, distributed = route(partials)
-    if distributed:
-        out = segment_sum(partials, key_col, value_cols)
-        return out.map_batches(finish, batch_format="pyarrow") if finish else out
-    refs = [ref for ref, _ in held_blocks(partials)[1]]
-    tbl = combine_blocks(ray.get(refs), key_col, value_cols)
+    driver. ``finish`` maps the summed rows: in each reduce task, or
+    once on the driver route, always on a typed table, so an empty
+    result keeps the caller's columns."""
+    blocks = held_blocks(partials)[1]
+    if route(blocks):
+        return _segment(blocks, key_col, value_cols, finish=finish)
+    tbl = combine_blocks(ray.get([ref for ref, _ in blocks]), key_col, value_cols)
     return ray.data.from_arrow(finish(tbl) if finish else tbl)

@@ -25,7 +25,8 @@ What ships (BENCH_r05, sf0.1 at 32 CPUs, inner join):
    straddles two partitions and no range is empty; zone rows go only
    to cells that hold points; each block's rows are split by those
    boundaries and each range is joined, vectorized, by one plain Ray
-   task. No Ray Data all-to-all runs.
+   task — the range plan of the engine's partition tasks
+   (``stages/partition.py``). No Ray Data all-to-all runs.
 3. ``spatial_join_auto`` picks broadcast while the zone side is under
    ``BROADCAST_ZONE_LIMIT`` rows, else sort-merge.
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import pyarrow as pa
@@ -48,7 +49,8 @@ from ray.data.block import BlockMetadataWithSchema
 from rsgislib_ray.functions import cells as cellmod
 from rsgislib_ray.functions.geom import pip_pairs
 from rsgislib_ray.functions.hashing import splitmix64
-from rsgislib_ray.stages.segsum import combine, held_blocks
+from rsgislib_ray.stages import partition
+from rsgislib_ray.stages.segsum import combine, combine_held
 from rsgislib_ray.state.broadcast import _MAX_ENTRIES, cached
 from rsgislib_ray.state.strtree import STRtree
 
@@ -415,21 +417,6 @@ def count_points_per_zone(
 # ---------------------------------------------------------------------------
 
 
-def _default_join_partitions(requested: int | None) -> int:
-    """Clamp join partition count to the cluster's CPU count (at least
-    4): Ray's hash-shuffle join spawns ~one aggregator actor per
-    partition, and partitions >> CPUs oversubscribes a small cluster
-    into ray.get convoys (measured: 32 partitions on 4 CPUs runs
-    minutes instead of seconds). With ``None`` it is also the number of
-    exact-histogram key ranges of the sort-merge spatial join, one
-    plain join task each."""
-    import ray as _ray
-
-    cpus = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
-    cap = max(4, cpus)
-    return min(requested, cap) if requested else cap
-
-
 def _emit_how(
     how: str,
     key_col: str,
@@ -621,13 +608,12 @@ def _cell_histogram(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(cells ascending, in-frame point count of each) over the points
     ``blocks``: one count task per block (at most one row per distinct
-    cell per block), summed by :func:`rsgislib_ray.stages.segsum.combine`."""
-    hist = combine(
-        _arrow_dataset(
-            [_cell_counts_task.remote(b, x_col, y_col, level) for b in blocks]
-        ),
-        "cell",
-        ["partial"],
+    cell per block), its results summed as they are held by
+    :func:`rsgislib_ray.stages.segsum.combine_held`."""
+    counts = [_cell_counts_task.remote(b, x_col, y_col, level) for b in blocks]
+    metas = ray.get([m for _, m in counts])
+    hist = combine_held(
+        [(t, m) for (t, _), m in zip(counts, metas)], "cell", ["partial"]
     )
     return hist["cell"].to_numpy(), hist["partial"].to_numpy()
 
@@ -749,80 +735,20 @@ def _prep_points(
     )
 
 
-def _range_split(t: pa.Table, bounds: np.ndarray) -> list[pa.Table]:
-    """``t`` sorted by its ``rank`` key and cut into the
-    ``len(bounds) + 1`` ranges of :func:`_range_bounds`."""
-    key = t["rank"].to_numpy()
-    order = np.argsort(key, kind="stable")
-    cut = np.searchsorted(key[order], bounds, "left")
-    t = t.take(pa.array(order))
-    edges = np.concatenate([[0], cut, [len(key)]])
-    return [t.slice(a, b - a) for a, b in zip(edges[:-1], edges[1:])]
-
-
-@ray.remote
-def _prep_task(prep, bounds: np.ndarray, block: pa.Table, hist, *args):
-    """One input block through ``prep`` into its range parts; called
-    with ``num_returns=len(bounds) + 1``, so one range returns its part
-    alone."""
-    parts = _range_split(prep(block, hist, *args), bounds)
-    return tuple(parts) if len(parts) > 1 else parts[0]
+def _ranked(prep, bounds: np.ndarray, *args):
+    """The range plan's rows: ``prep(*args)``, each row to the range of
+    its rank."""
+    t = prep(*args)
+    return t, partition.range_ids(t["rank"].to_numpy(), bounds)
 
 
 def _join_range(how: str, x_col: str, y_col: str, key_col: str, *parts) -> pa.Table:
     """Join one rank range: its parts from every block, stable-sorted
-    by rank (each part already is), then the run join."""
+    by rank, then the run join."""
     t = pa.concat_tables(parts) if parts else pa.table({})
     if t.num_rows:
         t = t.take(pa.array(np.argsort(t["rank"].to_numpy(), kind="stable")))
     return _join_sorted(t, how, x_col, y_col, key_col)
-
-
-# The join tasks hand back each pair block's metadata with it, so the
-# result Dataset is built without a metadata task per block.
-@ray.remote(num_returns=2)
-def _join_range_task(*args):
-    pairs = _join_range(*args)
-    return pairs, BlockMetadataWithSchema.from_block(pairs)
-
-
-def _arrow_dataset(parts: list) -> ray.data.MaterializedDataset:
-    """The ``(table ref, BlockMetadataWithSchema ref)`` ``parts`` as one
-    materialized Dataset, in order, built the way
-    ``ray.data.from_arrow_refs`` builds it, minus its metadata task per
-    block. Zero-row parts are left out, since a downstream
-    ``map_batches`` would pass them on without a schema; when every
-    part is empty, the first is kept, so the result stays typed (no
-    parts, as from an input without rows, give an empty Dataset)."""
-    from ray.data._internal.logical.interfaces import LogicalPlan
-    from ray.data._internal.logical.operators.from_operators import FromArrow
-    from ray.data._internal.plan import ExecutionPlan
-    from ray.data._internal.stats import DatasetStats
-    from ray.data.context import DataContext
-    from ray.data.dataset import MaterializedDataset
-
-    metas = ray.get([m for _, m in parts])
-    keep = [i for i, m in enumerate(metas) if m.num_rows]
-    if not keep and parts:
-        keep = [0]
-    refs = [parts[i][0] for i in keep]
-    metas = [metas[i] for i in keep]
-    plan = ExecutionPlan(
-        DatasetStats(metadata={"FromArrow": metas}, parent=None),
-        DataContext.get_current().copy(),
-    )
-    out = MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
-    # marks the plan executed, without an executor (its source holds the
-    # blocks), so iterating the result starts no execution
-    out._plan.execute()
-    return out
-
-
-def _block_refs(ds: ray.data.Dataset) -> list:
-    """Refs of the non-empty blocks of ``ds``, executing a lazy plan
-    once and an input that already holds its blocks not at all
-    (:func:`rsgislib_ray.stages.segsum.held_blocks`)."""
-    return [blk for blk, m in held_blocks(ds)[1] if m.num_rows]
 
 
 def spatial_join_points_sortmerge(
@@ -843,27 +769,27 @@ def spatial_join_points_sortmerge(
        and one that already holds its blocks (``from_arrow``, a
        materialized Dataset) starts no execution. One plain Ray task
        per block counts its points per level-``level`` cell;
-       :func:`rsgislib_ray.stages.segsum.combine` sums the counts
-       exactly (int64) into the per-cell histogram.
+       :func:`rsgislib_ray.stages.segsum.combine_held` sums the counts,
+       as the tasks hold them, exactly (int64) into the per-cell
+       histogram.
     2. The driver gives each cell its salt count (:func:`_salt_plan`)
        and each ``(cell, salt)`` a dense RANK: the salts of all earlier
        cells plus the salt. Ranks rise with the cells, so rows are
        keyed, split and sorted by rank. :func:`_range_bounds` cuts the
-       ranks into at most ``_default_join_partitions(None)`` ranges
+       ranks into at most ``partition.default_partitions()`` ranges
        from the histogram: boundaries fall between whole ranks, so no
        (cell, salt) straddles two partitions, a partition holds at most
        its even share of the points plus one rank's, and no range is
        empty.
-    3. The histogram's cells and salt counts are put once. One plain
+    3. The histogram's cells and salt counts are put once. One split
        task per points block and per zone block builds its rows in the
-       sort-merge layout (:func:`_prep_points`, :func:`_prep_zones`),
-       sorts them by rank and returns one part per range. Zone rows go
-       only to cells that hold points: a zone row elsewhere can match
-       no point under any ``how``.
-    4. One plain task per range concatenates its parts, stable-sorts
-       them by rank and joins the rank runs vectorized
-       (:func:`_join_sorted`: searchsorted expansion + inline PIP
-       refine).
+       sort-merge layout (:func:`_prep_points`, :func:`_prep_zones`:
+       zone rows only in cells that hold points, as one elsewhere can
+       match no point) and returns one part per range.
+    4. One reduce task per range stable-sorts its parts by rank and
+       joins the rank runs vectorized (:func:`_join_sorted`:
+       searchsorted expansion + inline PIP refine). Steps 3 and 4 are
+       the range plan of ``stages/partition.py``.
 
     The result is materialized: one pair block per range that yields
     rows, in rank order, or one empty block when none does. The
@@ -896,32 +822,33 @@ def spatial_join_points_sortmerge(
         )
     if not _positive_int(max_salt):
         raise ValueError(f"max_salt must be an int >= 1, got {max_salt!r}")
-    pblocks = _block_refs(points)
-    zblocks = [zones] if isinstance(zones, pa.Table) else _block_refs(zones)
+    pblocks = [b for b, m in partition.held_blocks(points)[1] if m.num_rows]
+    zblocks = (
+        [zones]
+        if isinstance(zones, pa.Table)
+        else [b for b, m in partition.held_blocks(zones)[1] if m.num_rows]
+    )
 
     cells, n = _cell_histogram(pblocks, x_col, y_col, level)
     per = _salt_plan(n, salt_threshold, max_salt)
-    bounds = _range_bounds(n, per, _default_join_partitions(None))
+    bounds = _range_bounds(n, per, partition.default_partitions())
     hist = ray.put((cells, per))
 
     ranges = len(bounds) + 1
-    prep = _prep_task.options(num_returns=ranges)
-    parts = [
-        prep.remote(
-            _prep_points, bounds, b, hist, level, x_col, y_col, key_col, how
+    splits = [
+        partition.split(
+            _ranked, ranges, _prep_points, bounds, b, hist,
+            level, x_col, y_col, key_col, how,
         )
         for b in pblocks
     ] + [
-        prep.remote(_prep_zones, bounds, b, hist, level, x_col, y_col)
+        partition.split(
+            _ranked, ranges, _prep_zones, bounds, b, hist, level, x_col, y_col
+        )
         for b in zblocks
     ]
-    if ranges == 1:
-        parts = [[p] for p in parts]
-    return _arrow_dataset(
-        [
-            _join_range_task.remote(how, x_col, y_col, key_col, *[p[i] for p in parts])
-            for i in range(ranges)
-        ]
+    return partition.reduce(
+        partial(_join_range, how, x_col, y_col, key_col), splits, ranges
     )
 
 

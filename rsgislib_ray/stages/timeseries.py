@@ -131,7 +131,7 @@ def pixel_start_dates(
 ) -> ray.data.Dataset:
     """Per-pixel earliest day (modelfitting.py:82 rescales each
     pixel's dates to start at 0): pre-reduced min partials through
-    the sort-based :func:`segment_sum` (Ray's native groupby
+    the hash-partitioned :func:`segment_sum` (Ray's native groupby
     aggregate is ~100x slower at high key cardinality — measured,
     see stages/segsum.py). Output columns: (pixel_col, t0)."""
     from rsgislib_ray.stages.segsum import segment_sum
@@ -177,7 +177,6 @@ def season_trend_moments(
     if t0_attach == "auto":
         from rsgislib_ray.stages import segsum as _segsum
 
-        t0 = t0.materialize()
         t0_attach = (
             "join"
             if t0.count() > _segsum.AUTO_NATIVE_ROWS

@@ -17,8 +17,9 @@ aggregation:
    per-(zone, value) counts for the order statistics;
 2. the partials reduce by fid (by (fid, value) for the histograms)
    through :func:`rsgislib_ray.stages.segsum.combine` — numpy scatters
-   on the driver, or past a measured size the distributed sort-based
-   ``segment_sum`` — and one vectorized pass finalizes.
+   on the driver, or past a measured size the distributed
+   hash-partitioned ``segment_sum`` — and one vectorized pass
+   finalizes.
 
 Pinned exact-match semantics (SURVEY.md §5):
 - stddev is POPULATION std (ddof=0 — zonalstats/__init__.py:458), via

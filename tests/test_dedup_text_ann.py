@@ -427,7 +427,6 @@ def test_exact_dedup_auto_routes_by_measured_dup_groups(
     import ray.data
 
     import rsgislib_ray.stages.segsum as segsum
-    import rsgislib_ray.stages.spatial_join as sj
 
     n = 200
     tbl = pa.table(
@@ -439,13 +438,13 @@ def test_exact_dedup_auto_routes_by_measured_dup_groups(
     ds = ray.data.from_arrow(tbl).repartition(4)
 
     calls = []
-    real = sj._default_join_partitions
+    real = ray.data.Dataset.join
 
-    def spy(v):
-        calls.append(v)
-        return real(v)
+    def spy(self, *a, **k):
+        calls.append(k.get("join_type"))
+        return real(self, *a, **k)
 
-    monkeypatch.setattr(sj, "_default_join_partitions", spy)
+    monkeypatch.setattr(ray.data.Dataset, "join", spy)
 
     a = (
         exact_dedup(ds, ["text"])

@@ -13,11 +13,12 @@ import pyarrow as pa
 import pytest
 import ray
 import ray.data
+from hypothesis import given, settings, strategies as st
 
 from rsgislib_ray.functions.grid import TileSpec
 from rsgislib_ray.ops import apply_aggregator
 from rsgislib_ray.sources import testdata as td
-from rsgislib_ray.stages import segsum
+from rsgislib_ray.stages import partition, segsum
 from rsgislib_ray.stages.calibration import band_dark_percentiles
 from rsgislib_ray.stages.classaccuracy import confusion_counts, confusion_dataset
 from rsgislib_ray.stages.classify import (
@@ -149,11 +150,10 @@ def test_combine_blocks_skips_schemaless_empty_blocks():
 # --------------------------------------------------------------------------
 
 
-def test_segment_sum_multi_key_run_spans_blocks(ray_session, monkeypatch):
-    """A two-key run split over at least 3 sorted blocks is stitched
-    back into one row by the edge combine. Ray's range sort keeps a run
-    in one partition, so the sorted output is re-split in order here to
-    reach the edge path any block split takes."""
+def test_segment_sum_hot_run_over_blocks_reduces_to_one_row(ray_session):
+    """A hot two-key run spread over 4 input blocks, every one holding
+    some of its rows, reduces to one row: the hash plan sends all of
+    them to one partition, whose reduce task sees the whole run."""
     rng = np.random.default_rng(5)
     n = 6000
     hot = np.arange(n) % 2 == 0
@@ -165,33 +165,15 @@ def test_segment_sum_multi_key_run_spans_blocks(ray_session, monkeypatch):
             "w": rng.integers(-100, 100, n),
         }
     )
-    orig_sort = ray.data.Dataset.sort
-
-    def split_sort(self, key, *a, **k):
-        return orig_sort(self, key, *a, **k).materialize().repartition(
-            12, shuffle=False
-        )
-
-    hot_edges = []  # edge rows of the hot run, per edge combine
-    orig_blocks = segsum.combine_blocks
-
-    def spy(blocks, *a, **k):
-        hot_edges.append(
-            sum(
-                int(((b["a"].to_numpy() == 7) & (b["b"].to_numpy() == -3)).sum())
-                for b in blocks
-                if b.num_rows
-            )
-        )
-        return orig_blocks(blocks, *a, **k)
-
-    monkeypatch.setattr(ray.data.Dataset, "sort", split_sort)
-    monkeypatch.setattr(segsum, "combine_blocks", spy)
-    got = segsum.segment_sum(
-        ray.data.from_arrow(t).repartition(4), ["a", "b"], ["v", "w"], ["sum", "min"]
-    ).to_pandas()
-    monkeypatch.undo()
-    assert hot_edges and hot_edges[0] >= 3, hot_edges
+    ds = ray.data.from_arrow([t.slice(i, n // 4) for i in range(0, n, n // 4)])
+    _, blocks = segsum.held_blocks(ds)
+    assert len(blocks) == 4
+    got = segsum.segment_sum(ds, ["a", "b"], ["v", "w"], ["sum", "min"]).to_pandas()
+    run = got[(got["a"] == 7) & (got["b"] == -3)]
+    key = (t["a"].to_numpy() == 7) & (t["b"].to_numpy() == -3)
+    assert len(run) == 1
+    assert run["v"].item() == t["v"].to_numpy()[key].sum()
+    assert run["w"].item() == t["w"].to_numpy()[key].min()
     want = (
         t.to_pandas()
         .groupby(["a", "b"], as_index=False)
@@ -204,6 +186,55 @@ def test_segment_sum_multi_key_run_spans_blocks(ray_session, monkeypatch):
     )
 
 
+_I64 = np.iinfo(np.int64)
+_KEY = st.one_of(
+    st.sampled_from([_I64.min, _I64.max, -1, 0, 1, -(2**40)]),
+    st.integers(_I64.min, _I64.max),
+)
+_VAL = st.integers(-(2**40), 2**40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    blocks=st.lists(
+        st.lists(st.tuples(_KEY, _KEY, _VAL, _VAL, _VAL), max_size=25), max_size=5
+    ),
+    parts=st.integers(1, 8),
+)
+def test_hash_plan_and_reduce_equal_driver_kernel(blocks, parts):
+    """Each block split by the hash plan into ``parts`` partitions, and
+    each partition reduced as its reduce task reduces it: the
+    partitions together hold exactly the driver kernel's rows, every
+    one typed — over two int64 keys with negatives and the int64 min
+    and max, sum/min/max, zero-row blocks and no blocks at all."""
+    names = ["a", "b", "s", "lo", "hi"]
+    aggs = ["sum", "min", "max"]
+
+    def table(rows):
+        cols = np.array(rows, dtype=np.int64).reshape(len(rows), 5).T
+        return pa.table(dict(zip(names, cols)))
+
+    tables = [table(rows) for rows in blocks]
+    splits = [
+        partition.group(*partition.hashed(["a", "b"], parts, t), parts)
+        for t in tables
+    ]
+    assert all(len(sp) == parts for sp in splits)
+    outs = [
+        segsum._reduce(["a", "b"], names[2:], aggs, None, *[sp[i] for sp in splits])
+        for i in range(parts)
+    ]
+    allrows = table([r for rows in blocks for r in rows])
+    want = segsum.combine_arrays(
+        {k: allrows[k].to_numpy() for k in "ab"},
+        {v: allrows[v].to_numpy() for v in names[2:]},
+        aggs,
+    )
+    assert all(o.schema == want.schema for o in outs)
+    got = pa.concat_tables(outs).sort_by([("a", "ascending"), ("b", "ascending")])
+    assert got.equals(want)
+
+
 # --------------------------------------------------------------------------
 # the route
 # --------------------------------------------------------------------------
@@ -211,13 +242,14 @@ def test_segment_sum_multi_key_run_spans_blocks(ray_session, monkeypatch):
 
 def test_route_by_measured_partial_rows(ray_session, monkeypatch):
     small = ray.data.from_arrow(pa.table({"k": np.arange(10, dtype=np.int64)}))
+    _, blocks = segsum.held_blocks(small)
     monkeypatch.setattr(segsum, "AUTO_NATIVE_ROWS", 10)
-    mat, distributed = segsum.route(small)
-    assert not distributed and mat.count() == 10
+    assert not segsum.route(blocks)
     monkeypatch.setattr(segsum, "AUTO_NATIVE_ROWS", 9)
-    assert segsum.route(small)[1]
+    assert segsum.route(blocks)
     monkeypatch.setattr(segsum, "AUTO_NATIVE_ROWS", 0)
-    assert not segsum.route(small.limit(0))[1]  # zero rows never distribute
+    # zero rows never distribute
+    assert not segsum.route(segsum.held_blocks(small.limit(0))[1])
 
 
 # --------------------------------------------------------------------------
@@ -478,9 +510,9 @@ def _run_ops(call, src, sf_dir, monkeypatch):
         orig_init(self, *a, **k)
         made.append(self)
 
-    def route_spy(partials):
-        out = orig_route(partials)
-        routes.append(out[1])
+    def route_spy(blocks):
+        out = orig_route(blocks)
+        routes.append(out)
         return out
 
     with monkeypatch.context() as m:
@@ -502,11 +534,11 @@ def test_distributed_route_equals_driver_route(
 ):
     """Forced onto the distributed route, each site returns the default
     route's rows bit for bit (same schema, and for tables the same row
-    order). The default route runs no all-to-all of the combine's; the
-    distributed one takes the distributed route exactly once per
-    combine (:data:`COMBINES`) and adds exactly one ``Sort`` per
-    combine, and neither runs an ``Aggregate``. Sites without a shuffle of their own run no
-    other all-to-all and no ``MapGroups``."""
+    order). The distributed route is taken exactly once per combine
+    (:data:`COMBINES`) and adds no all-to-all and no ``MapGroups``: its
+    split and reduce are plain tasks. Neither route runs an
+    ``Aggregate``. Sites without a shuffle of their own run no
+    all-to-all and no ``MapGroups`` at all."""
     make, call = SITES[site]
     src = make(sf_dir).materialize()
     raw, driver, ops_d, n_d = _run_ops(call, src, sf_dir, monkeypatch)
@@ -519,13 +551,12 @@ def test_distributed_route_equals_driver_route(
     else:
         pd.testing.assert_frame_equal(_sorted(driver), _sorted(dist))
     assert (n_d, n_n) == (0, COMBINES.get(site, 1))
-    a2a_d = [n for n in ops_d if n in ALL_TO_ALL]
-    a2a_n = [n for n in ops_n if n in ALL_TO_ALL]
-    assert sorted(a2a_n) == sorted(a2a_d + ["Sort"] * n_n), (ops_d, ops_n)
+    a2a_d = [n for n in ops_d if n in ALL_TO_ALL or "MapGroups" in n]
+    a2a_n = [n for n in ops_n if n in ALL_TO_ALL or "MapGroups" in n]
+    assert a2a_n == a2a_d, (ops_d, ops_n)
     assert not any("Aggregate" in n for n in ops_d + ops_n), (ops_d, ops_n)
     if site not in OWN_SHUFFLE:
         assert a2a_d == [], ops_d
-        assert not any("MapGroups" in n for n in ops_d + ops_n), (ops_d, ops_n)
 
 
 def _far_points(n: int = 50) -> pa.Table:

@@ -16,13 +16,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from rsgislib_ray.functions.cells import cells_from_xy
 from rsgislib_ray.sources import testdata as td
+from rsgislib_ray.stages import partition
 from rsgislib_ray.stages.spatial_join import (
     _cell_histogram,
     _join_range,
     _prep_points,
     _prep_zones,
     _range_bounds,
-    _range_split,
+    _ranked,
     _salt_plan,
     spatial_join_points_sortmerge,
 )
@@ -122,10 +123,15 @@ def _brute(t, zones, how):
     )
 
 
+def _range_split(t: pa.Table, bounds: np.ndarray) -> list[pa.Table]:
+    """``t`` grouped by the range plan, as one split task groups it."""
+    return partition.group(*_ranked(lambda x: x, bounds, t), len(bounds) + 1)
+
+
 @pytest.mark.parametrize("how", HOWS)
 def test_range_partitions_equal_brute_force(how):
     """The union rows, shuffled into two blocks, each block cut by
-    :func:`_range_split` at boundaries from the points' rank histogram,
+    the range plan at boundaries from the points' rank histogram,
     and each range joined on its own by :func:`_join_range`: together
     exactly the brute-force rows, for every partition count, with no
     empty range."""
@@ -324,8 +330,6 @@ def test_output_blocks_carry_pair_schema(ray_session, sf_dir, how):
     import ray
     import ray.data
 
-    from rsgislib_ray.stages.spatial_join import _default_join_partitions
-
     skew = _skew_table(sf_dir)
     one_cell = skew.set_column(1, "x", pa.array(np.full(skew.num_rows, 50.5)))
     one_cell = one_cell.set_column(2, "y", pa.array(np.full(skew.num_rows, 50.5)))
@@ -336,7 +340,7 @@ def test_output_blocks_carry_pair_schema(ray_session, sf_dir, how):
             level=6, key_col="pt_row", how=how, salt_threshold=salt,
         )
         blocks = ray.get(out.to_arrow_refs())
-        assert 1 <= len(blocks) <= _default_join_partitions(None)
+        assert 1 <= len(blocks) <= partition.default_partitions()
         assert all(b.schema == PAIR_SCHEMA for b in blocks)
         assert pa.concat_tables(blocks).num_rows == out.count()
     assert len(blocks) == 1
@@ -465,7 +469,7 @@ def test_held_inputs_start_no_execution(ray_session, sf_dir, monkeypatch):
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from rsgislib_ray.stages import segsum
-    from rsgislib_ray.stages.spatial_join import _arrow_dataset, _cell_counts_task
+    from rsgislib_ray.stages.spatial_join import _cell_counts_task
 
     runs, mats = [], []
 
@@ -490,7 +494,7 @@ def test_held_inputs_start_no_execution(ray_session, sf_dir, monkeypatch):
         held, zones, level=6, key_col="pt_row", salt_threshold=200
     )
     assert out.count() > 0 and runs == [] and mats == []
-    parts = _arrow_dataset([_cell_counts_task.remote(skew, "x", "y", 6)])
+    parts = partition.arrow_dataset([_cell_counts_task.remote(skew, "x", "y", 6)])
     hist = segsum.combine(parts, "cell", ["partial"])
     assert hist["partial"].to_numpy().sum() == skew.num_rows
     assert runs == [] and mats == []
@@ -499,6 +503,30 @@ def test_held_inputs_start_no_execution(ray_session, sf_dir, monkeypatch):
         level=6, key_col="pt_row", salt_threshold=200,
     )
     assert len(runs) == 1 and len(mats) == 1
+
+
+def test_sortmerge_builds_one_dataset(ray_session, sf_dir, monkeypatch):
+    """A ``from_arrow`` input joined by the salted sort-merge join
+    creates exactly one Dataset, its output: the histogram's count
+    partials are summed as their tasks hold them."""
+    import ray.data
+
+    held = ray.data.from_arrow(_skew_table(sf_dir))
+    zones = td.zones_from_part(sf_dir)
+    made = []
+    orig_init = ray.data.Dataset.__init__
+
+    def spy(self, *a, **k):
+        orig_init(self, *a, **k)
+        made.append(self)
+
+    monkeypatch.setattr(ray.data.Dataset, "__init__", spy)
+    out = spatial_join_points_sortmerge(
+        held, zones, level=6, key_col="pt_row", salt_threshold=200
+    )
+    monkeypatch.undo()
+    assert made == [out]
+    assert out.count() > 0
 
 
 def test_sortmerge_query_blocks_keep_schema_downstream(
@@ -512,9 +540,8 @@ def test_sortmerge_query_blocks_keep_schema_downstream(
     import ray
 
     from rsgislib_ray.pipelines.queries import q_spatial_join_sortmerge
-    from rsgislib_ray.stages import spatial_join
 
-    monkeypatch.setattr(spatial_join, "_default_join_partitions", lambda _: 8)
+    monkeypatch.setattr(partition, "default_partitions", lambda requested=None: 8)
 
     out = q_spatial_join_sortmerge(sf_dir).map_batches(_tag, batch_format="pyarrow")
     blocks = ray.get(out.to_arrow_refs())

@@ -1,0 +1,127 @@
+"""Ray Data execution census of registry queries.
+
+Runs each named ``queries()`` entry (all of them when none is named)
+the way ``tools/check_contract.py`` runs it, and prints one JSON line
+per query:
+
+- ``executions``: how many Ray Data executions it started;
+- ``all_to_all``: per execution, the names of its all-to-all operators
+  (``Sort``, ``Repartition``, ``Aggregate``, ``Join``, ...), an empty
+  list for a map-only one;
+- ``wall_s``: the query's wall time, result collection included;
+- ``error``: the exception, when the query raised.
+
+A closing ``{"total": ...}`` line sums executions, executions that
+hold a ``Sort`` and wall. Usage:
+
+    python tools/exec_census.py SF_DIR [name ...] > census.jsonl
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _all_to_all(dag) -> list[str]:
+    """Names of the all-to-all operators in a physical DAG."""
+    from ray.data._internal.execution.operators.base_physical_operator import (
+        AllToAllOperator,
+    )
+    from ray.data._internal.execution.operators.hash_shuffle import (
+        HashShufflingOperatorBase,
+    )
+
+    names, todo, seen = [], [dag], set()
+    while todo:
+        op = todo.pop()
+        if id(op) in seen:
+            continue
+        seen.add(id(op))
+        if isinstance(op, (AllToAllOperator, HashShufflingOperatorBase)):
+            names.append(op.name)
+        todo.extend(op.input_dependencies)
+    return sorted(names)
+
+
+def main() -> int:
+    if len(sys.argv) < 2:
+        sys.exit("usage: python tools/exec_census.py SF_DIR [name ...]")
+    sf_dir = os.path.abspath(sys.argv[1])
+    only = sys.argv[2:]
+    # workers import the engine from the working directory: run from
+    # this checkout, as check_contract does
+    os.chdir(REPO_ROOT)
+    sys.path.insert(0, str(REPO_ROOT))
+
+    import ray
+    from ray.data import DataContext
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from check_contract import to_df
+
+    ray.init(
+        address="local",
+        num_cpus=8,
+        include_dashboard=False,
+        ignore_reinit_error=True,
+        logging_level="ERROR",
+        # keep stdout to the JSON lines: no worker or raylet log echo
+        log_to_driver=False,
+    )
+    DataContext.get_current().enable_progress_bars = False
+    runs: list[list[str]] = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, dag, *a, **k):
+        runs.append(_all_to_all(dag))
+        return execute(self, dag, *a, **k)
+
+    StreamingExecutor.execute = counted
+
+    import __ray_entry__ as entrymod
+
+    qs = entrymod.queries()
+    total = {"queries": 0, "executions": 0, "sort_executions": 0, "wall_s": 0.0}
+    try:
+        for name in only or list(qs):
+            runs.clear()
+            error = None
+            t0 = time.perf_counter()
+            try:
+                with contextlib.redirect_stdout(sys.stderr):
+                    to_df(qs[name](sf_dir))
+            except Exception as e:  # noqa: BLE001
+                error = f"{type(e).__name__}: {e}"
+            wall = time.perf_counter() - t0
+            print(
+                json.dumps(
+                    {
+                        "query": name,
+                        "executions": len(runs),
+                        "all_to_all": runs,
+                        "wall_s": round(wall, 3),
+                        "error": error,
+                    }
+                ),
+                flush=True,
+            )
+            total["queries"] += 1
+            total["executions"] += len(runs)
+            total["sort_executions"] += sum("Sort" in r for r in runs)
+            total["wall_s"] += wall
+    finally:
+        ray.shutdown()
+    total["wall_s"] = round(total["wall_s"], 3)
+    print(json.dumps({"total": total}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
