@@ -797,25 +797,14 @@ def _binary_morph(
     every in-grid window cell is a member (truncated windows at the
     raster edge), ``dilate`` emits every in-grid cell within one step
     of a member. Returns (pixel_id, row, col) member rows."""
-    from rsgislib_ray.stages.raster import _halo_dup_fn
+    from rsgislib_ray.stages.raster import Tile, halo_tiles
 
-    dup = _halo_dup_fn(tile_size, 1)
-
-    def per_tile(g: pa.Table) -> pa.Table:
-        tid = int(g["tile_id"][0].as_py())
-        tr, tc = tid // (1 << 20), tid % (1 << 20)
-        r0 = tr * tile_size - 1
-        c0 = tc * tile_size - 1
-        dim = tile_size + 2
-        rr = g["row"].to_numpy().astype(np.int64) - r0
-        cc = g["col"].to_numpy().astype(np.int64) - c0
+    def per_tile(t: Tile) -> pa.Table:
+        r0, c0, dim, rr, cc = t.r0, t.c0, t.dim, t.rr, t.cc
         p = np.zeros((dim, dim), dtype=bool)
         p[rr, cc] = True
         if op == "erode":
-            core = (
-                (rr >= 1) & (rr < dim - 1) & (cc >= 1) & (cc < dim - 1)
-            )
-            sr, sc = rr[core], cc[core]
+            sr, sc = rr[t.core], cc[t.core]
             keep = np.ones(len(sr), dtype=bool)
             for dy in (-1, 0, 1):
                 for dx in (-1, 0, 1):
@@ -830,11 +819,6 @@ def _binary_morph(
         else:  # dilate
             # candidates: every in-grid cell of the halo'd frame that
             # touches a member; core-only emission avoids duplicates
-            cand_r, cand_c = [], []
-            base_r = np.arange(dim)
-            grid_r, grid_c = np.meshgrid(
-                np.arange(dim), np.arange(dim), indexing="ij"
-            )
             near = np.zeros((dim, dim), dtype=bool)
             for dy in (-1, 0, 1):
                 for dx in (-1, 0, 1):
@@ -860,11 +844,7 @@ def _binary_morph(
             }
         )
 
-    return (
-        pixels.map_batches(dup, batch_format="pyarrow", batch_size=65536)
-        .groupby("tile_id")
-        .map_groups(per_tile, batch_format="pyarrow")
-    )
+    return halo_tiles(pixels, tile_size, 1, per_tile)
 
 
 def clear_sky_regions(

@@ -101,32 +101,17 @@ def detrend_plane(
     the pixel; empty windows cannot occur — the pixel itself is
     always a member). Halo-tiled: exact integer window moments via
     masked shifts, vectorized fixed-order 3x3 Cholesky."""
-    from rsgislib_ray.stages.raster import _halo_dup_fn
+    from rsgislib_ray.stages.raster import Tile, halo_tiles
     from rsgislib_ray.stages.timeseries import chol_solve_np
 
-    halo = 1
-    dup = _halo_dup_fn(tile_size, halo)
-
-    def per_tile(g: pa.Table) -> pa.Table:
-        tid = int(g["tile_id"][0].as_py())
-        tr, tc = tid // (1 << 20), tid % (1 << 20)
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        dim = tile_size + 2 * halo
-        rr = g["row"].to_numpy().astype(np.int64) - r0
-        cc = g["col"].to_numpy().astype(np.int64) - c0
+    def per_tile(t: Tile) -> pa.Table:
+        r0, c0, dim, rr, cc = t.r0, t.c0, t.dim, t.rr, t.cc
         z = np.zeros((dim, dim), dtype=np.int64)
         p = np.zeros((dim, dim), dtype=np.int64)
-        z[rr, cc] = g[value_col].to_numpy().astype(np.int64)
+        z[rr, cc] = t.rows[value_col].to_numpy().astype(np.int64)
         p[rr, cc] = 1
-        core = (
-            (rr >= halo)
-            & (rr < dim - halo)
-            & (cc >= halo)
-            & (cc < dim - halo)
-        )
-        sel_r = rr[core]
-        sel_c = cc[core]
+        sel_r = rr[t.core]
+        sel_c = cc[t.core]
         n_pix = len(sel_r)
         if n_pix == 0:
             return pa.table(
@@ -178,11 +163,7 @@ def detrend_plane(
             }
         )
 
-    return (
-        raster.map_batches(dup, batch_format="pyarrow", batch_size=65536)
-        .groupby("tile_id")
-        .map_groups(per_tile, batch_format="pyarrow")
-    )
+    return halo_tiles(raster, tile_size, 1, per_tile)
 
 
 def shadow_mask(
@@ -206,7 +187,7 @@ def shadow_mask(
     mirrored: flat pixels (zero Horn gradients) skip BOTH tests and
     are never shadowed. Interior pixels only (full 3x3 windows);
     off-grid ray samples see no terrain."""
-    from rsgislib_ray.stages.raster import _halo_dup_fn
+    from rsgislib_ray.stages.raster import Tile, halo_tiles
 
     d2r = math.pi / 180.0
     az = sun_azimuth_deg * d2r
@@ -222,31 +203,16 @@ def shadow_mask(
         for k in range(1, n_steps + 1)
     ]
     halo = n_steps + 1
-    if halo > tile_size:
-        raise ValueError("n_steps + 1 must be <= tile_size")
-    dup = _halo_dup_fn(tile_size, halo)
     cos_sz, sin_sz = math.cos(zen), math.sin(zen)
 
-    def per_tile(g: pa.Table) -> pa.Table:
-        tid = int(g["tile_id"][0].as_py())
-        tr, tc = tid // (1 << 20), tid % (1 << 20)
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        dim = tile_size + 2 * halo
-        rr = g["row"].to_numpy().astype(np.int64) - r0
-        cc = g["col"].to_numpy().astype(np.int64) - c0
+    def per_tile(t: Tile) -> pa.Table:
+        r0, c0, dim, rr, cc = t.r0, t.c0, t.dim, t.rr, t.cc
         z = np.zeros((dim, dim), dtype=np.int64)
         p = np.zeros((dim, dim), dtype=bool)
-        z[rr, cc] = g[value_col].to_numpy().astype(np.int64)
+        z[rr, cc] = t.rows[value_col].to_numpy().astype(np.int64)
         p[rr, cc] = True
         # interior core pixels with full 3x3 windows
-        core = (
-            (rr >= halo)
-            & (rr < dim - halo)
-            & (cc >= halo)
-            & (cc < dim - halo)
-        )
-        sr, sc = rr[core], cc[core]
+        sr, sc = rr[t.core], cc[t.core]
         full = np.ones(len(sr), dtype=bool)
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
@@ -295,11 +261,7 @@ def shadow_mask(
             }
         )
 
-    return (
-        raster.map_batches(dup, batch_format="pyarrow", batch_size=65536)
-        .groupby("tile_id")
-        .map_groups(per_tile, batch_format="pyarrow")
-    )
+    return halo_tiles(raster, tile_size, halo, per_tile)
 
 
 def terrain_pxl_res_np(

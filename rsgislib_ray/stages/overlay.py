@@ -23,9 +23,10 @@ Scale design (10^12 A-features, O(10^6) tiles):
   residuals are emitted batch-locally.
 - The union's B-residual needs the area of ``b ∩ ∪A`` per tile with
   arbitrarily overlapping A. Pieces are keyed by ``tile_id`` and
-  reduced with ``groupby(tile_id).map_groups`` running a vectorized
-  slab scanline (coordinate-compressed x-slabs, per-slab y-interval
-  union via segment-reset prefix cummax) — the ONE exchange, keyed by
+  reduced per tile by ``partition.group_apply`` (the engine's hash
+  split and reduce tasks) running a vectorized slab scanline
+  (coordinate-compressed x-slabs, per-slab y-interval union via
+  segment-reset prefix cummax) — the ONE exchange, keyed by
   the same tile id the rest of the engine partitions on. Empty tiles
   are covered by phantom zero-width pieces so every active tile owns a
   group.
@@ -40,8 +41,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
 import ray.data
+
+from rsgislib_ray.stages import partition
 
 
 def _expand_ranges(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +179,7 @@ def overlay_union(
 ) -> ray.data.Dataset:
     """Union overlay: identity rows plus one ``(fid=-1, tile_id,
     tile_area − area(b ∩ ∪A))`` row per active tile with uncovered
-    surface. One groupby keyed by ``tile_id``."""
+    surface. One engine shuffle keyed by ``tile_id``."""
     pieces = zones.map_batches(
         _IdentityPieces(tile, n_cols, parity, for_union=True),
         batch_format="pyarrow",
@@ -207,39 +209,19 @@ def overlay_union(
     )
     tile_area = tile * tile
 
-    def per_tile(df):
-        import pandas as pd
-
-        out = df[df["fid"] >= 0][["fid", "tile_id", "piece_area"]]
-        tidv = int(df["tile_id"].iloc[0])
+    def per_tile(t: pa.Table) -> pa.Table:
+        out = t.filter(pa.array(t["fid"].to_numpy() >= 0))
+        out = out.select(["fid", "tile_id", "piece_area"])
+        tidv = t["tile_id"][0].as_py()
         if tidv < 0:  # residual-of-A group passes through untouched
             return out
         un = _interval_union_area(
-            df["x0"].to_numpy(),
-            df["x1"].to_numpy(),
-            df["y0"].to_numpy(),
-            df["y1"].to_numpy(),
+            *(t[c].to_numpy() for c in ("x0", "x1", "y0", "y1"))
         )
         uncov = tile_area - un
         if uncov > 0:
-            out = pd.concat(
-                [
-                    out,
-                    pd.DataFrame(
-                        {
-                            "fid": [-1],
-                            "tile_id": [tidv],
-                            "piece_area": [uncov],
-                        }
-                    ),
-                ]
-            )
+            row = {"fid": [-1], "tile_id": [tidv], "piece_area": [uncov]}
+            out = pa.concat_tables([out, pa.table(row, schema=out.schema)])
         return out
 
-    from rsgislib_ray.functions.arrowize import arrowize
-
-    return (
-        pieces.union(phantom)
-        .groupby("tile_id")
-        .map_groups(arrowize(per_tile), batch_format="pandas")
-    )
+    return partition.group_apply(pieces.union(phantom), "tile_id", per_tile)

@@ -43,12 +43,10 @@ pin) so the SQL oracle replays bit-for-bit.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from rsgislib_ray.functions.arrowize import arrowize
-from rsgislib_ray.stages.raster import _halo_dup_fn
+from rsgislib_ray.stages.raster import Tile, halo_tiles
 
 __all__ = ["hcs_stats", "hcs_pan_sharpen"]
 
@@ -156,28 +154,15 @@ def hcs_pan_sharpen(
     double output array of the float32 products)."""
     mean_ms, mean_pan, sd_ms, sd_pan = (_F(s) for s in stats)
     halo = win_size // 2
-    dup = _halo_dup_fn(tile_size, halo)
     k = win_size
 
-    def apply_tile(g: pd.DataFrame) -> pd.DataFrame:
-        tid = int(g["tile_id"].iloc[0])
-        tr, tc = tid // 2**20, tid % 2**20
-        r = g["row"].to_numpy()
-        c = g["col"].to_numpy()
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        h = tile_size + 2 * halo
-        core = (
-            (r >= tr * tile_size)
-            & (r < (tr + 1) * tile_size)
-            & (c >= tc * tile_size)
-            & (c < (tc + 1) * tile_size)
-        )
-        rr, cc = r[core] - r0, c[core] - c0
+    def apply_tile(t: Tile) -> pa.Table:
+        g, h, core = t.rows, t.dim, t.core
+        rr, cc = t.rr[core], t.cc[core]
         # PAN window sum (zero-filled edges, constant denominator)
         panv = g[pan_col].to_numpy().astype(np.float64)
         dense = np.zeros((h, h))
-        dense[r - r0, c - c0] = panv
+        dense[t.rr, t.cc] = panv
         padded = np.zeros((h + 2 * halo, h + 2 * halo))
         padded[halo : halo + h, halo : halo + h] = dense
         pan_sum = np.zeros(int(core.sum()))
@@ -189,7 +174,7 @@ def hcs_pan_sharpen(
         ms = []
         for col in ms_cols:
             dm = np.zeros((h, h))
-            dm[r - r0, c - c0] = g[col].to_numpy().astype(np.float64)
+            dm[t.rr, t.cc] = g[col].to_numpy().astype(np.float64)
             ms.append(_F(dm[rr, cc]))
 
         def p_sq(p):
@@ -216,10 +201,6 @@ def hcs_pan_sharpen(
             res = _hcs_transform(ms, ia)
             for col, v in zip(ms_cols, res):
                 out[f"{col}_{name}"] = v.astype(np.float64)
-        return pd.DataFrame(out)
+        return pa.table(out)
 
-    return (
-        ds.map_batches(dup, batch_format="pyarrow")
-        .groupby("tile_id")
-        .map_groups(arrowize(apply_tile), batch_format="pandas")
-    )
+    return halo_tiles(ds, tile_size, halo, apply_tile)

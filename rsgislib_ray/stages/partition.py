@@ -12,11 +12,14 @@ from one of two plans:
 
 :func:`reduce` runs one task per partition over its parts, in block
 order, and wraps the results as one materialized Dataset;
-:func:`hash_reduce` is the hash plan end to end.
+:func:`hash_reduce` is the hash plan end to end, and :func:`group_apply`
+runs a function once per key on it (``raster.halo_tiles``' tile
+groups, ``overlay.overlay_union``'s tiles).
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 
 import numpy as np
@@ -25,6 +28,7 @@ import ray
 import ray.data
 from ray.data.block import BlockMetadataWithSchema
 
+from rsgislib_ray.functions.arrowize import arrowize
 from rsgislib_ray.functions.hashing import hash_combine, splitmix64
 
 
@@ -130,6 +134,33 @@ def hash_reduce(blocks: list, keys: list[str], fn: Callable) -> ray.data.Dataset
     parts = default_partitions()
     splits = [split(hashed, parts, keys, parts, ref) for ref, m in blocks if m.num_rows]
     return reduce(fn, splits, parts)
+
+
+def _apply_groups(key: str, fn: Callable, *parts: pa.Table) -> pa.Table:
+    """One hash partition: ``fn`` once per ``key`` value, on that key's
+    rows in (part, row) order. Zero-row outputs are left out, except
+    the first when all are."""
+    if not sum(p.num_rows for p in parts):
+        return pa.table({})
+    t = pa.concat_tables(parts, promote_options="default")
+    k = t[key].to_numpy()
+    order = np.argsort(k, kind="stable")
+    t, k = t.take(pa.array(order)), k[order]
+    cut = np.r_[0, np.flatnonzero(k[1:] != k[:-1]) + 1, len(k)]
+    fn = arrowize(fn)
+    outs = [fn(t.slice(a, b - a)) for a, b in zip(cut[:-1], cut[1:])]
+    outs = [o for o in outs if o.num_rows] or outs[:1]
+    return pa.concat_tables(outs, promote_options="default")
+
+
+def group_apply(ds: ray.data.Dataset, key: str, fn: Callable) -> ray.data.Dataset:
+    """``fn`` once per value of the int64 column ``key``, on every row
+    of that value in input (block, row) order, as one materialized
+    Dataset: the hash plan (:func:`hash_reduce`) with each reduce task
+    stable-sorting its rows by ``key``. ``fn`` returns a ``pa.Table``
+    or a DataFrame (converted by ``arrowize``)."""
+    apply = functools.partial(_apply_groups, key, fn)
+    return hash_reduce(held_blocks(ds)[1], [key], apply)
 
 
 def arrow_dataset(parts: list) -> ray.data.MaterializedDataset:

@@ -12,9 +12,10 @@ Execution mirrors the reference's tiled strategy
 (tiledsegsingle.py:462-706: per-tile work, then border-region
 reconciliation) but Ray-Data-first:
 
-1. ``groupby(tile_id).map_groups``: per-tile local CC on a dense tile
-   raster (vectorized min-propagation + pointer jumping — no Python
-   per-pixel loop). Local label = min pixel_id of the component, so
+1. ``raster.halo_tiles`` with no halo: per-tile local CC on a dense
+   tile raster (vectorized min-propagation + pointer jumping — no
+   Python per-pixel loop), one call per tile in the engine's partition
+   tasks. Local label = min pixel_id of the component, so
    labels are globally unique and deterministic without coordination.
 2. border strips (one-pixel frames) are tiny vs tile area; they flow to
    one union-find over the CONTRACTED label graph (edges = same-value
@@ -42,6 +43,7 @@ from rsgislib_ray.functions.arrowize import arrowize
 from rsgislib_ray.stages.components import (
     edge_components_minlabel as _edge_components_minlabel,
 )
+from rsgislib_ray.stages.raster import Tile, halo_tiles
 from rsgislib_ray.stages.segsum import combine, combine_arrays
 
 
@@ -107,22 +109,16 @@ def clump(
     component). Requires columns pixel_id,row,col,value.
     """
 
-    def tag_tiles(batch: pa.Table) -> pa.Table:
-        r = batch["row"].to_numpy()
-        c = batch["col"].to_numpy()
-        tid = (r // tile_size) * np.int64(2**20) + (c // tile_size)
-        return batch.append_column("tile_id", pa.array(tid, type=pa.int64()))
-
-    tiled = raster.map_batches(tag_tiles, batch_format="pyarrow")
     if no_data is not None:
-        tiled = tiled.map_batches(
+        raster = raster.map_batches(
             lambda t: t.filter(
                 pa.compute.not_equal(t[value_col], pa.scalar(no_data))
             ),
             batch_format="pyarrow",
         )
 
-    def local(g: pd.DataFrame) -> pd.DataFrame:
+    def local(t: Tile) -> pa.Table:
+        g = t.rows
         lab = _local_cc_unionfind(
             g["row"].to_numpy(),
             g["col"].to_numpy(),
@@ -130,21 +126,14 @@ def clump(
             g["pixel_id"].to_numpy(),
             eight_conn,
         )
-        g = g.copy()
-        g["local_label"] = lab
         # border flag: pixels on the tile frame participate in merging
-        r = g["row"].to_numpy()
-        c = g["col"].to_numpy()
-        g["is_border"] = (
-            (r % tile_size == 0)
-            | (r % tile_size == tile_size - 1)
-            | (c % tile_size == 0)
-            | (c % tile_size == tile_size - 1)
+        edge = (0, tile_size - 1)
+        border = np.isin(t.rr, edge) | np.isin(t.cc, edge)
+        return g.append_column("local_label", pa.array(lab)).append_column(
+            "is_border", pa.array(border)
         )
-        return g
 
-    labeled = tiled.groupby("tile_id").map_groups(arrowize(local), batch_format="pandas")
-    labeled = labeled.materialize()
+    labeled = halo_tiles(raster, tile_size, 0, local)
 
     # ---- contracted cross-tile merge: DISTRIBUTED edge extraction ---
     # Each border pixel emits an anchor row at its own position plus one
@@ -267,7 +256,7 @@ def clump(
             pos = np.clip(np.searchsorted(k, lab), 0, len(k) - 1)
             mapped = np.where(k[pos] == lab, v[pos], lab)
         out = batch.append_column("comp_label", pa.array(mapped, type=pa.int64()))
-        return out.drop_columns(["is_border", "local_label", "tile_id"])
+        return out.drop_columns(["is_border", "local_label"])
 
     return labeled.map_batches(relabel, batch_format="pyarrow")
 

@@ -26,12 +26,10 @@ with a window-join + ROW_NUMBER + recursive min-label CTE.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from rsgislib_ray.functions.arrowize import arrowize
-from rsgislib_ray.stages.raster import _halo_dup_fn
+from rsgislib_ray.stages.raster import Tile, halo_tiles
 
 CS = 64          # spatial weight in d2
 SCALE = 1 << 20  # kernel numerator
@@ -53,22 +51,13 @@ def quickshift_parents(
     value_col: str = "value",
 ) -> ray.data.Dataset:
     """(pixel_id, dens, parent) per pixel — one halo-tiled pass."""
-    halo = 2 * W
-    dup = _halo_dup_fn(tile_size, halo)
 
-    def per_tile(g: pd.DataFrame) -> pd.DataFrame:
-        tid = int(g["tile_id"].iloc[0])
-        tr, tc = tid // 2**20, tid % 2**20
-        r = g["row"].to_numpy().astype(np.int64)
-        c = g["col"].to_numpy().astype(np.int64)
+    def per_tile(t: Tile) -> pa.Table:
+        g, h, rr, cc = t.rows, t.dim, t.rr, t.cc
         v = g[value_col].to_numpy().astype(np.int64)
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        h = tile_size + 2 * halo
         vg = np.zeros((h, h), dtype=np.int64)
         pres = np.zeros((h, h), dtype=bool)
         pid = np.full((h, h), -1, dtype=np.int64)
-        rr, cc = r - r0, c - c0
         vg[rr, cc] = v
         pres[rr, cc] = True
         pid[rr, cc] = g["pixel_id"].to_numpy()
@@ -109,26 +98,16 @@ def quickshift_parents(
             best_d2 = np.where(ok, d2, best_d2)
             best_pid = np.where(ok, npid, best_pid)
             found |= ok
-        core = (
-            (r >= tr * tile_size)
-            & (r < (tr + 1) * tile_size)
-            & (c >= tc * tile_size)
-            & (c < (tc + 1) * tile_size)
-        )
-        rr, cc = r[core] - r0, c[core] - c0
-        return pd.DataFrame(
+        rr, cc = rr[t.core], cc[t.core]
+        return pa.table(
             {
-                "pixel_id": g["pixel_id"].to_numpy()[core],
+                "pixel_id": g["pixel_id"].to_numpy()[t.core],
                 "dens": dens[rr, cc],
                 "parent": best_pid[rr, cc],
             }
         )
 
-    return (
-        raster.map_batches(dup, batch_format="pyarrow")
-        .groupby("tile_id")
-        .map_groups(arrowize(per_tile), batch_format="pandas")
-    )
+    return halo_tiles(raster, tile_size, 2 * W, per_tile)
 
 
 def quickshift_segments(
@@ -140,9 +119,7 @@ def quickshift_segments(
     (pixel_id, dens, parent, seg_label)."""
     from rsgislib_ray.stages.components import components_label_ids
 
-    par = quickshift_parents(
-        raster, tile_size=tile_size, value_col=value_col
-    ).materialize()
+    par = quickshift_parents(raster, tile_size=tile_size, value_col=value_col)
     edges = par.map_batches(
         lambda t: pa.table(
             {

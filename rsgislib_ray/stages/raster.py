@@ -30,10 +30,9 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages import partition
 from rsgislib_ray.stages.segsum import combine_arrays, combine_dataset
 from rsgislib_ray.stages.spatial_join import ZoneSet, broadcast_zones
-
-from rsgislib_ray.functions.arrowize import arrowize
 
 
 @dataclass(frozen=True)
@@ -188,11 +187,13 @@ def make_pixel_centers(grid: RasterGrid, override_num_blocks: int | None = None)
 
 
 def _halo_dup_fn(tile_size: int, halo: int):
-    """Shared halo-duplication kernel for the focal family: each pixel
-    row is copied into every tile whose halo-extended frame contains
-    it, tagged with the packed tile id. Guards the (tr, tc) < 2^20
-    bound the OR-packed tile id relies on (same hazard class as
-    build_pyramid's coordinate packing)."""
+    """:func:`halo_tiles`' fan-out: each pixel row is copied into every
+    tile whose halo-extended frame contains it (the tiles within
+    ``ceil(halo / tile_size)`` of its own), tagged with the packed tile
+    id ``tr * 2**20 + tc``. Guards the (tr, tc) < 2^20 bound that
+    packing relies on (same hazard class as build_pyramid's coordinate
+    packing)."""
+    reach = -(-halo // tile_size)
 
     def dup(batch: pa.Table) -> pa.Table:
         r = batch["row"].to_numpy()
@@ -202,16 +203,16 @@ def _halo_dup_fn(tile_size: int, halo: int):
         if len(r) and (
             int(r.min()) < 0
             or int(c.min()) < 0
-            or int(tr.max()) >= 1 << 20
-            or int(tc.max()) >= 1 << 20
+            or int(tr.max()) + reach >= 1 << 20
+            or int(tc.max()) + reach >= 1 << 20
         ):
             raise ValueError(
-                "focal filters: tile coords must satisfy 0 <= row/col "
+                "halo_tiles: tile coords must satisfy 0 <= row/col "
                 "and row//tile, col//tile < 2^20 (packed tile id)"
             )
-        outs = []
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
+        idx, tids = [], []
+        for dr in range(-reach, reach + 1):
+            for dc in range(-reach, reach + 1):
                 # does this row fall in the halo of tile (tr+dr, tc+dc)?
                 tr2 = tr + dr
                 tc2 = tc + dc
@@ -223,14 +224,63 @@ def _halo_dup_fn(tile_size: int, halo: int):
                     & (tr2 >= 0)
                     & (tc2 >= 0)
                 )
-                if not ok.any():
-                    continue
-                sel = batch.filter(pa.array(ok))
-                tid = (tr2[ok] * np.int64(2**20) + tc2[ok]).astype(np.int64)
-                outs.append(sel.append_column("tile_id", pa.array(tid)))
-        return pa.concat_tables(outs)
+                idx.append(np.flatnonzero(ok))
+                tids.append(tr2[ok] * np.int64(2**20) + tc2[ok])
+        return batch.take(pa.array(np.concatenate(idx))).append_column(
+            "tile_id", pa.array(np.concatenate(tids), pa.int64())
+        )
 
     return dup
+
+
+@dataclass(frozen=True)
+class Tile:
+    """One halo tile handed to a :func:`halo_tiles` function: ``rows``
+    (the raster rows in the tile's frame), its grid position ``tr``,
+    ``tc``, the frame origin ``r0``, ``c0`` and size ``dim`` (tile plus
+    halo on each side), each row's int64 frame coordinates ``rr``,
+    ``cc``, and ``core``, the rows inside the tile proper (each pixel
+    is core in exactly one tile)."""
+
+    rows: pa.Table
+    tr: int
+    tc: int
+    r0: int
+    c0: int
+    dim: int
+    rr: np.ndarray
+    cc: np.ndarray
+    core: np.ndarray
+
+
+def halo_tiles(
+    raster: ray.data.Dataset, tile_size: int, halo: int, fn
+) -> ray.data.Dataset:
+    """The halo-tile stage of the focal family, the engine version of
+    the reference's ``perform_tiled_img_filter``
+    (rsgislib/imagefilter/tiledfilter.py:952-1060 in its python tree):
+    the rows of ``raster`` (``row``, ``col`` >= 0) are copied into every
+    ``tile_size`` tile whose frame, widened by ``halo`` on each side,
+    holds them, and ``fn`` runs once per tile on a :class:`Tile`
+    (``partition.group_apply``, no Ray Data all-to-all). ``fn`` returns
+    a ``pa.Table`` or a DataFrame; the results come back as one
+    materialized Dataset."""
+    dim = tile_size + 2 * halo
+
+    def apply(g: pa.Table):
+        tr, tc = divmod(g["tile_id"][0].as_py(), 2**20)
+        r0, c0 = tr * tile_size - halo, tc * tile_size - halo
+        rr = g["row"].to_numpy().astype(np.int64) - r0
+        cc = g["col"].to_numpy().astype(np.int64) - c0
+        lo, hi = halo, halo + tile_size
+        core = (rr >= lo) & (rr < hi) & (cc >= lo) & (cc < hi)
+        rows = g.drop_columns(["tile_id"])
+        return fn(Tile(rows, tr, tc, r0, c0, dim, rr, cc, core))
+
+    tiled = raster.map_batches(
+        _halo_dup_fn(tile_size, halo), batch_format="pyarrow", batch_size=65536
+    )
+    return partition.group_apply(tiled, "tile_id", apply)
 
 
 def tiled_filter(
@@ -241,13 +291,13 @@ def tiled_filter(
     tile_size: int = 64,
     agg: str = "mean",
 ) -> ray.data.Dataset:
-    """Windowed (focal) filter via halo-duplicated tiles — the engine
+    """Windowed (focal) filter over :func:`halo_tiles` — the engine
     version of ``perform_tiled_img_filter``
     (/root/reference/python/rsgislib/imagefilter/tiledfilter.py:952-1060):
     the reference cuts overlap tiles to files and Pool.maps a C++ kernel,
     then mosaics with halo trim; here the halo is ROW DUPLICATION into
-    neighbor tiles before a ``groupby(tile)`` dense convolution, and the
-    trim is a filter on core membership — no files, one shuffle.
+    neighbor tiles, each tile is one dense convolution in an engine
+    partition task, and the trim keeps the core rows — no files.
 
     Edge pixels use the truncated window (mean over available
     neighbors), matching a normalized box filter with zero-padding
@@ -264,32 +314,19 @@ def tiled_filter(
     filled), so sparse rasters erode/dilate over their true support,
     same truncated-window edge rule as the mean path.
     """
-    import pandas as pd
-
     halo = kernel_size // 2
 
-    dup = _halo_dup_fn(tile_size, halo)
-
-    tiled = raster.map_batches(dup, batch_format="pyarrow")
-
-    def filt(g: pd.DataFrame) -> pd.DataFrame:
-        tid = int(g["tile_id"].iloc[0])
-        tr, tc = tid // 2**20, tid % 2**20
-        r = g["row"].to_numpy()
-        c = g["col"].to_numpy()
+    def filt(t: Tile) -> pa.Table:
+        g, h = t.rows, t.dim
         v = g[value_col].to_numpy().astype(np.float64)
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        h = tile_size + 2 * halo
         dense = np.zeros((h, h))
         mask = np.zeros((h, h))
-        dense[r - r0, c - c0] = v
-        mask[r - r0, c - c0] = 1.0
+        dense[t.rr, t.cc] = v
+        mask[t.rr, t.cc] = 1.0
         # dense box filter via cumulative sums (O(tile) regardless of k)
         def box(a):
             cs = np.cumsum(np.cumsum(a, axis=0), axis=1)
             cs = np.pad(cs, ((1, 0), (1, 0)))
-            k = kernel_size
             out = np.zeros_like(a)
             rr0 = np.clip(np.arange(h) - halo, 0, h)
             rr1 = np.clip(np.arange(h) + halo + 1, 0, h)
@@ -300,13 +337,7 @@ def tiled_filter(
                 )
             return out
 
-        core = (
-            (r >= tr * tile_size)
-            & (r < (tr + 1) * tile_size)
-            & (c >= tc * tile_size)
-            & (c < (tc + 1) * tile_size)
-        )
-        rr, cc = r[core] - r0, c[core] - c0
+        rr, cc = t.rr[t.core], t.cc[t.core]
         if agg in ("max", "min"):
             fill = -np.inf if agg == "max" else np.inf
             red = np.maximum if agg == "max" else np.minimum
@@ -326,16 +357,16 @@ def tiled_filter(
             cov = box(mask)
             with np.errstate(divide="ignore", invalid="ignore"):
                 filt_v = sums[rr, cc] / cov[rr, cc]
-        return pd.DataFrame(
+        return pa.table(
             {
-                "pixel_id": g["pixel_id"].to_numpy()[core],
-                "row": r[core],
-                "col": c[core],
+                "pixel_id": g["pixel_id"].to_numpy()[t.core],
+                "row": g["row"].to_numpy()[t.core],
+                "col": g["col"].to_numpy()[t.core],
                 "filtered": filt_v,
             }
         )
 
-    return tiled.groupby("tile_id").map_groups(arrowize(filt), batch_format="pandas")
+    return halo_tiles(raster, tile_size, halo, filt)
 
 
 def focal_convolve(
@@ -356,8 +387,6 @@ def focal_convolve(
     multi-image form the Smith-roughness frontal-area sums need).
     Absent pixels contribute zero (zero-fill), every output is an
     exact int64 — partitioning-independent and SQL-mirrorable."""
-    import pandas as pd
-
     spec = {
         name: (k if isinstance(k, tuple) else (value_col, k))
         for name, k in kernels.items()
@@ -365,30 +394,16 @@ def focal_convolve(
     ksz = max(k.shape[0] for _, k in spec.values())
     halo = ksz // 2
 
-    dup = _halo_dup_fn(tile_size, halo)
-
-    def filt(g: pd.DataFrame) -> pd.DataFrame:
-        tid = int(g["tile_id"].iloc[0])
-        tr, tc = tid // 2**20, tid % 2**20
-        r = g["row"].to_numpy()
-        c = g["col"].to_numpy()
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        h = tile_size + 2 * halo
+    def filt(t: Tile) -> pa.Table:
+        g, h = t.rows, t.dim
         denses = {}
         for col in {col for col, _ in spec.values()}:
             v = g[col].to_numpy().astype(np.int64)
             d = np.zeros((h + 2 * halo, h + 2 * halo), dtype=np.int64)
-            d[r - r0 + halo, c - c0 + halo] = v
+            d[t.rr + halo, t.cc + halo] = v
             denses[col] = d
-        core = (
-            (r >= tr * tile_size)
-            & (r < (tr + 1) * tile_size)
-            & (c >= tc * tile_size)
-            & (c < (tc + 1) * tile_size)
-        )
-        rr, cc = r[core] - r0, c[core] - c0
-        out = {"pixel_id": g["pixel_id"].to_numpy()[core]}
+        rr, cc = t.rr[t.core], t.cc[t.core]
+        out = {"pixel_id": g["pixel_id"].to_numpy()[t.core]}
         for name, (col, K) in spec.items():
             dense = denses[col]
             acc = np.zeros((h, h), dtype=np.int64)
@@ -403,13 +418,9 @@ def focal_convolve(
                         halo - kh + dc : halo - kh + dc + h,
                     ]
             out[name] = acc[rr, cc]
-        return pd.DataFrame(out)
+        return pa.table(out)
 
-    return (
-        raster.map_batches(dup, batch_format="pyarrow")
-        .groupby("tile_id")
-        .map_groups(arrowize(filt), batch_format="pandas")
-    )
+    return halo_tiles(raster, tile_size, halo, filt)
 
 
 def focal_kuwahara(
@@ -428,11 +439,7 @@ def focal_kuwahara(
     pixels; the variance criterion and the output mean are the literal
     float chains ``var = s2/n - (s/n)*(s/n)``, ``mean = s/n`` —
     bit-reproducible in DuckDB. Returns (pixel_id, kuwahara)."""
-    import pandas as pd
-
     halo = 1
-
-    dup = _halo_dup_fn(tile_size, halo)
 
     # quadrant q -> the set of (dr, dc) offsets of its 2x2 window
     quads = [
@@ -442,26 +449,14 @@ def focal_kuwahara(
         [(0, 0), (0, 1), (1, 0), (1, 1)],      # SE
     ]
 
-    def filt(g: pd.DataFrame) -> pd.DataFrame:
-        tid = int(g["tile_id"].iloc[0])
-        tr, tc = tid // 2**20, tid % 2**20
-        r = g["row"].to_numpy()
-        c = g["col"].to_numpy()
+    def filt(t: Tile) -> pa.Table:
+        g, h = t.rows, t.dim
         v = g[value_col].to_numpy().astype(np.int64)
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        h = tile_size + 2 * halo
         dense = np.zeros((h + 2, h + 2), dtype=np.int64)
         pres = np.zeros((h + 2, h + 2), dtype=np.int64)
-        dense[r - r0 + 1, c - c0 + 1] = v
-        pres[r - r0 + 1, c - c0 + 1] = 1
-        core = (
-            (r >= tr * tile_size)
-            & (r < (tr + 1) * tile_size)
-            & (c >= tc * tile_size)
-            & (c < (tc + 1) * tile_size)
-        )
-        rr, cc = r[core] - r0, c[core] - c0
+        dense[t.rr + 1, t.cc + 1] = v
+        pres[t.rr + 1, t.cc + 1] = 1
+        rr, cc = t.rr[t.core], t.cc[t.core]
         best_var = np.full(len(rr), np.inf)
         best_mean = np.zeros(len(rr))
         for offs in quads:
@@ -483,18 +478,14 @@ def focal_kuwahara(
             better = var < best_var
             best_var = np.where(better, var, best_var)
             best_mean = np.where(better, mean, best_mean)
-        return pd.DataFrame(
+        return pa.table(
             {
-                "pixel_id": g["pixel_id"].to_numpy()[core],
+                "pixel_id": g["pixel_id"].to_numpy()[t.core],
                 "kuwahara": best_mean,
             }
         )
 
-    return (
-        raster.map_batches(dup, batch_format="pyarrow")
-        .groupby("tile_id")
-        .map_groups(arrowize(filt), batch_format="pandas")
-    )
+    return halo_tiles(raster, tile_size, halo, filt)
 
 
 def focal_stats(
@@ -522,17 +513,10 @@ def focal_stats(
     mode tie -> LOWEST value; coeff_of_var = std/mean with a -1.0
     sentinel when mean == 0. Truncated (present-only) windows at
     edges. Returns one row per pixel with every statistic."""
-    import pandas as pd
-
     halo = kernel_size // 2
 
-    dup = _halo_dup_fn(tile_size, halo)
-
-    def filt(g: pd.DataFrame) -> pd.DataFrame:
-        tid = int(g["tile_id"].iloc[0])
-        tr, tc = tid // 2**20, tid % 2**20
-        r = g["row"].to_numpy()
-        c = g["col"].to_numpy()
+    def filt(t: Tile) -> pa.Table:
+        g, h = t.rows, t.dim
         v = g[value_col].to_numpy().astype(np.float64)
         # exactness contract (ADVICE r3): the integer-moment reducers
         # (mode domain, f_min/max/total int64 casts) require an
@@ -545,11 +529,8 @@ def focal_stats(
                 "|v| < 2^53 (exact int64 moment contract); rescale or "
                 "quantize float rasters first"
             )
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        h = tile_size + 2 * halo
         dense = np.full((h, h), np.nan)
-        dense[r - r0, c - c0] = v
+        dense[t.rr, t.cc] = v
         k = kernel_size
         padded = np.full((h + 2 * halo, h + 2 * halo), np.nan)
         padded[halo : halo + h, halo : halo + h] = dense
@@ -577,14 +558,8 @@ def focal_stats(
             better = cvt > best_cnt
             best_cnt = np.where(better, cvt, best_cnt)
             best_val = np.where(better, val, best_val)
-        core = (
-            (r >= tr * tile_size)
-            & (r < (tr + 1) * tile_size)
-            & (c >= tc * tile_size)
-            & (c < (tc + 1) * tile_size)
-        )
-        rr, cc = r[core] - r0, c[core] - c0
-        ctr = v[core]
+        rr, cc = t.rr[t.core], t.cc[t.core]
+        ctr = v[t.core]
         n_w = cnt[rr, cc]
         s_w = s[rr, cc]
         s2_w = s2[rr, cc]
@@ -597,9 +572,9 @@ def focal_stats(
         tdabs = np.where(
             pres_core, np.abs(ctr[None, :] - lay_core), 0.0
         ).sum(axis=0)
-        return pd.DataFrame(
+        return pa.table(
             {
-                "pixel_id": g["pixel_id"].to_numpy()[core],
+                "pixel_id": g["pixel_id"].to_numpy()[t.core],
                 "f_min": mn[rr, cc].astype(np.int64),
                 "f_max": mx[rr, cc].astype(np.int64),
                 "f_range": (mx[rr, cc] - mn[rr, cc]).astype(np.int64),
@@ -615,11 +590,7 @@ def focal_stats(
             }
         )
 
-    return (
-        raster.map_batches(dup, batch_format="pyarrow")
-        .groupby("tile_id")
-        .map_groups(arrowize(filt), batch_format="pandas")
-    )
+    return halo_tiles(raster, tile_size, halo, filt)
 
 
 def images_equal(
@@ -743,26 +714,14 @@ def local_minima(
     disqualification. Interior pixels only (full windows)."""
 
     halo = 1
-    dup = _halo_dup_fn(tile_size, halo)
 
-    def per_tile(g) -> pa.Table:
-        tid = int(g["tile_id"][0].as_py())
-        tr, tc = tid // (1 << 20), tid % (1 << 20)
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        dim = tile_size + 2 * halo
-        rr = g["row"].to_numpy().astype(np.int64) - r0
-        cc = g["col"].to_numpy().astype(np.int64) - c0
+    def per_tile(t: Tile) -> pa.Table:
+        g, dim, r0, c0 = t.rows, t.dim, t.r0, t.c0
+        rr, cc, core = t.rr, t.cc, t.core
         z = np.zeros((dim, dim), dtype=np.int64)
         p = np.zeros((dim, dim), dtype=bool)
         z[rr, cc] = g[value_col].to_numpy().astype(np.int64)
         p[rr, cc] = True
-        core = (
-            (rr >= halo)
-            & (rr < dim - halo)
-            & (cc >= halo)
-            & (cc < dim - halo)
-        )
         # interior of the RASTER (full 3x3 windows)
         gr = rr[core] + r0
         gc = cc[core] + c0
@@ -793,8 +752,4 @@ def local_minima(
             }
         )
 
-    return (
-        raster.map_batches(dup, batch_format="pyarrow", batch_size=65536)
-        .groupby("tile_id")
-        .map_groups(per_tile, batch_format="pyarrow")
-    )
+    return halo_tiles(raster, tile_size, halo, per_tile)

@@ -32,12 +32,10 @@ partition-independent.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from rsgislib_ray.functions.arrowize import arrowize
-from rsgislib_ray.stages.raster import _halo_dup_fn
+from rsgislib_ray.stages.raster import Tile, halo_tiles
 
 __all__ = ["clump_border_stats"]
 
@@ -58,7 +56,6 @@ def clump_border_stats(
     broadcast once."""
     from rsgislib_ray.stages.segsum import segment_sum
 
-    dup = _halo_dup_fn(tile_size, 1)
     max_fid = max(class_of) if class_of else 0
     names = np.empty(max_fid + 1, dtype=object)
     names[:] = ""
@@ -69,24 +66,11 @@ def clump_border_stats(
     )
     tref = ray.put(is_target)
 
-    def tile(g: pd.DataFrame) -> pd.DataFrame:
+    def tile(t: Tile) -> pa.Table:
         tgt = ray.get(tref)
-        tid = int(g["tile_id"].iloc[0])
-        tr, tc = tid // 2**20, tid % 2**20
-        r = g["row"].to_numpy()
-        c = g["col"].to_numpy()
-        v = g[value_col].to_numpy().astype(np.int64)
-        r0, c0 = tr * tile_size - 1, tc * tile_size - 1
-        h = tile_size + 2
-        dense = np.zeros((h, h), dtype=np.int64)
-        dense[r - r0, c - c0] = v
-        core = (
-            (r >= tr * tile_size)
-            & (r < (tr + 1) * tile_size)
-            & (c >= tc * tile_size)
-            & (c < (tc + 1) * tile_size)
-        )
-        rr, cc = r[core] - r0, c[core] - c0
+        dense = np.zeros((t.dim, t.dim), dtype=np.int64)
+        dense[t.rr, t.cc] = t.rows[value_col].to_numpy().astype(np.int64)
+        rr, cc = t.rr[t.core], t.cc[t.core]
         fid = dense[rr, cc]
         left = dense[rr, cc - 1]
         right = dense[rr, cc + 1]
@@ -120,7 +104,7 @@ def clump_border_stats(
             | ((up != 0) & (up != fid))
             | ((down != 0) & (down != fid))
         )
-        return pd.DataFrame(
+        return pa.table(
             {
                 "fid": fid[ok],
                 "bx": bx[ok], "by": by[ok],
@@ -129,11 +113,7 @@ def clump_border_stats(
             }
         )
 
-    partials = (
-        raster.map_batches(dup, batch_format="pyarrow")
-        .groupby("tile_id")
-        .map_groups(arrowize(tile), batch_format="pandas")
-    )
+    partials = halo_tiles(raster, tile_size, 1, tile)
     red = segment_sum(
         partials, "fid", ["bx", "by", "cbx", "cby", "nbound"],
         aggs=["sum"] * 5,

@@ -170,13 +170,11 @@ def find_tie_points(
     nr, nf; presence = count > 0). Output: one row per surviving tie
     point with (tie_row, tie_col, sy, sx, metric, n_pairs, std_ref,
     std_flt)."""
-    from rsgislib_ray.stages.raster import _halo_dup_fn
+    from rsgislib_ray.stages.raster import Tile, halo_tiles
 
     if metric not in DIST_METRICS + ("correlation",):
         raise ValueError(f"unknown metric {metric!r}")
     halo = window_size + search_area
-    if halo > tile_size:
-        raise ValueError("window_size + search_area must be <= tile_size")
     trows = tie_grid(height, gap)
     tcols = tie_grid(width, gap)
     S = search_area
@@ -188,16 +186,9 @@ def find_tie_points(
     w = window_size
     maximize = metric == "correlation"
 
-    dup = _halo_dup_fn(tile_size, halo)
-
-    def per_tile(g: pa.Table) -> pa.Table:
-        tid = int(g["tile_id"][0].as_py())
-        tr, tc = tid // (1 << 20), tid % (1 << 20)
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        dim = tile_size + 2 * halo
-        rr = g["row"].to_numpy().astype(np.int64) - r0
-        cc = g["col"].to_numpy().astype(np.int64) - c0
+    def per_tile(t: Tile) -> pa.Table:
+        g, tr, tc, r0, c0, dim = t.rows, t.tr, t.tc, t.r0, t.c0, t.dim
+        rr, cc = t.rr, t.cc
         rv = np.zeros((dim, dim), dtype=np.int64)
         fv = np.zeros((dim, dim), dtype=np.int64)
         pr = np.zeros((dim, dim), dtype=np.int64)
@@ -355,11 +346,7 @@ def find_tie_points(
             }
         )
 
-    return (
-        co.map_batches(dup, batch_format="pyarrow", batch_size=65536)
-        .groupby("tile_id")
-        .map_groups(per_tile, batch_format="pyarrow")
-    )
+    return halo_tiles(co, tile_size, halo, per_tile)
 
 
 def apply_offset_to_image(

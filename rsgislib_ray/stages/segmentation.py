@@ -61,7 +61,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from rsgislib_ray.functions.arrowize import arrowize
+from rsgislib_ray.stages.raster import Tile, halo_tiles
 from rsgislib_ray.stages.segsum import combine, combine_arrays
 
 
@@ -102,27 +102,12 @@ def clump_adjacency(
     are deduped inside every block; the driver sees the contracted set.
     """
 
-    def tag(batch: pa.Table) -> pa.Table:
-        r = batch["row"].to_numpy()
-        c = batch["col"].to_numpy()
-        tid = (r // tile_size) * np.int64(2**20) + (c // tile_size)
-        return pa.table(
-            {
-                "row": r,
-                "col": c,
-                "lab": batch[label_col].to_numpy().astype(np.int64),
-                "tile_id": tid,
-            }
-        )
-
-    tiled = clumped.map_batches(tag, batch_format="pyarrow")
-
     POS = np.int64(1) << 32
 
-    def local_edges(g: pd.DataFrame) -> pd.DataFrame:
-        r = g["row"].to_numpy().astype(np.int64)
-        c = g["col"].to_numpy().astype(np.int64)
-        lab = g["lab"].to_numpy()
+    def local_edges(t: Tile) -> pa.Table:
+        r = t.rows["row"].to_numpy().astype(np.int64)
+        c = t.rows["col"].to_numpy().astype(np.int64)
+        lab = t.rows[label_col].to_numpy().astype(np.int64)
         r0, c0 = r.min(), c.min()
         h, w = r.max() - r0 + 1, c.max() - c0 + 1
         grid = np.full((h, w), -1, dtype=np.int64)
@@ -140,12 +125,8 @@ def clump_adjacency(
             uniq = np.unique(np.stack([ea, eb], axis=1), axis=0)
             ea, eb = uniq[:, 0], uniq[:, 1]
         # frame pixels -> anchor + probe rows for cross-tile pairing
-        on_frame = (
-            (r % tile_size == 0)
-            | (r % tile_size == tile_size - 1)
-            | (c % tile_size == 0)
-            | (c % tile_size == tile_size - 1)
-        )
+        edge = (0, tile_size - 1)
+        on_frame = np.isin(t.rr, edge) | np.isin(t.cc, edge)
         fr, fc, fl = r[on_frame], c[on_frame], lab[on_frame]
         pos = [fr * POS + fc]
         anchor = [np.ones(len(fr), dtype=np.int8)]
@@ -154,7 +135,7 @@ def clump_adjacency(
             pos.append((fr + dr) * POS + (fc + dc))
             anchor.append(np.zeros(len(fr), dtype=np.int8))
             labs.append(fl)
-        return pd.DataFrame(
+        return pa.table(
             {
                 "ea": np.concatenate([ea, np.concatenate(pos)]),
                 "eb": np.concatenate([eb, np.concatenate(labs)]),
@@ -167,11 +148,9 @@ def clump_adjacency(
             }
         )
 
-    rows = (
-        tiled.groupby("tile_id")
-        .map_groups(arrowize(local_edges), batch_format="pandas")
-        .to_pandas()
-    )
+    rows = halo_tiles(
+        clumped.select_columns(["row", "col", label_col]), tile_size, 0, local_edges
+    ).to_pandas()
     edges = rows[rows["kind"] == 0]
     ea = edges["ea"].to_numpy().astype(np.int64)
     eb = edges["eb"].to_numpy().astype(np.int64)

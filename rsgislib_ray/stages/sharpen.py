@@ -39,21 +39,19 @@ Semantics mirrored exactly:
   an explicit error here (same contract class as the LCC n > 0
   restriction) — callers must not feed constant-valued windows.
 
-Scale shape: one halo-duplicated ``groupby(tile_id)`` pass (the focal
-family's partitioning); per-tile work is fully vectorized over the 49
-shifted layers. No driver-side state beyond the broadcast band
-min/max scalars.
+Scale shape: one ``raster.halo_tiles`` pass (the focal family's
+halo-duplicated tiles on the engine's partition tasks); per-tile work
+is fully vectorized over the 49 shifted layers. No driver-side state
+beyond the broadcast band min/max scalars.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from rsgislib_ray.functions.arrowize import arrowize
-from rsgislib_ray.stages.raster import _halo_dup_fn
+from rsgislib_ray.stages.raster import Tile, halo_tiles
 
 __all__ = ["sharpen_low_res_bands"]
 
@@ -80,8 +78,6 @@ def sharpen_low_res_bands(
     if win_size % 2 != 1 or win_size < 3:
         raise ValueError("win_size must be odd and >= 3")
     halo = win_size // 2
-    if tile_size <= halo:
-        raise ValueError("tile_size must exceed the window halo")
     cols = [c for c, _ in band_status]
     high_cols = [c for c, s in band_status if s == "high"]
     low_cols = [c for c, s in band_status if s == "low"]
@@ -91,25 +87,12 @@ def sharpen_low_res_bands(
         if c not in low_min_max:
             raise ValueError(f"low band {c!r} missing min/max")
 
-    dup = _halo_dup_fn(tile_size, halo)
     k = win_size
     nd = float(no_data_val)
 
-    def sharpen(g: pd.DataFrame) -> pd.DataFrame:
-        tid = int(g["tile_id"].iloc[0])
-        tr, tc = tid // 2**20, tid % 2**20
-        r = g["row"].to_numpy()
-        c = g["col"].to_numpy()
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        h = tile_size + 2 * halo
-        core = (
-            (r >= tr * tile_size)
-            & (r < (tr + 1) * tile_size)
-            & (c >= tc * tile_size)
-            & (c < (tc + 1) * tile_size)
-        )
-        rr, cc = r[core] - r0, c[core] - c0
+    def sharpen(t: Tile) -> pa.Table:
+        g, h, core = t.rows, t.dim, t.core
+        rr, cc = t.rr[core], t.cc[core]
         npx = int(core.sum())
         # dense per-band grids; absent cells (image edge) are ZERO —
         # the C++ window zero-fill. 49 shifted layers per band in
@@ -126,7 +109,7 @@ def sharpen_low_res_bands(
                     "with |v| < 2^17 (exact double moment contract)"
                 )
             dense = np.zeros((h, h))
-            dense[r - r0, c - c0] = v
+            dense[t.rr, t.cc] = v
             padded = np.zeros((h + 2 * halo, h + 2 * halo))
             padded[halo : halo + h, halo : halo + h] = dense
             lay = np.stack(
@@ -218,10 +201,6 @@ def sharpen_low_res_bands(
                 res = np.where(max_coeff > 0.5, pred, centers[col])
                 out[f"{col}_coeff"] = np.where(all_nd, 0.0, max_coeff)
             out[col] = np.where(all_nd, nd, res)
-        return pd.DataFrame(out)
+        return pa.table(out)
 
-    return (
-        raster.map_batches(dup, batch_format="pyarrow")
-        .groupby("tile_id")
-        .map_groups(arrowize(sharpen), batch_format="pandas")
-    )
+    return halo_tiles(raster, tile_size, halo, sharpen)

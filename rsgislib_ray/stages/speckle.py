@@ -9,9 +9,10 @@ RSGISSpeckleFilters.cpp (RSGISLeeFilter:43, internalScaleFactor
 default 100, RSGISSpeckleFilters.h:67).
 
 The reference runs one C++ pass per output file; here ALL five
-filters come from ONE halo-duplicated tiled pass (the focal-family
-physical plan: halo flat-map -> one groupby(tile) shuffle -> dense
-per-tile numpy) since they share the same window reductions.
+filters come from ONE pass of ``raster.halo_tiles`` (the focal-family
+physical plan: halo flat-map -> the engine's partition tasks, one
+dense per-tile numpy call per tile) since they share the same window
+reductions.
 
 Semantics mirrored from the C++ (all filters skip ZERO cells as
 nodata — edge pixels see zero-padding outside the image, which the
@@ -47,7 +48,6 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from rsgislib_ray.functions.arrowize import arrowize
 from rsgislib_ray.functions.mirrorchain import Chain, eval_chain
 
 _Q = 16777216  # 2^24 per-cell quantum for sqrt/ln sums
@@ -88,30 +88,22 @@ def sar_texture_speckle(
     an int-valued raster (rows: pixel_id, row, col, value >= 0).
     Returns (pixel_id, n_valid, norm_var, norm_var_amp, norm_var_ln,
     texture_var, lee)."""
-    import pandas as pd
+    import math
 
-    from rsgislib_ray.stages.raster import _halo_dup_fn
+    from rsgislib_ray.stages.raster import Tile, halo_tiles
 
     halo = 1
-    dup = _halo_dup_fn(tile_size, halo)
-    import math
 
     cu = math.sqrt(1.0 / n_looks)  # SQRT(1.0e0/{n_looks}) in the oracle
     chain = sar_finals_chain()
 
-    def filt(g: pd.DataFrame) -> pd.DataFrame:
-        tid = int(g["tile_id"].iloc[0])
-        tr, tc = tid // 2**20, tid % 2**20
-        r = g["row"].to_numpy()
-        c = g["col"].to_numpy()
+    def filt(t: Tile) -> pa.Table:
+        g, h = t.rows, t.dim
         v = g[value_col].to_numpy().astype(np.int64)
         if len(v) and (int(v.min()) < 0 or int(v.max()) >= 1 << 20):
             raise ValueError("sar filters need 0 <= value < 2^20 ints")
-        r0 = tr * tile_size - halo
-        c0 = tc * tile_size - halo
-        h = tile_size + 2 * halo
         dense = np.zeros((h + 2, h + 2), dtype=np.int64)
-        dense[r - r0 + 1, c - c0 + 1] = v
+        dense[t.rr + 1, t.cc + 1] = v
         nz = (dense != 0).astype(np.int64)
         # per-cell quantized sqrt / ln over nonzero cells (v >= 1)
         vf = dense.astype(np.float64)
@@ -122,13 +114,7 @@ def sar_texture_speckle(
             ln_c = np.where(
                 nz > 0, np.floor(np.log(vf) * 16777216.0 + 0.5), 0.0
             ).astype(np.int64)
-        core = (
-            (r >= tr * tile_size)
-            & (r < (tr + 1) * tile_size)
-            & (c >= tc * tile_size)
-            & (c < (tc + 1) * tile_size)
-        )
-        rr, cc = r[core] - r0, c[core] - c0
+        rr, cc = t.rr[t.core], t.cc[t.core]
         k = len(rr)
         n = np.zeros(k, dtype=np.int64)
         s = np.zeros(k, dtype=np.int64)
@@ -162,9 +148,9 @@ def sar_texture_speckle(
             e = eval_chain(chain, env, vector=True)
         gate = (cv != 0) & (n > 3)
         leegate = n > 0
-        return pd.DataFrame(
+        return pa.table(
             {
-                "pixel_id": g["pixel_id"].to_numpy()[core],
+                "pixel_id": g["pixel_id"].to_numpy()[t.core],
                 "n_valid": n,
                 "norm_var": np.where(gate, e["norm_var_raw"], 0.0),
                 "norm_var_amp": np.where(gate, e["norm_var_amp_raw"], 0.0),
@@ -174,8 +160,4 @@ def sar_texture_speckle(
             }
         )
 
-    return (
-        raster.map_batches(dup, batch_format="pyarrow")
-        .groupby("tile_id")
-        .map_groups(arrowize(filt), batch_format="pandas")
-    )
+    return halo_tiles(raster, tile_size, halo, filt)
