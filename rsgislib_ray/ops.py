@@ -26,6 +26,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.functions.arrowize import arrowize
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine
 
 
@@ -84,21 +86,16 @@ class Aggregator(Protocol):
     def final(self, combined: pa.Table) -> pa.Table: ...
 
 
-def apply_aggregator(
-    ds: ray.data.Dataset,
-    agg,
-    batch_size: int = 65536,
-) -> pa.Table:
-    """partial (map_batches, pre-reduced per key) -> per-key combine of
-    each partial column by its ``combine`` spec (sum/min/max) -> final.
-    The key and partial columns must be integer (a float column raises
+def apply_aggregator(ds: ray.data.Dataset, agg) -> pa.Table:
+    """partial (once per block, pre-reduced per key) -> per-key combine
+    of each partial column by its ``combine`` spec (sum/min/max) ->
+    final. ``partial`` returns a ``pa.Table`` or a DataFrame. The key
+    and partial columns must be integer (a float column raises
     ``ValueError``); ``final`` receives one combined row per key, sorted
     by key."""
     cols, hows = list(agg.combine), list(agg.combine.values())
     for col, how in agg.combine.items():
         if how not in ("sum", "min", "max"):
             raise ValueError(f"unknown combine {how!r} for {col!r}")
-    partials = ds.map_batches(
-        agg.partial, batch_format="pyarrow", batch_size=batch_size
-    )
+    partials = map_blocks(ds, arrowize(agg.partial))
     return agg.final(combine(partials, agg.key_col, cols, hows))

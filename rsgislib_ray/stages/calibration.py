@@ -44,6 +44,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine
 
 __all__ = [
@@ -483,7 +484,7 @@ def band_dark_percentiles(
         )
 
     agg = combine(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(ds, partial),
         ["b", "v"],
         ["n_partial"],
     )

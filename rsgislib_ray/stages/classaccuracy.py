@@ -27,13 +27,13 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine, combine_arrays, combine_dataset
 
 
-def _pair_partials(
-    ds: ray.data.Dataset, ref_col: str, pred_col: str
-) -> ray.data.Dataset:
-    """Per-batch pre-reduced (ref, pred, n_partial) pair counts."""
+def _pair_partials(ds: ray.data.Dataset, ref_col: str, pred_col: str) -> list:
+    """Per-block pre-reduced (ref, pred, n_partial) pair counts, as
+    held blocks."""
 
     def partial(batch: pa.Table) -> pa.Table:
         r = batch[ref_col].to_numpy()
@@ -42,7 +42,7 @@ def _pair_partials(
             {"ref": r, "pred": p}, {"n_partial": np.ones(len(r), np.int64)}
         )
 
-    return ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
+    return map_blocks(ds, partial)
 
 
 def confusion_dataset(

@@ -45,6 +45,7 @@ import pyarrow as pa
 import ray.data
 
 from rsgislib_ray.functions.hashing import splitmix64
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine
 from rsgislib_ray.stages.timeseries import chol_solve_np
 
@@ -329,7 +330,7 @@ def _hist_counts(
         )
 
     agg = combine(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(ds, partial),
         ["node", "feat", "val", "cls"],
         ["cnt"],
     )
@@ -502,7 +503,7 @@ def _class_counts(ds, class_col) -> dict:
         return pa.table({"y": u, "n": ct.astype(np.int64)})
 
     agg = combine(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(ds, partial),
         "y",
         ["n"],
     )
@@ -528,20 +529,21 @@ def group_rank_thresholds(
     kidx = {c: i for i, c in enumerate(ks)}
 
     def hist_partial(batch: pa.Table) -> pa.Table:
+        # long-form: only the buckets some class hits in this block
         y = batch[class_col].to_numpy().astype(np.int64)
         z = batch[z_col].to_numpy().astype(np.uint64)
-        out = {}
-        for c in ks:
-            m = y == c
-            h = np.bincount(
-                (z[m] >> np.uint64(48)).astype(np.int64), minlength=65536
-            )
-            out[f"h{c}"] = h.astype(np.int64)
-        out["b"] = np.arange(65536, dtype=np.int64)
+        hs = [
+            np.bincount((z[y == c] >> np.uint64(48)).astype(np.int64), minlength=65536)
+            for c in ks
+        ]
+        b = np.flatnonzero(np.sum(hs, axis=0)) if hs else np.arange(0)
+        out = {"b": b.astype(np.int64)}
+        for c, h in zip(ks, hs):
+            out[f"h{c}"] = h[b].astype(np.int64)
         return pa.table(out)
 
     agg = combine(
-        ds.map_batches(hist_partial, batch_format="pyarrow", batch_size=262144),
+        map_blocks(ds, hist_partial),
         "b",
         [f"h{c}" for c in ks],
     )

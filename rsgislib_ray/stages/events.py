@@ -33,7 +33,7 @@ def tumbling_windows(
     in k consecutive windows — the duplicate-and-tumble rewrite)
     per-user windowed COUNT + exact integer SUM(round(value*100)).
 
-    Each batch pre-reduces to per-(user, window) partial rows;
+    Each block pre-reduces to per-(user, window) partial rows;
     :func:`rsgislib_ray.stages.segsum.combine_dataset` sums them — on
     the driver, or past a measured size with the distributed
     hash-partitioned ``segment_sum``, whose rows never reach the driver
@@ -57,10 +57,11 @@ def tumbling_windows(
             {"n": np.ones(len(uid), np.int64), "sum_cents": cents},
         )
 
-    partials = ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=65536
+    return combine_dataset(
+        partition.map_blocks(ds, partial),
+        ["user_id", "window_id"],
+        ["n", "sum_cents"],
     )
-    return combine_dataset(partials, ["user_id", "window_id"], ["n", "sum_cents"])
 
 
 def event_retention(
@@ -169,7 +170,7 @@ def event_retention(
         )
 
     return combine_dataset(
-        joined.map_batches(count_partial, batch_format="pyarrow"),
+        partition.map_blocks(joined, count_partial),
         ["cohort_period", "period_offset"],
         ["partial"],
         finish=lambda t: t.rename_columns(

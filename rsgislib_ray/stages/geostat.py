@@ -10,8 +10,9 @@ semivariance, pair count).
 The reference materializes the full O(n^2) pairwise distance matrix
 (skgstat default). Ours is the 100 TB shape: the point layer is
 broadcast once as the cell-bucket ``_TargetIndex`` (cell width ~
-max_lag), the SAME points stream through ``map_batches``, and each
-base point gathers only the O((2·max_lag/cell_w+1)^2) nearby buckets.
+max_lag), the pair kernel runs once per block of the SAME points
+(``partition.map_blocks``), and each base point gathers only the
+O((2·max_lag/cell_w+1)^2) nearby buckets.
 Each unordered pair is counted exactly once via ``target_id >
 base_id``. Per-bin reducers are exact int64 (pair count + squared
 value-difference sum); the semivariance is ONE float division per
@@ -43,6 +44,7 @@ import ray.data
 
 from rsgislib_ray.functions.cells import DEFAULT_FRAME
 from rsgislib_ray.stages.knn import _TargetIndex, broadcast_targets
+from rsgislib_ray.stages.partition import held_blocks, map_blocks
 from rsgislib_ray.stages.segsum import combine
 
 
@@ -173,15 +175,13 @@ def semivariogram(
             }
         )
 
-    partials = points.map_batches(
-        pair_partials, batch_format="pyarrow", batch_size=16384
-    )
-    return _finish(partials, max_lag, n_lags)
+    return _finish(map_blocks(points, pair_partials), max_lag, n_lags)
 
 
-def _finish(partials: ray.data.Dataset, max_lag: float, n_lags: int) -> pa.Table:
-    """Shared final assembly: the per-bin partials combined, then one
-    float division per bin (bins with no partial row count zero)."""
+def _finish(partials: list, max_lag: float, n_lags: int) -> pa.Table:
+    """Shared final assembly: the held per-bin partial blocks combined,
+    then one float division per bin (bins with no partial row count
+    zero)."""
     agg = combine(partials, "lag_bin", ["n_partial", "sq_partial"])
     n_pairs = np.zeros(n_lags, dtype=np.int64)
     sq = np.zeros(n_lags, dtype=np.int64)
@@ -319,4 +319,4 @@ def semivariogram_copart(
         .groupby("cell_id")
         .map_groups(pair_group, batch_format="pyarrow")
     )
-    return _finish(partials, max_lag, n_lags)
+    return _finish(held_blocks(partials)[1], max_lag, n_lags)

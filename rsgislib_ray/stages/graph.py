@@ -29,6 +29,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine, combine_arrays
 from rsgislib_ray.state.broadcast import cached
 
@@ -104,7 +105,7 @@ def pagerank(
         # the contracted partials number <= blocks x nodes rows; the
         # combine reduces them on the driver, or distributed once they
         # outgrow the broadcast regime (module docstring)
-        agg = combine(edges.map_batches(partial, batch_format="pyarrow"), "v", ["share"])
+        agg = combine(map_blocks(edges, partial), "v", ["share"])
         pr = np.full(len(nids), base, dtype=np.int64)
         pr[np.searchsorted(nids, agg["v"].to_numpy())] += agg["share"].to_numpy()
 

@@ -36,6 +36,7 @@ import pyarrow as pa
 
 import ray.data
 
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine, segment_sum
 
 
@@ -245,7 +246,7 @@ def joint_histogram_pmi(
         )
 
     agg = combine(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(ds, partial),
         "code",
         ["cnt"],
     )
@@ -313,7 +314,7 @@ def histogram_emd(
         return pa.concat_tables(rows)
 
     agg = combine(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(ds, partial),
         ["which", "val"],
         ["cnt"],
     )
@@ -429,7 +430,7 @@ def split_window_otsu(
         )
 
     agg = combine(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(ds, partial),
         "code",
         ["cnt"],
     )
@@ -670,7 +671,7 @@ def global_histogram(
         )
 
     agg = combine(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(ds, partial),
         "v",
         ["n_partial"],
     )

@@ -15,6 +15,11 @@ order, and wraps the results as one materialized Dataset;
 :func:`hash_reduce` is the hash plan end to end, and :func:`group_apply`
 runs a function once per key on it (``raster.halo_tiles``' tile
 groups, ``overlay.overlay_union``'s tiles).
+
+:func:`map_blocks` runs a function once per block, ahead of a shuffle
+or a ``segsum`` combine: over blocks that are already held, as one
+plain task per block, so no Ray Data execution starts; over a lazy
+plan, fused into its one materializing execution.
 """
 
 from __future__ import annotations
@@ -32,21 +37,62 @@ from rsgislib_ray.functions.arrowize import arrowize
 from rsgislib_ray.functions.hashing import hash_combine, splitmix64
 
 
-def held_blocks(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, list]:
-    """``ds`` and the ``(block ref, BlockMetadata)`` of each of its
-    blocks, in order. Blocks that exist already (a ``from_arrow``
-    source, an executed plan) are read off the plan, with no Ray Data
-    execution and no ``materialize`` copy; a lazy plan is materialized
-    once, and that Dataset is returned in place of ``ds``."""
+def _held(ds: ray.data.Dataset) -> list | None:
+    """The ``(block ref, BlockMetadata)`` of each block of ``ds``, in
+    order, when its blocks exist already (a ``from_arrow`` source, an
+    executed plan), read off the plan; ``None`` for a lazy plan."""
     from ray.data._internal.logical.interfaces import SourceOperator
 
     if ds._plan.has_computed_output():
-        return ds, list(ds._plan._snapshot_bundle.blocks)
+        return list(ds._plan._snapshot_bundle.blocks)
     dag = ds._logical_plan.dag
-    if not (isinstance(dag, SourceOperator) and dag.output_data() is not None):
+    if isinstance(dag, SourceOperator) and dag.output_data() is not None:
+        return [bm for bundle in dag.output_data() for bm in bundle.blocks]
+    return None
+
+
+def held_blocks(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, list]:
+    """``ds`` and the ``(block ref, BlockMetadata)`` of each of its
+    blocks, in order. Blocks that exist already are taken as they are,
+    with no Ray Data execution and no ``materialize`` copy; a lazy plan
+    is materialized once, and that Dataset is returned in place of
+    ``ds``."""
+    blocks = _held(ds)
+    if blocks is None:
         ds = ds.materialize()
-        dag = ds._logical_plan.dag
-    return ds, [bm for bundle in dag.output_data() for bm in bundle.blocks]
+        blocks = _held(ds)
+    return ds, blocks
+
+
+@ray.remote(num_returns=2)
+def _map_task(fn: Callable, block: pa.Table):
+    out = fn(block)
+    return out, BlockMetadataWithSchema.from_block(out)
+
+
+def map_blocks(ds: ray.data.Dataset, fn: Callable, **kwargs) -> list:
+    """``fn(block, **kwargs)`` once per block of ``ds``, in block order,
+    as held ``(table ref, BlockMetadata)`` blocks. ``fn`` takes and
+    returns a ``pa.Table``. ``kwargs`` are bound to ``fn``, not passed
+    as task arguments, so an ObjectRef among them reaches ``fn`` as a
+    ref (``state/broadcast.cached`` keys on it), as ``map_batches``'
+    ``fn_kwargs`` do.
+
+    - ``ds`` holds its blocks: one plain task per non-empty block, its
+      metadata returned beside its table; no Ray Data execution runs.
+      When every block is empty, ``fn`` runs on the first, so the
+      result stays typed.
+    - ``ds`` is lazy: ``fn`` is one ``map_batches`` with a batch per
+      block, fused into the plan's one materializing execution."""
+    fn = functools.partial(fn, **kwargs) if kwargs else fn
+    blocks = _held(ds)
+    if blocks is None:
+        mapped = ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+        return held_blocks(mapped)[1]
+    run = [ref for ref, m in blocks if m.num_rows] or [ref for ref, _ in blocks[:1]]
+    outs = [_map_task.remote(fn, ref) for ref in run]
+    metas = ray.get([m for _, m in outs])
+    return [(t, m) for (t, _), m in zip(outs, metas)]
 
 
 def default_partitions(requested: int | None = None) -> int:

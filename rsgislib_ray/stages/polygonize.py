@@ -43,6 +43,7 @@ from rsgislib_ray.functions.arrowize import arrowize
 from rsgislib_ray.stages.components import (
     edge_components_minlabel as _edge_components_minlabel,
 )
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.raster import Tile, halo_tiles
 from rsgislib_ray.stages.segsum import combine, combine_arrays
 
@@ -282,7 +283,7 @@ def components_summary(clumped: ray.data.Dataset, value_col: str = "value") -> p
         )
 
     agg = combine(
-        clumped.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(clumped, partial),
         "comp_label",
         cols,
         aggs,

@@ -636,9 +636,9 @@ def build_pyramid(
     imageutils/__init__.py): aggregate point-cells into a base 1-unit
     pixel grid (level 0) and 2x-coarser levels by exact integer sums.
 
-    One pass: each batch emits per-(level, pixel) partial rows for ALL
+    One pass: each block emits per-(level, pixel) partial rows for ALL
     levels (a cell contributes to `levels` rows), pre-reduced in the
-    batch with :func:`rsgislib_ray.stages.segsum.combine_arrays`;
+    block with :func:`rsgislib_ray.stages.segsum.combine_arrays`;
     :func:`rsgislib_ray.stages.segsum.combine_dataset` then sums the
     pixel partials — on the driver, or past a measured size with the
     distributed hash-partitioned ``segment_sum``. Output per (level, px, py):
@@ -691,10 +691,9 @@ def build_pyramid(
             }
         )
 
-    partials = cells.map_batches(
-        partial, batch_format="pyarrow", batch_size=65536
+    return combine_dataset(
+        partition.map_blocks(cells, partial), "k", ["n_partial", "s_partial"], finish=finish
     )
-    return combine_dataset(partials, "k", ["n_partial", "s_partial"], finish=finish)
 
 
 def local_minima(

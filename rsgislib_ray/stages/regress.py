@@ -58,6 +58,7 @@ import pyarrow as pa
 import ray.data
 
 from rsgislib_ray.stages.classify import group_rank_thresholds
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine
 from rsgislib_ray.stages.timeseries import chol_solve_np
 
@@ -484,11 +485,11 @@ def _reg_hist(
     y_col: str,
     domains: list[int],
     route,
-    batch_size: int = 65536,
 ) -> dict:
-    """One streaming pass → per (node, feature, value) exact
-    ``(n, Σy, Σy²)``; ``route(xs)`` maps rows to node ids. State is
-    bounded by ``n_nodes · Σ domains``, never by rows."""
+    """One pass → per (node, feature, value) exact ``(n, Σy, Σy²)``
+    (int64 scatters, so a block of any size sums exactly); ``route(xs)``
+    maps rows to node ids. State is bounded by ``n_nodes · Σ domains``,
+    never by rows."""
     d = len(feature_cols)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -507,25 +508,23 @@ def _reg_hist(
             for i in range(d):
                 xv = xs[i][mnd]
                 cnt = np.bincount(xv, minlength=domains[i])
-                s1 = np.bincount(xv, weights=ynd.astype(np.float64), minlength=domains[i])
-                s2 = np.bincount(
-                    xv,
-                    weights=(ynd * ynd).astype(np.float64),
-                    minlength=domains[i],
-                )
+                s1 = np.zeros(len(cnt), np.int64)
+                s2 = np.zeros(len(cnt), np.int64)
+                np.add.at(s1, xv, ynd)
+                np.add.at(s2, xv, ynd * ynd)
                 nz = np.nonzero(cnt)[0]
                 rows["node"].extend([nd] * len(nz))
                 rows["feat"].extend([i] * len(nz))
                 rows["val"].extend(nz.tolist())
                 rows["n"].extend(cnt[nz].tolist())
-                rows["sy"].extend(s1[nz].astype(np.int64).tolist())
-                rows["syy"].extend(s2[nz].astype(np.int64).tolist())
+                rows["sy"].extend(s1[nz].tolist())
+                rows["syy"].extend(s2[nz].tolist())
         return pa.table(
             {k: np.array(v, dtype=np.int64) for k, v in rows.items()}
         )
 
     agg = combine(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size),
+        map_blocks(ds, partial),
         ["node", "feat", "val"],
         ["n", "sy", "syy"],
     )

@@ -28,6 +28,7 @@ import ray
 import ray.data
 
 from rsgislib_ray.functions.cells import cells_from_xy
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine, combine_arrays
 from rsgislib_ray.state.broadcast import cached
 
@@ -97,13 +98,13 @@ def thin_by_cell(
 
     def partial(batch: pa.Table) -> pa.Table:
         return combine_arrays(
-            {"__cell": batch["__cell"].to_numpy()},
+            {"__cell": tag(batch)["__cell"].to_numpy()},
             {"k": batch[key_col].to_numpy()},
             ["min"],
         )
 
     winners = combine(
-        tagged.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(ds, partial),
         "__cell",
         ["k"],
         ["min"],

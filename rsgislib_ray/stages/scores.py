@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine, combine_arrays
 
 LOG_EPS = 1e-15  # sklearn log_loss clipping
@@ -59,7 +60,7 @@ def binary_confusion(
         )
 
     agg = combine(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(ds, partial),
         "k",
         ["n_partial"],
     )
@@ -174,7 +175,7 @@ def prob_score_histogram(
         )
 
     agg = combine(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(ds, partial),
         "k",
         ["n_partial"],
     )
@@ -340,7 +341,7 @@ def breusch_pagan(
         return combine_arrays({"x": x}, {f"s{k}": y**k for k in range(5)})
 
     agg = combine(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(ds, partial),
         "x",
         [f"s{k}" for k in range(5)],
     )

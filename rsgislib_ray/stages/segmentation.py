@@ -61,6 +61,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.raster import Tile, halo_tiles
 from rsgislib_ray.stages.segsum import combine, combine_arrays
 
@@ -83,7 +84,7 @@ def clump_sums(
         )
 
     return combine(
-        clumped.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(clumped, partial),
         label_col,
         ["n"] + [f"sum_{b}" for b in band_cols],
     ).to_pandas()

@@ -1,10 +1,14 @@
 """Partial combine — the engine's ``GROUP BY key`` over exact int64
 partial rows.
 
-Every stage that pre-reduces each batch to per-key integer partial
+Every stage that pre-reduces each block to per-key integer partial
 rows (README "Partials before groupbys" lists them) finishes here,
 through one measured decision and two implementations that return
-bit-identical rows:
+bit-identical rows. :func:`combine` and :func:`combine_dataset` take
+the partials as held ``(ref, metadata)`` blocks, which
+``partition.map_blocks(ds, partial, ...)`` builds: over a Dataset that
+already holds its blocks, the partial kernel runs as one plain task
+per block and no Ray Data execution starts.
 
 - :func:`route` counts the partials' held blocks from their metadata
   against :data:`AUTO_NATIVE_ROWS` — the one adaptive choice;
@@ -152,18 +156,27 @@ def route(blocks: list) -> bool:
     (distributed) when the partials' held ``(ref, metadata)`` blocks
     hold more than :data:`AUTO_NATIVE_ROWS` rows, counted from their
     metadata (no driver data pull). Zero partial rows never
-    distribute."""
+    distribute. A Dataset raises ``TypeError``: the combines take
+    held blocks."""
+    if isinstance(blocks, ray.data.Dataset):
+        raise TypeError(
+            "segsum combines take held (ref, metadata) partial blocks, not a "
+            "Dataset: build them with partition.map_blocks(ds, partial, ...)"
+        )
     return sum(m.num_rows for _, m in blocks) > AUTO_NATIVE_ROWS
 
 
-def combine_held(
+def combine(
     blocks: list,
     key_col: str | list[str],
     value_cols: list[str],
     aggs: list[str] | None = None,
 ) -> pa.Table:
-    """:func:`combine` over held ``(ref, metadata)`` partial blocks,
-    such as a task's ``(table, BlockMetadataWithSchema)`` returns."""
+    """Held ``(ref, metadata)`` partial ``blocks`` (from
+    ``partition.map_blocks``, or a task's ``(table,
+    BlockMetadataWithSchema)`` returns) reduced to one row per key,
+    collected as a table sorted by key — for outputs bounded by what
+    the driver already holds (a zone layer, a tile grid)."""
     if route(blocks):
         # one row per key already; the kernel only sorts and types it
         blocks = held_blocks(_segment(blocks, key_col, value_cols, aggs))[1]
@@ -171,30 +184,17 @@ def combine_held(
     return combine_blocks(ray.get(refs), key_col, value_cols, aggs)
 
 
-def combine(
-    partials: ray.data.Dataset,
-    key_col: str | list[str],
-    value_cols: list[str],
-    aggs: list[str] | None = None,
-) -> pa.Table:
-    """Partials reduced to one row per key, collected as a table sorted
-    by key — for outputs bounded by what the driver already holds (a
-    zone layer, a tile grid)."""
-    return combine_held(held_blocks(partials)[1], key_col, value_cols, aggs)
-
-
 def combine_dataset(
-    partials: ray.data.Dataset,
+    blocks: list,
     key_col: str | list[str],
     value_cols: list[str],
     finish: Callable[[pa.Table], pa.Table] | None = None,
 ) -> ray.data.Dataset:
-    """Partials summed to one row per key, as a Dataset — for outputs
-    with no bound: the distributed route never lands them on the
-    driver. ``finish`` maps the summed rows: in each reduce task, or
-    once on the driver route, always on a typed table, so an empty
-    result keeps the caller's columns."""
-    blocks = held_blocks(partials)[1]
+    """Held ``(ref, metadata)`` partial ``blocks`` summed to one row per
+    key, as a Dataset — for outputs with no bound: the distributed
+    route never lands them on the driver. ``finish`` maps the summed
+    rows: in each reduce task, or once on the driver route, always on a
+    typed table, so an empty result keeps the caller's columns."""
     if route(blocks):
         return _segment(blocks, key_col, value_cols, finish=finish)
     tbl = combine_blocks(ray.get([ref for ref, _ in blocks]), key_col, value_cols)

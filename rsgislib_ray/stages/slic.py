@@ -39,6 +39,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine
 from rsgislib_ray.state.broadcast import cached
 
@@ -146,9 +147,7 @@ def slic_superpixels(
             )
 
         agg = combine(
-            raster.map_batches(
-                partial, batch_format="pyarrow", batch_size=batch_size
-            ),
+            map_blocks(raster, partial),
             "cid",
             ["cnt", "sr", "sc", "sv"],
         )

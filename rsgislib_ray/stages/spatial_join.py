@@ -50,7 +50,7 @@ from rsgislib_ray.functions import cells as cellmod
 from rsgislib_ray.functions.geom import pip_pairs
 from rsgislib_ray.functions.hashing import splitmix64
 from rsgislib_ray.stages import partition
-from rsgislib_ray.stages.segsum import combine, combine_held
+from rsgislib_ray.stages.segsum import combine
 from rsgislib_ray.state.broadcast import _MAX_ENTRIES, cached
 from rsgislib_ray.state.strtree import STRtree
 
@@ -397,10 +397,7 @@ def count_points_per_zone(
             {"fid": zones.fid[nz], "partial": counts[nz].astype(np.int64)}
         )
 
-    partials = points.map_batches(
-        count_partial, batch_format="pyarrow", batch_size=65536
-    )
-    agg = combine(partials, "fid", ["partial"])
+    agg = combine(partition.map_blocks(points, count_partial), "fid", ["partial"])
     # left-join the sorted per-fid sums onto the zone layer's fids
     fid = np.sort(zones_tbl["fid"].to_numpy(), kind="stable")
     kf = agg["fid"].to_numpy()
@@ -609,10 +606,10 @@ def _cell_histogram(
     """(cells ascending, in-frame point count of each) over the points
     ``blocks``: one count task per block (at most one row per distinct
     cell per block), its results summed as they are held by
-    :func:`rsgislib_ray.stages.segsum.combine_held`."""
+    :func:`rsgislib_ray.stages.segsum.combine`."""
     counts = [_cell_counts_task.remote(b, x_col, y_col, level) for b in blocks]
     metas = ray.get([m for _, m in counts])
-    hist = combine_held(
+    hist = combine(
         [(t, m) for (t, _), m in zip(counts, metas)], "cell", ["partial"]
     )
     return hist["cell"].to_numpy(), hist["partial"].to_numpy()
@@ -769,7 +766,7 @@ def spatial_join_points_sortmerge(
        and one that already holds its blocks (``from_arrow``, a
        materialized Dataset) starts no execution. One plain Ray task
        per block counts its points per level-``level`` cell;
-       :func:`rsgislib_ray.stages.segsum.combine_held` sums the counts,
+       :func:`rsgislib_ray.stages.segsum.combine` sums the counts,
        as the tasks hold them, exactly (int64) into the per-cell
        histogram.
     2. The driver gives each cell its salt count (:func:`_salt_plan`)

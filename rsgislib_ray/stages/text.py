@@ -14,6 +14,7 @@ import ray.data
 
 from rsgislib_ray.functions.hashing import doc_fingerprint
 from rsgislib_ray.functions.textstats import langid_scores, quality_stats, token_count
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine_dataset
 
 
@@ -905,7 +906,7 @@ def bpe_pair_counts(
 
     return (
         combine_dataset(
-            ds.map_batches(partial, batch_format="pyarrow"),
+            map_blocks(ds, partial),
             "pair_code",
             ["partial"],
             finish=decode,

@@ -17,6 +17,7 @@ import ray.data
 
 from rsgislib_ray.functions.cells import cells_from_xy
 from rsgislib_ray.functions.grid import TileSpec
+from rsgislib_ray.stages.partition import map_blocks
 from rsgislib_ray.stages.segsum import combine
 
 
@@ -60,7 +61,7 @@ def tile_counts(
 ) -> pa.Table:
     """Rows-per-tile histogram (``tile_id``, ``n_rows``; tile -1 counts
     rows outside the bbox), sorted by tile — the skew probe (SURVEY.md
-    §4 skew row). Each batch counts its tiles; the per-batch counts
+    §4 skew row). Each block counts its tiles; the per-block counts
     are summed by :func:`rsgislib_ray.stages.segsum.combine`."""
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -68,8 +69,7 @@ def tile_counts(
         u, c = np.unique(tid, return_counts=True)
         return pa.table({"tile_id": u, "partial": c.astype(np.int64)})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    return combine(partials, "tile_id", ["partial"]).rename_columns(
+    return combine(map_blocks(ds, partial), "tile_id", ["partial"]).rename_columns(
         ["tile_id", "n_rows"]
     )
 

@@ -4,16 +4,20 @@ Reimplements ``calc_zonal_band_stats``
 (/root/reference/python/rsgislib/zonalstats/__init__.py:166-520) and the
 RAT populators (``populate_rat_with_stats``,
 /root/reference/src/rastergis/RSGISPopRATWithStats.cpp:144-341;
-percentiles :513-558; mode rastergis.cpp:1807) as a two-stage Ray Data
+percentiles :513-558; mode rastergis.cpp:1807) as a two-stage
 aggregation:
 
-1. a stateless-task ``map_batches`` stage reads the broadcast zone
-   layer and its prebuilt cell-bucket index
+1. a partial kernel runs once per block of the cells
+   (:func:`rsgislib_ray.stages.partition.map_blocks`: a plain task per
+   block when the cells already hold their blocks, so no Ray Data
+   execution starts; fused into the one materializing execution of a
+   lazy plan). It reads the broadcast zone layer and its prebuilt
+   cell-bucket index
    (:func:`~rsgislib_ray.stages.spatial_join.broadcast_zones`) and
-   COMBINES WITHIN EACH BATCH (sort-free scatters into dense
+   COMBINES WITHIN THE BLOCK (sort-free scatters into dense
    per-zone accumulators: ``np.bincount`` / ``np.add.at`` /
    ``np.minimum.at`` / ``np.maximum.at``): it emits
-   one partial row per (batch, zone) — count/sum/sumsq/min/max, or
+   one partial row per (block, zone) — count/sum/sumsq/min/max, or
    per-(zone, value) counts for the order statistics;
 2. the partials reduce by fid (by (fid, value) for the histograms)
    through :func:`rsgislib_ray.stages.segsum.combine` — numpy scatters
@@ -42,6 +46,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages.partition import held_blocks, map_blocks
 from rsgislib_ray.stages.segsum import combine, combine_arrays
 from rsgislib_ray.stages.spatial_join import ZoneSet, broadcast_zones
 from rsgislib_ray.state.broadcast import cached
@@ -203,7 +208,9 @@ def zonal_stats(
     :func:`rsgislib_ray.stages.segsum.combine`: on the driver while
     the measured partial row count is at most ``AUTO_NATIVE_ROWS``,
     else distributed, with identical values since every partial is an
-    exact integer."""
+    exact integer. Asked for both moment and order stats, a lazy
+    ``cells`` executes once: its blocks are held, then read by both
+    partial kernels."""
     want_moments = [s for s in stats if s in MOMENT_STATS]
     # order stats: mode / median / pNN percentiles (numpy-linear
     # interpolation over the exact per-zone histogram — the reference's
@@ -216,32 +223,21 @@ def zonal_stats(
     unknown = set(stats) - set(MOMENT_STATS) - set(want_order)
     if unknown:
         raise ValueError(f"unknown stats: {unknown}")
-    ref = broadcast_zones(zones_tbl)
+    kw = {
+        "zones_ref": broadcast_zones(zones_tbl),
+        "value_col": value_col,
+        "x_col": x_col,
+        "y_col": y_col,
+    }
+    if want_moments and want_order:
+        # both families read the cells: hold a lazy plan's blocks once
+        cells = held_blocks(cells)[0]
 
     base = pd.DataFrame({"fid": zones_tbl["fid"].to_numpy()})
 
     if want_moments:
-        partials = cells.map_batches(
-            _moment_partial,
-            fn_kwargs={
-                "zones_ref": ref,
-                "value_col": value_col,
-                "x_col": x_col,
-                "y_col": y_col,
-            },
-            batch_format="pyarrow",
-            # batch per BLOCK: map_batches BUNDLES blocks up to
-            # batch_size into one task, so a fixed 65536 capped this
-            # stage at ~n/65536 tasks (measured: 10 tasks / 3.2s wall
-            # on the sf0.1 bench vs 64 tasks / 1.3s per-block); a
-            # fixed small size instead multiplies the per-batch
-            # (fid, ...) partial rows past the auto-combine threshold.
-            # Per-block batches track the input partitioning, which
-            # the sources already size for the CPU width.
-            batch_size=None,
-        )
         agg = combine(
-            partials,
+            map_blocks(cells, _moment_partial, **kw),
             "fid",
             ["cnt", "sum_v", "sumsq_v", "min_v", "max_v"],
             ["sum", "sum", "sum", "min", "max"],
@@ -268,21 +264,11 @@ def zonal_stats(
         base = base.merge(mom[["fid"] + want_moments], on="fid", how="left")
 
     if want_order:
-        partials = cells.map_batches(
-            _value_count_partial,
-            fn_kwargs={
-                "zones_ref": ref,
-                "value_col": value_col,
-                "x_col": x_col,
-                "y_col": y_col,
-            },
-            batch_format="pyarrow",
-            batch_size=None,  # same per-block reasoning as moments
-        )
-
-        # (fid, val) histograms are pre-reduced per batch; the combine
+        # (fid, val) histograms are pre-reduced per block; the combine
         # returns them sorted by (fid, val) for the finalize below.
-        vc = combine(partials, ["fid", "val"], ["n"])
+        vc = combine(
+            map_blocks(cells, _value_count_partial, **kw), ["fid", "val"], ["n"]
+        )
         pcts = [
             (s, float(s[1:]) / 100.0)
             for s in want_order
@@ -458,7 +444,7 @@ def class_separability(
         )
 
     st = combine(
-        cells.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(cells, partial),
         "cls",
         ["n", "s", "ss"],
     )
@@ -650,17 +636,13 @@ def zonal_winsorized_mean(
     quantile_cont + the same expression matches bit-for-bit. Integer
     value columns required (same contract as the rest of this module).
     """
-    ref = broadcast_zones(zones_tbl)
-    partials = cells.map_batches(
+    partials = map_blocks(
+        cells,
         _value_count_partial,
-        fn_kwargs={
-            "zones_ref": ref,
-            "value_col": value_col,
-            "x_col": x_col,
-            "y_col": y_col,
-        },
-        batch_format="pyarrow",
-        batch_size=65536,
+        zones_ref=broadcast_zones(zones_tbl),
+        value_col=value_col,
+        x_col=x_col,
+        y_col=y_col,
     )
     vc = combine(partials, ["fid", "val"], ["n"])
     vals = vc["val"].to_numpy().astype(np.float64)
@@ -771,7 +753,7 @@ def kmeans_cluster_exact(
         )
 
     hist = combine(
-        cells.map_batches(hist_partial, batch_format="pyarrow", batch_size=65536),
+        map_blocks(cells, hist_partial),
         ["f", "v"],
         ["cnt"],
     )
@@ -809,7 +791,7 @@ def kmeans_cluster_exact(
 
         sums = [f"s{j}" for j in range(d)]
         agg = combine(
-            cells.map_batches(part, batch_format="pyarrow", batch_size=65536),
+            map_blocks(cells, part),
             "cluster",
             ["n"] + sums,
         )

@@ -495,7 +495,7 @@ def test_held_inputs_start_no_execution(ray_session, sf_dir, monkeypatch):
     )
     assert out.count() > 0 and runs == [] and mats == []
     parts = partition.arrow_dataset([_cell_counts_task.remote(skew, "x", "y", 6)])
-    hist = segsum.combine(parts, "cell", ["partial"])
+    hist = segsum.combine(partition.held_blocks(parts)[1], "cell", ["partial"])
     assert hist["partial"].to_numpy().sum() == skew.num_rows
     assert runs == [] and mats == []
     spatial_join_points_sortmerge(

@@ -8,11 +8,14 @@ per query:
 - ``all_to_all``: per execution, the names of its all-to-all operators
   (``Sort``, ``Repartition``, ``Aggregate``, ``Join``, ...), an empty
   list for a map-only one;
+- ``tasks``: the plain tasks the engine started itself
+  (``stages/partition.py``), by kind: ``map_blocks``, ``split`` and
+  ``reduce`` — work that runs outside any Ray Data execution;
 - ``wall_s``: the query's wall time, result collection included;
 - ``error``: the exception, when the query raised.
 
 A closing ``{"total": ...}`` line sums executions, executions that
-hold a ``Sort`` and wall. Usage:
+hold a ``Sort``, engine tasks and wall. Usage:
 
     python tools/exec_census.py SF_DIR [name ...] > census.jsonl
 """
@@ -27,6 +30,9 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# the engine's plain task functions, by the kind they are counted as
+TASK_KINDS = {"_map_task": "map_blocks", "_split_task": "split", "_reduce_task": "reduce"}
 
 
 def _all_to_all(dag) -> list[str]:
@@ -63,6 +69,7 @@ def main() -> int:
     import ray
     from ray.data import DataContext
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
+    from ray.remote_function import RemoteFunction
 
     from check_contract import to_df
 
@@ -84,14 +91,31 @@ def main() -> int:
         return execute(self, dag, *a, **k)
 
     StreamingExecutor.execute = counted
+    tasks = dict.fromkeys(TASK_KINDS.values(), 0)
+    submit = RemoteFunction._remote
+
+    def submitted(self, *a, **k):
+        fn = self._function
+        if fn.__module__ == "rsgislib_ray.stages.partition":
+            tasks[TASK_KINDS[fn.__name__]] += 1
+        return submit(self, *a, **k)
+
+    RemoteFunction._remote = submitted
 
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
-    total = {"queries": 0, "executions": 0, "sort_executions": 0, "wall_s": 0.0}
+    total = {
+        "queries": 0,
+        "executions": 0,
+        "sort_executions": 0,
+        "tasks": dict(tasks),
+        "wall_s": 0.0,
+    }
     try:
         for name in only or list(qs):
             runs.clear()
+            tasks.update(dict.fromkeys(tasks, 0))
             error = None
             t0 = time.perf_counter()
             try:
@@ -106,6 +130,7 @@ def main() -> int:
                         "query": name,
                         "executions": len(runs),
                         "all_to_all": runs,
+                        "tasks": tasks,
                         "wall_s": round(wall, 3),
                         "error": error,
                     }
@@ -115,6 +140,8 @@ def main() -> int:
             total["queries"] += 1
             total["executions"] += len(runs)
             total["sort_executions"] += sum("Sort" in r for r in runs)
+            for kind, n in tasks.items():
+                total["tasks"][kind] += n
             total["wall_s"] += wall
     finally:
         ray.shutdown()
