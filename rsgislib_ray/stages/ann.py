@@ -22,6 +22,7 @@ import ray.data
 from rsgislib_ray.functions.hashing import splitmix64
 
 from rsgislib_ray.functions.arrowize import arrowize
+from rsgislib_ray.stages import partition
 
 
 def _to_matrix(col) -> np.ndarray:
@@ -496,16 +497,11 @@ def semantic_dedup(
 
     # 100 TB path: distributed min-label propagation, then roots attach
     # to the base sweep via attach_roots (measured broadcast/join auto)
-    from rsgislib_ray.stages.components import (
-        attach_roots,
-        drop_empty_blocks_counted,
-    )
+    from rsgislib_ray.stages.components import attach_roots
 
-    roots, n_roots = drop_empty_blocks_counted(
-        components_native_labels(pairs_ds, "u", "v").map_batches(
-            lambda t: pa.table({id_col: t["node"], "__root": t["root"]}),
-            batch_format="pyarrow",
-        )
+    roots = components_native_labels(pairs_ds, "u", "v").map_batches(
+        lambda t: pa.table({id_col: t["node"], "__root": t["root"]}),
+        batch_format="pyarrow",
     )
 
     def base(batch: pa.Table) -> pa.Table:
@@ -520,7 +516,7 @@ def semantic_dedup(
     based = embeddings.map_batches(
         base, batch_format="pyarrow", batch_size=4096
     )
-    attached = attach_roots(based, id_col, roots, roots_rows=n_roots)
+    attached = attach_roots(based, id_col, roots)
 
     def finish(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -573,12 +569,10 @@ def _semantic_dedup_cluster(
         order = np.argsort(ids, kind="stable")[:n_clusters]
         return batch.take(pa.array(order, pa.int64()))
 
-    from rsgislib_ray.stages.components import drop_empty_blocks
-
-    small = drop_empty_blocks(
+    small, n_small = partition.held_rows(
         narrow.map_batches(topk_small, batch_format="pyarrow")
     )
-    if small is None:
+    if not n_small:
         raise ValueError("semantic_dedup: empty embedding dataset")
     srefs = small.to_arrow_refs()
 

@@ -866,36 +866,29 @@ def clear_sky_regions(
     (``dist2 > d^2`` replaces the float distance threshold — equal
     for integer distances), distributed clump (comp label = min
     pixel id), segment-sum sizes with a broadcast keep-set, a
-    measured hash join for the intersect-init test, and the 3x3
+    hash join (``partition.join``) for the intersect-init test, and the 3x3
     binary opening of :func:`_binary_morph` (the reference's circular
     21-op, parameterized down — documented deviation). Input columns:
     (pixel_id, row, col, cloud [0/1 cloud/2 shadow], valid [0/1]).
     Output: the clear-sky member pixel ids."""
-    from rsgislib_ray.stages.components import (
-        drop_empty_blocks,
-        measured_join_partitions,
-    )
+    from rsgislib_ray.stages import partition
     from rsgislib_ray.stages.distance import distance_transform
     from rsgislib_ray.stages.polygonize import clump
     from rsgislib_ray.stages.segsum import segment_sum
     from rsgislib_ray.state.broadcast import cached
 
-    # distance_transform emits (pixel_id, dist2); one measured hash
-    # join re-attaches (row, col, valid)
+    # distance_transform emits (pixel_id, dist2); one hash join
+    # re-attaches (row, col, valid)
     d0 = distance_transform(ds, [1, 2], value_col="cloud")
-    d = drop_empty_blocks(
-        ds.select_columns(["pixel_id", "row", "col", "valid"]).join(
-            d0,
-            join_type="inner",
-            on=("pixel_id",),
-            num_partitions=measured_join_partitions(width * height),
+    d, n_d = partition.held_rows(
+        partition.join(
+            ds.select_columns(["pixel_id", "row", "col", "valid"]), d0, "pixel_id"
         )
     )
-    if d is None:
+    if not n_d:
         return ray.data.from_arrow(
             pa.table({"pixel_id": pa.array([], pa.int64())})
         )
-    d = d.materialize()
 
     def mask_ge(thresh2: int):
         def f(batch: pa.Table) -> pa.Table:
@@ -959,17 +952,12 @@ def clear_sky_regions(
         mask_ge(final_dist * final_dist), batch_format="pyarrow"
     )
     c2 = clump(m2, tile_size=tile_size).materialize()
-    joined = drop_empty_blocks(
-        c2.select_columns(["pixel_id", "comp_label"]).join(
-            init_pix,
-            join_type="inner",
-            on=("pixel_id",),
-            num_partitions=measured_join_partitions(
-                max(init_pix.count(), 2)
-            ),
+    joined, n_joined = partition.held_rows(
+        partition.join(
+            c2.select_columns(["pixel_id", "comp_label"]), init_pix, "pixel_id"
         )
     )
-    if joined is None:
+    if not n_joined:
         keep2: set = set()
     else:
         keep2 = set(

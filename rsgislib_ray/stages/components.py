@@ -19,7 +19,7 @@ to the transitive-closure setting). Two physical strategies:
 - ``"native"``: fully distributed hash-to-min label propagation —
   ``label(n) <- min(label(n), min over neighbours m of label(m))``
   iterated to fixpoint through :func:`segment_sum` min-reductions and
-  a hash-partitioned ``Dataset.join`` per round. The 100 TB path when
+  one engine hash join (``partition.join``) per round. The 100 TB path when
   even the contracted graph outgrows a single heap. Rounds =
   O(component diameter); near-dup components are band-connected
   near-cliques, so 1-2 rounds in practice. Convergence is detected by
@@ -39,63 +39,17 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages import partition
+
 #: above this many verified edges, ``strategy="auto"`` switches from the
 #: per-worker union-find to distributed label propagation
 DRIVER_MAX_EDGES = 5_000_000
 
-#: propagation-join sizing: one hash partition per this many symmetric
-#: edges (measured: a CPU-count-wide join on a few-thousand-edge
-#: contracted graph spends seconds on aggregator-actor startup alone)
-PROP_EDGES_PER_PARTITION = 2_000_000
-
-#: below this many root rows, ``attach_roots(finish="auto")`` broadcasts
+#: at or below this many root rows, :func:`attach_roots` broadcasts
 #: the materialized root map (one object-store read per worker process)
 #: instead of hash-joining the whole corpus against it — |roots| =
 #: |non-self dup nodes|, usually tiny next to the corpus
 ROOTS_BROADCAST_MAX = 5_000_000
-
-
-def measured_join_partitions(
-    rows: int,
-    requested: int | None = None,
-    rows_per_partition: int = PROP_EDGES_PER_PARTITION,
-) -> int:
-    """Hash-join partition count sized by MEASURED row count (of the
-    larger side), clamped to [2, cluster CPU cap]: partitions scale up
-    with the data, but a small side doesn't pay CPU-count-wide
-    aggregator-actor startup. An explicit ``requested`` only gets the
-    CPU clamp."""
-    from rsgislib_ray.stages.partition import default_partitions
-
-    if requested is not None:
-        return default_partitions(requested)
-    cap = default_partitions(None)
-    return max(2, min(cap, -(-rows // rows_per_partition)))
-
-
-def drop_empty_blocks_counted(
-    ds: ray.data.Dataset,
-) -> tuple[ray.data.Dataset | None, int]:
-    """:func:`drop_empty_blocks` that also returns the total row count
-    (free — it comes from the same block metadata sweep), so callers can
-    make size-based routing decisions without a count() job."""
-    from rsgislib_ray.stages.partition import held_blocks
-
-    held = [(ref, m.num_rows) for ref, m in held_blocks(ds)[1] if m.num_rows]
-    if not held:
-        return None, 0
-    return ray.data.from_arrow_refs([r for r, _ in held]), sum(n for _, n in held)
-
-
-def drop_empty_blocks(ds: ray.data.Dataset) -> ray.data.Dataset | None:
-    """Materialize and drop empty blocks. Ray's sort/groupby emit
-    zero-COLUMN empty blocks on small inputs, and pyarrow's hash join
-    rejects them ("No match ... for key field reference"); map_batches
-    passes them through untouched, so they must be dropped at the block
-    level. Metadata-only — no block data is fetched. Returns None when
-    every block is empty."""
-    out, _ = drop_empty_blocks_counted(ds)
-    return out
 
 
 def edge_components_minlabel(ea: np.ndarray, eb: np.ndarray):
@@ -213,7 +167,6 @@ def components_native_labels(
     pairs: ray.data.Dataset,
     u_col: str = "doc_a",
     v_col: str = "doc_b",
-    num_partitions: int | None = None,
     max_iters: int = 64,
 ) -> ray.data.Dataset:
     """Distributed min-label propagation to fixpoint. Returns a Dataset
@@ -232,18 +185,13 @@ def components_native_labels(
     _empty_labels = pa.table(
         {"node": pa.array([], pa.int64()), "root": pa.array([], pa.int64())}
     )
-    edges, n_edges = drop_empty_blocks_counted(
+    edges, n_edges = partition.held_rows(
         pairs.select_columns([u_col, v_col]).map_batches(
             sym, batch_format="pyarrow"
         )
     )
-    if edges is None:
+    if not n_edges:
         return ray.data.from_arrow(_empty_labels)
-    # size the per-round hash join by MEASURED edge count (free:
-    # counted during the empty-block sweep) — partitions scale up
-    # with the graph, but a contracted few-thousand-edge graph
-    # doesn't pay CPU-count-wide aggregator startup every round
-    num_partitions = measured_join_partitions(n_edges, num_partitions)
 
     def init_partial(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy()
@@ -277,20 +225,14 @@ def components_native_labels(
     )
     prev_sum = _lbl_checksum(labels)
     for _ in range(max_iters):
-        compact = drop_empty_blocks(labels)
-        if compact is None:
+        labels, n_labels = partition.held_rows(labels)
+        if not n_labels:
             return ray.data.from_arrow(_empty_labels)
-        labels = compact
         lab_m = labels.map_batches(
             lambda t: pa.table({"m": t["node"], "mlbl": t["lbl"]}),
             batch_format="pyarrow",
         )
-        prop = edges.join(
-            lab_m,
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=("m",),
-        ).map_batches(
+        prop = partition.join(edges, lab_m, "m").map_batches(
             lambda t: pa.table({"node": t["n"], "lbl": t["mlbl"]}),
             batch_format="pyarrow",
         )
@@ -325,50 +267,36 @@ def attach_roots(
     base: ray.data.Dataset,
     id_col: str,
     roots: ray.data.Dataset | None,
-    roots_rows: int | None = None,
     root_col: str = "__root",
     out_col: str = "__rep",
-    finish: str = "auto",
-    broadcast_max_rows: int | None = None,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Append ``out_col`` = this row's component root (its own id when
-    it is not a non-self component member) to ``base``. ``roots`` must
-    be a MATERIALIZED two-int64-column ``(id_col, root_col)`` Dataset
-    (or None = no components). Physical routing:
+    it is not a non-self component member) to ``base``. ``roots`` is a
+    two-int64-column ``(id_col, root_col)`` Dataset (or None = no
+    components). Routed by its row count, read off its held blocks'
+    metadata, against :data:`ROOTS_BROADCAST_MAX`:
 
-    - ``"broadcast"``: workers build the sorted (key, root) arrays once
-      per process from the roots block refs (``cached_multi``) and
-      label via searchsorted — zero shuffle. The root map holds only
-      the NON-SELF dup nodes, not the corpus, so this is the right
-      default whenever the dup fraction is sane.
-    - ``"join"``: hash-partitioned ``left_outer`` join — the
-      unconditional-scale fallback when even the dup-node root map
+    - at or below it, broadcast: workers build the sorted (key, root)
+      arrays once per process from the roots block refs
+      (``cached_multi``) and label via searchsorted — zero shuffle. The
+      root map holds only the NON-SELF dup nodes, not the corpus, so
+      this is the usual route whenever the dup fraction is sane.
+    - above it, a ``left_outer`` ``partition.join`` — the
+      unconditional-scale route when even the dup-node root map
       outgrows a worker heap.
-    - ``"auto"``: measured routing — ``roots_rows`` (free from
-      :func:`drop_empty_blocks_counted`) vs ``ROOTS_BROADCAST_MAX``.
     """
 
     def selfcol(t: pa.Table) -> pa.Table:
         ids = t[id_col].cast(pa.int64())
         return t.append_column(out_col, ids)
 
-    if roots is None:
+    roots_rows = 0
+    if roots is not None:
+        roots, roots_rows = partition.held_rows(roots)
+    if not roots_rows:
         return base.map_batches(selfcol, batch_format="pyarrow")
 
-    if finish == "auto":
-        if roots_rows is None:
-            roots, roots_rows = drop_empty_blocks_counted(roots)
-            if roots is None:
-                return base.map_batches(selfcol, batch_format="pyarrow")
-        bmax = (
-            ROOTS_BROADCAST_MAX
-            if broadcast_max_rows is None
-            else broadcast_max_rows
-        )
-        finish = "broadcast" if roots_rows <= bmax else "join"
-
-    if finish == "broadcast":
+    if roots_rows <= ROOTS_BROADCAST_MAX:
         refs = roots.to_arrow_refs()
 
         def build(tables: list):
@@ -395,16 +323,7 @@ def attach_roots(
 
         return base.map_batches(label, batch_format="pyarrow")
 
-    if finish != "join":
-        raise ValueError(f"unknown finish {finish!r}")
-    from rsgislib_ray.stages.partition import default_partitions
-
-    joined = base.join(
-        roots,
-        join_type="left_outer",
-        num_partitions=default_partitions(num_partitions),
-        on=(id_col,),
-    )
+    joined = partition.join(base, roots, id_col, "left_outer")
 
     def fin(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -424,7 +343,6 @@ def components_label_ids(
     v_col: str = "doc_b",
     strategy: str = "auto",
     driver_max_edges: int = DRIVER_MAX_EDGES,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Label every id in ``ids_ds`` with its component minimum over the
     pair graph: output ``(id_col, cluster_id, keep)`` where
@@ -458,21 +376,11 @@ def components_label_ids(
 
     if strategy != "native":
         raise ValueError(f"unknown components strategy {strategy!r}")
-    labels, n_labels = drop_empty_blocks_counted(
-        components_native_labels(
-            pairs, u_col, v_col, num_partitions=num_partitions
-        ).map_batches(
-            lambda t: pa.table({id_col: t["node"], "__root": t["root"]}),
-            batch_format="pyarrow",
-        )
+    labels = components_native_labels(pairs, u_col, v_col).map_batches(
+        lambda t: pa.table({id_col: t["node"], "__root": t["root"]}),
+        batch_format="pyarrow",
     )
-    attached = attach_roots(
-        ids_ds.select_columns([id_col]),
-        id_col,
-        labels,
-        roots_rows=n_labels,
-        num_partitions=num_partitions,
-    )
+    attached = attach_roots(ids_ds.select_columns([id_col]), id_col, labels)
 
     def finish(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

@@ -62,7 +62,6 @@ def exact_dedup(
     cols: list[str],
     id_col: str = "doc_id",
     strategy: str = "auto",
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """First-wins exact dedup on a column subset
     (rm_feat_att_duplicates semantics: keep the lowest-id row of each
@@ -78,10 +77,11 @@ def exact_dedup(
       them once (``cached_multi``) and filters its batches with a
       vectorized searchsorted. Right when the distinct-hash set fits a
       worker heap; the wide rows never shuffle.
-    - ``strategy="join"``: hash-partitioned native ``Dataset.join`` on
-      content_hash + ``id == win_id`` filter — the 100 TB path when the
-      distinct-hash set itself is too large to broadcast. One all-to-all
-      over the wide rows, no driver materialization anywhere.
+    - ``strategy="join"``: the engine's hash join (``partition.join``,
+      left outer) on content_hash + ``id == win_id`` filter — the
+      100 TB path when the distinct-hash set itself is too large to
+      broadcast. One shuffle of the wide rows, no driver
+      materialization anywhere.
     - ``strategy="auto"`` (default): routes by the MEASURED dup-group
       count — the exact table the broadcast would ship (the
       :func:`segsum.route` pattern): ``"join"`` above
@@ -134,9 +134,7 @@ def exact_dedup(
         )
 
     if strategy == "join":
-        from rsgislib_ray.stages.partition import default_partitions
-
-        num_partitions = default_partitions(num_partitions)
+        from rsgislib_ray.stages import partition
 
         # only hashes seen >= 2 times need adjudication — a unique
         # hash's single row is its own winner. Filtering the right side
@@ -150,20 +148,16 @@ def exact_dedup(
                 {"content_hash": b["content_hash"], "win_id": b["min_id"]}
             )
 
-        w = winners.map_batches(rename, batch_format="pyarrow")
-        from rsgislib_ray.stages.components import drop_empty_blocks
-
-        w = drop_empty_blocks(w)
-        if w is None:  # no duplicate hashes at all
+        w, n_dup = partition.held_rows(
+            winners.map_batches(rename, batch_format="pyarrow")
+        )
+        if not n_dup:  # no duplicate hashes at all
 
             def strip(b: pa.Table) -> pa.Table:
                 return b.drop_columns(["content_hash"])
 
             return hashed.map_batches(strip, batch_format="pyarrow")
-        joined = hashed.join(
-            w, join_type="left_outer", num_partitions=num_partitions,
-            on=("content_hash",),
-        )
+        joined = partition.join(hashed, w, "content_hash", "left_outer")
 
         def keep_join(b: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
@@ -1221,7 +1215,7 @@ def paragraph_dedup(
     IN-BATCH (paragraph rows never leave their batch, so no
     reassembly shuffle exists at all). When the distinct-paragraph
     table outgrows worker heaps, swap the broadcast for the
-    hash-partitioned ``Dataset.join`` winner filter exactly as in
+    hash-join (``partition.join``) winner filter exactly as in
     :func:`exact_dedup` (strategy="join") plus a
     ``sorted_user_apply`` reassembly — same trade documented there.
 

@@ -69,7 +69,6 @@ def event_retention(
     period_us: int = 86_400_000_000,
     ts_col: str = "ts",
     user_col: str = "user_id",
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Cohort retention table over the event log: every user joins the
     cohort of their FIRST active period; output one row per
@@ -80,13 +79,12 @@ def event_retention(
        :func:`segment_sum` over a packed key (no row-level shuffle of
        raw events);
     2. per-user first period via a second narrow segment min;
-    3. a hash-partitioned ``Dataset.join`` attaches cohorts (the
-       broadcast alternative breaks at 10^9 users, so the join is the
-       default), then per-batch partial counts finish in
+    3. the engine's hash join (``partition.join``) attaches cohorts
+       (the broadcast alternative breaks at 10^9 users, so the join is
+       the default), then per-block partial counts finish in
        :func:`rsgislib_ray.stages.segsum.combine_dataset`.
 
     Returns (cohort_period, period_offset, n_users)."""
-    from rsgislib_ray.stages.components import drop_empty_blocks
     from rsgislib_ray.stages.segsum import segment_sum
 
     def pair_partial(batch: pa.Table) -> pa.Table:
@@ -124,10 +122,10 @@ def event_retention(
             }
         )
 
-    pairs = drop_empty_blocks(
+    pairs, n_pairs = partition.held_rows(
         distinct.map_batches(unpack, batch_format="pyarrow")
     )
-    if pairs is None:
+    if not n_pairs:
         return ray.data.from_arrow(
             pa.table(
                 {
@@ -137,7 +135,6 @@ def event_retention(
                 }
             )
         )
-    pairs = pairs.materialize()
 
     def first_partial(t: pa.Table) -> pa.Table:
         u = t["user_id"].to_numpy()
@@ -147,20 +144,13 @@ def event_retention(
         starts = np.concatenate([[0], np.flatnonzero(np.diff(u2)) + 1])
         return pa.table({"user_id": u2[starts], "cohort": p2[starts]})
 
-    first = drop_empty_blocks(
-        segment_sum(
-            pairs.map_batches(first_partial, batch_format="pyarrow"),
-            "user_id",
-            ["cohort"],
-            aggs=["min"],
-        )
+    first = segment_sum(
+        pairs.map_batches(first_partial, batch_format="pyarrow"),
+        "user_id",
+        ["cohort"],
+        aggs=["min"],
     )
-    joined = pairs.join(
-        first,
-        join_type="inner",
-        num_partitions=partition.default_partitions(num_partitions),
-        on=("user_id",),
-    )
+    joined = partition.join(pairs, first, "user_id")
 
     def count_partial(t: pa.Table) -> pa.Table:
         co = t["cohort"].to_numpy()
@@ -374,7 +364,6 @@ def event_funnel(
     ts_col: str = "ts",
     type_col: str = "event_type",
     combine: str = "auto",
-    num_partitions: int | None = None,
 ) -> "pa.Table | ray.data.Dataset":
     """Ordered funnel: per user, the earliest time of step 1, the
     earliest step-2 event STRICTLY after it, the earliest step-3 event
@@ -390,10 +379,10 @@ def event_funnel(
       ``pa.Table``.
     - ``"native"``: the 10^9-user shape — no per-user row ever lands
       on the driver. Each step's distinct (user, t) candidates
-      hash-join against the previous step's per-user minima
-      (``Dataset.join``), filter strictly-after, and reduce through
-      the distributed :func:`segment_sum` min; the result matrix is
-      assembled with left-outer hash joins (the
+      hash-join against the previous step's per-user minima (the
+      engine's ``partition.join``), filter strictly-after, and reduce
+      through the distributed :func:`segment_sum` min; the result
+      matrix is assembled with left-outer hash joins (the
       :func:`event_retention` pattern). Returns a streaming Dataset
       with identical values.
     - ``"auto"`` (default): route by the MEASURED step-1 partial row
@@ -445,9 +434,7 @@ def event_funnel(
         )
         combine = "native" if route(blocks) else "driver"
     if combine == "native":
-        return _event_funnel_native(
-            events, steps, user_col, ts_col, type_col, num_partitions
-        )
+        return _event_funnel_native(events, steps, user_col, ts_col, type_col)
     if combine != "driver":
         raise ValueError(f"unknown combine {combine!r}")
 
@@ -512,22 +499,18 @@ def _event_funnel_native(
     user_col: str,
     ts_col: str,
     type_col: str,
-    num_partitions: int | None,
 ) -> ray.data.Dataset:
     """Fully distributed funnel (see :func:`event_funnel`,
     ``combine="native"``). Per step: distinct (user, t) candidates
-    pre-deduped per batch, an inner hash join attaches the previous
-    step's per-user minimum, strictly-after filter, then a distributed
-    :func:`segment_sum` min. Assembly is a chain of left-outer joins
-    off the distinct-user set — exactly the shape the SQL oracle uses,
-    so values are bit-identical to the driver path (all integer
-    microsecond timestamps)."""
-    from rsgislib_ray.stages.components import drop_empty_blocks
+    pre-deduped per batch, an inner ``partition.join`` attaches the
+    previous step's per-user minimum, strictly-after filter, then a
+    distributed :func:`segment_sum` min. Assembly is a chain of
+    left-outer ``partition.join``s off the distinct-user set — exactly
+    the shape the SQL oracle uses, so values are bit-identical to the
+    driver path (all integer microsecond timestamps)."""
     from rsgislib_ray.stages.segsum import segment_sum
 
     import pyarrow.compute as pc
-
-    nparts = partition.default_partitions(num_partitions)
 
     def _empty(cols: dict) -> ray.data.Dataset:
         return ray.data.from_arrow(
@@ -538,7 +521,7 @@ def _event_funnel_native(
         u = np.unique(batch[user_col].to_numpy().astype(np.int64))
         return pa.table({user_col: u, "one": np.ones(len(u), np.int64)})
 
-    users = drop_empty_blocks(
+    users, n_users = partition.held_rows(
         segment_sum(
             events.map_batches(
                 users_partial, batch_format="pyarrow", batch_size=65536
@@ -548,15 +531,15 @@ def _event_funnel_native(
             aggs=["min"],
         ).drop_columns(["one"])
     )
-    if users is None:
+    if not n_users:
         out = {user_col: pa.int64()}
         for s in steps:
             out[f"t_{s}"] = pa.timestamp("us")
         out["steps_completed"] = pa.int64()
         return _empty(out)
-    users = users.materialize()
 
-    prev: ray.data.Dataset | None = None  # (user, "t") minima, or empty
+    prev: ray.data.Dataset | None = None  # the last step's (user, "t") minima
+    reached = True  # some user completed every step so far
     first_step = True
     step_mins: list = []  # (user, __t_{step}) joinable datasets
     for step in steps:
@@ -585,21 +568,17 @@ def _event_funnel_native(
             candidates, batch_format="pyarrow", batch_size=65536
         )
         first_step = False
-        if prev is not None:
-            left = drop_empty_blocks(parts)
-            if left is None or prev.count() == 0:
-                parts = None
-            else:
-                joined = left.join(
+        if reached:
+            if prev is not None:
+                joined = partition.join(
+                    parts,
                     prev.map_batches(
                         lambda tb: pa.table(
                             {user_col: tb[user_col], "prev_t": tb["t"]}
                         ),
                         batch_format="pyarrow",
                     ),
-                    join_type="inner",
-                    num_partitions=nparts,
-                    on=(user_col,),
+                    user_col,
                 )
 
                 def after(tb: pa.Table) -> pa.Table:
@@ -607,43 +586,29 @@ def _event_funnel_native(
                     sub = tb.filter(keep)
                     return pa.table({user_col: sub[user_col], "t": sub["t"]})
 
-                parts = drop_empty_blocks(
-                    joined.map_batches(after, batch_format="pyarrow")
-                )
-        if parts is not None:
-            cur = drop_empty_blocks(
+                parts = joined.map_batches(after, batch_format="pyarrow")
+            prev, n_cur = partition.held_rows(
                 segment_sum(parts, user_col, ["t"], aggs=["min"])
             )
-        else:
-            cur = None
-        if cur is None:
-            prev = _empty({user_col: pa.int64(), "t": pa.int64()})
+            reached = n_cur > 0
+        if reached:
             step_mins.append(
-                _empty({user_col: pa.int64(), f"__t_{step}": pa.int64()})
-            )
-        else:
-            cur = cur.materialize()
-            prev = cur
-            step_mins.append(
-                cur.map_batches(
+                prev.map_batches(
                     lambda tb, _s=step: pa.table(
                         {user_col: tb[user_col], f"__t_{_s}": tb["t"]}
                     ),
                     batch_format="pyarrow",
                 )
             )
+        else:
+            # typed: a map over an empty block would lose its schema
+            step_mins.append(
+                _empty({user_col: pa.int64(), f"__t_{step}": pa.int64()})
+            )
 
     acc = users
     for cur in step_mins:
-        acc = acc.join(
-            cur,
-            join_type="left_outer",
-            num_partitions=nparts,
-            on=(user_col,),
-        )
-        dropped = drop_empty_blocks(acc)
-        if dropped is not None:
-            acc = dropped
+        acc = partition.join(acc, cur, user_col, "left_outer")
 
     def finish(tb: pa.Table) -> pa.Table:
         cols: dict = {user_col: tb[user_col]}

@@ -14,7 +14,10 @@ from one of two plans:
 order, and wraps the results as one materialized Dataset;
 :func:`hash_reduce` is the hash plan end to end, and :func:`group_apply`
 runs a function once per key on it (``raster.halo_tiles``' tile
-groups, ``overlay.overlay_union``'s tiles).
+groups, ``overlay.overlay_union``'s tiles). :func:`join` is the
+engine's equi-join (inner or left outer on one integer key): both
+sides split on the hash plan, each partition joined by one reduce
+task.
 
 :func:`map_blocks` runs a function once per block, ahead of a shuffle
 or a ``segsum`` combine: over blocks that are already held, as one
@@ -64,6 +67,13 @@ def held_blocks(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, list]:
     return ds, blocks
 
 
+def held_rows(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, int]:
+    """``ds`` held (:func:`held_blocks`) and its row count, read off
+    its blocks' metadata: no block is fetched."""
+    ds, blocks = held_blocks(ds)
+    return ds, sum(m.num_rows for _, m in blocks)
+
+
 @ray.remote(num_returns=2)
 def _map_task(fn: Callable, block: pa.Table):
     out = fn(block)
@@ -90,21 +100,23 @@ def map_blocks(ds: ray.data.Dataset, fn: Callable, **kwargs) -> list:
         mapped = ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
         return held_blocks(mapped)[1]
     run = [ref for ref, m in blocks if m.num_rows] or [ref for ref, _ in blocks[:1]]
-    outs = [_map_task.remote(fn, ref) for ref in run]
+    return map_refs(run, fn)
+
+
+def map_refs(refs: list, fn: Callable) -> list:
+    """``fn`` once per table ref of ``refs``, in order, one plain task
+    each (:func:`map_blocks`' branch over held blocks), as held
+    ``(table ref, BlockMetadata)`` blocks."""
+    outs = [_map_task.remote(fn, ref) for ref in refs]
     metas = ray.get([m for _, m in outs])
     return [(t, m) for (t, _), m in zip(outs, metas)]
 
 
-def default_partitions(requested: int | None = None) -> int:
-    """Clamp a partition count to the cluster's CPU count (at least 4):
-    Ray's hash-shuffle join spawns ~one aggregator actor per partition,
-    and partitions >> CPUs oversubscribes a small cluster into ray.get
-    convoys (measured: 32 partitions on 4 CPUs runs minutes instead of
-    seconds). ``None`` gives the partition count of the engine's own
-    split and reduce tasks."""
+def default_partitions() -> int:
+    """The partition count of the engine's split and reduce tasks: the
+    cluster's CPU count, at least 4 (8 before ``ray.init``)."""
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    cap = max(4, cpus)
-    return min(requested, cap) if requested else cap
+    return max(4, cpus)
 
 
 def range_ids(key: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -180,6 +192,107 @@ def hash_reduce(blocks: list, keys: list[str], fn: Callable) -> ray.data.Dataset
     parts = default_partitions()
     splits = [split(hashed, parts, keys, parts, ref) for ref, m in blocks if m.num_rows]
     return reduce(fn, splits, parts)
+
+
+def expand(per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``i`` repeated ``per[i]`` times: (source row, copy number)
+    of each copy."""
+    rep = np.repeat(np.arange(len(per), dtype=np.int64), per)
+    within = np.arange(len(rep), dtype=np.int64) - np.repeat(
+        np.cumsum(per) - per, per
+    )
+    return rep, within
+
+
+def _check_key(t: pa.Table, col: str) -> None:
+    """ValueError naming the join key ``col`` unless it is a null-free
+    integer column of ``t``: keys are hashed and matched as int64."""
+    typ = t.schema.field(col).type
+    if not pa.types.is_integer(typ) or t[col].null_count:
+        raise ValueError(
+            f"partition.join: key {col!r} is {typ}, not a null-free integer type"
+        )
+
+
+def _join_rows(key: str, parts: int, block: pa.Table):
+    """The hash plan's rows (:func:`hashed`) of one join side's block,
+    its ``key`` checked first."""
+    _check_key(block, key)
+    return hashed([key], parts, block)
+
+
+def _side(parts: tuple) -> pa.Table:
+    """One join side's parts of a partition as one table; zero-column
+    parts (an empty block Ray built without a schema) are left out."""
+    parts = [p for p in parts if p.num_columns]
+    return pa.concat_tables(parts, promote_options="default") if parts else pa.table({})
+
+
+def _join_partition(on: str, right_on: str, how: str, n_left: int, *parts) -> pa.Table:
+    """One hash partition joined: the left rows (the first ``n_left``
+    parts) each repeated over the right rows of equal key, found by
+    ``searchsorted`` on the right side stable-sorted by key. Unmatched
+    left rows are dropped (``inner``) or kept once with null right
+    columns (``left_outer``)."""
+    left, right = _side(parts[:n_left]), _side(parts[n_left:])
+    if not left.num_columns:
+        return left
+    if not right.num_columns:
+        right = pa.table({right_on: pa.array([], pa.int64())})
+    _check_key(left, on)
+    _check_key(right, right_on)
+    rk = right[right_on].to_numpy().astype(np.int64, copy=False)
+    order = np.argsort(rk, kind="stable")
+    rk = rk[order]
+    lk = left[on].to_numpy().astype(np.int64, copy=False)
+    lo = np.searchsorted(rk, lk, "left")
+    n = np.searchsorted(rk, lk, "right") - lo
+    li, within = expand(np.maximum(n, 1) if how == "left_outer" else n)
+    hit = n[li] > 0
+    ri = np.zeros(len(li), dtype=np.int64)
+    ri[hit] = order[(lo[li] + within)[hit]]
+    out = left.take(pa.array(li))
+    taken = right.drop_columns([right_on]).take(pa.array(ri, mask=~hit))
+    for field, col in zip(taken.schema, taken.columns):
+        out = out.append_column(field, col)
+    return out
+
+
+def join(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    on: str,
+    how: str = "inner",
+    right_on: str | None = None,
+) -> ray.data.Dataset:
+    """Equi-join of ``left`` and ``right`` on one integer key column:
+    ``on`` on the left, ``right_on`` (default ``on``) on the right.
+    ``how`` is ``"inner"`` or ``"left_outer"`` (an unmatched left row
+    once, with null right columns). Output columns: the left ones, then
+    the right side's non-key ones.
+
+    Both sides are taken once (:func:`held_blocks`); each non-empty
+    block is hash-split on its key into :func:`default_partitions`
+    parts (a side with no rows passes its first block to every
+    partition, so the result stays typed), and one reduce task joins
+    each partition (:func:`reduce`, materialized, zero-row blocks left
+    out). A key column that is not a null-free integer raises
+    ``ValueError`` naming it."""
+    if how not in ("inner", "left_outer"):
+        raise ValueError(f"partition.join: how must be inner or left_outer, got {how!r}")
+    right_on = on if right_on is None else right_on
+    parts = default_partitions()
+
+    def sides(ds: ray.data.Dataset, key: str) -> list:
+        blocks = held_blocks(ds)[1]
+        live = [ref for ref, m in blocks if m.num_rows]
+        if live:
+            return [split(_join_rows, parts, key, parts, ref) for ref in live]
+        return [[ref] * parts for ref, _ in blocks[:1]]
+
+    lsplits, rsplits = sides(left, on), sides(right, right_on)
+    fn = functools.partial(_join_partition, on, right_on, how, len(lsplits))
+    return reduce(fn, lsplits + rsplits, parts)
 
 
 def _apply_groups(key: str, fn: Callable, *parts: pa.Table) -> pa.Table:

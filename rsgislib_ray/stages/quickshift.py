@@ -133,15 +133,10 @@ def quickshift_segments(
     )
     ids = par.select_columns(["pixel_id"])
     lab = components_label_ids(ids, "pixel_id", edges)
-    from rsgislib_ray.stages.components import (
-        measured_join_partitions,
-    )
+    from rsgislib_ray.stages import partition
 
-    joined = par.join(
-        lab.select_columns(["pixel_id", "cluster_id"]),
-        join_type="inner",
-        num_partitions=measured_join_partitions(par.count(), None),
-        on=("pixel_id",),
+    joined = partition.join(
+        par, lab.select_columns(["pixel_id", "cluster_id"]), "pixel_id"
     )
     return joined.map_batches(
         lambda t: pa.table(

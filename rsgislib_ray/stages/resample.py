@@ -114,25 +114,22 @@ def gather_nearest(
     src: ray.data.Dataset,
     val_col: str = "val",
     nodata: float = -99.0,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Hash-join (tgt_id, src_pid) requests against the source raster
-    (src_pid = -1 or missing pixels -> nodata). The shared gather leg
-    of nearest resampling and GCP warping."""
-    from rsgislib_ray.stages.components import (
-        drop_empty_blocks_counted,
-        measured_join_partitions,
-    )
+    (``partition.join``, left outer; src_pid = -1 or missing pixels ->
+    nodata). The shared gather leg of nearest resampling and GCP
+    warping."""
+    from rsgislib_ray.stages import partition
 
-    req2, nreq = drop_empty_blocks_counted(req)
-    if req2 is None:
+    req, nreq = partition.held_rows(req)
+    if not nreq:
         return req.limit(0)
-    joined = req2.join(
+    joined = partition.join(
+        req,
         src.select_columns(["pixel_id", val_col]),
-        join_type="left_outer",
-        num_partitions=measured_join_partitions(nreq, num_partitions),
-        on=("src_pid",),
-        right_on=("pixel_id",),
+        "src_pid",
+        "left_outer",
+        right_on="pixel_id",
     )
 
     def fin(t: pa.Table) -> pa.Table:
@@ -156,15 +153,11 @@ def resample_to_grid(
     src_oy: int = 0,
     val_col: str = "val",
     nodata: float = -99.0,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Resample ``src`` (pixel_id,val raster, origin (src_ox,src_oy),
     pixel size src_res) onto the target centers (tgt_id, cx, cy).
     Returns (tgt_id, val: float64)."""
-    from rsgislib_ray.stages.components import (
-        drop_empty_blocks_counted,
-        measured_join_partitions,
-    )
+    from rsgislib_ray.stages import partition
     from rsgislib_ray.stages.segsum import segment_sum
 
     kw = dict(
@@ -178,20 +171,17 @@ def resample_to_grid(
         raise ValueError(f"unknown method {method!r}")
 
     if method == "nearest":
-        return gather_nearest(
-            req, src, val_col=val_col, nodata=nodata,
-            num_partitions=num_partitions,
-        )
+        return gather_nearest(req, src, val_col=val_col, nodata=nodata)
 
-    req2, nreq = drop_empty_blocks_counted(req)
-    if req2 is None:
+    req, nreq = partition.held_rows(req)
+    if not nreq:
         return req.limit(0)
-    joined = req2.join(
+    joined = partition.join(
+        req,
         src.select_columns(["pixel_id", val_col]),
-        join_type="left_outer",
-        num_partitions=measured_join_partitions(nreq, num_partitions),
-        on=("src_pid",),
-        right_on=("pixel_id",),
+        "src_pid",
+        "left_outer",
+        right_on="pixel_id",
     )
 
     def pre(t: pa.Table) -> pa.Table:

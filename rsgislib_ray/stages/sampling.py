@@ -28,7 +28,7 @@ import ray
 import ray.data
 
 from rsgislib_ray.functions.cells import cells_from_xy
-from rsgislib_ray.stages.partition import map_blocks
+from rsgislib_ray.stages.partition import held_blocks, map_blocks
 from rsgislib_ray.stages.segsum import combine, combine_arrays
 from rsgislib_ray.state.broadcast import cached
 
@@ -88,20 +88,14 @@ def thin_by_cell(
     (deterministic first-wins; guarantees a minimum spacing of one cell
     between survivors of different cells). Partial min per batch ->
     :func:`rsgislib_ray.stages.segsum.combine` (a min) -> broadcast
-    semi-join back by key. Integer key column required."""
-
-    def tag(batch: pa.Table) -> pa.Table:
-        cell = cells_from_xy(batch[x_col].to_numpy(), batch[y_col].to_numpy(), level)
-        return batch.append_column("__cell", pa.array(cell, type=pa.int64()))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
+    semi-join back by key. Integer key column required. A lazy ``ds``
+    executes once: it is held at entry and both passes read its
+    blocks."""
+    ds = held_blocks(ds)[0]
 
     def partial(batch: pa.Table) -> pa.Table:
-        return combine_arrays(
-            {"__cell": tag(batch)["__cell"].to_numpy()},
-            {"k": batch[key_col].to_numpy()},
-            ["min"],
-        )
+        cell = cells_from_xy(batch[x_col].to_numpy(), batch[y_col].to_numpy(), level)
+        return combine_arrays({"__cell": cell}, {"k": batch[key_col].to_numpy()}, ["min"])
 
     winners = combine(
         map_blocks(ds, partial),
@@ -119,9 +113,9 @@ def thin_by_cell(
         kk = cached(ref)
         keys = batch[key_col].to_numpy()
         pos = np.clip(np.searchsorted(kk, keys), 0, len(kk) - 1)
-        return batch.drop_columns(["__cell"]).filter(pa.array(kk[pos] == keys))
+        return batch.filter(pa.array(kk[pos] == keys))
 
-    return tagged.map_batches(filt, batch_format="pyarrow")
+    return ds.map_batches(filt, batch_format="pyarrow")
 
 
 def stratified_hash_sample(

@@ -39,7 +39,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from rsgislib_ray.stages.partition import map_blocks
+from rsgislib_ray.stages.partition import held_blocks, map_blocks
 from rsgislib_ray.stages.segsum import combine
 from rsgislib_ray.state.broadcast import cached
 
@@ -55,9 +55,12 @@ def slic_superpixels(
 ) -> tuple[ray.data.Dataset, np.ndarray]:
     """SLIC over an n x n int raster (pixel_id, row, col, value) with
     k = k_side^2 clusters.  Returns (labeled dataset with ``slic_id``
-    and the per-pixel distance, final centers [k, 3] as (r, c, v))."""
+    and the per-pixel distance, final centers [k, 3] as (r, c, v)).
+    A lazy ``raster`` executes once: it is held at entry, and the seed
+    pass, each iteration and the label map read its blocks."""
     if n % k_side:
         raise ValueError("k_side must divide n")
+    raster = held_blocks(raster)[0]
     s = n // k_side
     s2 = s * s
     m2 = compactness * compactness
@@ -78,11 +81,8 @@ def slic_superpixels(
             }
         )
 
-    sv = (
-        raster.map_batches(seed_vals, batch_format="pyarrow")
-        .to_pandas()
-        .set_index("pixel_id")["v"]
-    )
+    seeds = ray.get([ref for ref, _ in map_blocks(raster, seed_vals)])
+    sv = pa.concat_tables(seeds).to_pandas().set_index("pixel_id")["v"]
     centers = np.stack(
         [
             seed_r.astype(np.float64),

@@ -27,8 +27,6 @@ What ships (BENCH_r05, sf0.1 at 32 CPUs, inner join):
    boundaries and each range is joined, vectorized, by one plain Ray
    task — the range plan of the engine's partition tasks
    (``stages/partition.py``). No Ray Data all-to-all runs.
-3. ``spatial_join_auto`` picks broadcast while the zone side is under
-   ``BROADCAST_ZONE_LIMIT`` rows, else sort-merge.
 
 Both return identical rows (tested); the span-sequence invariant holds
 because point rows pass through ``take`` untouched.
@@ -44,7 +42,6 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
-from ray.data.block import BlockMetadataWithSchema
 
 from rsgislib_ray.functions import cells as cellmod
 from rsgislib_ray.functions.geom import pip_pairs
@@ -565,16 +562,6 @@ def _positive_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
 
 
-def _expand(per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``i`` repeated ``per[i]`` times: (source row, copy number)
-    of each copy."""
-    rep = np.repeat(np.arange(len(per), dtype=np.int64), per)
-    within = np.arange(len(rep), dtype=np.int64) - np.repeat(
-        np.cumsum(per) - per, per
-    )
-    return rep, within
-
-
 def _rank_lookup(hist, cell: np.ndarray):
     """Per cell under the histogram ``hist = (cells ascending, salt
     count of each)``: (is one of its cells, rank of its salt 0, its
@@ -588,30 +575,24 @@ def _rank_lookup(hist, cell: np.ndarray):
     return cells[pos] == cell, (np.cumsum(per) - per)[pos], per[pos]
 
 
-@ray.remote(num_returns=2)
-def _cell_counts_task(block: pa.Table, x_col: str, y_col: str, level: int):
-    """One points block's in-frame point count per cell, with its block
-    metadata."""
+def _cell_counts(block: pa.Table, x_col: str, y_col: str, level: int) -> pa.Table:
+    """One points block's in-frame point count per cell."""
     cell = cellmod.cells_from_xy(
         block[x_col].to_numpy(), block[y_col].to_numpy(), level
     )
     u, c = np.unique(cell[cell != -1], return_counts=True)
-    t = pa.table({"cell": u, "partial": c.astype(np.int64)})
-    return t, BlockMetadataWithSchema.from_block(t)
+    return pa.table({"cell": u, "partial": c.astype(np.int64)})
 
 
 def _cell_histogram(
     blocks: list, x_col: str, y_col: str, level: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(cells ascending, in-frame point count of each) over the points
-    ``blocks``: one count task per block (at most one row per distinct
-    cell per block), its results summed as they are held by
-    :func:`rsgislib_ray.stages.segsum.combine`."""
-    counts = [_cell_counts_task.remote(b, x_col, y_col, level) for b in blocks]
-    metas = ray.get([m for _, m in counts])
-    hist = combine(
-        [(t, m) for (t, _), m in zip(counts, metas)], "cell", ["partial"]
-    )
+    ``blocks``: one count task per block (``partition.map_refs``, at
+    most one row per distinct cell per block), its results summed as
+    they are held by :func:`rsgislib_ray.stages.segsum.combine`."""
+    count = partial(_cell_counts, x_col=x_col, y_col=y_col, level=level)
+    hist = combine(partition.map_refs(blocks, count), "cell", ["partial"])
     return hist["cell"].to_numpy(), hist["partial"].to_numpy()
 
 
@@ -637,7 +618,7 @@ def _range_bounds(n: np.ndarray, per: np.ndarray, parts: int) -> np.ndarray:
     ``ceil(total / parts)`` points plus those of one rank. Boundaries
     past the last rank and repeated ones are left out: every range
     holds at least one rank, and with no ranks there is one range."""
-    rep, salt = _expand(per)
+    rep, salt = partition.expand(per)
     w = n[rep] // per[rep] + (salt < n[rep] % per[rep])
     # range of a rank: where its first point falls in the running count
     rng = (np.cumsum(w) - w) * parts // max(int(w.sum()), 1)
@@ -657,7 +638,7 @@ def _prep_zones(t: pa.Table, hist, level: int, x_col: str, y_col: str) -> pa.Tab
     )
     live, base, s = _rank_lookup(hist, cell)
     # drop the rows of cells without points, copy the others per salt
-    rep, salt = _expand(np.where(live, s, 0))
+    rep, salt = partition.expand(np.where(live, s, 0))
     rank = base[rep] + salt
     src = src[rep]
     n = len(src)
@@ -847,72 +828,3 @@ def spatial_join_points_sortmerge(
     return partition.reduce(
         partial(_join_range, how, x_col, y_col, key_col), splits, ranges
     )
-
-
-# Zones above this row count stop being broadcast by default: the
-# packed arrays + their driver-built index stop amortizing and the
-# sort-merge join wins (measured crossover region on the bench box).
-BROADCAST_ZONE_LIMIT = 2_000_000
-
-
-def spatial_join_auto(
-    points: ray.data.Dataset,
-    zones: pa.Table | ray.data.Dataset,
-    level: int = 6,
-    x_col: str = "x",
-    y_col: str = "y",
-    key_col: str = "pt_row",
-    **broadcast_kwargs,
-) -> ray.data.Dataset:
-    """Strategy-selecting entry point for the inner point-in-polygon
-    join: BROADCAST (zero-shuffle, index built once per session) while the
-    zone side fits comfortably, else SORT-MERGE (exact-histogram range
-    partitions + vectorized run join — the fastest both-sides-large
-    strategy, see BASELINE.md). Both strategies emit identical rows (tested)."""
-    n_zones = (
-        zones.num_rows if isinstance(zones, pa.Table) else zones.count()
-    )
-    if n_zones <= BROADCAST_ZONE_LIMIT:
-        tbl = zones if isinstance(zones, pa.Table) else pa.concat_tables(
-            [ray.get(r) for r in zones.to_arrow_refs()]
-        )
-        out = spatial_join_points(
-            points, tbl, how="inner", x_col=x_col, y_col=y_col,
-            **broadcast_kwargs,
-        )
-        return out
-    return spatial_join_points_sortmerge(
-        points, zones, level=level, x_col=x_col, y_col=y_col, key_col=key_col
-    )
-
-
-def attach_zone_attrs(
-    pairs: ray.data.Dataset,
-    zones_tbl: pa.Table,
-    attr_cols: list[str],
-    fid_col: str = "fid",
-    prefix: str = "zone_",
-) -> ray.data.Dataset:
-    """Fan zone attribute columns out onto a (key, fid) pair stream —
-    the follow-up that gives the sort-merge join the same
-    output surface as the broadcast join (which copies attrs inline).
-    Broadcast lookup: sorted fid -> attr row index, one searchsorted
-    per batch."""
-    fids = zones_tbl[fid_col].to_numpy().astype(np.int64)
-    order = np.argsort(fids, kind="stable")
-    ref = ray.put(
-        (fids[order], zones_tbl.select(attr_cols).take(pa.array(order)))
-    )
-
-    def fan(batch: pa.Table) -> pa.Table:
-        sfid, attrs = cached(ref)
-        f = batch[fid_col].to_numpy().astype(np.int64)
-        pos = np.minimum(np.searchsorted(sfid, f), len(sfid) - 1)
-        ok = sfid[pos] == f  # left-join rows with fid=-1 take nulls
-        taken = attrs.take(pa.array(pos, mask=~ok))
-        out = batch
-        for name in taken.column_names:
-            out = out.append_column(f"{prefix}{name}", taken[name])
-        return out
-
-    return pairs.map_batches(fan, batch_format="pyarrow")

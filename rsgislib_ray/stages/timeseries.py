@@ -232,19 +232,9 @@ def season_trend_moments(
 
         parts = ds.map_batches(f, batch_format="pyarrow", batch_size=65536)
     elif t0_attach == "join":
-        from rsgislib_ray.stages.components import (
-            drop_empty_blocks,
-            measured_join_partitions,
-        )
+        from rsgislib_ray.stages import partition
 
-        joined = drop_empty_blocks(
-            ds.join(
-                t0,
-                join_type="inner",
-                on=(pixel_col,),
-                num_partitions=measured_join_partitions(ds.count()),
-            )
-        )
+        joined = partition.join(ds, t0, pixel_col)
 
         def g(batch: pa.Table) -> pa.Table:
             return partials_from(

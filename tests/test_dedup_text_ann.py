@@ -211,7 +211,7 @@ def test_exact_dedup_join_strategy_matches_broadcast(ray_session, sf_dir):
         .reset_index(drop=True)
     )
     b = (
-        exact_dedup(docs, ["text"], strategy="join", num_partitions=8)
+        exact_dedup(docs, ["text"], strategy="join")
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -426,6 +426,7 @@ def test_exact_dedup_auto_routes_by_measured_dup_groups(
     import pyarrow as pa
     import ray.data
 
+    import rsgislib_ray.stages.partition as partition
     import rsgislib_ray.stages.segsum as segsum
 
     n = 200
@@ -438,13 +439,13 @@ def test_exact_dedup_auto_routes_by_measured_dup_groups(
     ds = ray.data.from_arrow(tbl).repartition(4)
 
     calls = []
-    real = ray.data.Dataset.join
+    real = partition.join
 
-    def spy(self, *a, **k):
-        calls.append(k.get("join_type"))
-        return real(self, *a, **k)
+    def spy(*a, **k):
+        calls.append(a[3])
+        return real(*a, **k)
 
-    monkeypatch.setattr(ray.data.Dataset, "join", spy)
+    monkeypatch.setattr(partition, "join", spy)
 
     a = (
         exact_dedup(ds, ["text"])

@@ -169,3 +169,65 @@ def test_zonal_stats_executes_cells_at_most_once(ray_session, sf_dir, monkeypatc
     assert len(runs) == 1
     assert got_held.equals(got_lazy)
     assert got_held["count"].to_numpy().sum() > 0
+
+
+def _input_runs(monkeypatch, marker) -> list:
+    """A log that gets one entry per Ray Data execution whose plan runs
+    the function ``marker`` (so executes the lazy input it maps)."""
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, dag, *a, **k):
+        todo, names = [dag], []
+        while todo:
+            op = todo.pop()
+            names.append(op.name)
+            todo.extend(op.input_dependencies)
+        if any(marker.__name__ in n for n in names):
+            runs.append(names)
+        return execute(self, dag, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return runs
+
+
+def _lazy_input(tbl: pa.Table) -> ray.data.Dataset:
+    return ray.data.from_arrow(
+        [tbl.slice(0, tbl.num_rows // 2), tbl.slice(tbl.num_rows // 2)]
+    ).map_batches(_lazy_input_marker, batch_format="pyarrow")
+
+
+def _lazy_input_marker(block: pa.Table) -> pa.Table:
+    return block
+
+
+def _same_rows(a, b, key: str) -> bool:
+    return a.sort_values(key).reset_index(drop=True).equals(
+        b.sort_values(key).reset_index(drop=True)
+    )
+
+
+def test_thin_and_slic_execute_a_lazy_input_once(ray_session, sf_dir, monkeypatch):
+    """``thin_by_cell`` (winners combine, then the filter) and
+    ``slic_superpixels`` (seed pass, one combine per iteration, then
+    the label map) hold a lazy input at entry: it executes once, with
+    their results consumed, and the results equal those over held
+    blocks."""
+    from rsgislib_ray.pipelines.queries import _SLIC_K, _SLIC_N, _slic_src_tbl
+    from rsgislib_ray.stages.sampling import thin_by_cell
+    from rsgislib_ray.stages.slic import slic_superpixels
+
+    pts = pa.concat_tables(ray.get(td.points_from_orders(sf_dir).to_arrow_refs()))
+    raster = _slic_src_tbl()
+    want_thin = thin_by_cell(ray.data.from_arrow(pts), "pt_id", level=5).to_pandas()
+    want_slic, want_ctr = slic_superpixels(ray.data.from_arrow(raster), _SLIC_N, _SLIC_K)
+    want_slic = want_slic.to_pandas()
+    runs = _input_runs(monkeypatch, _lazy_input_marker)
+    thin = thin_by_cell(_lazy_input(pts), "pt_id", level=5).to_pandas()
+    assert len(runs) == 1, runs
+    runs.clear()
+    slic, ctr = slic_superpixels(_lazy_input(raster), _SLIC_N, _SLIC_K)
+    slic = slic.to_pandas()
+    assert len(runs) == 1, runs
+    assert len(thin) > 0 and _same_rows(thin, want_thin, "pt_id")
+    assert _same_rows(slic, want_slic, "pixel_id") and np.array_equal(ctr, want_ctr)

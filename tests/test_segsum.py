@@ -491,7 +491,6 @@ COMBINES = {"kmeans_cluster_exact": 2 + 1, "slic_superpixels": 2, "pagerank": 2}
 # sites that run an all-to-all of their own (a join, map_groups, a sort)
 OWN_SHUFFLE = {
     "semivariogram_copart",
-    "event_retention",
     "bpe_pair_counts",
 }
 

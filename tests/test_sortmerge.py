@@ -460,16 +460,17 @@ def test_prep_zones_ships_live_rows_only(sf_dir):
 
 
 def test_held_inputs_start_no_execution(ray_session, sf_dir, monkeypatch):
-    """The salted join over a ``from_arrow`` input, and ``combine`` over
-    an already built ``FromArrow`` result, start no Ray Data execution
-    and call no ``materialize`` (a copy of the Dataset, and driver
-    round trips): their blocks exist, so they are taken as they are.
+    """The salted join over a ``from_arrow`` input, and the per-block
+    cell counts (``map_blocks`` over a ``from_arrow`` input) with their
+    ``combine``, start no Ray Data execution and call no
+    ``materialize`` (a copy of the Dataset, and driver round trips):
+    their blocks exist, so they are taken as they are.
     A lazy input executes, and materializes, exactly once."""
     import ray.data
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from rsgislib_ray.stages import segsum
-    from rsgislib_ray.stages.spatial_join import _cell_counts_task
+    from rsgislib_ray.stages.spatial_join import _cell_counts
 
     runs, mats = [], []
 
@@ -494,8 +495,10 @@ def test_held_inputs_start_no_execution(ray_session, sf_dir, monkeypatch):
         held, zones, level=6, key_col="pt_row", salt_threshold=200
     )
     assert out.count() > 0 and runs == [] and mats == []
-    parts = partition.arrow_dataset([_cell_counts_task.remote(skew, "x", "y", 6)])
-    hist = segsum.combine(partition.held_blocks(parts)[1], "cell", ["partial"])
+    parts = partition.map_blocks(
+        ray.data.from_arrow(skew), _cell_counts, x_col="x", y_col="y", level=6
+    )
+    hist = segsum.combine(parts, "cell", ["partial"])
     assert hist["partial"].to_numpy().sum() == skew.num_rows
     assert runs == [] and mats == []
     spatial_join_points_sortmerge(

@@ -230,102 +230,6 @@ def test_sortmerge_how_modes(ray_session, sf_dir):
     assert (left["fid"] == -1).sum() == len(anti)
 
 
-def test_spatial_join_auto_selects_and_matches(ray_session, sf_dir):
-    """auto: broadcast below the zone limit (same rows as explicit
-    broadcast); monkeypatched limit forces the sort-merge branch."""
-    import numpy as np
-
-    import rsgislib_ray.stages.spatial_join as sj
-    from rsgislib_ray.sources import testdata as td
-
-    zones = td.zones_from_part(sf_dir)
-    pts = td.points_from_orders(sf_dir).map_batches(
-        lambda t: t.append_column("pt_row", t["pt_id"]), batch_format="pyarrow"
-    ).materialize()
-    base = sj.spatial_join_points(pts, zones, how="inner").to_pandas()
-    want = sorted(zip(base["pt_id"], base["fid"]))
-    got_b = sj.spatial_join_auto(pts, zones).to_pandas()
-    assert sorted(zip(got_b["pt_id"], got_b["fid"])) == want
-    old = sj.BROADCAST_ZONE_LIMIT
-    sj.BROADCAST_ZONE_LIMIT = 1  # force the sort-merge branch
-    try:
-        got_s = sj.spatial_join_auto(pts, zones).to_pandas()
-    finally:
-        sj.BROADCAST_ZONE_LIMIT = old
-    assert sorted(zip(got_s["pt_row"], got_s["fid"])) == want
-
-
-def test_sortmerge_with_attrs_matches_broadcast(ray_session, sf_dir):
-    """sortmerge pairs + attach_zone_attrs == broadcast inner join with
-    inline attr copy."""
-    from rsgislib_ray.sources import testdata as td
-    from rsgislib_ray.stages.spatial_join import (
-        attach_zone_attrs,
-        spatial_join_points,
-        spatial_join_points_sortmerge,
-    )
-
-    zones = td.zones_from_part(sf_dir)
-    pts = td.points_from_orders(sf_dir).map_batches(
-        lambda t: t.append_column("pt_row", t["pt_id"]), batch_format="pyarrow"
-    ).materialize()
-    base = spatial_join_points(
-        pts, zones, how="inner", attr_cols=["category"], zone_prefix="zone_"
-    ).to_pandas()
-    want = sorted(zip(base["pt_id"], base["zone_fid"], base["zone_category"]))
-    pairs = spatial_join_points_sortmerge(pts, zones, key_col="pt_row")
-    got = attach_zone_attrs(pairs, zones, ["category"]).to_pandas()
-    assert sorted(zip(got["pt_row"], got["fid"], got["zone_category"])) == want
-
-
-def test_sortmerge_left_with_attrs_nulls_unmatched(ray_session, sf_dir):
-    """Left sort-merge pairs + attach_zone_attrs: matched rows carry
-    their zone's attrs, typed as in the zone table, and the unmatched
-    rows (fid=-1) come back null — the rows of the broadcast left join
-    with inline attrs."""
-    import ray
-
-    from rsgislib_ray.sources import testdata as td
-    from rsgislib_ray.stages.spatial_join import (
-        attach_zone_attrs,
-        spatial_join_points,
-        spatial_join_points_sortmerge,
-    )
-
-    zones = td.zones_from_part(sf_dir)
-    zones = zones.append_column(
-        "name", pa.array([f"z{f}" for f in zones["fid"].to_pylist()])
-    )
-    pts = td.points_from_orders(sf_dir).map_batches(
-        lambda t: t.append_column("pt_row", t["pt_id"]), batch_format="pyarrow"
-    ).materialize()
-    attrs = ["category", "name"]
-    base = pa.concat_tables(
-        ray.get(
-            spatial_join_points(
-                pts, zones, how="left", attr_cols=attrs, zone_prefix="zone_"
-            ).to_arrow_refs()
-        )
-    ).to_pydict()
-    want = sorted(
-        (p, -1 if f is None else f, c, n)
-        for p, f, c, n in zip(
-            base["pt_id"], base["zone_fid"], base["zone_category"], base["zone_name"]
-        )
-    )
-    pairs = spatial_join_points_sortmerge(pts, zones, key_col="pt_row", how="left")
-    got = pa.concat_tables(
-        ray.get(attach_zone_attrs(pairs, zones, attrs).to_arrow_refs())
-    )
-    assert got.schema.field("zone_category").type == pa.int32()
-    assert got.schema.field("zone_name").type == pa.string()
-    cols = ("pt_row", "fid", "zone_category", "zone_name")
-    rows = sorted(zip(*[got[c].to_pylist() for c in cols]))
-    assert rows == want
-    unmatched = [r for r in rows if r[1] == -1]
-    assert unmatched and all(r[2] is None and r[3] is None for r in unmatched)
-
-
 def test_sortmerge_hot_cell_salting(ray_session, sf_dir):
     """VERDICT r3 #9: a pathological corpus (one cell holding ~30% of
     points) through the sort-merge strategy with hot-cell salting —

@@ -252,7 +252,7 @@ def test_t0_attach_auto_routes_by_measured_size(
     (VERDICT r4 #6), with bit-identical results either way."""
     import ray.data
 
-    import rsgislib_ray.stages.components as comps
+    import rsgislib_ray.stages.partition as partition
     import rsgislib_ray.stages.segsum as segsum
 
     rng = np.random.default_rng(7)
@@ -260,13 +260,13 @@ def test_t0_attach_auto_routes_by_measured_size(
     ds = ray.data.from_arrow(tbl).repartition(3)
 
     calls = []
-    real = comps.measured_join_partitions
+    real = partition.join
 
-    def spy(n):
-        calls.append(n)
-        return real(n)
+    def spy(*a, **k):
+        calls.append(a[2])
+        return real(*a, **k)
 
-    monkeypatch.setattr(comps, "measured_join_partitions", spy)
+    monkeypatch.setattr(partition, "join", spy)
 
     # under the threshold: broadcast, join machinery untouched
     a, _ = ts.season_trend_fit(ds, "pix", "t", "y", t0_attach="auto")

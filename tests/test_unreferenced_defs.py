@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ONLY = {
     "KNNJoin",
     "are_endmembers_equal",
-    "attach_zone_attrs",
     "cell_bounds",
     "corr_feature_select",
     "covering_cells_bbox",
@@ -38,7 +37,6 @@ TEST_ONLY = {
     "read_checkpointed",
     "read_endmembers_mtxt",
     "ring_cells",
-    "spatial_join_auto",
     "tile_path_from_quadkeys",
     "verify_pairs_jaccard",
     "write_endmembers_mtxt",

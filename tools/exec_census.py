@@ -15,7 +15,9 @@ per query:
 - ``error``: the exception, when the query raised.
 
 A closing ``{"total": ...}`` line sums executions, executions that
-hold a ``Sort``, engine tasks and wall. Usage:
+hold a ``Sort`` and those that hold a ``Join``, engine tasks and wall.
+Usage (an ``SF_DIR`` that is not a directory exits 2 with this line,
+before Ray starts):
 
     python tools/exec_census.py SF_DIR [name ...] > census.jsonl
 """
@@ -56,9 +58,13 @@ def _all_to_all(dag) -> list[str]:
     return sorted(names)
 
 
+USAGE = "usage: python tools/exec_census.py SF_DIR [name ...]"
+
+
 def main() -> int:
-    if len(sys.argv) < 2:
-        sys.exit("usage: python tools/exec_census.py SF_DIR [name ...]")
+    if len(sys.argv) < 2 or not os.path.isdir(sys.argv[1]):
+        print(USAGE, file=sys.stderr)
+        return 2
     sf_dir = os.path.abspath(sys.argv[1])
     only = sys.argv[2:]
     # workers import the engine from the working directory: run from
@@ -109,6 +115,7 @@ def main() -> int:
         "queries": 0,
         "executions": 0,
         "sort_executions": 0,
+        "join_executions": 0,
         "tasks": dict(tasks),
         "wall_s": 0.0,
     }
@@ -140,6 +147,9 @@ def main() -> int:
             total["queries"] += 1
             total["executions"] += len(runs)
             total["sort_executions"] += sum("Sort" in r for r in runs)
+            total["join_executions"] += sum(
+                any(n.startswith("Join") for n in r) for r in runs
+            )
             for kind, n in tasks.items():
                 total["tasks"][kind] += n
             total["wall_s"] += wall
