@@ -4,7 +4,8 @@ multi-image pixel aggregates family (``calc_imgs_pxl_mode``
 ``calc_imgs_pxl_percentiles`` :1161, ``get_img_idx_for_stat``
 /root/reference/python/src/imagecalc.cpp:2331). k (number of
 "images") is small; rows are many — everything is vectorized over
-rows."""
+rows. :func:`expand` is the run expansion that joins and fan-outs
+repeat rows with."""
 
 from __future__ import annotations
 
@@ -53,3 +54,13 @@ def get_bin_centres(
     if geometric:
         return np.sqrt(bin_edges[1:] * bin_edges[:-1])
     return (bin_edges[1:] + bin_edges[:-1]) / 2
+
+
+def expand(per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``i`` repeated ``per[i]`` times: (source row, copy number)
+    of each copy."""
+    rep = np.repeat(np.arange(len(per), dtype=np.int64), per)
+    within = np.arange(len(rep), dtype=np.int64) - np.repeat(
+        np.cumsum(per) - per, per
+    )
+    return rep, within

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rsgislib_ray.functions.arrayops import expand
+
 MAX_LEVEL = 26
 LEVEL_SHIFT = 52
 _MORTON_MASK = (np.uint64(1) << np.uint64(LEVEL_SHIFT)) - np.uint64(1)
@@ -255,10 +257,7 @@ def covering_cells_bboxes(
     h = np.maximum(r1 - r0 + 1, 0)
     cnt = w * h
     valid = cnt > 0
-    cnt = np.where(valid, cnt, 0)
-    total = int(cnt.sum())
-    owner = np.repeat(np.arange(len(xmin), dtype=np.int64), cnt)
-    within = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    owner, within = expand(np.where(valid, cnt, 0))
     ww = w[owner]
     rr = r0[owner] + within // ww
     cc = c0[owner] + within % ww

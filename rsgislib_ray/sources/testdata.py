@@ -34,17 +34,19 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from rsgislib_ray.stages import partition
+
 # Multipliers for the coordinate lattice. Shared verbatim with the SQL.
 AX, AY = 7919, 104729
 def read_parquet_clean(path, columns=None, **kwargs) -> ray.data.Dataset:
-    """read_parquet with the parquet writer's ``pandas`` schema
-    metadata stripped AT THE SOURCE (an explicit stripped ``schema=``
-    is passed to the reader, so even the fused
-    ReadParquet->SplitBlocks operator emits clean blocks). That
-    metadata makes pa.Schema unhashable (hash raises on the embedded
-    dict), defeating Ray Data's schema dedup — every
-    repartition/sort/union over raw read blocks logs a "Failed to
-    hash the schemas" warning and re-unifies schemas needlessly."""
+    """``ray.data.read_parquet`` with the parquet writer's ``pandas``
+    schema metadata stripped at the source (a stripped ``schema=`` is
+    passed to the reader, so even a fused ReadParquet->SplitBlocks
+    operator emits clean blocks). That metadata makes ``pa.Schema``
+    unhashable (hashing the embedded dict raises), which defeats Ray
+    Data's schema dedup: every operator that unifies the schemas of
+    raw read blocks logs a "Failed to hash the schemas" warning and
+    re-unifies them."""
     if "schema" not in kwargs:
         try:
             import pyarrow.dataset as pds
@@ -62,6 +64,19 @@ def read_parquet_clean(path, columns=None, **kwargs) -> ray.data.Dataset:
                 batch_format="pyarrow",
             )
     return ray.data.read_parquet(path, columns=columns, **kwargs)
+
+
+def read_blocks(path, n: int, columns=None) -> ray.data.Dataset:
+    """The parquet file ``path`` (its ``columns``) read on the driver,
+    its schema metadata stripped (as :func:`read_parquet_clean` does),
+    and cut into ``n`` held blocks (``partition.table_blocks``). The
+    driver tables are single-file, single-row-group parquet, so a Ray
+    read of one is one block; cut here, the per-block stages after it
+    run in parallel with no shuffle."""
+    import pyarrow.parquet as pq
+
+    tbl = pq.read_table(path, columns=columns).replace_schema_metadata(None)
+    return partition.table_blocks(tbl, n)
 
 
 BX, BY = 131, 521
@@ -110,9 +125,7 @@ SQL_BASE_PTS = (
 
 def points_from_orders(sf_dir: str) -> ray.data.Dataset:
     """Point layer derived from orders (one point per order)."""
-    ds = read_parquet_clean(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey"]
-    ).repartition(32)
+    ds = read_blocks(f"{sf_dir}/orders.parquet", 32, columns=["o_orderkey"])
 
     def derive(batch: pa.Table) -> pa.Table:
         k = batch["o_orderkey"].to_numpy()
@@ -162,13 +175,11 @@ def zones_from_part(sf_dir: str) -> pa.Table:
 def cells_from_lineitem(sf_dir: str) -> ray.data.Dataset:
     """Value-cell layer (raster stand-in) derived from lineitem: one
     weighted sample point per line item with exact integer value cols."""
-    ds = read_parquet_clean(
+    ds = read_blocks(
         f"{sf_dir}/lineitem.parquet",
+        64,
         columns=["l_orderkey", "l_linenumber", "l_extendedprice", "l_quantity"],
-        # the driver tables are single-file/single-row-group parquet, so
-        # the read is unsplittable: repartition (block split, no shuffle)
-        # so the fused derive->partial chains parallelize across CPUs
-    ).repartition(64)
+    )
 
     def derive(batch: pa.Table) -> pa.Table:
         ok = batch["l_orderkey"].to_numpy()
@@ -206,9 +217,7 @@ def targets_from_supplier(sf_dir: str) -> pa.Table:
 
 def base_points_from_customer(sf_dir: str) -> ray.data.Dataset:
     """kNN base point layer from customer."""
-    ds = read_parquet_clean(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey"]
-    ).repartition(16)
+    ds = read_blocks(f"{sf_dir}/customer.parquet", 16, columns=["c_custkey"])
 
     def derive(batch: pa.Table) -> pa.Table:
         k = batch["c_custkey"].to_numpy()
@@ -226,9 +235,7 @@ def base_points_from_customer(sf_dir: str) -> ray.data.Dataset:
 def zones_dataset(sf_dir: str) -> ray.data.Dataset:
     """Streaming Dataset variant of :func:`zones_from_part` (no ring
     column) for per-zone geometry transforms (buffer/simplify)."""
-    ds = read_parquet_clean(
-        f"{sf_dir}/part.parquet", columns=["p_partkey"]
-    ).repartition(16)
+    ds = read_blocks(f"{sf_dir}/part.parquet", 16, columns=["p_partkey"])
 
     def derive(batch: pa.Table) -> pa.Table:
         k = batch["p_partkey"].to_numpy()

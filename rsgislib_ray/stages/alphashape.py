@@ -36,6 +36,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages import partition
+
 
 def _incircle_counts(
     tri_batch: pa.Table, px: np.ndarray, py: np.ndarray
@@ -99,9 +101,7 @@ def alpha_shape_edges(
             "ic": kk[keep].astype(np.int64),
         }
     )
-    tri_ds = ray.data.from_arrow(tri).repartition(
-        max(1, len(tri) // batch_size)
-    )
+    tri_ds = partition.table_blocks(tri, max(1, len(tri) // batch_size))
 
     def test(batch: pa.Table) -> pa.Table:
         from rsgislib_ray.state.broadcast import cached

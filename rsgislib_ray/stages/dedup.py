@@ -28,6 +28,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from rsgislib_ray.functions.arrayops import expand
 from rsgislib_ray.functions.hashing import (
     hash_combine,
     hash_strings,
@@ -531,17 +532,14 @@ def verify_pairs_jaccard_ds(
         texts = batch[text_col].to_numpy(zero_copy_only=False)[sel]
         sh_arrays = _shingle_hash_arrays(texts, shingle_k)
         # one output row per (doc, membership)
-        c = cnt[sel]
-        total = int(c.sum())
-        within = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
-        srcpos = np.repeat(lo[sel], c) + within
-        doc_pos = np.repeat(np.arange(len(sel)), c)
+        doc_pos, within = expand(cnt[sel])
+        srcpos = lo[sel][doc_pos] + within
         out_pid = psrt[srcpos]
         lens = np.array([len(sh_arrays[i]) for i in doc_pos], dtype=np.int32)
         offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int32)
         values = (
             np.concatenate([sh_arrays[i] for i in doc_pos])
-            if total
+            if len(doc_pos)
             else np.empty(0, dtype=np.uint64)
         )
         sh_list = pa.ListArray.from_arrays(
@@ -903,15 +901,9 @@ def ngram_jaccard_pairs(
         # sort over per-doc-unique hashes), so position pairs
         # (gi < gj) give doc_a < doc_b directly
         Lr, sr = L[shared], starts[shared]
-        M = Lr - 1  # "left" slots per run
-        run_of_i = np.repeat(np.arange(len(Lr)), M)
-        local_i = np.arange(int(M.sum())) - np.repeat(
-            np.cumsum(M) - M, M
-        )
+        run_of_i, local_i = expand(Lr - 1)  # "left" slots per run
         cnt = Lr[run_of_i] - 1 - local_i  # partners right of slot i
-        tot_pairs = int(cnt.sum())
-        slot_of_pair = np.repeat(np.arange(len(cnt)), cnt)
-        off = np.arange(tot_pairs) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        slot_of_pair, off = expand(cnt)
         gi = sr[run_of_i][slot_of_pair] + local_i[slot_of_pair]
         gj = gi + 1 + off
         upairs, inter = np.unique(fd[gi] * m + fd[gj], return_counts=True)

@@ -17,6 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from rsgislib_ray.functions.arrayops import expand
 from rsgislib_ray.stages import partition
 from rsgislib_ray.stages.segsum import combine_arrays, combine_dataset, route
 
@@ -345,10 +346,7 @@ def interval_join_broadcast(
         # candidates: intervals with lo in (v - max_width, v]
         first = np.searchsorted(slo, v - max_w, side="left")
         last = np.searchsorted(slo, v, side="right")
-        cnt = last - first
-        total = int(cnt.sum())
-        rep = np.repeat(np.arange(len(v), dtype=np.int64), cnt)
-        within = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        rep, within = expand(last - first)
         ii = first[rep] + within
         ok = (v[rep] >= slo[ii]) & (v[rep] < shi[ii])
         out = batch.take(pa.array(rep[ok]))

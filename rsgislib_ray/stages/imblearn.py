@@ -30,6 +30,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.stages import partition
+
 
 def _gather(ds: ray.data.Dataset, id_col, class_col, feat_cols):
     tbl = pa.concat_tables(
@@ -602,7 +604,7 @@ def smote_enn_combined(
             },
         }
     )
-    return ray.data.from_arrow(out_tbl).repartition(4)
+    return partition.table_blocks(out_tbl, 4)
 
 
 def smote_tomek_combined(
@@ -681,7 +683,7 @@ def smote_tomek_combined(
             },
         }
     )
-    return ray.data.from_arrow(out_tbl).repartition(4)
+    return partition.table_blocks(out_tbl, 4)
 
 
 def one_sided_selection_undersample(
@@ -756,7 +758,7 @@ def one_sided_selection_undersample(
             },
         }
     )
-    return ray.data.from_arrow(out_tbl).repartition(4)
+    return partition.table_blocks(out_tbl, 4)
 
 
 def condensed_nn_undersample(
@@ -834,7 +836,7 @@ def condensed_nn_undersample(
             },
         }
     )
-    return ray.data.from_arrow(out_tbl).repartition(4)
+    return partition.table_blocks(out_tbl, 4)
 
 
 def repeated_enn_undersample(
@@ -1003,4 +1005,4 @@ def cluster_centroid_undersample(
             },
         }
     )
-    return ray.data.from_arrow(out).repartition(4)
+    return partition.table_blocks(out, 4)

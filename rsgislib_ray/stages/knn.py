@@ -31,6 +31,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.functions.arrayops import expand
 from rsgislib_ray.functions.cells import DEFAULT_FRAME
 
 _CHUNK_ELEMS = 8_000_000  # max base*target distance-matrix elements
@@ -206,15 +207,9 @@ def _topk_grid(px, py, idx: _TargetIndex, k: int):
             nz = cnt > 0
             if not nz.any():
                 continue
-            p_sel = alive[ok][nz]
-            lo, cnt = lo[nz], cnt[nz]
-            total = int(cnt.sum())
-            pp = np.repeat(p_sel, cnt)
-            base = np.repeat(lo, cnt)
-            within = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            tt = idx.order[base + within]
-            cand_p.append(pp)
-            cand_t.append(tt)
+            rep, within = expand(cnt[nz])
+            cand_p.append(alive[ok][nz][rep])
+            cand_t.append(idx.order[lo[nz][rep] + within])
         if cand_p:
             pp = np.concatenate(cand_p)
             tt = np.concatenate(cand_t)
@@ -510,12 +505,9 @@ def radius_count(
                 if not nz.any():
                     continue
                 p_sel = np.flatnonzero(ok)[nz]
-                lo, cnt = lo[nz], cnt[nz]
-                total = int(cnt.sum())
-                pp = np.repeat(p_sel, cnt)
-                base = np.repeat(lo, cnt)
-                within = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-                tt = idx.order[base + within]
+                rep, within = expand(cnt[nz])
+                pp = p_sel[rep]
+                tt = idx.order[lo[nz][rep] + within]
                 dx = px[pp] - idx.tx[tt]
                 dy = py[pp] - idx.ty[tt]
                 hit = (dx * dx + dy * dy) <= r_sq

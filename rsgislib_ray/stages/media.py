@@ -23,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from rsgislib_ray.functions.arrayops import expand
 from rsgislib_ray.functions.hashing import polyhash_strings, splitmix64
 
 THUMB = 8  # fake-decode thumbnail side (pixels)
@@ -199,9 +200,7 @@ def sample_frames(
             refs = batch[ref_col].to_numpy(zero_copy_only=False)
             nf = self.probe.n_frames(refs)
             k = np.minimum(nf, n_sample)
-            total = int(k.sum())
-            parent = np.repeat(np.arange(len(refs), dtype=np.int64), k)
-            within = np.arange(total) - np.repeat(np.cumsum(k) - k, k)
+            parent, within = expand(k)
             # uniform stride: frame_i = floor(i * n_frames / k)
             frame = (within * nf[parent]) // np.maximum(k[parent], 1)
             out = batch.take(pa.array(parent))

@@ -23,6 +23,10 @@ task.
 or a ``segsum`` combine: over blocks that are already held, as one
 plain task per block, so no Ray Data execution starts; over a lazy
 plan, fused into its one materializing execution.
+
+:func:`table_blocks` cuts a table the driver holds into blocks where it
+is, with no shuffle: a fixture or an in-memory input enters the engine
+already held.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import ray
 import ray.data
 from ray.data.block import BlockMetadataWithSchema
 
+from rsgislib_ray.functions.arrayops import expand
 from rsgislib_ray.functions.arrowize import arrowize
 from rsgislib_ray.functions.hashing import hash_combine, splitmix64
 
@@ -194,16 +199,6 @@ def hash_reduce(blocks: list, keys: list[str], fn: Callable) -> ray.data.Dataset
     return reduce(fn, splits, parts)
 
 
-def expand(per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``i`` repeated ``per[i]`` times: (source row, copy number)
-    of each copy."""
-    rep = np.repeat(np.arange(len(per), dtype=np.int64), per)
-    within = np.arange(len(rep), dtype=np.int64) - np.repeat(
-        np.cumsum(per) - per, per
-    )
-    return rep, within
-
-
 def _check_key(t: pa.Table, col: str) -> None:
     """ValueError naming the join key ``col`` unless it is a null-free
     integer column of ``t``: keys are hashed and matched as int64."""
@@ -329,6 +324,34 @@ def arrow_dataset(parts: list) -> ray.data.MaterializedDataset:
     left out (a downstream ``map_batches`` would pass them on without a
     schema), except the first when all are, so the result stays
     typed."""
+    metas = ray.get([m for _, m in parts])
+    keep = [i for i, m in enumerate(metas) if m.num_rows]
+    if not keep and parts:
+        keep = [0]
+    return _held_dataset([parts[i][0] for i in keep], [metas[i] for i in keep])
+
+
+def table_blocks(tbl: pa.Table, n: int) -> ray.data.MaterializedDataset:
+    """``tbl`` cut into ``n`` contiguous row ranges, as one materialized
+    Dataset that holds its blocks (no Ray Data execution starts over
+    it). The cuts are those of Ray's split repartition (``cur += rows /
+    n``, a cut at each ``int(cur)``), so every non-empty block holds
+    the rows ``.repartition(n)`` gives it. Zero-row ranges are left
+    out, except the first when all are, so the result stays typed."""
+    cuts, cur = [0], 0.0
+    for _ in range(n - 1):
+        cur += tbl.num_rows / n
+        cuts.append(int(cur))
+    cuts.append(tbl.num_rows)
+    slices = [tbl.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+    slices = [s for s in slices if s.num_rows] or slices[:1]
+    metas = [BlockMetadataWithSchema.from_block(s) for s in slices]
+    return _held_dataset([ray.put(s) for s in slices], metas)
+
+
+def _held_dataset(refs: list, metas: list) -> ray.data.MaterializedDataset:
+    """The table ``refs`` with their ``metas`` as one materialized
+    Dataset, in order."""
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import FromArrow
     from ray.data._internal.plan import ExecutionPlan
@@ -336,12 +359,6 @@ def arrow_dataset(parts: list) -> ray.data.MaterializedDataset:
     from ray.data.context import DataContext
     from ray.data.dataset import MaterializedDataset
 
-    metas = ray.get([m for _, m in parts])
-    keep = [i for i, m in enumerate(metas) if m.num_rows]
-    if not keep and parts:
-        keep = [0]
-    refs = [parts[i][0] for i in keep]
-    metas = [metas[i] for i in keep]
     plan = ExecutionPlan(
         DatasetStats(metadata={"FromArrow": metas}, parent=None),
         DataContext.get_current().copy(),
@@ -351,4 +368,3 @@ def arrow_dataset(parts: list) -> ray.data.MaterializedDataset:
     # blocks), so iterating the result starts no execution
     out._plan.execute()
     return out
-

@@ -44,6 +44,7 @@ import ray
 import ray.data
 
 from rsgislib_ray.functions import cells as cellmod
+from rsgislib_ray.functions.arrayops import expand
 from rsgislib_ray.functions.geom import pip_pairs
 from rsgislib_ray.functions.hashing import splitmix64
 from rsgislib_ray.stages import partition
@@ -454,8 +455,7 @@ def _join_arrays(prank, pkey, ppx, ppy, zrank, zfid, zb, zv_lo, zv_hi, zvals):
             np.empty(0, dtype=np.int64),
             np.zeros(len(prank), dtype=bool),
         )
-    rep = np.repeat(np.arange(len(prank), dtype=np.int64), cnt)
-    within = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    rep, within = expand(cnt)
     zi = lo[rep] + within
     px_p = ppx[rep]
     py_p = ppy[rep]
@@ -618,7 +618,7 @@ def _range_bounds(n: np.ndarray, per: np.ndarray, parts: int) -> np.ndarray:
     ``ceil(total / parts)`` points plus those of one rank. Boundaries
     past the last rank and repeated ones are left out: every range
     holds at least one rank, and with no ranks there is one range."""
-    rep, salt = partition.expand(per)
+    rep, salt = expand(per)
     w = n[rep] // per[rep] + (salt < n[rep] % per[rep])
     # range of a rank: where its first point falls in the running count
     rng = (np.cumsum(w) - w) * parts // max(int(w.sum()), 1)
@@ -638,7 +638,7 @@ def _prep_zones(t: pa.Table, hist, level: int, x_col: str, y_col: str) -> pa.Tab
     )
     live, base, s = _rank_lookup(hist, cell)
     # drop the rows of cells without points, copy the others per salt
-    rep, salt = partition.expand(np.where(live, s, 0))
+    rep, salt = expand(np.where(live, s, 0))
     rank = base[rep] + salt
     src = src[rep]
     n = len(src)

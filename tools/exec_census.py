@@ -15,7 +15,8 @@ per query:
 - ``error``: the exception, when the query raised.
 
 A closing ``{"total": ...}`` line sums executions, executions that
-hold a ``Sort`` and those that hold a ``Join``, engine tasks and wall.
+hold a ``Sort``, a ``Join`` or a ``Repartition``, engine tasks and
+wall.
 Usage (an ``SF_DIR`` that is not a directory exits 2 with this line,
 before Ray starts):
 
@@ -116,6 +117,7 @@ def main() -> int:
         "executions": 0,
         "sort_executions": 0,
         "join_executions": 0,
+        "repartition_executions": 0,
         "tasks": dict(tasks),
         "wall_s": 0.0,
     }
@@ -149,6 +151,9 @@ def main() -> int:
             total["sort_executions"] += sum("Sort" in r for r in runs)
             total["join_executions"] += sum(
                 any(n.startswith("Join") for n in r) for r in runs
+            )
+            total["repartition_executions"] += sum(
+                any(n.startswith("Repartition") for n in r) for r in runs
             )
             for kind, n in tasks.items():
                 total["tasks"][kind] += n
