@@ -184,6 +184,16 @@ def combine(
     return combine_blocks(ray.get(refs), key_col, value_cols, aggs)
 
 
+def lookup(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position, found) of each ``want`` value in the ascending unique
+    ``keys`` of a :func:`combine` result: a left join onto ``want``.
+    ``position`` is only meaningful where ``found``."""
+    pos = np.searchsorted(keys, want)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == want[hit]
+    return pos, hit
+
+
 def combine_dataset(
     blocks: list,
     key_col: str | list[str],

@@ -48,7 +48,7 @@ from rsgislib_ray.functions.arrayops import expand
 from rsgislib_ray.functions.geom import pip_pairs
 from rsgislib_ray.functions.hashing import splitmix64
 from rsgislib_ray.stages import partition
-from rsgislib_ray.stages.segsum import combine
+from rsgislib_ray.stages.segsum import combine, lookup
 from rsgislib_ray.state.broadcast import _MAX_ENTRIES, cached
 from rsgislib_ray.state.strtree import STRtree
 
@@ -60,9 +60,10 @@ class ZoneSet:
     """Packed polygon side-table: numpy arrays + attr columns.
 
     Cheap to pickle/broadcast; rebuildable STRtree. ``ring_offsets``
-    are coordinate-PAIR offsets (n_zones+1). :attr:`index` is built on
-    first use and pickles with the arrays, so a ZoneSet broadcast after
-    it is built reaches the workers with its index.
+    are coordinate-PAIR offsets (n_zones+1). :attr:`index` and its
+    interior / boundary split :attr:`cover` are built on first use and
+    pickle with the arrays, so a ZoneSet broadcast after they are built
+    reaches the workers with both.
     """
 
     def __init__(
@@ -164,6 +165,40 @@ class ZoneSet:
     def index(self):
         """The :meth:`build_index` index, built once per ZoneSet."""
         return self.build_index()
+
+    @cached_property
+    def cover(self):
+        """:attr:`index` split into ``(interior, boundary)`` entries
+        (:meth:`CellBucketIndex.split
+        <rsgislib_ray.state.strtree.CellBucketIndex.split>`): every
+        point of a rectangle zone's interior cell lies in the zone, so
+        only boundary entries are probed per point. Built once per
+        ZoneSet; a non-rectangle zone is all boundary."""
+        return self.index.split(self.bounds, self.is_rect)
+
+    def cell_groups(self, px: np.ndarray, py: np.ndarray):
+        """The interior side of :attr:`cover` over one block of points:
+        ``(order, starts, cell, zone)``. ``order`` lists the in-frame
+        points grouped by cell, ``starts`` the position in ``order``
+        where each occupied cell's group begins, and ``(cell, zone)``
+        holds one pair per interior entry of an occupied cell (``cell``
+        is the group number). Every point of group ``cell[k]`` lies in
+        zone ``zone[k]``, so a per-group aggregate scatters straight
+        into those zones; the points' other matches come from the
+        boundary entries (``match_points(cover[1], ...)``)."""
+        inner = self.cover[0]
+        if len(inner.item_of) == 0:
+            # no interior cells (e.g. no rectangles): no grouping work
+            e = np.empty(0, dtype=np.int64)
+            return e, e, e, e
+        pts, key = inner.cell_keys(px, py)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(new)
+        cell, zone = inner.query_keys(key[starts], np.arange(len(starts)))
+        return pts[order], starts, cell, zone
 
     # Points per internal chunk: keeps candidate-pair temporaries in the
     # tens-of-MB range so concurrent tasks don't blow worker heaps /
@@ -318,16 +353,18 @@ def _zones_key(zones_tbl: pa.Table, attr_cols: list[str] | None) -> tuple:
 
 
 def broadcast_zones(zones_tbl: pa.Table, attr_cols: list[str] | None = None):
-    """Pack a zone table, build its index on the driver and ``ray.put``
-    both once per session: calls over an equal table (and ``attr_cols``)
-    get the same ref back, so every worker process that already read
-    it keeps its :func:`cached` copy, and none builds an index.
+    """Pack a zone table, build its index and the index's interior /
+    boundary split (:attr:`ZoneSet.cover`) on the driver and ``ray.put``
+    them once per session: calls over an equal table (and
+    ``attr_cols``) get the same ref back, so every worker process that
+    already read it keeps its :func:`cached` copy, and none builds an
+    index or a split.
     LRU-capped like the per-process cache."""
     key = _zones_key(zones_tbl, attr_cols)
     ref = _BROADCASTS.get(key)
     if ref is None:
         zs = ZoneSet.from_table(zones_tbl, attr_cols=attr_cols)
-        zs.index  # built here, once, and pickled with the arrays
+        zs.cover  # index and split built here, once, pickled with the arrays
         ref = _BROADCASTS[key] = ray.put(zs)
         while len(_BROADCASTS) > _MAX_ENTRIES:
             _BROADCASTS.popitem(last=False)
@@ -378,30 +415,30 @@ def count_points_per_zone(
     (vectorattrs/__init__.py:1022-1102: inner sjoin -> groupby size ->
     merge back onto the polygon layer).
 
-    Each point batch's task counts its matches (np.bincount) into one
-    row per zone touched; :func:`rsgislib_ray.stages.segsum.combine`
-    sums those partials by fid.
+    Each point block's task counts its points per occupied interior
+    cell once and adds those counts to the zones whose interior holds
+    the cell (:meth:`ZoneSet.cell_groups`), then counts its matches
+    through the boundary entries only; one row per zone touched.
+    :func:`rsgislib_ray.stages.segsum.combine` sums those partials by
+    fid.
     """
     ref = broadcast_zones(zones_tbl)
 
     def count_partial(batch: pa.Table) -> pa.Table:
         zones = cached(ref)
-        _, zone_idx = zones.match_points(
-            zones.index, batch[x_col].to_numpy(), batch[y_col].to_numpy()
-        )
-        counts = np.bincount(zone_idx, minlength=len(zones))
+        px, py = batch[x_col].to_numpy(), batch[y_col].to_numpy()
+        order, starts, cell, zone = zones.cell_groups(px, py)
+        counts = np.zeros(len(zones), dtype=np.int64)
+        np.add.at(counts, zone, np.diff(starts, append=len(order))[cell])
+        _, zone_idx = zones.match_points(zones.cover[1], px, py)
+        counts += np.bincount(zone_idx, minlength=len(zones))
         nz = np.flatnonzero(counts)
-        return pa.table(
-            {"fid": zones.fid[nz], "partial": counts[nz].astype(np.int64)}
-        )
+        return pa.table({"fid": zones.fid[nz], "partial": counts[nz]})
 
     agg = combine(partition.map_blocks(points, count_partial), "fid", ["partial"])
     # left-join the sorted per-fid sums onto the zone layer's fids
     fid = np.sort(zones_tbl["fid"].to_numpy(), kind="stable")
-    kf = agg["fid"].to_numpy()
-    pos = np.searchsorted(kf, fid)
-    hit = pos < len(kf)
-    hit[hit] = kf[pos[hit]] == fid[hit]
+    pos, hit = lookup(agg["fid"].to_numpy(), fid)
     n = np.zeros(len(fid), dtype=np.int64)
     n[hit] = agg["partial"].to_numpy()[pos[hit]]
     return pa.table({"fid": fid, out_col: n})

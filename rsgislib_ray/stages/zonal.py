@@ -11,19 +11,24 @@ aggregation:
    (:func:`rsgislib_ray.stages.partition.map_blocks`: a plain task per
    block when the cells already hold their blocks, so no Ray Data
    execution starts; fused into the one materializing execution of a
-   lazy plan). It reads the broadcast zone layer and its prebuilt
-   cell-bucket index
-   (:func:`~rsgislib_ray.stages.spatial_join.broadcast_zones`) and
+   lazy plan). It reads the broadcast zone layer with its prebuilt
+   cell-bucket index and the index's interior / boundary split
+   (:func:`~rsgislib_ray.stages.spatial_join.broadcast_zones`,
+   :attr:`~rsgislib_ray.stages.spatial_join.ZoneSet.cover`) and
    COMBINES WITHIN THE BLOCK (sort-free scatters into dense
    per-zone accumulators: ``np.bincount`` / ``np.add.at`` /
    ``np.minimum.at`` / ``np.maximum.at``): it emits
    one partial row per (block, zone) — count/sum/sumsq/min/max, or
-   per-(zone, value) counts for the order statistics;
+   per-(zone, value) counts for the order statistics. The moment
+   partial aggregates each occupied interior cell once (every point
+   there lies in each rectangle zone whose interior holds the cell)
+   and probes only the boundary entries per point, so its work is
+   never more than expanding every (point, zone) pair;
 2. the partials reduce by fid (by (fid, value) for the histograms)
    through :func:`rsgislib_ray.stages.segsum.combine` — numpy scatters
    on the driver, or past a measured size the distributed
    hash-partitioned ``segment_sum`` — and one vectorized pass
-   finalizes.
+   finalizes into a numpy fill of the fid-sorted zone table.
 
 Pinned exact-match semantics (SURVEY.md §5):
 - stddev is POPULATION std (ddof=0 — zonalstats/__init__.py:458), via
@@ -47,7 +52,7 @@ import ray
 import ray.data
 
 from rsgislib_ray.stages.partition import held_blocks, map_blocks
-from rsgislib_ray.stages.segsum import combine, combine_arrays
+from rsgislib_ray.stages.segsum import combine, combine_arrays, lookup
 from rsgislib_ray.stages.spatial_join import ZoneSet, broadcast_zones
 from rsgislib_ray.state.broadcast import cached
 
@@ -64,35 +69,55 @@ def _moment_partial(
 ) -> pa.Table:
     """One partial row per zone touched by this batch.
 
-    Works in point-chunks and scatters each chunk's matches straight
-    into DENSE per-zone int64 accumulators — ``np.bincount`` for the
-    count, ``np.add.at`` for sum and sum of squares,
-    ``np.minimum.at``/``np.maximum.at`` for min and max. Each pass is
-    linear in the matches with no sort, and temporaries stay ~MBs even
-    when dense zone layers yield >100 matches per point, so concurrent
-    tasks don't fight for memory bandwidth (measured 20x slowdown with
-    whole-batch sort+gather under 10-way concurrency). Integer
+    Accumulates into DENSE per-zone int64 arrays (``np.add.at`` for
+    count, sum and sum of squares, ``np.minimum.at``/``np.maximum.at``
+    for min and max) from two sources that together are exactly the
+    batch's (point, zone) matches:
+
+    - interior cells (:meth:`ZoneSet.cell_groups`): count, sum, sumsq,
+      min and max are computed once per occupied cell, and each cell's
+      aggregate is added to every zone whose interior holds the cell,
+      with no per-point pair;
+    - boundary entries: each point is probed against
+      ``zones.cover[1]`` only, with the half-open / PIP refine, in
+      point-chunks of ``MATCH_CHUNK``, so temporaries stay ~MBs on
+      dense layers (>100 matches per point) and concurrent tasks do
+      not fight for memory bandwidth.
+
+    The work is never more than expanding every candidate pair: an
+    interior entry is visited once per occupied cell, not once per
+    point. A layer without rectangles is all boundary. Integer
     accumulators keep every result exact and independent of match
     order.
     """
     zones: ZoneSet = cached(zones_ref)
-    idx = zones.index
     px = batch[x_col].to_numpy()
     py = batch[y_col].to_numpy()
-    vals_all = batch[value_col].to_numpy()
+    vals_all = batch[value_col].to_numpy().astype(np.int64)
     nz = len(zones)
     cnt_d = np.zeros(nz, dtype=np.int64)
     s_d = np.zeros(nz, dtype=np.int64)
     q_d = np.zeros(nz, dtype=np.int64)
     mn_d = np.full(nz, np.iinfo(np.int64).max)
     mx_d = np.full(nz, np.iinfo(np.int64).min)
+
+    order, starts, cell, zone = zones.cell_groups(px, py)
+    if len(zone):
+        v = vals_all[order]
+        np.add.at(cnt_d, zone, np.diff(starts, append=len(v))[cell])
+        np.add.at(s_d, zone, np.add.reduceat(v, starts)[cell])
+        np.add.at(q_d, zone, np.add.reduceat(v * v, starts)[cell])
+        np.minimum.at(mn_d, zone, np.minimum.reduceat(v, starts)[cell])
+        np.maximum.at(mx_d, zone, np.maximum.reduceat(v, starts)[cell])
+
+    edge = zones.cover[1]
     step = zones.MATCH_CHUNK
     for cs in range(0, len(px), step):
         ce = min(len(px), cs + step)
-        pi, zi = zones._match_points_chunk(idx, px[cs:ce], py[cs:ce])
+        pi, zi = zones._match_points_chunk(edge, px[cs:ce], py[cs:ce])
         if len(pi) == 0:
             continue
-        vals = vals_all[cs:ce][pi].astype(np.int64)
+        vals = vals_all[cs:ce][pi]
         cnt_d += np.bincount(zi, minlength=nz)
         np.add.at(s_d, zi, vals)
         np.add.at(q_d, zi, vals * vals)
@@ -233,7 +258,16 @@ def zonal_stats(
         # both families read the cells: hold a lazy plan's blocks once
         cells = held_blocks(cells)[0]
 
-    base = pd.DataFrame({"fid": zones_tbl["fid"].to_numpy()})
+    # one output row per zone, fid-sorted: each family left-joins its
+    # fid-sorted aggregate rows onto it, NaN where a zone has none
+    fid = np.sort(zones_tbl["fid"].to_numpy(), kind="stable")
+    out = {}
+
+    def fill(agg_fid: np.ndarray, cols: dict) -> None:
+        pos, hit = lookup(agg_fid, fid)
+        for name, col in cols.items():
+            out[name] = np.full(len(fid), np.nan)
+            out[name][hit] = col[pos[hit]]
 
     if want_moments:
         agg = combine(
@@ -250,18 +284,17 @@ def zonal_stats(
         qd = q.astype(np.float64)
         mean = sd / m
         var = qd / m - (sd / m) * (sd / m)
-        mom = pd.DataFrame(
+        fill(
+            agg["fid"].to_numpy(),
             {
-                "fid": agg["fid"].to_numpy(),
-                "count": cnt,
+                "count": m,
                 "sum": sd / value_scale,
                 "min": agg["min_v"].to_numpy().astype(np.float64) / value_scale,
                 "max": agg["max_v"].to_numpy().astype(np.float64) / value_scale,
                 "mean": mean / value_scale,
                 "stddev": np.sqrt(var) / value_scale,
-            }
+            },
         )
-        base = base.merge(mom[["fid"] + want_moments], on="fid", how="left")
 
     if want_order:
         # (fid, val) histograms are pre-reduced per block; the combine
@@ -305,7 +338,6 @@ def zonal_stats(
         med_even = (kth(np.maximum(k, 1)) + kth(k + 1)) / 2.0
         median = np.where(odd, med_odd, med_even)
         cols = {
-            "fid": run_fid.astype(np.int64),
             "mode": mode / value_scale,
             "median": median / value_scale,
         }
@@ -319,16 +351,15 @@ def zonal_stats(
             hi_v = kth(hi_i.astype(np.int64) + 1)
             frac = pos - lo_i
             cols[name_p] = (lo_v + (hi_v - lo_v) * frac) / value_scale
-        ords = pd.DataFrame(cols)
-        base = base.merge(ords[["fid"] + want_order], on="fid", how="left")
+        fill(run_fid, cols)
 
-    for c in list(want_moments) + list(want_order):
-        base[c] = base[c].fillna(out_no_data)
-    if "count" in base.columns:
-        base["count"] = base["count"].astype(np.int64)
-    return pa.Table.from_pandas(
-        base.sort_values("fid").reset_index(drop=True), preserve_index=False
-    ).replace_schema_metadata(None)
+    # a zone no cell reached, and any NaN statistic, reads out_no_data
+    res = {"fid": fid}
+    for c in want_moments + want_order:
+        res[c] = np.where(np.isnan(out[c]), out_no_data, out[c])
+    if "count" in res:
+        res["count"] = res["count"].astype(np.int64)
+    return pa.table(res)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,18 @@ class CellBucketIndex:
     cell size from the median item extent so duplication stays ~100x
     bounded while false candidates stay within ~20% of true matches.
     STRtree (below) remains for bbox-vs-bbox queries and sparse layers.
+
+    Interior and boundary cells (:meth:`split`). A point lands in cell
+    ``col = c(x) = floor((x - x0) / cw)`` (:meth:`cell_keys`; ``row =
+    r(y)`` alike). Each step of ``c`` (``fl(x - x0)``, ``fl(. / cw)``,
+    ``floor``) is monotone non-decreasing, so ``x < xmin`` gives ``c(x)
+    <= c(xmin)`` and ``x >= xmax`` gives ``c(x) >= c(xmax)``. A point
+    in a cell with ``c(xmin) < col < c(xmax)`` and ``r(ymin) < row <
+    r(ymax)`` therefore passes the half-open test ``xmin <= x < xmax,
+    ymin <= y < ymax`` with no epsilon: for an axis-aligned rectangle
+    item (whose exact point-in-polygon test is that one) every point of
+    such an interior cell is a match, and only its boundary cells need
+    a per-point refine.
     """
 
     def __init__(
@@ -149,30 +161,71 @@ class CellBucketIndex:
             self.sorted_key = key[order]
         self.item_of = item[order]
 
-    def query_points(self, px: np.ndarray, py: np.ndarray):
-        """(point_idx, item_idx) candidate pairs: all items whose bbox
-        cover-cell contains the point's cell (superset of true bbox
-        containment; caller refines)."""
-        if self.n_items == 0 or len(px) == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    def cell_keys(self, px: np.ndarray, py: np.ndarray):
+        """(indices of the in-frame points, their cell keys ``row * n +
+        col``), with ``col = floor((x - x0) / cw)`` and ``row =
+        floor((y - y0) / ch)``: the placement every query uses, and the
+        one :meth:`split` reasons about. NaN points are out of frame."""
         n = self.n_side
         col = np.floor((np.asarray(px) - self.x0) / self.cw)
         row = np.floor((np.asarray(py) - self.y0) / self.ch)
         ok = (col >= 0) & (col < n) & (row >= 0) & (row < n)
         pts = np.flatnonzero(ok)
-        key = (row[pts] * n + col[pts]).astype(np.int64)
+        return pts, (row[pts] * n + col[pts]).astype(np.int64)
+
+    def query_keys(self, key: np.ndarray, ids: np.ndarray):
+        """(``ids`` repeated once per entry, item_idx) over every entry
+        under each cell key of ``key``."""
         lo = np.searchsorted(self.sorted_key, key, side="left")
         hi = np.searchsorted(self.sorted_key, key, side="right")
         cnt = hi - lo
         total = int(cnt.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        q = np.repeat(pts, cnt)
+        q = np.repeat(ids, cnt)
         # entry position = run start + rank within the run
         pos = np.arange(total, dtype=np.int64) + np.repeat(
             lo - (np.cumsum(cnt) - cnt), cnt
         )
         return q, self.item_of[pos]
+
+    def query_points(self, px: np.ndarray, py: np.ndarray):
+        """(point_idx, item_idx) candidate pairs: all items whose bbox
+        cover-cell contains the point's cell (superset of true bbox
+        containment; caller refines)."""
+        if self.n_items == 0 or len(px) == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        pts, key = self.cell_keys(px, py)
+        return self.query_keys(key, pts)
+
+    def split(self, bounds: np.ndarray, eligible: np.ndarray):
+        """This index's entries as ``(interior, boundary)``: two indexes
+        over the same grid, each still sorted by cell key. An entry
+        (cell ``(col, row)``, item ``i``) is interior when
+        ``eligible[i]`` and ``c(xmin) < col < c(xmax)`` and ``r(ymin) <
+        row < r(ymax)`` (the class docstring says why that needs no
+        epsilon); every other entry is boundary."""
+        b = np.asarray(bounds, dtype=np.float64)
+        n = self.n_side
+        col = self.sorted_key % n
+        row = self.sorted_key // n
+        it = self.item_of
+        inner = np.asarray(eligible, dtype=bool)[it]
+        for lo, hi, cell, origin, size in (
+            (0, 1, col, self.x0, self.cw),
+            (2, 3, row, self.y0, self.ch),
+        ):
+            inner &= np.floor((b[:, lo] - origin) / size)[it] < cell
+            inner &= cell < np.floor((b[:, hi] - origin) / size)[it]
+        return self._subset(inner), self._subset(~inner)
+
+    def _subset(self, keep: np.ndarray) -> "CellBucketIndex":
+        """A copy over the same grid holding the ``keep`` entries."""
+        out = object.__new__(CellBucketIndex)
+        out.__dict__.update(self.__dict__)
+        out.sorted_key = self.sorted_key[keep]
+        out.item_of = self.item_of[keep]
+        return out
 
 
 class STRtree:

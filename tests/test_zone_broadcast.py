@@ -1,7 +1,8 @@
 """A zone layer is packed and indexed once per Ray session.
 
 ``broadcast_zones`` memoizes its ref by table content, and the ZoneSet
-it puts carries its prebuilt index. These tests pin the build count,
+it puts carries its prebuilt index and the index's interior / boundary
+split (``cover``). These tests pin the build counts,
 the one-shape rule of the per-process cache, the memo's lifetime, and
 that ``zonal_stats``'s two combine routes agree.
 """
@@ -20,6 +21,7 @@ from rsgislib_ray.stages.spatial_join import (
 )
 from rsgislib_ray.stages.zonal import MOMENT_STATS, zonal_stats
 from rsgislib_ray.state.broadcast import cached
+from rsgislib_ray.state.strtree import CellBucketIndex
 
 NO_DATA = -9999.0
 
@@ -107,13 +109,14 @@ def _check_zonal(cells: pa.Table, zones: pa.Table, **kw) -> None:
 def test_bare_and_indexed_readers_share_one_ref(ray_session):
     """One ref read as a bare ZoneSet (the registry's ``cached(ref)``
     partials) and then by zonal_stats and spatial_join_points: every
-    reader gets the same shape, with the index already built."""
+    reader gets the same shape, with the index and its split already
+    built."""
     zones, cells = _zones(61), _cells(62)
     ref = broadcast_zones(zones)
 
     def bare(batch: pa.Table) -> pa.Table:
         zs = cached(ref)
-        prebuilt = "index" in vars(zs)
+        prebuilt = "index" in vars(zs) and "cover" in vars(zs)
         b = zs.bounds
         x = batch["x"].to_numpy()[:, None]
         y = batch["y"].to_numpy()[:, None]
@@ -131,13 +134,20 @@ def test_bare_and_indexed_readers_share_one_ref(ray_session):
 
 def test_equal_zone_tables_build_one_index(ray_session, monkeypatch):
     builds = []
+    splits = []
     build_index = ZoneSet.build_index
+    split = CellBucketIndex.split
 
     def counting(self):
         builds.append(len(self))
         return build_index(self)
 
+    def counting_split(self, bounds, eligible):
+        splits.append(len(bounds))
+        return split(self, bounds, eligible)
+
     monkeypatch.setattr(ZoneSet, "build_index", counting)
+    monkeypatch.setattr(CellBucketIndex, "split", counting_split)
     zones, cells = _zones(71), _cells(72)
     # equal content, built anew and chunked differently
     twin = pa.Table.from_batches(_zones(71).to_batches(max_chunksize=70))
@@ -147,6 +157,7 @@ def test_equal_zone_tables_build_one_index(ray_session, monkeypatch):
     _check_zonal(cells, twin)
     assert _pairs(spatial_join_points(_ds(cells), twin)) == _brute_pairs(cells, zones)
     assert len(builds) == 1
+    assert len(splits) == 1
 
     # one ring coordinate moved: a different layer, a new index
     ring = zones["ring_xy"].combine_chunks().flatten().to_numpy().copy()
@@ -157,6 +168,7 @@ def test_equal_zone_tables_build_one_index(ray_session, monkeypatch):
     )
     _check_zonal(cells, moved)
     assert len(builds) == 2
+    assert len(splits) == 2
 
     # the same layer with an attribute column: a new ZoneSet and index
     joined = spatial_join_points(_ds(cells), zones, attr_cols=["name"]).to_pandas()
