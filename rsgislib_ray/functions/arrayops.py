@@ -5,7 +5,8 @@ multi-image pixel aggregates family (``calc_imgs_pxl_mode``
 /root/reference/python/src/imagecalc.cpp:2331). k (number of
 "images") is small; rows are many — everything is vectorized over
 rows. :func:`expand` is the run expansion that joins and fan-outs
-repeat rows with."""
+repeat rows with; :func:`run_table` and :func:`run_lookup` find the
+runs of a sorted key array (the grid buckets' cell runs)."""
 
 from __future__ import annotations
 
@@ -64,3 +65,29 @@ def expand(per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.cumsum(per) - per, per
     )
     return rep, within
+
+
+def run_table(sorted_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of a sorted key array as ``(keys, starts)``: each
+    distinct key once, ascending, and the offset where its run begins,
+    with the array's length appended (``len(starts) == len(keys) + 1``),
+    so run ``i`` is ``starts[i]:starts[i + 1]``."""
+    first = np.ones(len(sorted_key), dtype=bool)
+    first[1:] = sorted_key[1:] != sorted_key[:-1]
+    at = np.flatnonzero(first)
+    return sorted_key[at], np.append(at, len(sorted_key)).astype(np.int64)
+
+
+def run_lookup(
+    keys: np.ndarray, starts: np.ndarray, key: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, cnt)``: the run of ``key[j]`` in a :func:`run_table` is
+    ``lo[j]:lo[j] + cnt[j]``, and ``cnt[j]`` is 0 when the key has no
+    run. One ``searchsorted`` over the distinct keys."""
+    i = np.searchsorted(keys, key)
+    if len(keys):
+        hit = keys.take(i, mode="clip") == key
+    else:
+        hit = np.zeros(len(i), dtype=bool)
+    lo = starts[i]
+    return lo, starts[i + hit] - lo

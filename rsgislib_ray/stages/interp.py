@@ -46,6 +46,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from rsgislib_ray.functions.arrayops import run_lookup
 from rsgislib_ray.functions.cells import DEFAULT_FRAME
 from rsgislib_ray.stages.knn import _TargetIndex, broadcast_targets
 
@@ -165,9 +166,7 @@ def grid_scattered_points(
                 if not ok.any():
                     continue
                 key = r2[ok] * n + c2[ok]
-                lo = np.searchsorted(idx.sorted_key, key, side="left")
-                hi = np.searchsorted(idx.sorted_key, key, side="right")
-                cnt = hi - lo
+                lo, cnt = run_lookup(idx.cells, idx.starts, key)
                 nz = cnt > 0
                 if not nz.any():
                     continue

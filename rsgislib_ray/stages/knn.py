@@ -31,7 +31,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from rsgislib_ray.functions.arrayops import expand
+from rsgislib_ray.functions.arrayops import expand, run_lookup, run_table
 from rsgislib_ray.functions.cells import DEFAULT_FRAME
 
 _CHUNK_ELEMS = 8_000_000  # max base*target distance-matrix elements
@@ -62,7 +62,8 @@ class _TargetIndex:
             row = np.clip(np.floor((self.ty - DEFAULT_FRAME.y0) / cw), 0, n - 1)
             key = (row * n + col).astype(np.int64)
             self.order = np.argsort(key, kind="stable")
-            self.sorted_key = key[self.order]
+            # targets of cell run i: order[starts[i]:starts[i + 1]]
+            self.cells, self.starts = run_table(key[self.order])
             self.cell_w = cw
             self.n_side = n
 
@@ -201,9 +202,7 @@ def _topk_grid(px, py, idx: _TargetIndex, k: int):
             if not ok.any():
                 continue
             key = r2[ok] * n + c2[ok]
-            lo = np.searchsorted(idx.sorted_key, key, side="left")
-            hi = np.searchsorted(idx.sorted_key, key, side="right")
-            cnt = hi - lo
+            lo, cnt = run_lookup(idx.cells, idx.starts, key)
             nz = cnt > 0
             if not nz.any():
                 continue
@@ -498,9 +497,7 @@ def radius_count(
                 if not ok.any():
                     continue
                 key = r2[ok] * n + c2[ok]
-                lo = np.searchsorted(idx.sorted_key, key, side="left")
-                hi = np.searchsorted(idx.sorted_key, key, side="right")
-                cnt = hi - lo
+                lo, cnt = run_lookup(idx.cells, idx.starts, key)
                 nz = cnt > 0
                 if not nz.any():
                     continue

@@ -35,6 +35,7 @@ because point rows pass through ``take`` untouched.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import OrderedDict
 from functools import cached_property, partial
 
@@ -50,7 +51,7 @@ from rsgislib_ray.functions.hashing import splitmix64
 from rsgislib_ray.stages import partition
 from rsgislib_ray.stages.segsum import combine, lookup
 from rsgislib_ray.state.broadcast import _MAX_ENTRIES, cached
-from rsgislib_ray.state.strtree import STRtree
+from rsgislib_ray.state.strtree import CellBucketIndex, STRtree
 
 # Join modes both strategies support, checked when the join is built.
 JOIN_HOWS = ("inner", "left", "semi", "anti")
@@ -157,8 +158,6 @@ class ZoneSet:
         STRtree for dense layers — one searchsorted per point batch).
         Both index types expose ``query_points``; :meth:`match_points`
         takes either."""
-        from rsgislib_ray.state.strtree import CellBucketIndex
-
         return CellBucketIndex(self.bounds)
 
     @cached_property
@@ -212,8 +211,9 @@ class ZoneSet:
         """Exact (point_idx, zone_idx) matches: index candidates
         (CellBucketIndex or STRtree — anything with ``query_points``)
         refined by even-odd PIP (vectorized half-open compare for
-        rectangle rings, grouped ray-crossing for the rest). Chunked
-        over points to bound temporary memory."""
+        rectangle rings, grouped ray-crossing for the rest), ordered by
+        point and then by the index's candidate order. Chunked over
+        points to bound temporary memory."""
         if len(px) <= self.MATCH_CHUNK:
             return self._match_points_chunk(index, px, py)
         outs_p = []
@@ -228,15 +228,23 @@ class ZoneSet:
     def _match_points_chunk(
         self, index, px: np.ndarray, py: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        cand_pt, cand_zone = index.query_points(px, py)
+        if isinstance(index, CellBucketIndex):
+            # candidates come point by point: their coordinates are
+            # each point's repeated over its run, not gathered per pair
+            pts, cnt, cand_zone = index.point_runs(px, py)
+            cand_pt = np.repeat(pts, cnt)
+            x = np.repeat(px[pts], cnt)
+            y = np.repeat(py[pts], cnt)
+        else:
+            cand_pt, cand_zone = index.query_points(px, py)
+            x = px[cand_pt]
+            y = py[cand_pt]
         if len(cand_pt) == 0:
             return cand_pt, cand_zone
         # Half-open rectangle test over ALL candidates, one contiguous
         # bounds column at a time; pairs whose zone is not a rectangle
         # are then overwritten by the exact ray-crossing PIP.
         b = self.bounds
-        x = px[cand_pt]
-        y = py[cand_pt]
         ok = x >= b[:, 0][cand_zone]
         ok &= x < b[:, 1][cand_zone]
         ok &= y >= b[:, 2][cand_zone]
@@ -247,7 +255,10 @@ class ZoneSet:
                 ok[gp] = pip_pairs(
                     px, py, self.ring_xy, self.ring_offsets, cand_pt[gp], cand_zone[gp]
                 )
-        return cand_pt[ok], cand_zone[ok]
+        # positions once, then two takes: cheaper than two boolean
+        # compresses over the (unpredictable) mask
+        keep = np.flatnonzero(ok)
+        return cand_pt.take(keep), cand_zone.take(keep)
 
 
 def _zone_cols(
@@ -334,22 +345,36 @@ def _pip_join_task(
 # Driver-side memo of broadcast zone layers: (Ray session, content
 # digest) -> ObjectRef of the packed ZoneSet with its index built.
 _BROADCASTS: OrderedDict = OrderedDict()
+# Content digests by (id(table), attr_cols). A pa.Table is immutable, so
+# its digest holds while it lives; a finalizer drops the entry when the
+# table is collected, before its id can name another table.
+_DIGESTS: dict = {}
 
 
-def _zones_key(zones_tbl: pa.Table, attr_cols: list[str] | None) -> tuple:
-    """The Ray session (node and job) plus a blake2b-128 digest of the
-    columns :meth:`ZoneSet.from_table` reads. Their Arrow IPC stream
+def _zones_digest(zones_tbl: pa.Table, attr_cols: list[str] | None) -> str:
+    """A blake2b-128 digest of the columns :meth:`ZoneSet.from_table`
+    reads, computed once per table object. Their Arrow IPC stream
     carries the schema, lengths, offsets and buffers, normalized for
     slicing and (after ``combine_chunks``) for chunking, so equal
     digests mean equal zone layers."""
+    key = (id(zones_tbl), tuple(attr_cols or ()))
+    digest = _DIGESTS.get(key)
+    if digest is None:
+        cols = zones_tbl.select(["fid", "ring_xy", *key[1]])
+        cols = cols.combine_chunks().replace_schema_metadata(None)
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, cols.schema) as w:
+            w.write_table(cols)
+        digest = hashlib.blake2b(sink.getvalue(), digest_size=16).hexdigest()
+        _DIGESTS[key] = digest
+        weakref.finalize(zones_tbl, _DIGESTS.pop, key, None)
+    return digest
+
+
+def _zones_key(zones_tbl: pa.Table, attr_cols: list[str] | None) -> tuple:
+    """The Ray session (node and job) plus :func:`_zones_digest`."""
     ctx = ray.get_runtime_context()
-    cols = zones_tbl.select(["fid", "ring_xy", *(attr_cols or [])])
-    cols = cols.combine_chunks().replace_schema_metadata(None)
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, cols.schema) as w:
-        w.write_table(cols)
-    digest = hashlib.blake2b(sink.getvalue(), digest_size=16).hexdigest()
-    return ctx.get_node_id(), ctx.get_job_id(), digest
+    return ctx.get_node_id(), ctx.get_job_id(), _zones_digest(zones_tbl, attr_cols)
 
 
 def broadcast_zones(zones_tbl: pa.Table, attr_cols: list[str] | None = None):

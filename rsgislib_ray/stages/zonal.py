@@ -23,7 +23,13 @@ aggregation:
    partial aggregates each occupied interior cell once (every point
    there lies in each rectangle zone whose interior holds the cell)
    and probes only the boundary entries per point, so its work is
-   never more than expanding every (point, zone) pair;
+   never more than expanding every (point, zone) pair. A probe finds
+   each point's cell run with one ``searchsorted`` over the index's
+   run table of occupied cells, repeats the point's coordinates over
+   the run and keeps the matches by position (``np.flatnonzero`` and
+   ``take``), with no per-candidate coordinate gather and no boolean
+   compress. The value column must cast to int64 exactly, or the
+   partial raises a ``ValueError`` naming it;
 2. the partials reduce by fid (by (fid, value) for the histograms)
    through :func:`rsgislib_ray.stages.segsum.combine` — numpy scatters
    on the driver, or past a measured size the distributed
@@ -60,6 +66,23 @@ MOMENT_STATS = ("count", "sum", "min", "max", "mean", "stddev")
 ORDER_STATS = ("mode", "median")
 
 
+def _int_values(batch: pa.Table, value_col: str) -> np.ndarray:
+    """The value column as int64. Raises a ``ValueError`` naming the
+    column unless every value casts to int64 exactly: a fraction, a
+    NaN (or null) or an out-of-range value would otherwise be
+    truncated or wrapped without a word."""
+    v = batch[value_col].to_numpy()
+    with np.errstate(invalid="ignore"):  # NaN and overflow: caught below
+        out = v.astype(np.int64, copy=False)
+    if out is not v and not np.array_equal(out, v):
+        bad = v[out != v][0]
+        raise ValueError(
+            f"zonal value column {value_col!r} must hold integers that "
+            f"fit int64 (pre-scale it, see value_scale); got {bad!r}"
+        )
+    return out
+
+
 def _moment_partial(
     batch: pa.Table,
     zones_ref=None,
@@ -88,12 +111,13 @@ def _moment_partial(
     interior entry is visited once per occupied cell, not once per
     point. A layer without rectangles is all boundary. Integer
     accumulators keep every result exact and independent of match
-    order.
+    order; a value column that does not cast to int64 exactly raises
+    a ``ValueError``.
     """
     zones: ZoneSet = cached(zones_ref)
     px = batch[x_col].to_numpy()
     py = batch[y_col].to_numpy()
-    vals_all = batch[value_col].to_numpy().astype(np.int64)
+    vals_all = _int_values(batch, value_col)
     nz = len(zones)
     cnt_d = np.zeros(nz, dtype=np.int64)
     s_d = np.zeros(nz, dtype=np.int64)
@@ -117,7 +141,7 @@ def _moment_partial(
         pi, zi = zones._match_points_chunk(edge, px[cs:ce], py[cs:ce])
         if len(pi) == 0:
             continue
-        vals = vals_all[cs:ce][pi]
+        vals = vals_all[cs:ce].take(pi)
         cnt_d += np.bincount(zi, minlength=nz)
         np.add.at(s_d, zi, vals)
         np.add.at(q_d, zi, vals * vals)
@@ -147,7 +171,7 @@ def _value_count_partial(
     idx = zones.index
     px = batch[x_col].to_numpy()
     py = batch[y_col].to_numpy()
-    vals_all = batch[value_col].to_numpy().astype(np.int64)
+    vals_all = _int_values(batch, value_col)
     nz = len(zones)
     uvals = np.unique(vals_all)
     V = len(uvals)
@@ -171,7 +195,7 @@ def _value_count_partial(
             pi, zi = zones._match_points_chunk(idx, px[cs:ce], py[cs:ce])
             if len(pi) == 0:
                 continue
-            vix = np.searchsorted(uvals, vals_all[cs:ce][pi])
+            vix = np.searchsorted(uvals, vals_all[cs:ce].take(pi))
             key = zi * V + vix
             dense += np.bincount(key, minlength=nz * V)
         hit = np.flatnonzero(dense)
@@ -195,7 +219,7 @@ def _value_count_partial(
         if len(pi) == 0:
             continue
         all_z.append(zi)
-        all_v.append(vals_all[cs:ce][pi])
+        all_v.append(vals_all[cs:ce].take(pi))
     if not all_z:
         return empty
     z = np.concatenate(all_z)

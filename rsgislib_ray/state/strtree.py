@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from rsgislib_ray.functions.arrayops import run_lookup, run_table
+
 _LEAF_CAP = 16
 # Cell-key space up to which CellBucketIndex sorts its keys as uint16
 # (grid level <= 8).
@@ -45,15 +47,22 @@ class CellBucketIndex:
     point-in-bbox candidate generation on dense layers.
 
     Each item is duplicated into every grid cell its bbox touches;
-    entries are sorted by cell key, so a point query is one
-    ``searchsorted`` + vectorized run expansion (no tree descent).
+    the entries (``item_of``, one item id each) are sorted by cell key,
+    so each occupied cell holds one run of them. A run table over the
+    occupied cells, ``cells`` (their keys, ascending) and ``starts``
+    (where each cell's run begins in ``item_of``, plus the entry count
+    last), finds a point's run with one ``searchsorted`` over at most
+    ``4**level`` cells; a vectorized run expansion then lists the
+    candidates (no tree descent).
     The build is linear up to grid level 8: the entry keys come from a
     running sum of deltas, and the stable sort runs on ``uint16`` keys,
     which numpy radix-sorts (same permutation as the int64 sort used
     above level 8).
-    Memory = O(sum of per-item cell covers); the constructor picks the
-    cell size from the median item extent so duplication stays ~100x
-    bounded while false candidates stay within ~20% of true matches.
+    Memory = one item id per entry plus the run table (two int64 per
+    occupied cell): O(sum of per-item cell covers); the constructor
+    picks the cell size from the median item extent so duplication
+    stays ~100x bounded while false candidates stay within ~20% of
+    true matches.
     STRtree (below) remains for bbox-vs-bbox queries and sparse layers.
 
     Interior and boundary cells (:meth:`split`). A point lands in cell
@@ -99,7 +108,7 @@ class CellBucketIndex:
             self.n_side = n
             self.cw = width / n
             self.ch = height / n
-            self.sorted_key = np.empty(0, dtype=np.int64)
+            self.cells, self.starts = run_table(np.empty(0, dtype=np.int64))
             self.item_of = np.empty(0, dtype=np.int64)
             return
         if level is None:
@@ -150,15 +159,15 @@ class CellBucketIndex:
         if n * n <= _RADIX_KEYS:
             # numpy's stable sort on 16-bit keys is a linear-time radix
             # sort: the same permutation as the int64 merge sort, ~6x
-            # faster. The sorted keys are then one run per cell, so
-            # they come from a bincount instead of a gather.
+            # faster. The run table then comes from a bincount of the
+            # keys instead of a gather of them.
             order = np.argsort(key.astype(np.uint16), kind="stable")
-            self.sorted_key = np.repeat(
-                np.arange(n * n, dtype=np.int64), np.bincount(key, minlength=n * n)
-            )
+            per_cell = np.bincount(key, minlength=n * n)
+            self.cells = np.flatnonzero(per_cell)
+            self.starts = np.append(0, np.cumsum(per_cell[self.cells]))
         else:
             order = np.argsort(key, kind="stable")
-            self.sorted_key = key[order]
+            self.cells, self.starts = run_table(key[order])
         self.item_of = item[order]
 
     def cell_keys(self, px: np.ndarray, py: np.ndarray):
@@ -173,30 +182,36 @@ class CellBucketIndex:
         pts = np.flatnonzero(ok)
         return pts, (row[pts] * n + col[pts]).astype(np.int64)
 
+    def runs(self, key: np.ndarray):
+        """``(cnt, item_idx)``: how many entries each cell key of ``key``
+        holds, and those entries' items, key by key in entry order."""
+        lo, cnt = run_lookup(self.cells, self.starts, key)
+        # entry position = run start + rank within the run
+        pos = np.arange(int(cnt.sum()), dtype=np.int64) + np.repeat(
+            lo - (np.cumsum(cnt) - cnt), cnt
+        )
+        return cnt, self.item_of[pos]
+
     def query_keys(self, key: np.ndarray, ids: np.ndarray):
         """(``ids`` repeated once per entry, item_idx) over every entry
         under each cell key of ``key``."""
-        lo = np.searchsorted(self.sorted_key, key, side="left")
-        hi = np.searchsorted(self.sorted_key, key, side="right")
-        cnt = hi - lo
-        total = int(cnt.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        q = np.repeat(ids, cnt)
-        # entry position = run start + rank within the run
-        pos = np.arange(total, dtype=np.int64) + np.repeat(
-            lo - (np.cumsum(cnt) - cnt), cnt
-        )
-        return q, self.item_of[pos]
+        cnt, item = self.runs(key)
+        return np.repeat(ids, cnt), item
+
+    def point_runs(self, px: np.ndarray, py: np.ndarray):
+        """``(pts, cnt, item_idx)``: the in-frame points, each one's
+        candidate count, and the candidates point by point, so
+        ``(np.repeat(pts, cnt), item_idx)`` are the pairs of
+        :meth:`query_points`, in the same order."""
+        pts, key = self.cell_keys(px, py)
+        return (pts, *self.runs(key))
 
     def query_points(self, px: np.ndarray, py: np.ndarray):
         """(point_idx, item_idx) candidate pairs: all items whose bbox
         cover-cell contains the point's cell (superset of true bbox
         containment; caller refines)."""
-        if self.n_items == 0 or len(px) == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        pts, key = self.cell_keys(px, py)
-        return self.query_keys(key, pts)
+        pts, cnt, item = self.point_runs(px, py)
+        return np.repeat(pts, cnt), item
 
     def split(self, bounds: np.ndarray, eligible: np.ndarray):
         """This index's entries as ``(interior, boundary)``: two indexes
@@ -207,8 +222,9 @@ class CellBucketIndex:
         epsilon); every other entry is boundary."""
         b = np.asarray(bounds, dtype=np.float64)
         n = self.n_side
-        col = self.sorted_key % n
-        row = self.sorted_key // n
+        key = np.repeat(self.cells, np.diff(self.starts))
+        col = key % n
+        row = key // n
         it = self.item_of
         inner = np.asarray(eligible, dtype=bool)[it]
         for lo, hi, cell, origin, size in (
@@ -220,11 +236,17 @@ class CellBucketIndex:
         return self._subset(inner), self._subset(~inner)
 
     def _subset(self, keep: np.ndarray) -> "CellBucketIndex":
-        """A copy over the same grid holding the ``keep`` entries."""
+        """A copy over the same grid holding the ``keep`` entries, with
+        the run table of the cells that keep any."""
         out = object.__new__(CellBucketIndex)
         out.__dict__.update(self.__dict__)
-        out.sorted_key = self.sorted_key[keep]
         out.item_of = self.item_of[keep]
+        # kept entries before each run start; a cell keeps any entry
+        # when that count rises over its run
+        before = np.append(0, np.cumsum(keep))[self.starts]
+        occupied = np.flatnonzero(np.diff(before))
+        out.cells = self.cells[occupied]
+        out.starts = np.append(before[occupied], len(out.item_of))
         return out
 
 

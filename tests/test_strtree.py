@@ -90,6 +90,16 @@ def _naive_bucket_entries(bounds, idx):
     return keys[order], np.array(items, dtype=np.int64)[order]
 
 
+def _entry_keys(idx):
+    """Each entry's cell key, read back from the index's run table
+    (which must hold only non-empty runs of ascending cells)."""
+    assert idx.cells.dtype == np.int64 and idx.starts.dtype == np.int64
+    assert len(idx.starts) == len(idx.cells) + 1
+    assert idx.starts[0] == 0 and idx.starts[-1] == len(idx.item_of)
+    assert (np.diff(idx.cells) > 0).all() and (np.diff(idx.starts) > 0).all()
+    return np.repeat(idx.cells, np.diff(idx.starts))
+
+
 def test_cell_bucket_build_matches_naive_int64_sort():
     """Radix build (level <= 8) and int64 build (level > 8) both give
     exactly the entries and order of a naive stable int64 argsort."""
@@ -100,12 +110,11 @@ def test_cell_bucket_build_matches_naive_int64_sort():
     for level in (6, 8, 9, 10):
         idx = CellBucketIndex(b, level=level)
         want_key, want_item = _naive_bucket_entries(b, idx)
-        assert idx.sorted_key.dtype == np.int64
         assert idx.item_of.dtype == np.int64
-        np.testing.assert_array_equal(idx.sorted_key, want_key)
+        np.testing.assert_array_equal(_entry_keys(idx), want_key)
         np.testing.assert_array_equal(idx.item_of, want_item)
     # a column-major bounds array builds the same index as a row-major one
     idx_c = CellBucketIndex(b)
     idx_f = CellBucketIndex(np.asfortranarray(b))
-    np.testing.assert_array_equal(idx_c.sorted_key, idx_f.sorted_key)
+    np.testing.assert_array_equal(_entry_keys(idx_c), _entry_keys(idx_f))
     np.testing.assert_array_equal(idx_c.item_of, idx_f.item_of)

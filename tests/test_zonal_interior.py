@@ -12,12 +12,13 @@ points, and empty and one-row blocks.
 
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rsgislib_ray.functions.arrayops import expand
 from rsgislib_ray.stages.spatial_join import ZoneSet
-from rsgislib_ray.stages.zonal import _moment_partial
+from rsgislib_ray.stages.zonal import _moment_partial, _value_count_partial
 
 I64 = np.iinfo(np.int64)
 
@@ -152,3 +153,27 @@ def test_moment_partial_equals_pair_path(
     assert len(zone) + len(edge.query_points(px, py)[0]) <= len(
         zs.index.query_points(px, py)[0]
     )
+
+
+@pytest.mark.parametrize("partial", [_moment_partial, _value_count_partial])
+def test_partials_refuse_values_that_are_not_int64(partial):
+    """A value that does not cast to int64 exactly (a fraction, NaN, a
+    null, beyond int64) raises a ValueError naming the column instead of
+    being truncated; integral floats give the integer column's partial."""
+    rng = np.random.default_rng(3)
+    zs = _layer(rng, 40, 1.0, 0.0, 0.2, 0.0)
+    batch = _points(rng, zs, 300, 1.0, 0.0)
+    want = partial(batch, zones_ref=zs)
+    assert want.num_rows > 0
+    as_float = batch.set_column(2, "val", pa.array(batch["val"].to_numpy() * 1.0))
+    assert partial(as_float, zones_ref=zs).equals(want)
+    v = batch["val"].to_numpy()
+    for bad in (
+        pa.array(np.append(v[:-1] * 1.0, 3.7)),
+        pa.array(np.append(v[:-1] * 1.0, np.nan)),
+        pa.array([*v[:-1].tolist(), None], pa.int64()),
+        pa.array(np.append(v[:-1] * 1.0, 2.0**63)),
+        pa.array(np.append(v[:-1], 2**63).astype(np.uint64)),
+    ):
+        with pytest.raises(ValueError, match="'val'"):
+            partial(batch.set_column(2, "val", bad), zones_ref=zs)

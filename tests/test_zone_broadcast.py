@@ -7,13 +7,16 @@ the one-shape rule of the per-process cache, the memo's lifetime, and
 that ``zonal_stats``'s two combine routes agree.
 """
 
+import gc
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
 
-from rsgislib_ray.stages import segsum
+from rsgislib_ray.stages import segsum, spatial_join
 from rsgislib_ray.stages.spatial_join import (
     ZoneSet,
     broadcast_zones,
@@ -222,3 +225,33 @@ def test_memo_does_not_outlive_the_ray_session(ray_session):
     new = broadcast_zones(zones)
     assert new is not old
     assert ray.get(new).fid.tolist() == zones["fid"].to_pylist()
+
+
+def test_digest_memo_per_table_object(ray_session, monkeypatch):
+    """The content digest is computed once per table object and attr
+    column list; the entry goes when its table is collected, and an
+    equal table built anew still gets the same ref."""
+    digests = []
+    blake2b = hashlib.blake2b
+
+    def counting(*a, **k):
+        digests.append(1)
+        return blake2b(*a, **k)
+
+    monkeypatch.setattr(hashlib, "blake2b", counting)
+    zones = _zones(111)
+    ref = broadcast_zones(zones)
+    assert broadcast_zones(zones) is ref
+    assert len(digests) == 1
+    named = broadcast_zones(zones, ["name"])
+    assert named is not ref and len(digests) == 2
+    assert broadcast_zones(zones, ["name"]) is named and len(digests) == 2
+
+    key = (id(zones), ())
+    assert key in spatial_join._DIGESTS
+    del zones
+    gc.collect()
+    assert key not in spatial_join._DIGESTS
+    assert (key[0], ("name",)) not in spatial_join._DIGESTS
+    assert broadcast_zones(_zones(111)) is ref
+    assert len(digests) == 3
