@@ -216,7 +216,7 @@ def _join_rows(key: str, parts: int, block: pa.Table):
     return hashed([key], parts, block)
 
 
-def _side(parts: tuple) -> pa.Table:
+def side(parts: tuple) -> pa.Table:
     """One join side's parts of a partition as one table; zero-column
     parts (an empty block Ray built without a schema) are left out."""
     parts = [p for p in parts if p.num_columns]
@@ -229,7 +229,7 @@ def _join_partition(on: str, right_on: str, how: str, n_left: int, *parts) -> pa
     ``searchsorted`` on the right side stable-sorted by key. Unmatched
     left rows are dropped (``inner``) or kept once with null right
     columns (``left_outer``)."""
-    left, right = _side(parts[:n_left]), _side(parts[n_left:])
+    left, right = side(parts[:n_left]), side(parts[n_left:])
     if not left.num_columns:
         return left
     if not right.num_columns:

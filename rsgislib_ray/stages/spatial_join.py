@@ -23,10 +23,13 @@ What ships (BENCH_r05, sf0.1 at 32 CPUs, inner join):
    (cell, salt) in it, so keys rise with the cells and never collide;
    the driver places range boundaries over the ranks, so no rank
    straddles two partitions and no range is empty; zone rows go only
-   to cells that hold points; each block's rows are split by those
-   boundaries and each range is joined, vectorized, by one plain Ray
-   task — the range plan of the engine's partition tasks
-   (``stages/partition.py``). No Ray Data all-to-all runs.
+   to cells that hold points; each block's rows (points as ``rank,
+   key, x, y``, zones as their ``fid, ring_xy`` plus ``rank``) are
+   split by those boundaries, and one plain Ray task per range finds
+   each point's zone run by rank and refines it with the broadcast
+   join's own :meth:`ZoneSet.refine` — the range plan of the engine's
+   partition tasks (``stages/partition.py``). No Ray Data all-to-all
+   runs.
 
 Both return identical rows (tested); the span-sequence invariant holds
 because point rows pass through ``take`` untouched.
@@ -45,13 +48,13 @@ import ray
 import ray.data
 
 from rsgislib_ray.functions import cells as cellmod
-from rsgislib_ray.functions.arrayops import expand
+from rsgislib_ray.functions.arrayops import expand, run_lookup, run_table
 from rsgislib_ray.functions.geom import pip_pairs
 from rsgislib_ray.functions.hashing import splitmix64
 from rsgislib_ray.stages import partition
 from rsgislib_ray.stages.segsum import combine, lookup
 from rsgislib_ray.state.broadcast import _MAX_ENTRIES, cached
-from rsgislib_ray.state.strtree import CellBucketIndex, STRtree
+from rsgislib_ray.state.strtree import CellBucketIndex
 
 # Join modes both strategies support, checked when the join is built.
 JOIN_HOWS = ("inner", "left", "semi", "anti")
@@ -60,11 +63,11 @@ JOIN_HOWS = ("inner", "left", "semi", "anti")
 class ZoneSet:
     """Packed polygon side-table: numpy arrays + attr columns.
 
-    Cheap to pickle/broadcast; rebuildable STRtree. ``ring_offsets``
-    are coordinate-PAIR offsets (n_zones+1). :attr:`index` and its
-    interior / boundary split :attr:`cover` are built on first use and
-    pickle with the arrays, so a ZoneSet broadcast after they are built
-    reaches the workers with both.
+    Cheap to pickle/broadcast. ``ring_offsets`` are coordinate-PAIR
+    offsets (n_zones+1). :attr:`index` and its interior / boundary
+    split :attr:`cover` are built on first use and pickle with the
+    arrays, so a ZoneSet broadcast after they are built reaches the
+    workers with both.
     """
 
     def __init__(
@@ -150,14 +153,9 @@ class ZoneSet:
         attrs = tbl.select(attr_cols) if attr_cols else None
         return cls(fid, vals, offsets, bounds, attrs)
 
-    def build_tree(self) -> STRtree:
-        return STRtree(self.bounds)
-
     def build_index(self):
-        """Default point-query index: flat cell-bucket (faster than the
-        STRtree for dense layers — one searchsorted per point batch).
-        Both index types expose ``query_points``; :meth:`match_points`
-        takes either."""
+        """The point-query index: flat cell-bucket (faster than an
+        STRtree for dense layers — one searchsorted per point batch)."""
         return CellBucketIndex(self.bounds)
 
     @cached_property
@@ -206,14 +204,13 @@ class ZoneSet:
     MATCH_CHUNK = 8192
 
     def match_points(
-        self, index, px: np.ndarray, py: np.ndarray
+        self, index: CellBucketIndex, px: np.ndarray, py: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact (point_idx, zone_idx) matches: index candidates
-        (CellBucketIndex or STRtree — anything with ``query_points``)
-        refined by even-odd PIP (vectorized half-open compare for
-        rectangle rings, grouped ray-crossing for the rest), ordered by
-        point and then by the index's candidate order. Chunked over
-        points to bound temporary memory."""
+        """Exact (point_idx, zone_idx) matches: the candidates of
+        ``index`` (:attr:`index` or a half of :attr:`cover`) kept by
+        :meth:`refine`, ordered by point and then by the index's
+        candidate order. Chunked over points to bound temporary
+        memory."""
         if len(px) <= self.MATCH_CHUNK:
             return self._match_points_chunk(index, px, py)
         outs_p = []
@@ -226,24 +223,35 @@ class ZoneSet:
         return np.concatenate(outs_p), np.concatenate(outs_z)
 
     def _match_points_chunk(
-        self, index, px: np.ndarray, py: np.ndarray
+        self, index: CellBucketIndex, px: np.ndarray, py: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(index, CellBucketIndex):
-            # candidates come point by point: their coordinates are
-            # each point's repeated over its run, not gathered per pair
-            pts, cnt, cand_zone = index.point_runs(px, py)
-            cand_pt = np.repeat(pts, cnt)
-            x = np.repeat(px[pts], cnt)
-            y = np.repeat(py[pts], cnt)
-        else:
-            cand_pt, cand_zone = index.query_points(px, py)
-            x = px[cand_pt]
-            y = py[cand_pt]
+        # candidates come point by point: their coordinates are each
+        # point's repeated over its run, not gathered per pair
+        pts, cnt, cand_zone = index.point_runs(px, py)
+        cand_pt = np.repeat(pts, cnt)
         if len(cand_pt) == 0:
             return cand_pt, cand_zone
-        # Half-open rectangle test over ALL candidates, one contiguous
-        # bounds column at a time; pairs whose zone is not a rectangle
-        # are then overwritten by the exact ray-crossing PIP.
+        x = np.repeat(px[pts], cnt)
+        y = np.repeat(py[pts], cnt)
+        # positions once, then two takes: cheaper than two boolean
+        # compresses over the (unpredictable) mask
+        keep = np.flatnonzero(self.refine(px, py, x, y, cand_pt, cand_zone))
+        return cand_pt.take(keep), cand_zone.take(keep)
+
+    def refine(
+        self,
+        px: np.ndarray,
+        py: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+        cand_pt: np.ndarray,
+        cand_zone: np.ndarray,
+    ) -> np.ndarray:
+        """Exact even-odd PIP of candidate pairs (point ``cand_pt[k]``
+        of ``px, py`` at ``x[k], y[k]``, zone ``cand_zone[k]``), as a
+        bool mask. The half-open rectangle test runs over ALL pairs, one
+        contiguous bounds column at a time; pairs whose zone is not a
+        rectangle are then overwritten by the ray-crossing PIP."""
         b = self.bounds
         ok = x >= b[:, 0][cand_zone]
         ok &= x < b[:, 1][cand_zone]
@@ -255,10 +263,7 @@ class ZoneSet:
                 ok[gp] = pip_pairs(
                     px, py, self.ring_xy, self.ring_offsets, cand_pt[gp], cand_zone[gp]
                 )
-        # positions once, then two takes: cheaper than two boolean
-        # compresses over the (unpredictable) mask
-        keep = np.flatnonzero(ok)
-        return cand_pt.take(keep), cand_zone.take(keep)
+        return ok
 
 
 def _zone_cols(
@@ -289,7 +294,7 @@ def _zone_cols(
 
 def _join_batch(
     zones: ZoneSet,
-    tree: STRtree,
+    index: CellBucketIndex,
     batch: pa.Table,
     how: str,
     x_col: str,
@@ -299,7 +304,7 @@ def _join_batch(
 ) -> pa.Table:
     px = batch[x_col].to_numpy()
     py = batch[y_col].to_numpy()
-    pt_idx, zone_idx = zones.match_points(tree, px, py)
+    pt_idx, zone_idx = zones.match_points(index, px, py)
 
     if how == "semi" or how == "anti":
         matched = np.zeros(len(batch), dtype=bool)
@@ -502,139 +507,8 @@ def _emit_how(
     )
 
 
-def _join_arrays(prank, pkey, ppx, ppy, zrank, zfid, zb, zv_lo, zv_hi, zvals):
-    """Vectorized run join: points x zones sharing a rank key, with
-    inline rect / ring PIP refine. zrank must be sorted. zv_lo / zv_hi are
-    per-zone float64 slice bounds into zvals (equal for rect rows ->
-    empty ring). Returns (point keys, zone fids, per-point matched)."""
-    lo = np.searchsorted(zrank, prank, side="left")
-    hi = np.searchsorted(zrank, prank, side="right")
-    cnt = hi - lo
-    total = int(cnt.sum())
-    if total == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.zeros(len(prank), dtype=bool),
-        )
-    rep, within = expand(cnt)
-    zi = lo[rep] + within
-    px_p = ppx[rep]
-    py_p = ppy[rep]
-    ok = np.zeros(total, dtype=bool)
-    zwidth = zv_hi - zv_lo
-    is_rect_pair = zwidth[zi] == 0
-    pr = np.flatnonzero(is_rect_pair)
-    if len(pr):
-        zsel = zi[pr]
-        ok[pr] = (
-            (px_p[pr] >= zb[zsel, 0])
-            & (px_p[pr] < zb[zsel, 1])
-            & (py_p[pr] >= zb[zsel, 2])
-            & (py_p[pr] < zb[zsel, 3])
-        )
-    gp = np.flatnonzero(~is_rect_pair)
-    if len(gp):
-        gen_rows = np.flatnonzero(zwidth > 0)
-        gw = zwidth[gen_rows]
-        goff = np.concatenate([[0], np.cumsum(gw // 2)]).astype(np.int64)
-        # the rows' ring slices, concatenated in one gather
-        gvals = zvals[
-            np.repeat(zv_lo[gen_rows] - (np.cumsum(gw) - gw), gw)
-            + np.arange(int(gw.sum()))
-        ]
-        row_to_gen = np.full(len(zrank), -1, dtype=np.int64)
-        row_to_gen[gen_rows] = np.arange(len(gen_rows))
-        ok[gp] = pip_pairs(
-            px_p[gp], py_p[gp], gvals, goff,
-            np.arange(len(gp), dtype=np.int64), row_to_gen[zi[gp]],
-        )
-    matched = np.zeros(len(prank), dtype=bool)
-    matched[rep[ok]] = True
-    return pkey[rep[ok]], zfid[zi[ok]], matched
-
-
-def _split_blob(col):
-    """(int64 byte offsets, uint8 data) of a binary column."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    off_all = np.frombuffer(col.buffers()[1], dtype=np.int32)
-    off = off_all[col.offset : col.offset + len(col) + 1].astype(np.int64)
-    buf = col.buffers()[2]
-    data = (
-        np.frombuffer(buf, dtype=np.uint8) if buf is not None
-        else np.empty(0, dtype=np.uint8)
-    )
-    return off, data
-
-
-def _join_sorted(
-    t: pa.Table,
-    how: str,
-    x_col: str,
-    y_col: str,
-    key_col: str,
-) -> pa.Table:
-    """Sort-merge run join over a rank-sorted table of point and zone
-    rows (one rank range of ``spatial_join_points_sortmerge``), which
-    must hold every row of each of its ranks. Emits ``(key_col, fid)``
-    per ``how``; an empty ``t`` (which may carry no schema) gives a
-    typed empty table."""
-    if t.num_rows == 0:
-        e = np.empty(0, dtype=np.int64)
-        return _emit_how(how, key_col, e, e, e, np.zeros(0, dtype=bool))
-    rank = t["rank"].to_numpy()
-    side = t["side"].to_numpy()
-    rb_off, rb_data = _split_blob(t["ring_blob"])
-    vals = (
-        np.frombuffer(
-            np.ascontiguousarray(rb_data[rb_off[0] : rb_off[-1]]),
-            dtype=np.float64,
-        )
-        if rb_off[-1] > rb_off[0]
-        else np.empty(0)
-    )
-    voff = (rb_off - rb_off[0]) // 8
-    pi = np.flatnonzero(side == 0)
-    zi = np.flatnonzero(side == 1)
-    pkeys = t["key"].to_numpy()[pi]
-    if len(pi) and len(zi):
-        keys, fids, matched = _join_arrays(
-            rank[pi],
-            pkeys,
-            t[x_col].to_numpy()[pi],
-            t[y_col].to_numpy()[pi],
-            rank[zi],
-            t["fid"].to_numpy()[zi],
-            np.column_stack(
-                [t[c].to_numpy()[zi] for c in ("zxmin", "zxmax", "zymin", "zymax")]
-            ),
-            voff[zi],        # per-zone float64 slice bounds into the
-            voff[zi + 1],    # table's concatenated ring values
-            vals,
-        )
-    else:
-        keys = np.empty(0, dtype=np.int64)
-        fids = np.empty(0, dtype=np.int64)
-        matched = np.zeros(len(pi), dtype=bool)
-    return _emit_how(how, key_col, keys, fids, pkeys, matched)
-
-
 def _positive_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-
-
-def _rank_lookup(hist, cell: np.ndarray):
-    """Per cell under the histogram ``hist = (cells ascending, salt
-    count of each)``: (is one of its cells, rank of its salt 0, its
-    salt count). The last two are only meaningful where the first is
-    true."""
-    cells, per = hist
-    if len(cells) == 0:
-        zero = np.zeros(len(cell), dtype=np.int64)
-        return zero.astype(bool), zero, zero
-    pos = np.minimum(np.searchsorted(cells, cell), len(cells) - 1)
-    return cells[pos] == cell, (np.cumsum(per) - per)[pos], per[pos]
 
 
 def _cell_counts(block: pa.Table, x_col: str, y_col: str, level: int) -> pa.Table:
@@ -688,91 +562,44 @@ def _range_bounds(n: np.ndarray, per: np.ndarray, parts: int) -> np.ndarray:
     return np.unique(first[first < len(w)])
 
 
-def _prep_zones(t: pa.Table, hist, level: int, x_col: str, y_col: str) -> pa.Table:
-    """Zone rows in the sort-merge row layout, one per covering cell
-    that holds points (a zone row elsewhere can match nothing), and for
-    a hot cell one per salt, keyed by rank."""
-    # one ZoneSet over the source rows; each row gathers from it
-    # through its source row index
-    zs = ZoneSet.from_table(t)
-    src, cell = cellmod.covering_cells_bboxes(
-        zs.bounds[:, 0], zs.bounds[:, 1], zs.bounds[:, 2], zs.bounds[:, 3], level
-    )
-    live, base, s = _rank_lookup(hist, cell)
+def _prep_zones(t: pa.Table, hist, level: int) -> pa.Table:
+    """A zone block's rows for the range plan: the layer's ``fid`` and
+    ``ring_xy`` taken from the source rows, plus ``rank``. One row per
+    covering cell that holds points (a zone row elsewhere can match
+    nothing), and for a hot cell one per salt."""
+    bounds = ZoneSet.from_table(t).bounds
+    src, cell = cellmod.covering_cells_bboxes(*bounds.T, level)
+    cells, per = hist
+    base, s = run_lookup(cells, np.append(0, np.cumsum(per)), cell)
     # drop the rows of cells without points, copy the others per salt
-    rep, salt = expand(np.where(live, s, 0))
-    rank = base[rep] + salt
-    src = src[rep]
-    n = len(src)
-    # ring values of the non-rectangle rows, concatenated in row order
-    width = np.where(zs.is_rect[src], 0, 2 * np.diff(zs.ring_offsets)[src])
-    byte_off = np.concatenate([[0], np.cumsum(width * 8)]).astype(np.int32)
-    first = 2 * zs.ring_offsets[src] - (np.cumsum(width) - width)
-    vals = zs.ring_xy[np.repeat(first, width) + np.arange(int(width.sum()))]
-    blob_arr = pa.Array.from_buffers(
-        pa.binary(), n,
-        [None, pa.py_buffer(byte_off.tobytes()), pa.py_buffer(vals.tobytes())],
-    )
-    zeros = np.zeros(n)
-    return pa.table(
-        {
-            "rank": pa.array(rank, pa.int64()),
-            "side": pa.array(np.ones(n, dtype=np.int8)),
-            "key": pa.array(np.zeros(n, dtype=np.int64)),
-            "fid": pa.array(zs.fid[src]),
-            x_col: zeros,
-            y_col: zeros,
-            "zxmin": zs.bounds[src, 0],
-            "zxmax": zs.bounds[src, 1],
-            "zymin": zs.bounds[src, 2],
-            "zymax": zs.bounds[src, 3],
-            "ring_blob": blob_arr,
-        }
-    )
+    rep, salt = expand(s)
+    rows = t.select(["fid", "ring_xy"]).take(pa.array(src[rep]))
+    return rows.append_column("rank", pa.array(base[rep] + salt, pa.int64()))
 
 
 def _prep_points(
     batch: pa.Table, hist, level: int, x_col: str, y_col: str, key_col: str, how: str
 ) -> pa.Table:
-    """Point rows in the sort-merge row layout, keyed by rank: a hot
-    cell's point takes salt ``splitmix64(key) % s``."""
-    cell = cellmod.cells_from_xy(
-        batch[x_col].to_numpy(), batch[y_col].to_numpy(), level
-    )
+    """A points block's rows for the range plan: ``rank, key, x, y``.
+    A hot cell's point takes salt ``splitmix64(key) % s``."""
+    x = batch[x_col].to_numpy().astype(np.float64)
+    y = batch[y_col].to_numpy().astype(np.float64)
+    cells, per = hist
     # every in-frame cell is in the histogram of these very points
-    inframe, base, s = _rank_lookup(hist, cell)
-    key = batch[key_col].to_numpy()
-    rank = np.where(inframe, base, -1)
-    hot = inframe & (s > 1)
+    base, s = run_lookup(
+        cells, np.append(0, np.cumsum(per)), cellmod.cells_from_xy(x, y, level)
+    )
+    key = batch[key_col].to_numpy().astype(np.int64)
+    rank = np.where(s > 0, base, -1)
+    hot = s > 1
     rank[hot] += (
         splitmix64(key[hot].astype(np.uint64)) % s[hot].astype(np.uint64)
     ).astype(np.int64)
     # out-of-frame points (rank -1) stay in the stream for left/anti
     # semantics: no zone row has rank -1, so they flow through as
     # unmatched; inner emits nothing for them
-    ok = np.ones(len(rank), dtype=bool) if how != "inner" else inframe
-    n = int(ok.sum())
-    empty_blob = pa.Array.from_buffers(
-        pa.binary(), n,
-        [None, pa.py_buffer(np.zeros(n + 1, dtype=np.int32).tobytes()),
-         pa.py_buffer(b"")],
-    )
-    zeros = np.zeros(n)
-    return pa.table(
-        {
-            "rank": pa.array(rank[ok], pa.int64()),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
-            "key": pa.array(key[ok].astype(np.int64)),
-            "fid": pa.array(np.zeros(n, dtype=np.int64)),
-            x_col: batch[x_col].to_numpy()[ok].astype(np.float64),
-            y_col: batch[y_col].to_numpy()[ok].astype(np.float64),
-            "zxmin": zeros,
-            "zxmax": zeros,
-            "zymin": zeros,
-            "zymax": zeros,
-            "ring_blob": empty_blob,
-        }
-    )
+    ok = s > 0 if how == "inner" else slice(None)
+    return pa.table({"rank": rank[ok], "key": key[ok], "x": x[ok], "y": y[ok]})
 
 
 def _ranked(prep, bounds: np.ndarray, *args):
@@ -782,13 +609,29 @@ def _ranked(prep, bounds: np.ndarray, *args):
     return t, partition.range_ids(t["rank"].to_numpy(), bounds)
 
 
-def _join_range(how: str, x_col: str, y_col: str, key_col: str, *parts) -> pa.Table:
-    """Join one rank range: its parts from every block, stable-sorted
-    by rank, then the run join."""
-    t = pa.concat_tables(parts) if parts else pa.table({})
-    if t.num_rows:
-        t = t.take(pa.array(np.argsort(t["rank"].to_numpy(), kind="stable")))
-    return _join_sorted(t, how, x_col, y_col, key_col)
+def _join_range(how: str, key_col: str, n_points: int, *parts) -> pa.Table:
+    """Join one rank range: its point parts (the first ``n_points``)
+    against its zone parts, from every block. Only the zone rows' ranks
+    are sorted: each point finds the zone run of its rank
+    (:func:`run_table`, :func:`run_lookup`) and :meth:`ZoneSet.refine`
+    keeps the exact pairs. Rows follow the points' arrival order."""
+    pts, zones = partition.side(parts[:n_points]), partition.side(parts[n_points:])
+    e = np.empty(0, dtype=np.int64)
+    pkey = pts["key"].to_numpy() if pts.num_columns else e
+    keys, fids, matched = e, e, np.zeros(len(pkey), dtype=bool)
+    if len(pkey) and zones.num_rows:
+        zrank = zones["rank"].to_numpy()
+        order = np.argsort(zrank, kind="stable")
+        lo, cnt = run_lookup(*run_table(zrank[order]), pts["rank"].to_numpy())
+        cand_pt, within = expand(cnt)
+        cand_zone = order[lo[cand_pt] + within]
+        px, py = pts["x"].to_numpy(), pts["y"].to_numpy()
+        zs = ZoneSet.from_table(zones)
+        ok = zs.refine(px, py, px[cand_pt], py[cand_pt], cand_pt, cand_zone)
+        hit = cand_pt[ok]
+        matched[hit] = True
+        keys, fids = pkey[hit], zs.fid[cand_zone[ok]]
+    return _emit_how(how, key_col, keys, fids, pkey, matched)
 
 
 def spatial_join_points_sortmerge(
@@ -822,20 +665,23 @@ def spatial_join_points_sortmerge(
        its even share of the points plus one rank's, and no range is
        empty.
     3. The histogram's cells and salt counts are put once. One split
-       task per points block and per zone block builds its rows in the
-       sort-merge layout (:func:`_prep_points`, :func:`_prep_zones`:
-       zone rows only in cells that hold points, as one elsewhere can
-       match no point) and returns one part per range.
-    4. One reduce task per range stable-sorts its parts by rank and
-       joins the rank runs vectorized (:func:`_join_sorted`:
-       searchsorted expansion + inline PIP refine). Steps 3 and 4 are
-       the range plan of ``stages/partition.py``.
+       task per points block and per zone block builds its side's rows
+       and returns one part per range: points as ``rank, key, x, y``
+       (:func:`_prep_points`), zones as the layer's ``fid, ring_xy``
+       plus ``rank``, taken from the source rows only in cells that
+       hold points, as one elsewhere can match no point
+       (:func:`_prep_zones`).
+    4. One reduce task per range takes its point parts, then its zone
+       parts (:func:`_join_range`). It sorts the zone ranks only; each
+       point expands the zone run of its rank (``arrayops.run_lookup``)
+       and :meth:`ZoneSet.refine` keeps the exact pairs. Steps 3 and 4
+       are the range plan of ``stages/partition.py``.
 
     The result is materialized: one pair block per range that yields
-    rows, in rank order, or one empty block when none does. The
-    boundaries come from the data, not from a random sample, so for the
-    same input blocks the output blocks are the same, row order
-    included.
+    rows, its rows in the order the points arrive (block by block), or
+    one empty block when none does. The boundaries come from the data,
+    not from a random sample, so for the same input blocks the output
+    blocks are the same, row order included.
     Output contract: (key_col, fid) int64 pair rows for
     ``how="inner"``; ``"left"`` adds unmatched points with fid=-1;
     ``"semi"`` / ``"anti"`` emit one (key_col, fid=-1) row per matched
@@ -875,18 +721,17 @@ def spatial_join_points_sortmerge(
     hist = ray.put((cells, per))
 
     ranges = len(bounds) + 1
-    splits = [
+    psplits = [
         partition.split(
             _ranked, ranges, _prep_points, bounds, b, hist,
             level, x_col, y_col, key_col, how,
         )
         for b in pblocks
-    ] + [
-        partition.split(
-            _ranked, ranges, _prep_zones, bounds, b, hist, level, x_col, y_col
-        )
+    ]
+    zsplits = [
+        partition.split(_ranked, ranges, _prep_zones, bounds, b, hist, level)
         for b in zblocks
     ]
     return partition.reduce(
-        partial(_join_range, how, x_col, y_col, key_col), splits, ranges
+        partial(_join_range, how, key_col, len(psplits)), psplits + zsplits, ranges
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rsgislib_ray.functions.arrayops import run_lookup, run_table
+from rsgislib_ray.functions.arrayops import expand, run_lookup, run_table
 
 _LEAF_CAP = 16
 # Cell-key space up to which CellBucketIndex sorts its keys as uint16
@@ -294,20 +294,6 @@ class STRtree:
                 pass
             cur = nb
 
-    @staticmethod
-    def _expand(pairs_q: np.ndarray, pairs_n: np.ndarray, offsets: np.ndarray):
-        starts = offsets[pairs_n]
-        counts = offsets[pairs_n + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        q = np.repeat(pairs_q, counts)
-        base = np.repeat(starts, counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        return q, base + within
-
     def query_points(self, px: np.ndarray, py: np.ndarray):
         """All (point_idx, item_idx) pairs where the item bbox contains
         the point (closed bounds)."""
@@ -323,7 +309,9 @@ class STRtree:
         )
         n = np.zeros(len(q), dtype=np.int64)  # everyone starts at root node 0
         for child_bounds, offsets in reversed(self.levels):
-            q, c = self._expand(q, n, offsets)
+            first = offsets[n]
+            rep, within = expand(offsets[n + 1] - first)
+            q, c = q[rep], first[rep] + within
             if len(q) == 0:
                 return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
             b = child_bounds[c]
@@ -353,7 +341,9 @@ class STRtree:
         q = np.flatnonzero(hit_root)
         n = np.zeros(len(q), dtype=np.int64)
         for child_bounds, offsets in reversed(self.levels):
-            q, c = self._expand(q, n, offsets)
+            first = offsets[n]
+            rep, within = expand(offsets[n + 1] - first)
+            q, c = q[rep], first[rep] + within
             if len(q) == 0:
                 return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
             b = child_bounds[c]

@@ -187,12 +187,11 @@ def _layer(seed: int, with_triangles: bool):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("with_triangles", [False, True])
 def test_match_points_equals_pair_path_in_order(seed, with_triangles):
-    """Same pairs in the same order as the pair path, on the full index,
-    on both halves of its split and on the STRtree, in one chunk and in
-    many."""
+    """Same pairs in the same order as the pair path, on the full index
+    and on both halves of its split, in one chunk and in many."""
     zs, px, py = _layer(seed, with_triangles)
     assert zs.is_rect.all() != with_triangles
-    for index in (zs.index, *zs.cover, zs.build_tree()):
+    for index in (zs.index, *zs.cover):
         want_p, want_z = _old_refine(zs, index, px, py)
         assert len(want_p) > 0
         for chunk in (ZoneSet.MATCH_CHUNK, 97):

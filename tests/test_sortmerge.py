@@ -10,11 +10,11 @@ import re
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rsgislib_ray.functions.cells import cells_from_xy
+from rsgislib_ray.functions.geom import rect_ring
 from rsgislib_ray.sources import testdata as td
 from rsgislib_ray.stages import partition
 from rsgislib_ray.stages.spatial_join import (
@@ -51,11 +51,12 @@ def _skew_table(sf_dir):
 # ---------------------------------------------------------------------------
 
 
-def _hand_union(rng):
-    """A rank-sorted union table in the sort-merge row layout: lattice
-    points (some off-frame, rank -1) and integer rectangles plus
-    triangles (ring rows), each zone copied onto 1-2 ranks. Rank 2 is
-    given most of the rows."""
+def _hand_sides(rng):
+    """A points table and a zone table in the range plan's two row
+    layouts: lattice points (some off-frame, rank -1) as ``rank, key,
+    x, y``, and integer rectangles plus triangles as ``fid, ring_xy,
+    rank``, each zone copied onto 1-2 ranks. Rank 2 is given most of
+    the rows; both sides come in shuffled order, ranks interleaved."""
     ranks = np.array([0, 1, 2, 2, 2, 2, 2, 2, 3, 4, 5])
     gx, gy = np.meshgrid(np.arange(0, 4.01, 0.5), np.arange(0, 4.01, 0.5))
     px, py = gx.ravel(), gy.ravel()
@@ -72,34 +73,34 @@ def _hand_union(rng):
         )
         for c in rng.choice(ranks, rng.integers(1, 3), replace=False):
             zones.append((int(c), fid, x0, x1, y0, y1, ring))
-    n_p, n_z = len(px), len(zones)
-    rows = {
-        "rank": np.concatenate([prank, [z[0] for z in zones]]).astype(np.int64),
-        "side": np.concatenate([np.zeros(n_p), np.ones(n_z)]).astype(np.int8),
-        "key": np.concatenate([np.arange(100, 100 + n_p), np.zeros(n_z)]).astype(
-            np.int64
-        ),
-        "fid": np.concatenate([np.zeros(n_p), [z[1] for z in zones]]).astype(
-            np.int64
-        ),
-        "x": np.concatenate([px, np.zeros(n_z)]),
-        "y": np.concatenate([py, np.zeros(n_z)]),
-    }
-    for j, c in enumerate(("zxmin", "zxmax", "zymin", "zymax")):
-        rows[c] = np.concatenate([np.zeros(n_p), [z[2 + j] for z in zones]])
-    blobs = [b""] * n_p + [
-        b"" if z[6] is None else z[6].tobytes() for z in zones
+    pts = pa.table(
+        {
+            "rank": pa.array(prank, pa.int64()),
+            "key": np.arange(100, 100 + len(px), dtype=np.int64),
+            "x": px,
+            "y": py,
+        }
+    )
+    rings = [
+        rect_ring(x0, y0, x1, y1) if ring is None else ring
+        for _, _, x0, x1, y0, y1, ring in zones
     ]
-    t = pa.table({**rows, "ring_blob": pa.array(blobs, pa.binary())})
-    # sides interleave within a rank, as after the range split
-    perm = rng.permutation(len(t))
-    order = np.argsort(rows["rank"][perm], kind="stable")
-    t = t.take(pa.array(perm[order]))
-    return t, zones
+    ztbl = pa.table(
+        {
+            "fid": pa.array([z[1] for z in zones], pa.int64()),
+            "ring_xy": pa.ListArray.from_arrays(
+                pa.array(np.cumsum([0] + [len(r) for r in rings]), pa.int32()),
+                pa.array(np.concatenate(rings)),
+            ),
+            "rank": pa.array([z[0] for z in zones], pa.int64()),
+        }
+    )
+    shuffle = lambda t: t.take(pa.array(rng.permutation(len(t))))  # noqa: E731
+    return shuffle(pts), shuffle(ztbl), zones
 
 
-def _brute(t, zones, how):
-    pts = t.filter(pc.equal(t["side"], 0)).to_pydict()
+def _brute(pts, zones, how):
+    pts = pts.to_pydict()
     pairs, matched = [], set()
     for c, k, x, y in zip(pts["rank"], pts["key"], pts["x"], pts["y"]):
         for zc, fid, x0, x1, y0, y1, ring in zones:
@@ -130,28 +131,27 @@ def _range_split(t: pa.Table, bounds: np.ndarray) -> list[pa.Table]:
 
 @pytest.mark.parametrize("how", HOWS)
 def test_range_partitions_equal_brute_force(how):
-    """The union rows, shuffled into two blocks, each block cut by
-    the range plan at boundaries from the points' rank histogram,
-    and each range joined on its own by :func:`_join_range`: together
-    exactly the brute-force rows, for every partition count, with no
-    empty range."""
+    """The point rows and the zone rows, each cut into two blocks, each
+    block cut by the range plan at boundaries from the points' rank
+    histogram, and each range joined on its own by :func:`_join_range`
+    (point parts first): together exactly the brute-force rows, for
+    every partition count, with no empty range."""
     rng = np.random.default_rng(7)
-    t, zones = _hand_union(rng)
-    rank, side = t["rank"].to_numpy(), t["side"].to_numpy()
-    ranks, n = np.unique(rank[(side == 0) & (rank != -1)], return_counts=True)
+    pts, ztbl, zones = _hand_sides(rng)
+    rank = pts["rank"].to_numpy()
+    ranks, n = np.unique(rank[rank != -1], return_counts=True)
     np.testing.assert_array_equal(ranks, np.arange(6))
-    shuffled = t.take(pa.array(rng.permutation(len(t))))
-    blocks = [shuffled.slice(0, 40), shuffled.slice(40)]
-    want = _brute(t, zones, how)
+    blocks = [pts.slice(0, 40), pts.slice(40), ztbl.slice(0, 15), ztbl.slice(15)]
+    want = _brute(pts, zones, how)
     for parts in (1, 3, 5):
         bounds = _range_bounds(n, np.ones_like(n), parts)
         assert len(bounds) < parts
         split = [_range_split(b, bounds) for b in blocks]
         assert all(len(sp) == len(bounds) + 1 for sp in split)
         ranges = [[sp[i] for sp in split] for i in range(len(bounds) + 1)]
-        assert all(any(p.num_rows for p in r) for r in ranges)
+        assert all(any(p.num_rows for p in r[:2]) for r in ranges)
         assert len(ranges) >= min(parts, 2)
-        outs = [_join_range(how, "x", "y", "pt_row", *r) for r in ranges]
+        outs = [_join_range(how, "pt_row", 2, *r) for r in ranges]
         assert all(o.schema == PAIR_SCHEMA for o in outs)
         got = pa.concat_tables(outs)
         assert sorted(
@@ -162,11 +162,39 @@ def test_range_partitions_equal_brute_force(how):
 
 
 def test_join_range_with_no_rows_is_typed_empty():
-    t, _ = _hand_union(np.random.default_rng(7))
+    pts, ztbl, _ = _hand_sides(np.random.default_rng(7))
     for how in HOWS:
-        for parts in ((), (t.slice(0, 0), t.slice(3, 0))):
-            out = _join_range(how, "x", "y", "pt_row", *parts)
+        for n_points, parts in (
+            (0, ()),
+            (1, (pts.slice(0, 0), ztbl.slice(3, 0))),
+            (1, (pts.slice(0, 0), ztbl)),
+            (0, (ztbl,)),
+        ):
+            out = _join_range(how, "pt_row", n_points, *parts)
             assert out.num_rows == 0 and out.schema == PAIR_SCHEMA
+
+
+def test_sides_keep_their_own_columns(sf_dir):
+    """The range plan ships two narrow row layouts and nothing else:
+    point parts hold exactly ``rank, key, x, y``, zone parts exactly
+    the layer's ``fid, ring_xy`` plus ``rank``."""
+    skew = _two_hot_spots(sf_dir)
+    zones = td.zones_from_part(sf_dir)
+    cells, n = _naive_counts(skew)
+    per = _salt_plan(n, 100, 4)
+    bounds = _range_bounds(n, per, 3)
+    for how in HOWS:
+        p = _prep_points(skew, (cells, per), 6, "x", "y", "pt_row", how)
+        assert p.schema == pa.schema(
+            [("rank", pa.int64()), ("key", pa.int64()),
+             ("x", pa.float64()), ("y", pa.float64())]
+        ), how
+        assert all(part.schema == p.schema for part in _range_split(p, bounds))
+    z = _prep_zones(zones, (cells, per), 6)
+    assert z.schema == pa.schema(
+        [zones.schema.field("fid"), zones.schema.field("ring_xy"), ("rank", pa.int64())]
+    )
+    assert all(part.schema == z.schema for part in _range_split(z, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +287,14 @@ def test_range_bounds_keep_keys_whole_and_balance(sf_dir, salt):
             )
             for b in (skew.slice(0, half), skew.slice(half))
         ]
-        split.append(
-            _range_split(_prep_zones(zones, (cells, per), 6, "x", "y"), bounds)
-        )
+        split.append(_range_split(_prep_zones(zones, (cells, per), 6), bounds))
         per_range = [
             set(np.concatenate([sp[i]["rank"].to_numpy() for sp in split]).tolist())
             for i in range(ranges)
         ]
         assert sum(map(len, per_range)) == len(set().union(*per_range)), parts
         if salt is None:
-            real = [
-                sum(int((sp[i]["side"].to_numpy() == 0).sum()) for sp in split[:2])
-                for i in range(ranges)
-            ]
+            real = [sum(sp[i].num_rows for sp in split[:2]) for i in range(ranges)]
             assert sum(real) == total
             assert max(real) <= -(-total // parts) + int(n.max()), parts
 
@@ -443,7 +466,7 @@ def test_prep_zones_ships_live_rows_only(sf_dir):
     zones = td.zones_from_part(sf_dir)
     cells, n = _naive_counts(_two_hot_spots(sf_dir))
     per = _salt_plan(n, 100, 4)
-    got = _prep_zones(zones, (cells, per), 6, "x", "y")
+    got = _prep_zones(zones, (cells, per), 6)
     zs = ZoneSet.from_table(zones)
     src, cell = covering_cells_bboxes(*(zs.bounds[:, i] for i in range(4)), 6)
     salts = dict(zip(cells.tolist(), per.tolist()))

@@ -183,8 +183,7 @@ def test_rect_fastpath_matches_ray_crossing(ray_session):
     # mix random and exact-boundary points
     px = np.concatenate([rng.uniform(0, 11, 500), [2.0, 8.0, 5.0, 2.0], [8.0]])
     py = np.concatenate([rng.uniform(0, 11, 500), [3.0, 9.0, 5.0, 9.0], [3.0]])
-    tree = zs.build_tree()
-    pi, zi = zs.match_points(tree, px, py)
+    pi, zi = zs.match_points(zs.index, px, py)
     got = set(zip(pi.tolist(), zi.tolist()))
     want = set()
     for z in range(3):
