@@ -1,8 +1,8 @@
 """Engine-owned shuffles: held blocks split by a partition id in plain
 Ray tasks, one plain Ray task reducing each partition, and no Ray Data
-all-to-all. :func:`split` starts one task per block; a caller's
-``rows`` function gives the block's rows and each row's partition id,
-from one of two plans:
+all-to-all. :func:`split` starts one task per group of adjacent blocks;
+a caller's ``rows`` function gives the group's rows and each row's
+partition id, from one of two plans:
 
 - :func:`range_ids`, ranges between ascending boundaries: the
   sort-merge spatial join's exact-histogram rank ranges;
@@ -19,10 +19,17 @@ engine's equi-join (inner or left outer on one integer key): both
 sides split on the hash plan, each partition joined by one reduce
 task.
 
-:func:`map_blocks` runs a function once per block, ahead of a shuffle
+:func:`map_blocks` runs a function over the blocks, ahead of a shuffle
 or a ``segsum`` combine: over blocks that are already held, as one
-plain task per block, so no Ray Data execution starts; over a lazy
-plan, fused into its one materializing execution.
+plain task per group of adjacent blocks, so no Ray Data execution
+starts; over a lazy plan, fused into its one materializing execution.
+
+Task size comes from held metadata, with no data pulled to decide:
+:func:`bundles` groups adjacent held blocks, in order, up to
+:data:`TASK_ROWS` rows, and :func:`map_blocks`, :func:`map_refs` and
+:func:`split` run one task per group on its blocks concatenated. A
+shuffle over ``rows`` input rows takes :func:`default_partitions`
+``(rows) = clamp(ceil(rows / TASK_ROWS), 1, cpus)`` partitions.
 
 :func:`table_blocks` cuts a table the driver holds into blocks where it
 is, with no shuffle: a fixture or an in-memory input enters the engine
@@ -79,49 +86,98 @@ def held_rows(ds: ray.data.Dataset) -> tuple[ray.data.Dataset, int]:
     return ds, sum(m.num_rows for _, m in blocks)
 
 
+#: Rows one engine task is sized to. Adjacent held blocks share one task
+#: up to this many rows (:func:`bundles`), and a shuffle takes one
+#: partition per this many input rows, up to the CPU count
+#: (:func:`default_partitions`). It is the row count at which a task's
+#: fixed cost equals the kernel cost of its rows: one more plain task in
+#: a round costs 1.85 ms (median; 1.42 ms min), and the range plan's
+#: split kernel (cell rank, range id, group) 255-301 ns a row at 2k-4k
+#: rows, so 1.85 ms buys 6,100-7,300 rows (BASELINE.md "Task size from
+#: held metadata", ``ray.init(num_cpus=1)`` on one core).
+TASK_ROWS = 6_000
+
+
+def bundles(blocks: list) -> list[list]:
+    """The refs of the non-empty held ``(ref, BlockMetadata)`` ``blocks``
+    cut, in order, into one group per task: a block joins the group
+    before it while the group stays at most :data:`TASK_ROWS` rows, so
+    a larger block is a group alone. Read off the metadata: no block is
+    fetched."""
+    groups, rows = [], TASK_ROWS
+    for ref, m in blocks:
+        if m.num_rows:
+            if rows + m.num_rows > TASK_ROWS:
+                groups.append([])
+                rows = 0
+            groups[-1].append(ref)
+            rows += m.num_rows
+    return groups
+
+
+def _concat(tables: tuple) -> pa.Table:
+    """A task's group of blocks as one table, in order."""
+    if len(tables) == 1:
+        return tables[0]
+    return pa.concat_tables(tables, promote_options="default")
+
+
 @ray.remote(num_returns=2)
-def _map_task(fn: Callable, block: pa.Table):
-    out = fn(block)
+def _map_task(fn: Callable, *blocks: pa.Table):
+    out = fn(_concat(blocks))
     return out, BlockMetadataWithSchema.from_block(out)
 
 
 def map_blocks(ds: ray.data.Dataset, fn: Callable, **kwargs) -> list:
-    """``fn(block, **kwargs)`` once per block of ``ds``, in block order,
-    as held ``(table ref, BlockMetadata)`` blocks. ``fn`` takes and
-    returns a ``pa.Table``. ``kwargs`` are bound to ``fn``, not passed
-    as task arguments, so an ObjectRef among them reaches ``fn`` as a
-    ref (``state/broadcast.cached`` keys on it), as ``map_batches``'
-    ``fn_kwargs`` do.
+    """``fn(table, **kwargs)`` over the blocks of ``ds``, as held
+    ``(table ref, BlockMetadata)`` blocks in block order. ``fn`` takes
+    and returns a ``pa.Table``. ``kwargs`` are bound to ``fn``, not
+    passed as task arguments, so an ObjectRef among them reaches ``fn``
+    as a ref (``state/broadcast.cached`` keys on it), as
+    ``map_batches``' ``fn_kwargs`` do.
 
-    - ``ds`` holds its blocks: one plain task per non-empty block, its
-      metadata returned beside its table; no Ray Data execution runs.
-      When every block is empty, ``fn`` runs on the first, so the
-      result stays typed.
+    - ``ds`` holds its blocks: ``fn`` runs once per group of adjacent
+      blocks (:func:`bundles`), in block order, on the group's blocks
+      concatenated, one plain task per group with its metadata returned
+      beside its table (:func:`map_refs`); no Ray Data execution runs.
+      ``fn`` must not depend on where blocks begin: every caller's
+      result is a per-row map or an exact integer partial that
+      ``segsum`` combines.
     - ``ds`` is lazy: ``fn`` is one ``map_batches`` with a batch per
-      block, fused into the plan's one materializing execution."""
+      block, fused into the plan's one materializing execution; over a
+      :func:`table_blocks` source that runs one task per group of
+      blocks."""
     fn = functools.partial(fn, **kwargs) if kwargs else fn
     blocks = _held(ds)
     if blocks is None:
         mapped = ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
         return held_blocks(mapped)[1]
-    run = [ref for ref, m in blocks if m.num_rows] or [ref for ref, _ in blocks[:1]]
-    return map_refs(run, fn)
+    return map_refs(blocks, fn)
 
 
-def map_refs(refs: list, fn: Callable) -> list:
-    """``fn`` once per table ref of ``refs``, in order, one plain task
-    each (:func:`map_blocks`' branch over held blocks), as held
-    ``(table ref, BlockMetadata)`` blocks."""
-    outs = [_map_task.remote(fn, ref) for ref in refs]
+def map_refs(blocks: list, fn: Callable) -> list:
+    """``fn`` once per group (:func:`bundles`) of the held ``(ref,
+    BlockMetadata)`` ``blocks``, on its blocks concatenated in order,
+    one plain task each (:func:`map_blocks`' branch over held blocks),
+    as held ``(table ref, BlockMetadata)`` blocks. When no block holds
+    a row, ``fn`` runs on the first, so the result stays typed."""
+    groups = bundles(blocks) or [[ref] for ref, _ in blocks[:1]]
+    outs = [_map_task.remote(fn, *g) for g in groups]
     metas = ray.get([m for _, m in outs])
     return [(t, m) for (t, _), m in zip(outs, metas)]
 
 
-def default_partitions() -> int:
-    """The partition count of the engine's split and reduce tasks: the
-    cluster's CPU count, at least 4 (8 before ``ray.init``)."""
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(4, cpus)
+def cluster_cpus() -> int:
+    """The Ray cluster's CPU count."""
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
+def default_partitions(rows: int) -> int:
+    """The partition count of a shuffle over ``rows`` input rows, read
+    off held metadata: one partition per :data:`TASK_ROWS` rows, rounded
+    up, at least 1 and at most the cluster's CPU count. It never falls
+    as ``rows`` grow."""
+    return max(1, min(-(-rows // TASK_ROWS), cluster_cpus()))
 
 
 def range_ids(key: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -156,21 +212,29 @@ def group(t: pa.Table, ids: np.ndarray, parts: int) -> list[pa.Table]:
 
 
 @ray.remote
-def _split_task(rows: Callable, parts: int, *args):
-    """One block's ``rows(*args)`` grouped into its ``parts``; started
-    with ``num_returns=parts``, so one partition returns its part
-    alone."""
-    out = group(*rows(*args), parts)
+def _split_task(rows: Callable, parts: int, n: int, *args):
+    """One group's ``rows(*args[n:], table)``, ``table`` being its
+    ``n`` blocks (the first ``n`` args) concatenated, grouped into its
+    ``parts``; started with ``num_returns=parts``, so one partition
+    returns its part alone."""
+    out = group(*rows(*args[n:], _concat(args[:n])), parts)
     return tuple(out) if parts > 1 else out[0]
 
 
-def split(rows: Callable, parts: int, *args) -> list:
-    """Start one split task: ``rows(*args)`` gives ``(table, partition
-    id of each row)``. Returns the refs of its ``parts`` tables.
-    ``args`` are passed to the task as they are, so a ref among them is
-    resolved there."""
-    out = _split_task.options(num_returns=parts).remote(rows, parts, *args)
-    return list(out) if parts > 1 else [out]
+def split(rows: Callable, parts: int, blocks: list, *args) -> list[list]:
+    """One split task per group (:func:`bundles`) of the held ``(ref,
+    BlockMetadata)`` ``blocks``: ``rows(*args, table)``, ``table``
+    being the group's blocks concatenated in order, gives ``(table,
+    partition id of each row)``. Returns each task's ``parts`` table
+    refs, in block order; no task for blocks without rows. ``args`` are
+    passed to the tasks as they are, so a ref among them is resolved
+    there."""
+    out = []
+    for g in bundles(blocks):
+        task = _split_task.options(num_returns=parts)
+        refs = task.remote(rows, parts, len(g), *g, *args)
+        out.append(list(refs) if parts > 1 else [refs])
+    return out
 
 
 # The reduce tasks hand back each block's metadata with it, so the
@@ -192,11 +256,11 @@ def reduce(fn: Callable, splits: list[list], parts: int) -> ray.data.Dataset:
 
 def hash_reduce(blocks: list, keys: list[str], fn: Callable) -> ray.data.Dataset:
     """The held ``(ref, metadata)`` ``blocks`` hash-split by ``keys``
-    into :func:`default_partitions` partitions, each reduced by ``fn``
-    (:func:`reduce`): every row of a key reaches the same ``fn`` call."""
-    parts = default_partitions()
-    splits = [split(hashed, parts, keys, parts, ref) for ref, m in blocks if m.num_rows]
-    return reduce(fn, splits, parts)
+    into the :func:`default_partitions` of their rows, each reduced by
+    ``fn`` (:func:`reduce`): every row of a key reaches the same ``fn``
+    call."""
+    parts = default_partitions(sum(m.num_rows for _, m in blocks))
+    return reduce(fn, split(hashed, parts, blocks, keys, parts), parts)
 
 
 def _check_key(t: pa.Table, col: str) -> None:
@@ -266,26 +330,25 @@ def join(
     once, with null right columns). Output columns: the left ones, then
     the right side's non-key ones.
 
-    Both sides are taken once (:func:`held_blocks`); each non-empty
-    block is hash-split on its key into :func:`default_partitions`
-    parts (a side with no rows passes its first block to every
-    partition, so the result stays typed), and one reduce task joins
-    each partition (:func:`reduce`, materialized, zero-row blocks left
-    out). A key column that is not a null-free integer raises
+    Both sides are taken once (:func:`held_blocks`); their rows, read
+    off the blocks' metadata, give the partition count
+    (:func:`default_partitions`). Each side's blocks are hash-split on
+    its key (:func:`split`; a side with no rows passes its first block
+    to every partition, so the result stays typed), and one reduce task
+    joins each partition (:func:`reduce`, materialized, zero-row blocks
+    left out). A key column that is not a null-free integer raises
     ``ValueError`` naming it."""
     if how not in ("inner", "left_outer"):
         raise ValueError(f"partition.join: how must be inner or left_outer, got {how!r}")
     right_on = on if right_on is None else right_on
-    parts = default_partitions()
+    lblocks, rblocks = held_blocks(left)[1], held_blocks(right)[1]
+    parts = default_partitions(sum(m.num_rows for _, m in lblocks + rblocks))
 
-    def sides(ds: ray.data.Dataset, key: str) -> list:
-        blocks = held_blocks(ds)[1]
-        live = [ref for ref, m in blocks if m.num_rows]
-        if live:
-            return [split(_join_rows, parts, key, parts, ref) for ref in live]
-        return [[ref] * parts for ref, _ in blocks[:1]]
+    def sides(blocks: list, key: str) -> list:
+        splits = split(_join_rows, parts, blocks, key, parts)
+        return splits or [[ref] * parts for ref, _ in blocks[:1]]
 
-    lsplits, rsplits = sides(left, on), sides(right, right_on)
+    lsplits, rsplits = sides(lblocks, on), sides(rblocks, right_on)
     fn = functools.partial(_join_partition, on, right_on, how, len(lsplits))
     return reduce(fn, lsplits + rsplits, parts)
 
@@ -328,7 +391,7 @@ def arrow_dataset(parts: list) -> ray.data.MaterializedDataset:
     keep = [i for i, m in enumerate(metas) if m.num_rows]
     if not keep and parts:
         keep = [0]
-    return _held_dataset([parts[i][0] for i in keep], [metas[i] for i in keep])
+    return _held_dataset([[(parts[i][0], metas[i])] for i in keep])
 
 
 def table_blocks(tbl: pa.Table, n: int) -> ray.data.MaterializedDataset:
@@ -337,7 +400,12 @@ def table_blocks(tbl: pa.Table, n: int) -> ray.data.MaterializedDataset:
     it). The cuts are those of Ray's split repartition (``cur += rows /
     n``, a cut at each ``int(cur)``), so every non-empty block holds
     the rows ``.repartition(n)`` gives it. Zero-row ranges are left
-    out, except the first when all are, so the result stays typed."""
+    out, except the first when all are, so the result stays typed.
+
+    A Ray Data map over the result runs one task per group of adjacent
+    blocks (:func:`bundles`), each block still its own batch under
+    ``batch_size=None``: the blocks keep their rows, and small ones do
+    not each cost a task."""
     cuts, cur = [0], 0.0
     for _ in range(n - 1):
         cur += tbl.num_rows / n
@@ -345,13 +413,23 @@ def table_blocks(tbl: pa.Table, n: int) -> ray.data.MaterializedDataset:
     cuts.append(tbl.num_rows)
     slices = [tbl.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
     slices = [s for s in slices if s.num_rows] or slices[:1]
-    metas = [BlockMetadataWithSchema.from_block(s) for s in slices]
-    return _held_dataset([ray.put(s) for s in slices], metas)
+    blocks = put_blocks(slices)
+    # group the (ref, metadata) pairs themselves
+    return _held_dataset(bundles([(b, b[1]) for b in blocks]) or [blocks])
 
 
-def _held_dataset(refs: list, metas: list) -> ray.data.MaterializedDataset:
-    """The table ``refs`` with their ``metas`` as one materialized
-    Dataset, in order."""
+def put_blocks(tables: list[pa.Table]) -> list:
+    """``tables`` put in the object store as held ``(table ref,
+    BlockMetadata)`` blocks, in order, with no Dataset built."""
+    return [(ray.put(t), BlockMetadataWithSchema.from_block(t)) for t in tables]
+
+
+def _held_dataset(groups: list[list]) -> ray.data.MaterializedDataset:
+    """The held ``(table ref, BlockMetadataWithSchema)`` blocks of
+    ``groups`` as one materialized Dataset, in order. Each group is one
+    bundle of its source, so a Ray Data map over the Dataset runs one
+    task per group; a group's blocks share one schema."""
+    from ray.data._internal.execution.interfaces import RefBundle
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import FromArrow
     from ray.data._internal.plan import ExecutionPlan
@@ -359,11 +437,17 @@ def _held_dataset(refs: list, metas: list) -> ray.data.MaterializedDataset:
     from ray.data.context import DataContext
     from ray.data.dataset import MaterializedDataset
 
+    refs = [ref for g in groups for ref, _ in g]
+    metas = [m for g in groups for _, m in g]
     plan = ExecutionPlan(
         DatasetStats(metadata={"FromArrow": metas}, parent=None),
         DataContext.get_current().copy(),
     )
-    out = MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
+    source = FromArrow(refs, metas)
+    source._input_data = [
+        RefBundle(g, owns_blocks=False, schema=g[0][1].schema) for g in groups
+    ]
+    out = MaterializedDataset(plan, LogicalPlan(source, plan._context))
     # marks the plan executed, without an executor (its source holds the
     # blocks), so iterating the result starts no execution
     out._plan.execute()

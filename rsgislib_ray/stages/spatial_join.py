@@ -523,12 +523,14 @@ def _cell_counts(block: pa.Table, x_col: str, y_col: str, level: int) -> pa.Tabl
 def _cell_histogram(
     blocks: list, x_col: str, y_col: str, level: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(cells ascending, in-frame point count of each) over the points
-    ``blocks``: one count task per block (``partition.map_refs``, at
-    most one row per distinct cell per block), its results summed as
-    they are held by :func:`rsgislib_ray.stages.segsum.combine`."""
+    """(cells ascending, in-frame point count of each) over the held
+    points ``blocks``: one count task per group of adjacent blocks
+    (``partition.map_refs``, at most one row per distinct cell per
+    group), its results summed as they are held by
+    :func:`rsgislib_ray.stages.segsum.combine`."""
     count = partial(_cell_counts, x_col=x_col, y_col=y_col, level=level)
-    hist = combine(partition.map_refs(blocks, count), "cell", ["partial"])
+    live = [(ref, m) for ref, m in blocks if m.num_rows]
+    hist = combine(partition.map_refs(live, count), "cell", ["partial"])
     return hist["cell"].to_numpy(), hist["partial"].to_numpy()
 
 
@@ -603,9 +605,11 @@ def _prep_points(
 
 
 def _ranked(prep, bounds: np.ndarray, *args):
-    """The range plan's rows: ``prep(*args)``, each row to the range of
-    its rank."""
-    t = prep(*args)
+    """The range plan's rows: ``prep(table, *rest)`` of ``args = (*rest,
+    table)`` (a split task passes its table last), each row to the range
+    of its rank."""
+    *rest, table = args
+    t = prep(table, *rest)
     return t, partition.range_ids(t["rank"].to_numpy(), bounds)
 
 
@@ -651,7 +655,9 @@ def spatial_join_points_sortmerge(
     1. The points' blocks are taken once: a lazy input executes once,
        and one that already holds its blocks (``from_arrow``, a
        materialized Dataset) starts no execution. One plain Ray task
-       per block counts its points per level-``level`` cell;
+       per group of adjacent blocks (``partition.bundles``: up to
+       ``partition.TASK_ROWS`` rows, read off the blocks' metadata)
+       counts its points per level-``level`` cell;
        :func:`rsgislib_ray.stages.segsum.combine` sums the counts,
        as the tasks hold them, exactly (int64) into the per-cell
        histogram.
@@ -659,13 +665,16 @@ def spatial_join_points_sortmerge(
        and each ``(cell, salt)`` a dense RANK: the salts of all earlier
        cells plus the salt. Ranks rise with the cells, so rows are
        keyed, split and sorted by rank. :func:`_range_bounds` cuts the
-       ranks into at most ``partition.default_partitions()`` ranges
-       from the histogram: boundaries fall between whole ranks, so no
+       ranks into at most ``partition.default_partitions(total)``
+       ranges, ``total`` being the histogram's point count (one range
+       per ``partition.TASK_ROWS`` points, up to the CPU count):
+       boundaries fall between whole ranks, so no
        (cell, salt) straddles two partitions, a partition holds at most
        its even share of the points plus one rank's, and no range is
        empty.
     3. The histogram's cells and salt counts are put once. One split
-       task per points block and per zone block builds its side's rows
+       task per group of points blocks and per group of zone blocks
+       (``partition.split``, grouped as in step 1) builds its side's rows
        and returns one part per range: points as ``rank, key, x, y``
        (:func:`_prep_points`), zones as the layer's ``fid, ring_xy``
        plus ``rank``, taken from the source rows only in cells that
@@ -708,30 +717,24 @@ def spatial_join_points_sortmerge(
         )
     if not _positive_int(max_salt):
         raise ValueError(f"max_salt must be an int >= 1, got {max_salt!r}")
-    pblocks = [b for b, m in partition.held_blocks(points)[1] if m.num_rows]
+    pblocks = partition.held_blocks(points)[1]
     zblocks = (
-        [zones]
+        partition.put_blocks([zones])
         if isinstance(zones, pa.Table)
-        else [b for b, m in partition.held_blocks(zones)[1] if m.num_rows]
+        else partition.held_blocks(zones)[1]
     )
 
     cells, n = _cell_histogram(pblocks, x_col, y_col, level)
     per = _salt_plan(n, salt_threshold, max_salt)
-    bounds = _range_bounds(n, per, partition.default_partitions())
+    bounds = _range_bounds(n, per, partition.default_partitions(int(n.sum())))
     hist = ray.put((cells, per))
 
     ranges = len(bounds) + 1
-    psplits = [
-        partition.split(
-            _ranked, ranges, _prep_points, bounds, b, hist,
-            level, x_col, y_col, key_col, how,
-        )
-        for b in pblocks
-    ]
-    zsplits = [
-        partition.split(_ranked, ranges, _prep_zones, bounds, b, hist, level)
-        for b in zblocks
-    ]
+    psplits = partition.split(
+        _ranked, ranges, pblocks, _prep_points, bounds, hist,
+        level, x_col, y_col, key_col, how,
+    )
+    zsplits = partition.split(_ranked, ranges, zblocks, _prep_zones, bounds, hist, level)
     return partition.reduce(
         partial(_join_range, how, key_col, len(psplits)), psplits + zsplits, ranges
     )

@@ -7,6 +7,7 @@ import uuid
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -58,7 +59,9 @@ def test_halo_tiles_vs_brute(ray_session, n_rows, n_cols, keep, seed, tile_size,
         for tr in trs:
             for tc in tcs:
                 want.setdefault((tr, tc), set()).add(int(p))
-    assume(len(want) > partition.default_partitions())
+    # 32 rows a task: more than one partition, up to the 4 CPUs, and
+    # more tiles than partitions, so a partition holds several tiles
+    assume(len(pid) > 32 and len(want) > partition.cluster_cpus())
 
     def fn(t: Tile) -> pa.Table:
         n = t.rows.num_rows
@@ -79,9 +82,11 @@ def test_halo_tiles_vs_brute(ray_session, n_rows, n_cols, keep, seed, tile_size,
             }
         )
 
-    got = halo_tiles(
-        ray.data.from_arrow(_blocks(tbl, cuts)), tile_size, halo, fn
-    ).to_pandas()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "TASK_ROWS", 32)
+        got = halo_tiles(
+            ray.data.from_arrow(_blocks(tbl, cuts)), tile_size, halo, fn
+        ).to_pandas()
 
     # frame geometry agrees with (tr, tc)
     assert (got["r0"] == got["tr"] * tile_size - halo).all()

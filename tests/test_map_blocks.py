@@ -50,14 +50,21 @@ def _executions(monkeypatch) -> list:
 
 
 def test_held_and_lazy_branches_agree_in_block_order(ray_session, monkeypatch):
-    """One output block per input block, in order, with its metadata;
-    the lazy branch (a plan over the same blocks) returns the same
-    rows."""
+    """Over held blocks, one output block per group of adjacent input
+    blocks of at most ``TASK_ROWS`` rows, in order, with its metadata:
+    the three 5-row blocks run as one task, and as three at 5 rows a
+    task. The lazy branch (a plan over the same blocks) returns the
+    same rows."""
     blocks = _blocks()
     held_ds = ray.data.from_arrow(blocks)
     held = partition.map_blocks(held_ds, _double, scale=3)
-    assert [m.num_rows for _, m in held] == [5, 5, 5]
-    for (ref, _), b in zip(held, blocks):
+    assert [m.num_rows for _, m in held] == [15]
+    assert ray.get(held[0][0]).equals(_double(pa.concat_tables(blocks), 3))
+    with monkeypatch.context() as mp:
+        mp.setattr(partition, "TASK_ROWS", 5)
+        one_each = partition.map_blocks(held_ds, _double, scale=3)
+    assert [m.num_rows for _, m in one_each] == [5, 5, 5]
+    for (ref, _), b in zip(one_each, blocks):
         assert ray.get(ref).equals(_double(b, 3))
     monkeypatch.setattr(
         DataContext.get_current().execution_options, "preserve_order", True

@@ -223,7 +223,8 @@ def test_salt_plan_equals_naive_count(ray_session, sf_dir):
 
     skew = _two_hot_spots(sf_dir)
     step = -(-skew.num_rows // 8)
-    blocks = [ray.put(skew.slice(i, step)) for i in range(0, skew.num_rows, step)]
+    slices = [skew.slice(i, step) for i in range(0, skew.num_rows, step)]
+    blocks = partition.held_blocks(ray.data.from_arrow(slices))[1]
     cells, n = _cell_histogram(blocks, "x", "y", 6)
     u, c = _naive_counts(skew)
     assert cells.dtype == np.int64 and n.dtype == np.int64
@@ -312,7 +313,9 @@ def test_all_off_frame_points_build_no_plan(ray_session, sf_dir):
         }
     )
     assert (cells_from_xy(pts["x"].to_numpy(), pts["y"].to_numpy(), 6) == -1).all()
-    cells, counts = _cell_histogram([ray.put(pts)], "x", "y", 6)
+    cells, counts = _cell_histogram(
+        partition.held_blocks(ray.data.from_arrow(pts))[1], "x", "y", 6
+    )
     per = _salt_plan(counts, 1, 64)
     assert len(cells) == 0 and len(per) == 0
     assert len(_range_bounds(counts, per, 4)) == 0
@@ -345,15 +348,18 @@ def test_all_off_frame_points_build_no_plan(ray_session, sf_dir):
 
 
 @pytest.mark.parametrize("how", HOWS)
-def test_output_blocks_carry_pair_schema(ray_session, sf_dir, how):
+def test_output_blocks_carry_pair_schema(ray_session, sf_dir, how, monkeypatch):
     """Every raw output block, one per range that yields rows, is
     (pt_row int64, fid int64), so the blocks concatenate as-is — on
     the salted skew corpus, and on one whose points all share a cell,
-    so one range is left."""
+    so one range is left. A task is sized to a quarter of the corpus,
+    so the partition rule gives 4 ranges on the 4 CPUs."""
     import ray
     import ray.data
 
     skew = _skew_table(sf_dir)
+    monkeypatch.setattr(partition, "TASK_ROWS", -(-skew.num_rows // 4))
+    assert partition.default_partitions(skew.num_rows) == 4
     one_cell = skew.set_column(1, "x", pa.array(np.full(skew.num_rows, 50.5)))
     one_cell = one_cell.set_column(2, "y", pa.array(np.full(skew.num_rows, 50.5)))
     zones = td.zones_from_part(sf_dir)
@@ -363,21 +369,24 @@ def test_output_blocks_carry_pair_schema(ray_session, sf_dir, how):
             level=6, key_col="pt_row", how=how, salt_threshold=salt,
         )
         blocks = ray.get(out.to_arrow_refs())
-        assert 1 <= len(blocks) <= partition.default_partitions()
+        assert 1 <= len(blocks) <= partition.default_partitions(pts.num_rows)
         assert all(b.schema == PAIR_SCHEMA for b in blocks)
         assert pa.concat_tables(blocks).num_rows == out.count()
     assert len(blocks) == 1
 
 
-def test_salted_join_output_blocks_are_deterministic(ray_session, sf_dir):
+def test_salted_join_output_blocks_are_deterministic(ray_session, sf_dir, monkeypatch):
     """Two runs of the salted join on one input give equal output block
     lists: the same rows in the same order, split into the same blocks.
     The range boundaries come from the exact histogram, not from a
-    random sample."""
+    random sample. A task is sized to a quarter of the corpus, so the
+    join has more than one range."""
     import ray
     import ray.data
 
-    src = ray.data.from_arrow(_skew_table(sf_dir)).repartition(8).materialize()
+    skew = _skew_table(sf_dir)
+    monkeypatch.setattr(partition, "TASK_ROWS", -(-skew.num_rows // 4))
+    src = ray.data.from_arrow(skew).repartition(8).materialize()
     zones = td.zones_from_part(sf_dir)
 
     def blocks():
@@ -560,14 +569,15 @@ def test_sortmerge_query_blocks_keep_schema_downstream(
 ):
     """The ``spatial_join_sortmerge`` query, then an identity
     ``map_batches``: every block carries the (pt_id, fid) schema. With
-    8 partitions, as on the 8-CPU contract runner, the last ones lie
-    past the last cell of this corpus; an empty range block would come
-    out of the query's map without a schema."""
+    8 ranges (the partition rule at one row a task on 8 CPUs), the
+    last ones lie past the last cell of this corpus; an empty range
+    block would come out of the query's map without a schema."""
     import ray
 
     from rsgislib_ray.pipelines.queries import q_spatial_join_sortmerge
 
-    monkeypatch.setattr(partition, "default_partitions", lambda requested=None: 8)
+    monkeypatch.setattr(partition, "TASK_ROWS", 1)
+    monkeypatch.setattr(partition, "cluster_cpus", lambda: 8)
 
     out = q_spatial_join_sortmerge(sf_dir).map_batches(_tag, batch_format="pyarrow")
     blocks = ray.get(out.to_arrow_refs())
