@@ -14,14 +14,15 @@ Reimplements:
   long-format output.
 
 Physical strategies (the target side is broadcast once via
-``ray.put``; base points stream through an actor pool — no shuffle):
+``ray.put``; base point batches stream through stateless tasks that
+read it from the per-process cache — no shuffle):
 - ``brute``: chunked vectorized distance matrix — exact, right when
   targets fit comfortably (the reference's own envelope).
 - ``grid``: cell-bucket index + Chebyshev ring expansion; a point is
   finished once its kth distance <= r * cell_w (any target in a
   farther ring is at least that far), matching brute exactly. This is
-  the 100 TB path: per-actor index build is O(T log T) once, per-batch
-  cost is local.
+  the 100 TB path: the index build is O(T log T) once, on the driver;
+  per-batch cost is local.
 """
 
 from __future__ import annotations
@@ -241,50 +242,6 @@ def _topk_grid(px, py, idx: _TargetIndex, k: int):
     else:
         tie = np.zeros(B, dtype=bool)
     return best_d[:, :out_k], best_i[:, :out_k], tie
-
-
-class KNNJoin:
-    """Actor stage: base-point batches -> k nearest targets (long form:
-    one output row per (base, rank))."""
-
-    def __init__(
-        self,
-        targets_ref,
-        k: int = 1,
-        x_col: str = "x",
-        y_col: str = "y",
-        prefix: str = "nn_",
-        tie: str = "error",
-        tolerance: float | None = None,
-        strategy: str = "auto",
-    ):
-        self.idx: _TargetIndex = (
-            ray.get(targets_ref) if hasattr(targets_ref, "hex") else targets_ref
-        )
-        self.k = k
-        self.x_col = x_col
-        self.y_col = y_col
-        self.prefix = prefix
-        self.tie = tie
-        self.tolerance = tolerance
-        if strategy == "auto":
-            strategy = "grid" if (
-                self.idx.grid_level is not None and len(self.idx.ids) > 2000
-            ) else "brute"
-        self.strategy = strategy
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _knn_batch(
-            self.idx,
-            batch,
-            self.k,
-            self.x_col,
-            self.y_col,
-            self.prefix,
-            self.tie,
-            self.tolerance,
-            self.strategy,
-        )
 
 
 def _knn_batch(

@@ -64,10 +64,14 @@ class ZoneSet:
     """Packed polygon side-table: numpy arrays + attr columns.
 
     Cheap to pickle/broadcast. ``ring_offsets`` are coordinate-PAIR
-    offsets (n_zones+1). :attr:`index` and its interior / boundary
-    split :attr:`cover` are built on first use and pickle with the
-    arrays, so a ZoneSet broadcast after they are built reaches the
-    workers with both.
+    offsets (n_zones+1). :attr:`index`, the layer's one cell-bucket
+    index, is built on first use and pickles with the arrays, so a
+    ZoneSet broadcast after it is built reaches the workers with it.
+    Each of its cell runs holds the rectangle zones whose interior
+    holds the cell first and the boundary entries after
+    (:class:`~rsgislib_ray.state.strtree.CellBucketIndex`): whole runs
+    serve :meth:`match_points`, the interior parts :meth:`cell_groups`
+    and the boundary parts :meth:`boundary_matches`.
     """
 
     def __init__(
@@ -155,47 +159,39 @@ class ZoneSet:
 
     def build_index(self):
         """The point-query index: flat cell-bucket (faster than an
-        STRtree for dense layers — one searchsorted per point batch)."""
-        return CellBucketIndex(self.bounds)
+        STRtree for dense layers — one searchsorted per point batch),
+        with each rectangle zone's interior cells classified."""
+        return CellBucketIndex(self.bounds, self.is_rect)
 
     @cached_property
     def index(self):
         """The :meth:`build_index` index, built once per ZoneSet."""
         return self.build_index()
 
-    @cached_property
-    def cover(self):
-        """:attr:`index` split into ``(interior, boundary)`` entries
-        (:meth:`CellBucketIndex.split
-        <rsgislib_ray.state.strtree.CellBucketIndex.split>`): every
-        point of a rectangle zone's interior cell lies in the zone, so
-        only boundary entries are probed per point. Built once per
-        ZoneSet; a non-rectangle zone is all boundary."""
-        return self.index.split(self.bounds, self.is_rect)
-
     def cell_groups(self, px: np.ndarray, py: np.ndarray):
-        """The interior side of :attr:`cover` over one block of points:
+        """The interior parts of :attr:`index` over one block of points:
         ``(order, starts, cell, zone)``. ``order`` lists the in-frame
         points grouped by cell, ``starts`` the position in ``order``
         where each occupied cell's group begins, and ``(cell, zone)``
         holds one pair per interior entry of an occupied cell (``cell``
         is the group number). Every point of group ``cell[k]`` lies in
         zone ``zone[k]``, so a per-group aggregate scatters straight
-        into those zones; the points' other matches come from the
-        boundary entries (``match_points(cover[1], ...)``)."""
-        inner = self.cover[0]
-        if len(inner.item_of) == 0:
-            # no interior cells (e.g. no rectangles): no grouping work
+        into those zones; the points' other matches are
+        :meth:`boundary_matches`."""
+        if not self.is_rect.any():
+            # no interior cells without rectangles: no grouping work
             e = np.empty(0, dtype=np.int64)
             return e, e, e, e
-        pts, key = inner.cell_keys(px, py)
+        idx = self.index
+        pts, key = idx.cell_keys(px, py)
         order = np.argsort(key, kind="stable")
         key = key[order]
         new = np.ones(len(key), dtype=bool)
         new[1:] = key[1:] != key[:-1]
         starts = np.flatnonzero(new)
-        cell, zone = inner.query_keys(key[starts], np.arange(len(starts)))
-        return pts[order], starts, cell, zone
+        lo, mid, _ = idx.parts(key[starts])
+        cnt, zone = idx.entries(lo, mid)
+        return pts[order], starts, np.repeat(np.arange(len(starts)), cnt), zone
 
     # Points per internal chunk: keeps candidate-pair temporaries in the
     # tens-of-MB range so concurrent tasks don't blow worker heaps /
@@ -206,28 +202,45 @@ class ZoneSet:
     def match_points(
         self, index: CellBucketIndex, px: np.ndarray, py: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact (point_idx, zone_idx) matches: the candidates of
-        ``index`` (:attr:`index` or a half of :attr:`cover`) kept by
-        :meth:`refine`, ordered by point and then by the index's
-        candidate order. Chunked over points to bound temporary
+        """Exact (point_idx, zone_idx) matches: the whole-run candidates
+        of ``index`` (:attr:`index` or another :meth:`build_index`)
+        kept by :meth:`refine`, ordered by point and then in run order:
+        the zones whose interior holds the point's cell, then its
+        boundary zones, each ascending."""
+        return self._match_points(index, px, py, False)
+
+    def boundary_matches(
+        self, px: np.ndarray, py: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The :meth:`match_points` pairs found through the boundary
+        parts of :attr:`index` only, in the same order. With the
+        interior groups of :meth:`cell_groups` they are every match."""
+        return self._match_points(self.index, px, py, True)
+
+    def _match_points(
+        self, index: CellBucketIndex, px: np.ndarray, py: np.ndarray, boundary: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The one probe: chunked over points to bound temporary
         memory."""
         if len(px) <= self.MATCH_CHUNK:
-            return self._match_points_chunk(index, px, py)
+            return self._match_points_chunk(index, px, py, boundary)
         outs_p = []
         outs_z = []
         for s in range(0, len(px), self.MATCH_CHUNK):
             e = min(len(px), s + self.MATCH_CHUNK)
-            cp, cz = self._match_points_chunk(index, px[s:e], py[s:e])
+            cp, cz = self._match_points_chunk(index, px[s:e], py[s:e], boundary)
             outs_p.append(cp + s)
             outs_z.append(cz)
         return np.concatenate(outs_p), np.concatenate(outs_z)
 
     def _match_points_chunk(
-        self, index: CellBucketIndex, px: np.ndarray, py: np.ndarray
+        self, index: CellBucketIndex, px: np.ndarray, py: np.ndarray, boundary: bool
     ) -> tuple[np.ndarray, np.ndarray]:
+        pts, key = index.cell_keys(px, py)
+        lo, mid, hi = index.parts(key)
+        cnt, cand_zone = index.entries(mid if boundary else lo, hi)
         # candidates come point by point: their coordinates are each
         # point's repeated over its run, not gathered per pair
-        pts, cnt, cand_zone = index.point_runs(px, py)
         cand_pt = np.repeat(pts, cnt)
         if len(cand_pt) == 0:
             return cand_pt, cand_zone
@@ -383,18 +396,17 @@ def _zones_key(zones_tbl: pa.Table, attr_cols: list[str] | None) -> tuple:
 
 
 def broadcast_zones(zones_tbl: pa.Table, attr_cols: list[str] | None = None):
-    """Pack a zone table, build its index and the index's interior /
-    boundary split (:attr:`ZoneSet.cover`) on the driver and ``ray.put``
-    them once per session: calls over an equal table (and
-    ``attr_cols``) get the same ref back, so every worker process that
-    already read it keeps its :func:`cached` copy, and none builds an
-    index or a split.
+    """Pack a zone table, build its one index (:attr:`ZoneSet.index`,
+    interior cells classified) on the driver and ``ray.put`` them once
+    per session: calls over an equal table (and ``attr_cols``) get the
+    same ref back, so every worker process that already read it keeps
+    its :func:`cached` copy, and none builds an index.
     LRU-capped like the per-process cache."""
     key = _zones_key(zones_tbl, attr_cols)
     ref = _BROADCASTS.get(key)
     if ref is None:
         zs = ZoneSet.from_table(zones_tbl, attr_cols=attr_cols)
-        zs.cover  # index and split built here, once, pickled with the arrays
+        zs.index  # built here, once, pickled with the arrays
         ref = _BROADCASTS[key] = ray.put(zs)
         while len(_BROADCASTS) > _MAX_ENTRIES:
             _BROADCASTS.popitem(last=False)
@@ -447,8 +459,9 @@ def count_points_per_zone(
 
     Each point block's task counts its points per occupied interior
     cell once and adds those counts to the zones whose interior holds
-    the cell (:meth:`ZoneSet.cell_groups`), then counts its matches
-    through the boundary entries only; one row per zone touched.
+    the cell (:meth:`ZoneSet.cell_groups`, the interior part of each
+    cell run), then counts its matches through the boundary parts only
+    (:meth:`ZoneSet.boundary_matches`); one row per zone touched.
     :func:`rsgislib_ray.stages.segsum.combine` sums those partials by
     fid.
     """
@@ -460,7 +473,7 @@ def count_points_per_zone(
         order, starts, cell, zone = zones.cell_groups(px, py)
         counts = np.zeros(len(zones), dtype=np.int64)
         np.add.at(counts, zone, np.diff(starts, append=len(order))[cell])
-        _, zone_idx = zones.match_points(zones.cover[1], px, py)
+        _, zone_idx = zones.boundary_matches(px, py)
         counts += np.bincount(zone_idx, minlength=len(zones))
         nz = np.flatnonzero(counts)
         return pa.table({"fid": zones.fid[nz], "partial": counts[nz]})

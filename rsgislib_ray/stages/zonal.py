@@ -11,25 +11,25 @@ aggregation:
    (:func:`rsgislib_ray.stages.partition.map_blocks`: a plain task per
    block when the cells already hold their blocks, so no Ray Data
    execution starts; fused into the one materializing execution of a
-   lazy plan). It reads the broadcast zone layer with its prebuilt
-   cell-bucket index and the index's interior / boundary split
+   lazy plan). It reads the broadcast zone layer with its one prebuilt
+   cell-bucket index, whose cell runs hold interior entries first and
+   boundary entries after
    (:func:`~rsgislib_ray.stages.spatial_join.broadcast_zones`,
-   :attr:`~rsgislib_ray.stages.spatial_join.ZoneSet.cover`) and
+   :attr:`~rsgislib_ray.stages.spatial_join.ZoneSet.index`), and
    COMBINES WITHIN THE BLOCK (sort-free scatters into dense
    per-zone accumulators: ``np.bincount`` / ``np.add.at`` /
    ``np.minimum.at`` / ``np.maximum.at``): it emits
    one partial row per (block, zone) — count/sum/sumsq/min/max, or
    per-(zone, value) counts for the order statistics. The moment
-   partial aggregates each occupied interior cell once (every point
-   there lies in each rectangle zone whose interior holds the cell)
-   and probes only the boundary entries per point, so its work is
-   never more than expanding every (point, zone) pair. A probe finds
-   each point's cell run with one ``searchsorted`` over the index's
-   run table of occupied cells, repeats the point's coordinates over
-   the run and keeps the matches by position (``np.flatnonzero`` and
-   ``take``), with no per-candidate coordinate gather and no boolean
-   compress. The value column must cast to int64 exactly, or the
-   partial raises a ``ValueError`` naming it;
+   partial aggregates each occupied cell's interior part once (every
+   point there lies in each rectangle zone whose interior holds the
+   cell) and probes only the boundary parts per point, so its work is
+   never more than expanding every (point, zone) pair. Every probe is
+   :class:`~rsgislib_ray.stages.spatial_join.ZoneSet`'s
+   (``match_points`` over whole runs, ``boundary_matches`` over the
+   boundary parts): this module does not read the index's layout.
+   The value column must cast to int64 exactly, or the partial raises
+   a ``ValueError`` naming it;
 2. the partials reduce by fid (by (fid, value) for the histograms)
    through :func:`rsgislib_ray.stages.segsum.combine` — numpy scatters
    on the driver, or past a measured size the distributed
@@ -101,11 +101,12 @@ def _moment_partial(
       min and max are computed once per occupied cell, and each cell's
       aggregate is added to every zone whose interior holds the cell,
       with no per-point pair;
-    - boundary entries: each point is probed against
-      ``zones.cover[1]`` only, with the half-open / PIP refine, in
-      point-chunks of ``MATCH_CHUNK``, so temporaries stay ~MBs on
-      dense layers (>100 matches per point) and concurrent tasks do
-      not fight for memory bandwidth.
+    - boundary entries (:meth:`ZoneSet.boundary_matches`): each point
+      is probed against the boundary part of its cell's run only, with
+      the half-open / PIP refine, in the probe's point-chunks of
+      ``MATCH_CHUNK``, so candidate temporaries stay ~MBs on dense
+      layers (>100 matches per point) and concurrent tasks do not
+      fight for memory bandwidth.
 
     The work is never more than expanding every candidate pair: an
     interior entry is visited once per occupied cell, not once per
@@ -134,14 +135,9 @@ def _moment_partial(
         np.minimum.at(mn_d, zone, np.minimum.reduceat(v, starts)[cell])
         np.maximum.at(mx_d, zone, np.maximum.reduceat(v, starts)[cell])
 
-    edge = zones.cover[1]
-    step = zones.MATCH_CHUNK
-    for cs in range(0, len(px), step):
-        ce = min(len(px), cs + step)
-        pi, zi = zones._match_points_chunk(edge, px[cs:ce], py[cs:ce])
-        if len(pi) == 0:
-            continue
-        vals = vals_all[cs:ce].take(pi)
+    pi, zi = zones.boundary_matches(px, py)
+    if len(pi):
+        vals = vals_all.take(pi)
         cnt_d += np.bincount(zi, minlength=nz)
         np.add.at(s_d, zi, vals)
         np.add.at(q_d, zi, vals * vals)
@@ -168,14 +164,14 @@ def _value_count_partial(
     y_col: str = "y",
 ) -> pa.Table:
     zones: ZoneSet = cached(zones_ref)
-    idx = zones.index
     px = batch[x_col].to_numpy()
     py = batch[y_col].to_numpy()
     vals_all = _int_values(batch, value_col)
     nz = len(zones)
     uvals = np.unique(vals_all)
     V = len(uvals)
-    step = zones.MATCH_CHUNK
+    pi, z = zones.match_points(zones.index, px, py)
+    v = vals_all.take(pi)
 
     empty = pa.table(
         {
@@ -188,16 +184,8 @@ def _value_count_partial(
     if V * nz <= 8_000_000:
         # dense path (low-cardinality values — the exact-histogram model
         # the reference uses, RSGISPopRATWithStats.cpp:513): one bincount
-        # per chunk into a (n_zones x V) counter — no sorting at all
-        dense = np.zeros(nz * V, dtype=np.int64)
-        for cs in range(0, len(px), step):
-            ce = min(len(px), cs + step)
-            pi, zi = zones._match_points_chunk(idx, px[cs:ce], py[cs:ce])
-            if len(pi) == 0:
-                continue
-            vix = np.searchsorted(uvals, vals_all[cs:ce].take(pi))
-            key = zi * V + vix
-            dense += np.bincount(key, minlength=nz * V)
+        # into a (n_zones x V) counter — no sorting at all
+        dense = np.bincount(z * V + np.searchsorted(uvals, v), minlength=nz * V)
         hit = np.flatnonzero(dense)
         if len(hit) == 0:
             return empty
@@ -211,19 +199,8 @@ def _value_count_partial(
 
     # sparse path (high-cardinality values): single sort over all
     # matched pairs of the batch
-    all_z = []
-    all_v = []
-    for cs in range(0, len(px), step):
-        ce = min(len(px), cs + step)
-        pi, zi = zones._match_points_chunk(idx, px[cs:ce], py[cs:ce])
-        if len(pi) == 0:
-            continue
-        all_z.append(zi)
-        all_v.append(vals_all[cs:ce].take(pi))
-    if not all_z:
+    if len(z) == 0:
         return empty
-    z = np.concatenate(all_z)
-    v = np.concatenate(all_v)
     order = np.lexsort((v, z))
     z, v = z[order], v[order]
     new = np.concatenate([[True], (z[1:] != z[:-1]) | (v[1:] != v[:-1])])

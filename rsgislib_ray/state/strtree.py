@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rsgislib_ray.functions.arrayops import expand, run_lookup, run_table
+from rsgislib_ray.functions.arrayops import expand, run_table
 
 _LEAF_CAP = 16
 # Cell-key space up to which CellBucketIndex sorts its keys as uint16
@@ -46,9 +46,9 @@ class CellBucketIndex:
     """Flat grid-bucket index over item bboxes — the fast path for
     point-in-bbox candidate generation on dense layers.
 
-    Each item is duplicated into every grid cell its bbox touches;
-    the entries (``item_of``, one item id each) are sorted by cell key,
-    so each occupied cell holds one run of them. A run table over the
+    Each item is duplicated into every grid cell its bbox touches; the
+    entries (``item_of``, one item id each) are grouped by cell key, so
+    each occupied cell holds one run of them. A run table over the
     occupied cells, ``cells`` (their keys, ascending) and ``starts``
     (where each cell's run begins in ``item_of``, plus the entry count
     last), finds a point's run with one ``searchsorted`` over at most
@@ -58,29 +58,35 @@ class CellBucketIndex:
     running sum of deltas, and the stable sort runs on ``uint16`` keys,
     which numpy radix-sorts (same permutation as the int64 sort used
     above level 8).
-    Memory = one item id per entry plus the run table (two int64 per
+    Memory = one item id per entry plus the run table (three int64 per
     occupied cell): O(sum of per-item cell covers); the constructor
     picks the cell size from the median item extent so duplication
     stays ~100x bounded while false candidates stay within ~20% of
     true matches.
     STRtree (below) remains for bbox-vs-bbox queries and sparse layers.
 
-    Interior and boundary cells (:meth:`split`). A point lands in cell
-    ``col = c(x) = floor((x - x0) / cw)`` (:meth:`cell_keys`; ``row =
-    r(y)`` alike). Each step of ``c`` (``fl(x - x0)``, ``fl(. / cw)``,
-    ``floor``) is monotone non-decreasing, so ``x < xmin`` gives ``c(x)
-    <= c(xmin)`` and ``x >= xmax`` gives ``c(x) >= c(xmax)``. A point
-    in a cell with ``c(xmin) < col < c(xmax)`` and ``r(ymin) < row <
-    r(ymax)`` therefore passes the half-open test ``xmin <= x < xmax,
-    ymin <= y < ymax`` with no epsilon: for an axis-aligned rectangle
-    item (whose exact point-in-polygon test is that one) every point of
-    such an interior cell is a match, and only its boundary cells need
-    a per-point refine.
+    Interior and boundary parts. A point lands in cell ``col = c(x) =
+    floor((x - x0) / cw)`` (:meth:`cell_keys`; ``row = r(y)`` alike).
+    Each step of ``c`` (``fl(x - x0)``, ``fl(. / cw)``, ``floor``) is
+    monotone non-decreasing, so ``x < xmin`` gives ``c(x) <= c(xmin)``
+    and ``x >= xmax`` gives ``c(x) >= c(xmax)``. A point in a cell with
+    ``c(xmin) < col < c(xmax)`` and ``r(ymin) < row < r(ymax)``
+    therefore passes the half-open test ``xmin <= x < xmax, ymin <= y <
+    ymax`` with no epsilon: for an axis-aligned rectangle item (whose
+    exact point-in-polygon test is that one) every point of such an
+    interior cell is a match, and only its boundary cells need a
+    per-point refine. The build classifies each entry with that test,
+    unclipped, for the items ``rect`` marks; every other entry is
+    boundary. Each run holds its interior entries first and its
+    boundary entries after, each part in item order, and
+    ``edge_starts`` (where each cell's boundary part begins, plus the
+    entry count last) splits it (:meth:`parts`).
     """
 
     def __init__(
         self,
         bounds: np.ndarray,
+        rect: np.ndarray,
         level: int | None = None,
         frame: tuple[float, float, float, float] | None = None,  # x0,y0,w,h
     ):
@@ -109,6 +115,7 @@ class CellBucketIndex:
             self.cw = width / n
             self.ch = height / n
             self.cells, self.starts = run_table(np.empty(0, dtype=np.int64))
+            self.edge_starts = self.starts
             self.item_of = np.empty(0, dtype=np.int64)
             return
         if level is None:
@@ -122,18 +129,12 @@ class CellBucketIndex:
         self.n_side = n
         self.cw = width / n
         self.ch = height / n
-        c0 = np.clip(np.floor((bounds[:, 0] - x0) / self.cw), 0, n - 1).astype(
-            np.int64
+        # the cell of each bbox edge: unclipped for the interior test,
+        # clipped to the grid for the cover
+        edge = np.floor(
+            (bounds - [x0, x0, y0, y0]) / [self.cw, self.cw, self.ch, self.ch]
         )
-        c1 = np.clip(np.floor((bounds[:, 1] - x0) / self.cw), 0, n - 1).astype(
-            np.int64
-        )
-        r0 = np.clip(np.floor((bounds[:, 2] - y0) / self.ch), 0, n - 1).astype(
-            np.int64
-        )
-        r1 = np.clip(np.floor((bounds[:, 3] - y0) / self.ch), 0, n - 1).astype(
-            np.int64
-        )
+        c0, c1, r0, r1 = np.clip(edge, 0, n - 1).astype(np.int64).T
         w = c1 - c0 + 1
         h = r1 - r0 + 1
         counts = w * h
@@ -156,25 +157,41 @@ class CellBucketIndex:
         )
         delta[start] = first - np.concatenate([[0], last[:-1]])
         key = np.cumsum(delta)
+        # interior entries (class docstring), then a stable partition
+        # that puts them first: the stable sort by key below keeps them
+        # ahead of each run's boundary entries, each part in item order
+        col, row = key & (n - 1), key >> level  # n is a power of two
+        lo_c, hi_c, lo_r, hi_r = (np.repeat(e, counts) for e in edge.T)
+        inner = np.repeat(np.asarray(rect, dtype=bool), counts)
+        inner &= (lo_c < col) & (col < hi_c) & (lo_r < row) & (row < hi_r)
+        part = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+        key = key[part]
+        n_inner = int(np.count_nonzero(inner))
         if n * n <= _RADIX_KEYS:
             # numpy's stable sort on 16-bit keys is a linear-time radix
             # sort: the same permutation as the int64 merge sort, ~6x
-            # faster. The run table then comes from a bincount of the
+            # faster. The run table then comes from bincounts of the
             # keys instead of a gather of them.
             order = np.argsort(key.astype(np.uint16), kind="stable")
             per_cell = np.bincount(key, minlength=n * n)
             self.cells = np.flatnonzero(per_cell)
             self.starts = np.append(0, np.cumsum(per_cell[self.cells]))
+            inner_cnt = np.bincount(key[:n_inner], minlength=n * n)[self.cells]
         else:
             order = np.argsort(key, kind="stable")
             self.cells, self.starts = run_table(key[order])
-        self.item_of = item[order]
+            inner_cnt = np.bincount(
+                np.searchsorted(self.cells, key[:n_inner]), minlength=len(self.cells)
+            )
+        self.edge_starts = np.append(self.starts[:-1] + inner_cnt, total)
+        self.item_of = item[part[order]]
 
     def cell_keys(self, px: np.ndarray, py: np.ndarray):
         """(indices of the in-frame points, their cell keys ``row * n +
         col``), with ``col = floor((x - x0) / cw)`` and ``row =
         floor((y - y0) / ch)``: the placement every query uses, and the
-        one :meth:`split` reasons about. NaN points are out of frame."""
+        one the interior test reasons about. NaN points are out of
+        frame."""
         n = self.n_side
         col = np.floor((np.asarray(px) - self.x0) / self.cw)
         row = np.floor((np.asarray(py) - self.y0) / self.ch)
@@ -182,72 +199,36 @@ class CellBucketIndex:
         pts = np.flatnonzero(ok)
         return pts, (row[pts] * n + col[pts]).astype(np.int64)
 
-    def runs(self, key: np.ndarray):
-        """``(cnt, item_idx)``: how many entries each cell key of ``key``
-        holds, and those entries' items, key by key in entry order."""
-        lo, cnt = run_lookup(self.cells, self.starts, key)
-        # entry position = run start + rank within the run
+    def parts(self, key: np.ndarray):
+        """``(lo, mid, hi)``: the run of cell key ``key[j]`` is
+        ``item_of[lo[j]:hi[j]]``, its interior part ``lo[j]:mid[j]`` and
+        its boundary part ``mid[j]:hi[j]``; all three are equal where
+        the cell holds no entry."""
+        i = np.searchsorted(self.cells, key)
+        # one search: the cell at a key's insertion point is its own
+        # when it holds entries
+        held = len(self.cells) > 0 and self.cells.take(i, mode="clip") == key
+        hi = self.starts[i + held]
+        return self.starts[i], np.minimum(self.edge_starts[i], hi), hi
+
+    def entries(self, lo: np.ndarray, hi: np.ndarray):
+        """``(cnt, item_idx)``: ``cnt = hi - lo``, and the items of the
+        entries ``lo[j]:hi[j]``, j by j in entry order."""
+        cnt = hi - lo
+        # entry position = part start + rank within the part
         pos = np.arange(int(cnt.sum()), dtype=np.int64) + np.repeat(
             lo - (np.cumsum(cnt) - cnt), cnt
         )
         return cnt, self.item_of[pos]
 
-    def query_keys(self, key: np.ndarray, ids: np.ndarray):
-        """(``ids`` repeated once per entry, item_idx) over every entry
-        under each cell key of ``key``."""
-        cnt, item = self.runs(key)
-        return np.repeat(ids, cnt), item
-
-    def point_runs(self, px: np.ndarray, py: np.ndarray):
-        """``(pts, cnt, item_idx)``: the in-frame points, each one's
-        candidate count, and the candidates point by point, so
-        ``(np.repeat(pts, cnt), item_idx)`` are the pairs of
-        :meth:`query_points`, in the same order."""
-        pts, key = self.cell_keys(px, py)
-        return (pts, *self.runs(key))
-
     def query_points(self, px: np.ndarray, py: np.ndarray):
         """(point_idx, item_idx) candidate pairs: all items whose bbox
         cover-cell contains the point's cell (superset of true bbox
-        containment; caller refines)."""
-        pts, cnt, item = self.point_runs(px, py)
+        containment; caller refines), point by point in run order."""
+        pts, key = self.cell_keys(px, py)
+        lo, _, hi = self.parts(key)
+        cnt, item = self.entries(lo, hi)
         return np.repeat(pts, cnt), item
-
-    def split(self, bounds: np.ndarray, eligible: np.ndarray):
-        """This index's entries as ``(interior, boundary)``: two indexes
-        over the same grid, each still sorted by cell key. An entry
-        (cell ``(col, row)``, item ``i``) is interior when
-        ``eligible[i]`` and ``c(xmin) < col < c(xmax)`` and ``r(ymin) <
-        row < r(ymax)`` (the class docstring says why that needs no
-        epsilon); every other entry is boundary."""
-        b = np.asarray(bounds, dtype=np.float64)
-        n = self.n_side
-        key = np.repeat(self.cells, np.diff(self.starts))
-        col = key % n
-        row = key // n
-        it = self.item_of
-        inner = np.asarray(eligible, dtype=bool)[it]
-        for lo, hi, cell, origin, size in (
-            (0, 1, col, self.x0, self.cw),
-            (2, 3, row, self.y0, self.ch),
-        ):
-            inner &= np.floor((b[:, lo] - origin) / size)[it] < cell
-            inner &= cell < np.floor((b[:, hi] - origin) / size)[it]
-        return self._subset(inner), self._subset(~inner)
-
-    def _subset(self, keep: np.ndarray) -> "CellBucketIndex":
-        """A copy over the same grid holding the ``keep`` entries, with
-        the run table of the cells that keep any."""
-        out = object.__new__(CellBucketIndex)
-        out.__dict__.update(self.__dict__)
-        out.item_of = self.item_of[keep]
-        # kept entries before each run start; a cell keeps any entry
-        # when that count rises over its run
-        before = np.append(0, np.cumsum(keep))[self.starts]
-        occupied = np.flatnonzero(np.diff(before))
-        out.cells = self.cells[occupied]
-        out.starts = np.append(before[occupied], len(out.item_of))
-        return out
 
 
 class STRtree:

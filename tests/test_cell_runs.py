@@ -1,13 +1,14 @@
 """The cell-run table of the grid-bucket index against brute force.
 
 ``CellBucketIndex`` keeps one item id per entry and a run table over
-its occupied cells; a cell key's entries are found with one
-``searchsorted`` over that table (``arrayops.run_lookup``). The
-references below keep what the table replaced: every entry's cell key,
-built with Python loops, searched twice (left and right) per key. The
-refine of ``ZoneSet.match_points`` is checked against the pair path it
-replaced (gather the candidates' coordinates, compress by a mask) on
-rectangle and triangle layers.
+its occupied cells, each run holding its interior entries first and
+its boundary entries after; a cell key's run and parts are found by
+``searchsorted`` over that table. The references below keep what the
+table replaced: every entry's cell key, built with Python loops,
+searched twice (left and right) per key. The refine of
+``ZoneSet.match_points`` and ``ZoneSet.boundary_matches`` is checked
+against the pair path it replaced (gather the candidates' coordinates,
+compress by a mask) on rectangle and triangle layers.
 """
 
 import numpy as np
@@ -90,13 +91,28 @@ def test_index_runs_equal_per_entry_keys(drawn, data):
     """Levels 0-12 and empty indexes: every cell's entries (the occupied
     ones, empty ones, the cells below the first and above the last
     occupied cell) come back as the two-searchsorted lookup over the
-    per-entry keys finds them, and the interior / boundary split keeps
-    exactly its entries, in order, with run tables of their own."""
+    per-entry keys finds them, and each run's interior prefix and
+    boundary suffix hold exactly the entries the interior test gives,
+    each part in item order."""
     level, bounds = drawn
     n = 1 << level
-    idx = CellBucketIndex(bounds, level=level, frame=FRAME)
+    eligible = np.array(
+        data.draw(st.lists(st.booleans(), min_size=len(bounds), max_size=len(bounds))),
+        dtype=bool,
+    )
+    idx = CellBucketIndex(bounds, eligible, level=level, frame=FRAME)
     want_key, want_item = _entries(bounds, level)
+    cw = FRAME[2] / n
+    col, row = want_key % n, want_key // n
+    c = np.floor(bounds / cw)[want_item]
+    inner = eligible[want_item] & (c[:, 0] < col) & (col < c[:, 1])
+    inner &= (c[:, 2] < row) & (row < c[:, 3])
+    # each run: its interior entries, then its boundary ones, in item order
+    run_order = np.lexsort((~inner, want_key))
+    want_key, want_item, inner = want_key[run_order], want_item[run_order], inner[run_order]
     np.testing.assert_array_equal(idx.item_of, want_item)
+    assert len(idx.starts) == len(idx.cells) + 1 == len(idx.edge_starts)
+    np.testing.assert_array_equal(np.repeat(idx.cells, np.diff(idx.starts)), want_key)
 
     probe = [0, n * n - 1]
     if len(want_key):
@@ -104,46 +120,41 @@ def test_index_runs_equal_per_entry_keys(drawn, data):
         probe += [min(want_key[-1] + 1, n * n - 1), *want_key[:: max(1, len(want_key) // 8)]]
     probe += data.draw(st.lists(st.integers(0, n * n - 1), max_size=20))
     key = np.array(probe, dtype=np.int64)
-    ids = np.arange(len(key), dtype=np.int64) * 3
     lo, cnt = _two_searchsorted(want_key, key)
     pos = np.concatenate([np.arange(a, a + c) for a, c in zip(lo, cnt)]).astype(np.int64)
-    q, item = idx.query_keys(key, ids)
-    np.testing.assert_array_equal(q, np.repeat(ids, cnt))
+    plo, pmid, phi = idx.parts(key)
+    np.testing.assert_array_equal(plo[cnt > 0], lo[cnt > 0])
+    np.testing.assert_array_equal(phi - plo, cnt)
+    rcnt, item = idx.entries(plo, phi)
+    np.testing.assert_array_equal(rcnt, cnt)
     np.testing.assert_array_equal(item, want_item[pos])
+    # each run's prefix lo:mid holds its interior entries and its
+    # suffix mid:hi its boundary ones, each part in item order
+    for (a, b), keep in (((plo, pmid), inner), ((pmid, phi), ~inner)):
+        part = [want_item[i:i + c][keep[i:i + c]] for i, c in zip(lo, cnt)]
+        for got, want in zip(np.split(idx.entries(a, b)[1], np.cumsum(b - a)[:-1]), part):
+            np.testing.assert_array_equal(got, want)
+            assert (np.diff(got) > 0).all()
 
     # points at cell centres of the probed keys, plus out-of-frame ones
-    cw = FRAME[2] / n
     px = np.append((key % n + 0.5) * cw, [-1.0, np.nan])
     py = np.append((key // n + 0.5) * cw, [1.0, 1.0])
-    pts, pcnt, pitem = idx.point_runs(px, py)
+    pts, pkey = idx.cell_keys(px, py)
     np.testing.assert_array_equal(pts, np.arange(len(key)))
-    np.testing.assert_array_equal(pcnt, cnt)
-    np.testing.assert_array_equal(pitem, want_item[pos])
+    np.testing.assert_array_equal(pkey, key)
     pq, pi = idx.query_points(px, py)
-    np.testing.assert_array_equal(pq, np.repeat(pts, pcnt))
-    np.testing.assert_array_equal(pi, pitem)
-
-    eligible = np.array(
-        data.draw(st.lists(st.booleans(), min_size=len(bounds), max_size=len(bounds))),
-        dtype=bool,
-    )
-    col, row = want_key % n, want_key // n
-    c = np.floor(bounds / cw)[want_item]
-    inner = eligible[want_item] & (c[:, 0] < col) & (col < c[:, 1])
-    inner &= (c[:, 2] < row) & (row < c[:, 3])
-    for part, keep in zip(idx.split(bounds, eligible), (inner, ~inner)):
-        np.testing.assert_array_equal(part.item_of, want_item[keep])
-        assert len(part.starts) == len(part.cells) + 1
-        assert (np.diff(part.starts) > 0).all() and (np.diff(part.cells) > 0).all()
-        np.testing.assert_array_equal(
-            np.repeat(part.cells, np.diff(part.starts)), want_key[keep]
-        )
+    np.testing.assert_array_equal(pq, np.repeat(pts, cnt))
+    np.testing.assert_array_equal(pi, want_item[pos])
 
 
-def _old_refine(zs: ZoneSet, index, px, py):
+def _old_refine(zs: ZoneSet, index, px, py, boundary: bool):
     """The pair path: every candidate's coordinates and zone bounds
-    gathered per pair, the matches kept by a boolean compress."""
-    cand_pt, cand_zone = index.query_points(px, py)
+    gathered per pair, the matches kept by a boolean compress. The
+    candidates are each point's whole run, or its boundary part."""
+    pts, key = index.cell_keys(px, py)
+    lo, mid, hi = index.parts(key)
+    cnt, cand_zone = index.entries(mid if boundary else lo, hi)
+    cand_pt = np.repeat(pts, cnt)
     b = zs.bounds
     x, y = px[cand_pt], py[cand_pt]
     ok = (x >= b[cand_zone, 0]) & (x < b[cand_zone, 1])
@@ -187,16 +198,23 @@ def _layer(seed: int, with_triangles: bool):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("with_triangles", [False, True])
 def test_match_points_equals_pair_path_in_order(seed, with_triangles):
-    """Same pairs in the same order as the pair path, on the full index
-    and on both halves of its split, in one chunk and in many."""
+    """Same pairs in the same order as the pair path, over whole runs
+    (``match_points``) and over their boundary parts
+    (``boundary_matches``), in one chunk and in many."""
     zs, px, py = _layer(seed, with_triangles)
     assert zs.is_rect.all() != with_triangles
-    for index in (zs.index, *zs.cover):
-        want_p, want_z = _old_refine(zs, index, px, py)
+    probes = {
+        False: lambda: zs.match_points(zs.index, px, py),
+        True: lambda: zs.boundary_matches(px, py),
+    }
+    for boundary, probe in probes.items():
+        want_p, want_z = _old_refine(zs, zs.index, px, py, boundary)
         assert len(want_p) > 0
         for chunk in (ZoneSet.MATCH_CHUNK, 97):
             zs.MATCH_CHUNK = chunk
-            got_p, got_z = zs.match_points(index, px, py)
+            got_p, got_z = probe()
             np.testing.assert_array_equal(got_p, want_p)
             np.testing.assert_array_equal(got_z, want_z)
         del zs.MATCH_CHUNK
+    # the interior parts hold matches the boundary probe leaves out
+    assert len(zs.boundary_matches(px, py)[0]) < len(zs.match_points(zs.index, px, py)[0])

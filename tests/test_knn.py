@@ -8,9 +8,9 @@ import ray
 
 from rsgislib_ray.sources import testdata as td
 from rsgislib_ray.stages.knn import (
-    KNNJoin,
     KNNTieError,
     _TargetIndex,
+    _knn_batch,
     _topk_brute,
     _topk_grid,
     knn_join,
@@ -109,19 +109,11 @@ def test_tie_raises():
         }
     )
     idx = _TargetIndex(targets, "target_id", "x", "y", None, None)
-    stage = KNNJoin.__new__(KNNJoin)
-    stage.idx = idx
-    stage.k = 1
-    stage.x_col, stage.y_col = "x", "y"
-    stage.prefix = "nn_"
-    stage.tie = "error"
-    stage.tolerance = None
-    stage.strategy = "brute"
     batch = pa.table({"base_id": [7], "x": [5.0], "y": [5.0]})
+    args = (idx, batch, 1, "x", "y", "nn_")
     with pytest.raises(KNNTieError):
-        stage(batch)
-    stage.tie = "lowest"
-    out = stage(batch)
+        _knn_batch(*args, "error", None, "brute")
+    out = _knn_batch(*args, "lowest", None, "brute")
     assert out["nn_id"].to_pylist() == [1]  # deterministic lowest id
 
 

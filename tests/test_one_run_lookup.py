@@ -2,7 +2,8 @@
 
 A cell's entries are found with one ``searchsorted`` over the occupied
 cells (:func:`rsgislib_ray.functions.arrayops.run_lookup` over a
-:func:`~rsgislib_ray.functions.arrayops.run_table`), so no module under
+:func:`~rsgislib_ray.functions.arrayops.run_table` in the kNN target
+index, ``CellBucketIndex.parts`` over its run table), so no module under
 ``rsgislib_ray/`` may read or set a ``.sorted_key`` attribute: the
 per-entry key array it named is gone from ``CellBucketIndex`` and the
 kNN target index.

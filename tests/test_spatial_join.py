@@ -381,25 +381,41 @@ def _edge_layer(rng, n_zones, with_triangles):
 @pytest.mark.parametrize("with_triangles", [False, True])
 def test_match_points_equals_brute_force_in_order(with_triangles):
     """``match_points`` on the default cell-bucket index gives exactly the
-    brute-force pairs, ordered by point then zone, whether one chunk or
-    many."""
+    brute-force pairs in run order, whether one chunk or many: by point,
+    then the rectangle zones whose interior holds the point's cell
+    (column strictly between the cells of the zone's ``xmin`` and
+    ``xmax``, row likewise) ascending, then the other zones ascending."""
     from rsgislib_ray.stages.spatial_join import ZoneSet
 
     rng = np.random.default_rng(5)
     tbl, rings, px, py = _edge_layer(rng, 120, with_triangles)
     zs = ZoneSet.from_table(tbl)
     assert zs.is_rect.all() != with_triangles
+    idx = zs.build_index()
+
+    def cell(v, origin, size):
+        return np.floor((v - origin) / size)
+
+    def interior(p, z):
+        xmin, xmax, ymin, ymax = zs.bounds[z]
+        col, row = cell(px[p], idx.x0, idx.cw), cell(py[p], idx.y0, idx.ch)
+        return bool(zs.is_rect[z]) and (
+            cell(xmin, idx.x0, idx.cw) < col < cell(xmax, idx.x0, idx.cw)
+            and cell(ymin, idx.y0, idx.ch) < row < cell(ymax, idx.y0, idx.ch)
+        )
+
     want = np.array(
-        [
-            (p, z)
+        sorted(
+            (p, not interior(p, z), z)
             for p in range(len(px))
             for z in range(len(rings))
             if _even_odd(px[p], py[p], rings[z])
-        ],
+        ),
         dtype=np.int64,
-    )
+    )[:, [0, 2]]
     assert len(want) > 0
-    idx = zs.build_index()
+    # both parts occur, so the order is pinned, not only the pair set
+    assert 0 < sum(interior(p, z) for p, z in want) < len(want)
     for chunk in (ZoneSet.MATCH_CHUNK, 37):
         zs.MATCH_CHUNK = chunk
         pi, zi = zs.match_points(idx, px, py)

@@ -67,26 +67,24 @@ def test_tree_is_picklable_and_stable():
     np.testing.assert_array_equal(i1, i2)
 
 
-def _naive_bucket_entries(bounds, idx):
+def _naive_bucket_entries(bounds, rect, idx):
     """Every (cell key, item) entry of a CellBucketIndex, built with
-    Python loops, then ordered by a stable int64 argsort."""
+    Python loops, then ordered by a stable int64 argsort on (key,
+    boundary): each cell's interior entries of ``rect`` items first."""
     n = idx.n_side
-    keys, items = [], []
+    keys, items, edge = [], [], []
     for j, (xmin, xmax, ymin, ymax) in enumerate(bounds):
-        c0, c1 = (
-            min(max(int(np.floor((v - idx.x0) / idx.cw)), 0), n - 1)
-            for v in (xmin, xmax)
-        )
-        r0, r1 = (
-            min(max(int(np.floor((v - idx.y0) / idx.ch)), 0), n - 1)
-            for v in (ymin, ymax)
-        )
+        fc0, fc1 = (int(np.floor((v - idx.x0) / idx.cw)) for v in (xmin, xmax))
+        fr0, fr1 = (int(np.floor((v - idx.y0) / idx.ch)) for v in (ymin, ymax))
+        c0, c1 = (min(max(v, 0), n - 1) for v in (fc0, fc1))
+        r0, r1 = (min(max(v, 0), n - 1) for v in (fr0, fr1))
         for r in range(r0, r1 + 1):
             for c in range(c0, c1 + 1):
                 keys.append(r * n + c)
                 items.append(j)
+                edge.append(not (rect[j] and fc0 < c < fc1 and fr0 < r < fr1))
     keys = np.array(keys, dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys * 2 + np.array(edge, dtype=np.int64), kind="stable")
     return keys[order], np.array(items, dtype=np.int64)[order]
 
 
@@ -102,19 +100,23 @@ def _entry_keys(idx):
 
 def test_cell_bucket_build_matches_naive_int64_sort():
     """Radix build (level <= 8) and int64 build (level > 8) both give
-    exactly the entries and order of a naive stable int64 argsort."""
+    exactly the entries and order of a naive stable int64 argsort, with
+    and without interior entries."""
     from rsgislib_ray.state.strtree import CellBucketIndex
 
     rng = np.random.default_rng(11)
     b = _rand_bounds(rng, 400, max_sz=12.0)
-    for level in (6, 8, 9, 10):
-        idx = CellBucketIndex(b, level=level)
-        want_key, want_item = _naive_bucket_entries(b, idx)
-        assert idx.item_of.dtype == np.int64
-        np.testing.assert_array_equal(_entry_keys(idx), want_key)
-        np.testing.assert_array_equal(idx.item_of, want_item)
+    for rect in (np.zeros(len(b), dtype=bool), rng.random(len(b)) < 0.7):
+        for level in (6, 8, 9, 10):
+            idx = CellBucketIndex(b, rect, level=level)
+            want_key, want_item = _naive_bucket_entries(b, rect, idx)
+            assert idx.item_of.dtype == np.int64
+            np.testing.assert_array_equal(_entry_keys(idx), want_key)
+            np.testing.assert_array_equal(idx.item_of, want_item)
+    assert (idx.edge_starts[:-1] > idx.starts[:-1]).any()
     # a column-major bounds array builds the same index as a row-major one
-    idx_c = CellBucketIndex(b)
-    idx_f = CellBucketIndex(np.asfortranarray(b))
+    idx_c = CellBucketIndex(b, rect)
+    idx_f = CellBucketIndex(np.asfortranarray(b), rect)
     np.testing.assert_array_equal(_entry_keys(idx_c), _entry_keys(idx_f))
     np.testing.assert_array_equal(idx_c.item_of, idx_f.item_of)
+    np.testing.assert_array_equal(idx_c.edge_starts, idx_f.edge_starts)

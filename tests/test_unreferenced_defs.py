@@ -17,7 +17,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 TEST_ONLY = {
-    "KNNJoin",
     "are_endmembers_equal",
     "cell_bounds",
     "corr_feature_select",

@@ -4,10 +4,10 @@
 probes only the boundary entries per point. The reference below is the
 pair path it replaced: every candidate pair of the whole index refined
 by ``match_points`` and scattered pair by pair. The layers aim at the
-split's edges: zone corners on cell lines, points on zone and cell
-edges and one ulp either side, large coordinate offsets, zero-width
-zones, zones smaller than a cell, triangles, NaN and out-of-frame
-points, and empty and one-row blocks.
+edges of the interior / boundary parts: zone corners on cell lines,
+points on zone and cell edges and one ulp either side, large
+coordinate offsets, zero-width zones, zones smaller than a cell,
+triangles, NaN and out-of-frame points, and empty and one-row blocks.
 """
 
 import numpy as np
@@ -140,19 +140,25 @@ def test_moment_partial_equals_pair_path(
 
     px, py = batch["x"].to_numpy(), batch["y"].to_numpy()
     order, starts, cell, zone = zs.cell_groups(px, py)
-    inner, edge = zs.cover
-    # the split partitions the index; only rectangles have interior cells
-    assert len(inner.item_of) + len(edge.item_of) == len(zs.index.item_of)
-    assert zs.is_rect[inner.item_of].all()
+    idx = zs.index
+    # each run is its interior part then its boundary part, so the two
+    # together are the index; only rectangles have interior entries
+    lo, mid, hi = idx.parts(idx.cells)
+    np.testing.assert_array_equal(lo, idx.starts[:-1])
+    np.testing.assert_array_equal(hi, idx.starts[1:])
+    assert ((lo <= mid) & (mid <= hi)).all()
+    inner, edge = idx.entries(lo, mid)[1], idx.entries(mid, hi)[1]
+    assert len(inner) + len(edge) == len(idx.item_of)
+    assert zs.is_rect[inner].all()
     # every point of an interior cell passes its zone's half-open test
     k, j = expand(np.diff(starts, append=len(order))[cell])
     p, b = order[starts[cell[k]] + j], zs.bounds[zone[k]]
     assert ((px[p] >= b[:, 0]) & (px[p] < b[:, 1])).all()
     assert ((py[p] >= b[:, 2]) & (py[p] < b[:, 3])).all()
     # the work bound: never more than the pair path's candidates
-    assert len(zone) + len(edge.query_points(px, py)[0]) <= len(
-        zs.index.query_points(px, py)[0]
-    )
+    _, key = idx.cell_keys(px, py)
+    lo, mid, hi = idx.parts(key)
+    assert len(zone) + int((hi - mid).sum()) <= len(idx.query_points(px, py)[0])
 
 
 @pytest.mark.parametrize("partial", [_moment_partial, _value_count_partial])

@@ -1,8 +1,9 @@
 """A zone layer is packed and indexed once per Ray session.
 
 ``broadcast_zones`` memoizes its ref by table content, and the ZoneSet
-it puts carries its prebuilt index and the index's interior / boundary
-split (``cover``). These tests pin the build counts,
+it puts carries its one prebuilt index, whose cell runs hold interior
+entries first and boundary entries after. These tests pin the build
+counts, that the ZoneSet holds one index,
 the one-shape rule of the per-process cache, the memo's lifetime, and
 that ``zonal_stats``'s two combine routes agree.
 """
@@ -112,14 +113,16 @@ def _check_zonal(cells: pa.Table, zones: pa.Table, **kw) -> None:
 def test_bare_and_indexed_readers_share_one_ref(ray_session):
     """One ref read as a bare ZoneSet (the registry's ``cached(ref)``
     partials) and then by zonal_stats and spatial_join_points: every
-    reader gets the same shape, with the index and its split already
-    built."""
+    reader gets the same shape, with its one index already built."""
     zones, cells = _zones(61), _cells(62)
     ref = broadcast_zones(zones)
+    held = vars(ray.get(ref)).values()
+    assert sum(isinstance(v, CellBucketIndex) for v in held) == 1
 
     def bare(batch: pa.Table) -> pa.Table:
         zs = cached(ref)
-        prebuilt = "index" in vars(zs) and "cover" in vars(zs)
+        held = [v for v in vars(zs).values() if isinstance(v, CellBucketIndex)]
+        prebuilt = "index" in vars(zs) and len(held) == 1
         b = zs.bounds
         x = batch["x"].to_numpy()[:, None]
         y = batch["y"].to_numpy()[:, None]
@@ -137,20 +140,13 @@ def test_bare_and_indexed_readers_share_one_ref(ray_session):
 
 def test_equal_zone_tables_build_one_index(ray_session, monkeypatch):
     builds = []
-    splits = []
     build_index = ZoneSet.build_index
-    split = CellBucketIndex.split
 
     def counting(self):
         builds.append(len(self))
         return build_index(self)
 
-    def counting_split(self, bounds, eligible):
-        splits.append(len(bounds))
-        return split(self, bounds, eligible)
-
     monkeypatch.setattr(ZoneSet, "build_index", counting)
-    monkeypatch.setattr(CellBucketIndex, "split", counting_split)
     zones, cells = _zones(71), _cells(72)
     # equal content, built anew and chunked differently
     twin = pa.Table.from_batches(_zones(71).to_batches(max_chunksize=70))
@@ -160,7 +156,6 @@ def test_equal_zone_tables_build_one_index(ray_session, monkeypatch):
     _check_zonal(cells, twin)
     assert _pairs(spatial_join_points(_ds(cells), twin)) == _brute_pairs(cells, zones)
     assert len(builds) == 1
-    assert len(splits) == 1
 
     # one ring coordinate moved: a different layer, a new index
     ring = zones["ring_xy"].combine_chunks().flatten().to_numpy().copy()
@@ -171,7 +166,6 @@ def test_equal_zone_tables_build_one_index(ray_session, monkeypatch):
     )
     _check_zonal(cells, moved)
     assert len(builds) == 2
-    assert len(splits) == 2
 
     # the same layer with an attribute column: a new ZoneSet and index
     joined = spatial_join_points(_ds(cells), zones, attr_cols=["name"]).to_pandas()
