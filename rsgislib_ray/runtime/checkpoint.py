@@ -86,10 +86,9 @@ def _remove_stale_staging(out_dir: str) -> None:
         shutil.rmtree(d, ignore_errors=True)
 
 
-def _fragment_writer(staging: str, partition_col: str, skip: set):
+def _fragment_writer(staging: str, partition_col: str):
     """Block -> one parquet fragment per partition key in ``staging``,
-    returning one row per fragment: (partition, rows, path, span_xor).
-    Keys in ``skip`` are not written and come back with an empty path."""
+    returning one row per fragment: (partition, rows, path, span_xor)."""
     from rsgislib_ray.stages.spans import span_signature
 
     def write_fragments(batch: pa.Table) -> pa.Table:
@@ -104,20 +103,15 @@ def _fragment_writer(staging: str, partition_col: str, skip: set):
             if "spans" in batch.column_names
             else [None] * len(starts)
         )
-        rows, paths = [], []
-        for key, start, n in zip(runs.field("values"), starts.tolist(), counts.tolist()):
-            if key.as_py() in skip:
-                rows.append(0)
-                paths.append("")
-                continue
+        paths = []
+        for start, n in zip(starts.tolist(), counts.tolist()):
             path = os.path.join(staging, f"{uuid.uuid4().hex}.parquet")
             pq.write_table(batch.slice(start, n), path)
-            rows.append(n)
             paths.append(path)
         return pa.table(
             {
                 "partition": runs.field("values"),
-                "rows": pa.array(rows, type=pa.int64()),
+                "rows": pa.array(counts, type=pa.int64()),
                 "path": pa.array(paths, type=pa.string()),
                 "span_xor": pa.array(sigs, type=pa.uint64()),
             }
@@ -165,7 +159,6 @@ def checkpointed_write(
     out_dir: str,
     partition_col: str,
     lineage: list[dict],
-    skip_partitions: set | None = None,
 ) -> dict:
     """Write ``ds`` partitioned by ``partition_col`` with atomic commit
     + manifest append per partition. Returns a summary dict.
@@ -177,9 +170,7 @@ def checkpointed_write(
     The driver then commits each partition (:func:`_commit_partition`)
     from the fragment paths that successful tasks returned and deletes
     the staging dir with whatever failed attempts left in it. A killed
-    run resumes by passing ``finished_partitions()`` back as
-    ``skip_partitions`` (better: use :func:`resume_filter` on the
-    stream first).
+    run resumes by pruning its input with :func:`resume_filter`.
 
     ``out_dir`` must have one writer at a time: a write starts by
     deleting every staging dir found there.
@@ -187,28 +178,23 @@ def checkpointed_write(
     os.makedirs(out_dir, exist_ok=True)
     _remove_stale_staging(out_dir)
     lid = lineage_fingerprint(lineage)
-    skip = skip_partitions if skip_partitions is not None else set()
     staging = os.path.join(out_dir, STAGING_PREFIX + uuid.uuid4().hex[:8])
     os.makedirs(staging)
     try:
         # materialized once: the writer has side effects and must run once
         written = ds.map_batches(
-            _fragment_writer(staging, partition_col, skip),
+            _fragment_writer(staging, partition_col),
             batch_size=None,
             batch_format="pyarrow",
         ).materialize()
         fragments: dict = {}
-        skipped = set()
         for t in ray.get(written.to_arrow_refs()):
             if t.num_rows == 0:  # an empty block can pass through untouched
                 continue
             for key, n, path, sig in zip(
                 *(t[c].to_pylist() for c in ("partition", "rows", "path", "span_xor"))
             ):
-                if path:
-                    fragments.setdefault(key, []).append((path, n, sig))
-                else:
-                    skipped.add(key)
+                fragments.setdefault(key, []).append((path, n, sig))
         rows = sum(
             _commit_partition(out_dir, staging, partition_col, key, frags, lid)
             for key, frags in fragments.items()
@@ -220,7 +206,6 @@ def checkpointed_write(
         "lineage_id": lid,
         "lineage": lineage,
         "partitions_written": len(fragments),
-        "partitions_skipped": len(skipped),
         "rows_written": rows,
     }
     with open(os.path.join(out_dir, "_LINEAGE.json"), "w") as f:

@@ -223,102 +223,6 @@ def lsh_bucket_topk(
     )
 
 
-# ---------------------------------------------------------------------------
-# IVF variant (coarse k-means quantizer + probed buckets)
-# ---------------------------------------------------------------------------
-
-
-def _kmeans(sample: np.ndarray, n_centroids: int, iters: int = 10) -> np.ndarray:
-    """Deterministic Lloyd's k-means on normalized vectors (init = the
-    first n distinct sample rows; fixed iteration count — no RNG, so
-    results are identical at any parallelism)."""
-    X = _normalize(sample.astype(np.float64))
-    C = X[:n_centroids].copy()
-    for _ in range(iters):
-        sims = X @ C.T
-        assign = sims.argmax(axis=1)
-        for j in range(n_centroids):
-            members = X[assign == j]
-            if len(members):
-                C[j] = members.mean(axis=0)
-        C = _normalize(C)
-    return C
-
-
-def ivf_topk(
-    embeddings: ray.data.Dataset,
-    query_tbl: pa.Table,
-    k: int = 10,
-    n_centroids: int = 16,
-    nprobe: int = 4,
-    train_sample: int = 2048,
-    vec_col: str = "embedding",
-    id_col: str = "vec_id",
-    query_vec_col: str = "embedding",
-    query_id_col: str = "vec_id",
-) -> pa.Table:
-    """IVF approximate top-k: a coarse k-means quantizer buckets the
-    corpus; each query scans only its ``nprobe`` nearest buckets.
-    Recall < 1 by design (tested >= 0.7 at nprobe=4/16 centroids); the
-    quantizer trains once on a driver-side sample and is broadcast.
-    Output contract matches ann_topk: (query_id, rank, vec_id)."""
-    sample_tbl = embeddings.limit(train_sample).to_pandas()
-    sample = np.stack(sample_tbl[vec_col].to_numpy())
-    C = _kmeans(sample, n_centroids)
-    Q = _normalize(_to_matrix(query_tbl[query_vec_col]))
-    q_ids = query_tbl[query_id_col].to_numpy().astype(np.int64)
-    # per query: the nprobe closest centroids
-    probe = np.argsort(-(Q @ C.T), axis=1)[:, :nprobe]
-    ref = ray.put({"C": C, "Q": Q, "q_ids": q_ids, "probe": probe})
-
-    def scan(batch: pa.Table) -> pa.Table:
-        from rsgislib_ray.state.broadcast import cached
-
-        st = cached(ref)
-        M = _normalize(_to_matrix(batch[vec_col]))
-        ids = batch[id_col].to_numpy()
-        assign = (M @ st["C"].T).argmax(axis=1)
-        out = {"query_id": [], "vec_id": [], "sim": []}
-        for qi in range(len(st["q_ids"])):
-            mask = np.isin(assign, st["probe"][qi])
-            if not mask.any():
-                continue
-            sel = np.flatnonzero(mask)
-            sims = M[sel] @ st["Q"][qi]
-            kk = min(k, len(sel))
-            top = np.argpartition(-sims, kk - 1)[:kk]
-            out["query_id"].append(
-                np.full(kk, st["q_ids"][qi], dtype=np.int64)
-            )
-            out["vec_id"].append(ids[sel[top]])
-            out["sim"].append(sims[top])
-        if not out["query_id"]:
-            return pa.table(
-                {
-                    "query_id": pa.array([], pa.int64()),
-                    "vec_id": pa.array([], pa.int64()),
-                    "sim": pa.array([], pa.float64()),
-                }
-            )
-        return pa.table({kk2: np.concatenate(vv) for kk2, vv in out.items()})
-
-    local = embeddings.map_batches(scan, batch_format="pyarrow", batch_size=8192)
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "rank", "vec_id"]]
-
-    out = local.groupby("query_id").map_groups(arrowize(merge), batch_format="pandas")
-    return (
-        out.to_pandas()
-        .sort_values(["query_id", "rank"])
-        .reset_index(drop=True)
-        .pipe(pa.Table.from_pandas, preserve_index=False).replace_schema_metadata(None)
-    )
-
-
 def embedding_near_dup(
     embeddings: ray.data.Dataset,
     threshold: float = 0.9,
@@ -333,7 +237,7 @@ def embedding_near_dup(
     every batch runs one matmul against it — O(n^2) compute distributed
     over batches with bounded memory. At corpus scale swap the
     broadcast side for LSH buckets (:func:`lsh_bucket_topk`) or the IVF
-    quantizer (:func:`ivf_topk`); the pair-emission contract is
+    quantizer (:func:`ivf_topk_exact`); the pair-emission contract is
     unchanged."""
     tbl = embeddings.select_columns([id_col, vec_col]).to_arrow_refs()
     import pyarrow as _pa
@@ -378,9 +282,8 @@ def semantic_dedup(
 
     Deterministic quantizer: the centroids are the normalized
     embeddings of the ``n_clusters`` smallest ids (fixed,
-    non-iterative) so the whole operator is SQL-mirrorable; swap in
-    :func:`ivf_topk`'s k-means quantizer when oracle exactness isn't
-    required. Assignment ties break to the lowest centroid id (argmax
+    non-iterative) so the whole operator is SQL-mirrorable.
+    Assignment ties break to the lowest centroid id (argmax
     keeps the first maximum; centroids are id-ordered).
 
     Scale shape mirrors :func:`embedding_near_dup` + minhash_dedup's
@@ -636,108 +539,6 @@ def _semantic_dedup_cluster(
     )
 
 
-def pq_topk(
-    embeddings: ray.data.Dataset,
-    query_tbl: pa.Table,
-    k: int = 10,
-    m: int = 16,
-    n_codes: int = 16,
-    train_sample: int = 2048,
-    rerank_mult: int = 8,
-    vec_col: str = "embedding",
-    id_col: str = "vec_id",
-    query_vec_col: str = "embedding",
-    query_id_col: str = "vec_id",
-) -> pa.Table:
-    """Product-quantization approximate top-k (Jégou et al. 2011, the
-    third standard ANN scale path beside LSH buckets and IVF): the
-    normalized vector splits into ``m`` subvectors, each quantized
-    against a per-subspace ``n_codes`` codebook trained once on a
-    driver-side sample; query-time ADC (asymmetric distance) sums
-    per-subspace lookup-table entries, so shortlisting a corpus batch
-    costs one encode pass + table gathers — the full-dimension matmul
-    runs only on the per-batch ADC shortlist of ``k·rerank_mult``
-    candidates (exact re-rank, the standard ADC+R configuration).
-    At cluster scale the codebooks are the broadcast state (m×ks×dsub
-    floats), corpus codes are ``m`` uint8 columns (8 bytes/vector at
-    m=8 — the 100-TB memory story), and per-batch top-k merges through
-    one small groupby, exactly like :func:`ivf_topk`. Output contract:
-    (query_id, rank, vec_id), exact cosine descending, vec_id ties
-    ascending."""
-    d = None
-    sample_tbl = embeddings.limit(train_sample).to_pandas()
-    sample = _normalize(np.stack(sample_tbl[vec_col].to_numpy()))
-    d = sample.shape[1]
-    if d % m:
-        raise ValueError(f"dim {d} not divisible by m={m}")
-    dsub = d // m
-    books = np.stack(
-        [
-            _kmeans(sample[:, j * dsub : (j + 1) * dsub], n_codes)
-            for j in range(m)
-        ]
-    )  # (m, ks, dsub)
-    Q = _normalize(_to_matrix(query_tbl[query_vec_col]))
-    q_ids = query_tbl[query_id_col].to_numpy().astype(np.int64)
-    # per-query ADC tables: T[q, j, code] = ||Q_sub - C_code||^2
-    T = np.empty((len(q_ids), m, n_codes))
-    for j in range(m):
-        qs = Q[:, j * dsub : (j + 1) * dsub]
-        T[:, j, :] = (
-            ((qs[:, None, :] - books[j][None, :, :]) ** 2).sum(axis=2)
-        )
-    ref = ray.put({"books": books, "T": T, "q_ids": q_ids, "Q": Q})
-
-    def scan(batch: pa.Table) -> pa.Table:
-        from rsgislib_ray.state.broadcast import cached
-
-        st = cached(ref)
-        M = _normalize(_to_matrix(batch[vec_col]))
-        ids = batch[id_col].to_numpy().astype(np.int64)
-        bks, Tq = st["books"], st["T"]
-        mm, ks, ds_ = bks.shape
-        codes = np.empty((len(ids), mm), dtype=np.int64)
-        for j in range(mm):
-            sub = M[:, j * ds_ : (j + 1) * ds_]
-            d2 = ((sub[:, None, :] - bks[j][None, :, :]) ** 2).sum(axis=2)
-            codes[:, j] = d2.argmin(axis=1)
-        out = {"query_id": [], "vec_id": [], "sim": []}
-        for qi in range(len(st["q_ids"])):
-            # ADC: gather per-subspace table entries and sum
-            dist = Tq[qi][np.arange(mm)[None, :], codes].sum(axis=1)
-            kk = min(k * rerank_mult, len(ids))
-            short = np.argpartition(dist, kk - 1)[:kk]
-            # exact re-rank on the shortlist only
-            sims = M[short] @ st["Q"][qi]
-            out["query_id"].append(
-                np.full(kk, st["q_ids"][qi], dtype=np.int64)
-            )
-            out["vec_id"].append(ids[short])
-            out["sim"].append(sims)
-        return pa.table({c: np.concatenate(v) for c, v in out.items()})
-
-    local = embeddings.map_batches(
-        scan, batch_format="pyarrow", batch_size=8192
-    )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "rank", "vec_id"]]
-
-    out = local.groupby("query_id").map_groups(
-        arrowize(merge), batch_format="pandas"
-    )
-    return (
-        out.to_pandas()
-        .sort_values(["query_id", "rank"])
-        .reset_index(drop=True)
-        .pipe(pa.Table.from_pandas, preserve_index=False)
-        .replace_schema_metadata(None)
-    )
-
-
 # ---------------------------------------------------------------------------
 # integer-lattice IVF with an oracle-derivable recall contract
 # ---------------------------------------------------------------------------
@@ -795,9 +596,8 @@ def ivf_topk_exact(
     re-derive the full result INCLUDING the recall columns instead of
     trusting a self-reported flag (VERDICT r4 'what's wrong' #1).
 
-    Same shape as :func:`ivf_topk` (broadcast quantizer, bucket-bounded
-    candidate scan, tiny per-query merge) plus one extra broadcast
-    exact scan of the k*n_query shortlist.  The trained sample is the
+    Shape: a broadcast quantizer, a bucket-bounded candidate scan and
+    a tiny per-query merge, plus one extra broadcast exact scan of the k*n_query shortlist.  The trained sample is the
     ``train_sample`` smallest ids (assumes contiguous-ish ids — the
     deterministic stand-in for limit()'s file order).  Output:
     (query_id, rank, vec_id, hits, recall_ok) where hits =
@@ -940,8 +740,8 @@ def pq_topk_exact(
     ANN scale path): per-subspace int codebooks (squared-L2 Lloyd),
     exact int ADC tables, a GLOBAL ``k*rerank_mult`` shortlist by
     (ADC distance, vec_id) — per-batch prune + one associative top-N
-    merge, so the result is partition-independent unlike the
-    per-batch shortlist of :func:`pq_topk` — exact int-dot re-rank,
+    merge, so the result is partition-independent — exact int-dot
+    re-rank,
     and hits/recall_ok vs the exact top-k computed in the same pass.
     Output: (query_id, rank, vec_id, hits, recall_ok)."""
     Q = quantize_vecs(query_tbl[query_vec_col])

@@ -10,18 +10,24 @@ n-gram-Jaccard verification as first-class Ray Data stages.
 
 Scale shapes:
 - exact: content-hash in ``map_batches`` (vectorized stable SipHash) ->
-  ``groupby(hash)`` -> first-wins (min doc_id) — one shuffle of
-  (hash, id) pairs only.
+  ``segsum.segment_sum(min)`` per hash -> first-wins (min doc_id) — one
+  shuffle of (hash, id) partials only.
 - minhash-lsh: per-batch signature matrix (segmented-min over shingle
-  hashes — no per-doc loop), explode to (band, band_hash, doc_id) rows,
-  ``groupby(band key)`` emits candidate pairs, exact-Jaccard verify,
-  then greedy min-label clustering. Candidate volume is bounded by the
-  band structure, not O(n^2).
+  hashes — no per-doc loop), explode to (bucket, doc_id) band rows,
+  the engine's hash plan keyed on the bucket pairs each bucket whole
+  (``partition.hash_reduce``), exact-Jaccard verify on the same plan
+  keyed on the pair id, then min-label clustering. Candidate volume is
+  bounded by the band structure, not O(n^2).
 - simhash: 64-bit signature per doc; near-dup candidates via 4x16-bit
-  band buckets (Hamming radius <= 3 guaranteed candidate recall).
+  band buckets (Hamming radius <= 3 guaranteed candidate recall) on
+  the same hash plan, each pair kept from its lowest shared band.
+- k-gram: distinct window hashes per doc on the hash plan keyed on the
+  gram, shared windows counted by ``segsum.combine_dataset``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -38,6 +44,8 @@ from rsgislib_ray.functions.hashing import (
 from rsgislib_ray.functions.textstats import word_shingles
 
 from rsgislib_ray.functions.arrowize import arrowize
+from rsgislib_ray.stages import partition, segsum
+from rsgislib_ray.stages.partition import held_blocks
 
 _U = np.uint64
 _MERSENNE = (1 << 61) - 1
@@ -107,9 +115,7 @@ def exact_dedup(
             }
         )
 
-    from rsgislib_ray.stages.segsum import segment_sum
-
-    winners = segment_sum(
+    winners = segsum.segment_sum(
         hashed.map_batches(partial, batch_format="pyarrow", batch_size=65536),
         "content_hash",
         ["min_id", "cnt"],
@@ -117,7 +123,6 @@ def exact_dedup(
     )  # columns: content_hash, min_id, cnt; materialized
 
     if strategy == "auto":
-        from rsgislib_ray.stages import segsum as _segsum
 
         def count_dups(b: pa.Table) -> pa.Table:
             return pa.table(
@@ -131,12 +136,10 @@ def exact_dedup(
             ).take_all()
         )
         strategy = (
-            "join" if ndup > _segsum.AUTO_NATIVE_ROWS else "broadcast"
+            "join" if ndup > segsum.AUTO_NATIVE_ROWS else "broadcast"
         )
 
     if strategy == "join":
-        from rsgislib_ray.stages import partition
-
         # only hashes seen >= 2 times need adjudication — a unique
         # hash's single row is its own winner. Filtering the right side
         # to DUP GROUPS (the rare case on a real crawl) shrinks the
@@ -291,6 +294,37 @@ def _run_pairs(ids: np.ndarray):
     return ids[:-1], ids[1:]
 
 
+def _bucket_runs(parts: tuple, key: str, doc: str, *cols: str):
+    """One hash partition's rows (``parts``) sorted by ``(key, doc)``:
+    the ``key``, ``doc`` and ``cols`` columns as int64 arrays, and the
+    ``(start, end)`` of each run of one ``key`` value holding two rows
+    or more. The hash plan brings every row of a key to one partition
+    (``partition.hash_reduce``), so each run is a whole bucket."""
+    t = partition.side(parts)
+    names = (key, doc, *cols)
+    if not t.num_rows:
+        return [np.empty(0, np.int64) for _ in names], []
+    arrs = [t[c].to_numpy().astype(np.int64, copy=False) for c in names]
+    order = np.lexsort((arrs[1], arrs[0]))
+    arrs = [c[order] for c in arrs]
+    k = arrs[0]
+    cut = np.r_[0, np.flatnonzero(k[1:] != k[:-1]) + 1, len(k)]
+    multi = np.flatnonzero(np.diff(cut) >= 2)
+    return arrs, list(zip(cut[multi], cut[multi + 1]))
+
+
+def _bucket_pairs(key: str, doc: str, *parts: pa.Table) -> pa.Table:
+    """:func:`_run_pairs` of every bucket of one hash partition, as
+    ``(doc_a, doc_b)`` rows."""
+    (_, d), runs = _bucket_runs(parts, key, doc)
+    a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for st, en in runs:
+        ra, rb = _run_pairs(d[st:en])
+        a.append(ra)
+        b.append(rb)
+    return pa.table({"doc_a": np.concatenate(a), "doc_b": np.concatenate(b)})
+
+
 def minhash_lsh_candidates(
     ds: ray.data.Dataset,
     text_col: str = "text",
@@ -299,18 +333,17 @@ def minhash_lsh_candidates(
     n_bands: int = 16,
     shingle_k: int = 3,
 ) -> ray.data.Dataset:
-    """Candidate near-dup pairs (doc_a < doc_b, ALL pairs per bucket)
-    from banded MinHash, returned as a streaming Dataset.
+    """Candidate near-dup pairs (doc_a < doc_b, ALL pairs per bucket up
+    to :data:`_MAX_RUN_ALLPAIRS` members, a chain beyond) from banded
+    MinHash, as a materialized Dataset; a pair shared by several bands
+    comes once per band.
 
-    Bucket pairing is SORT-based, not per-group map_groups (which pays
-    per-bucket Python overhead across tens of thousands of buckets):
-    sort band rows by bucket key, emit all-pairs per sorted RUN inside
-    each block vectorized. Runs touching a block BOUNDARY forward their
-    member rows (capped) and are paired on the driver — boundary runs
-    are O(#blocks) buckets, tiny. All-pairs (vs star pairs to the run
-    minimum) is required so that two bucket members a,b with
-    jaccard(a,b) >= threshold stay linked even when their pairs with a
-    third member fail verification."""
+    Band rows ``(bucket, doc_id)`` go through the engine's hash plan
+    keyed on the bucket (``partition.hash_reduce``), so one reduce task
+    holds each bucket whole and pairs it with :func:`_run_pairs`. All
+    pairs (vs star pairs to the run minimum) keep two bucket members
+    a, b with jaccard(a, b) >= threshold linked even when their pairs
+    with a third member fail verification."""
 
     def to_bands(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_numpy(zero_copy_only=False)
@@ -324,85 +357,11 @@ def minhash_lsh_candidates(
         return pa.table({"bucket": key, "doc_id": t["doc_id"]})
 
     bands = ds.map_batches(to_bands, batch_format="pyarrow", batch_size=4096)
-    sorted_bands = bands.sort("bucket")
-
-    def emit(batch: pa.Table) -> pa.Table:
-        k = batch["bucket"].to_numpy()
-        d = batch["doc_id"].to_numpy()
-        order = np.lexsort((d, k))
-        k2, d2 = k[order], d[order]
-        new = np.concatenate([[True], k2[1:] != k2[:-1]])
-        starts = np.flatnonzero(new)
-        ends = np.concatenate([starts[1:], [len(k2)]])
-        out_a, out_b = [], []
-        bnd_d, bnd_k = [], []
-        interesting = np.flatnonzero(
-            ((ends - starts) >= 2) | (starts == 0) | (ends == len(k2))
-        )
-        for ri in interesting:
-            st, en = starts[ri], ends[ri]
-            if st == 0 or en == len(k2):  # boundary: forward members
-                mem = d2[st:en][:_MAX_RUN_ALLPAIRS]
-                bnd_d.append(mem)
-                bnd_k.append(np.full(len(mem), k2[st], dtype=np.int64))
-                if en - st > _MAX_RUN_ALLPAIRS:
-                    # chain-link the truncated tail locally so nothing
-                    # is disconnected from the forwarded head
-                    a, b = d2[st + _MAX_RUN_ALLPAIRS - 1 : en - 1], d2[
-                        st + _MAX_RUN_ALLPAIRS : en
-                    ]
-                    out_a.append(a)
-                    out_b.append(b)
-                continue
-            a, b = _run_pairs(d2[st:en])
-            out_a.append(a)
-            out_b.append(b)
-        pa_a = np.concatenate(out_a) if out_a else np.empty(0, dtype=d.dtype)
-        pa_b = np.concatenate(out_b) if out_b else np.empty(0, dtype=d.dtype)
-        bd = np.concatenate(bnd_d) if bnd_d else np.empty(0, dtype=d.dtype)
-        bk = np.concatenate(bnd_k) if bnd_k else np.empty(0, dtype=np.int64)
-        return pa.table(
-            {
-                "doc_a": np.concatenate([pa_a, bd]),
-                "doc_b": np.concatenate([pa_b, bd]),
-                "bucket": np.concatenate(
-                    [np.zeros(len(pa_a), dtype=np.int64), bk]
-                ),
-                "is_summary": np.concatenate(
-                    [
-                        np.zeros(len(pa_a), dtype=np.int8),
-                        np.ones(len(bd), dtype=np.int8),
-                    ]
-                ),
-            }
-        )
-
-    both = sorted_bands.map_batches(emit, batch_format="pyarrow").materialize()
-    pairs_ds = both.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["is_summary"], 0)).select(
-            ["doc_a", "doc_b"]
-        ),
-        batch_format="pyarrow",
+    return partition.hash_reduce(
+        held_blocks(bands)[1],
+        ["bucket"],
+        functools.partial(_bucket_pairs, "bucket", "doc_id"),
     )
-    # boundary runs (O(#blocks) buckets): pair them in a DISTRIBUTED
-    # grouped pass — group count is bounded by 2 buckets per block, so
-    # no boundary member row ever lands on the driver
-    def stitch(g: pd.DataFrame) -> pd.DataFrame:
-        mem = np.sort(g["doc_a"].unique())
-        a, b = _run_pairs(mem)
-        return pd.DataFrame({"doc_a": a, "doc_b": b})
-
-    extra = (
-        both.map_batches(
-            lambda t: t.filter(pa.compute.equal(t["is_summary"], 1)).select(
-                ["doc_a", "bucket"]
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(arrowize(stitch), batch_format="pandas")
-    )
-    return pairs_ds.union(extra)
 
 
 def _shingle_hash_arrays(texts, shingle_k: int) -> list:
@@ -427,7 +386,6 @@ def verify_pairs_jaccard(
     shingle_k: int = 3,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_buckets: int = 32,
 ) -> pd.DataFrame:
     """Pandas-pairs convenience wrapper over
     :func:`verify_pairs_jaccard_ds` (small, driver-resident pair lists
@@ -443,17 +401,17 @@ def verify_pairs_jaccard(
         )
     )
     return verify_pairs_jaccard_ds(
-        docs, pairs_ds, threshold, shingle_k, id_col, text_col, num_buckets
+        docs, pairs_ds, threshold, shingle_k, id_col, text_col
     ).to_pandas()
 
 
 def _build_pair_adjacency(tables: list) -> tuple:
-    """``cached_multi`` build fn over the MATERIALIZED candidate-pair
-    blocks: dedup pairs deterministically (lexsort on (a, b)) and lay
-    out the (sorted doc_id -> (pair_id, side)) adjacency arrays for the
-    explode stage plus the (a, b) pair arrays the verify stage uses to
-    emit surviving rows. Built once per worker process from block refs
-    — the pair list never lands on the driver."""
+    """``cached_multi`` build fn over the held candidate-pair blocks:
+    dedup pairs deterministically (lexsort on (a, b)) and lay out the
+    (sorted doc_id -> (pair_id, side)) adjacency arrays for the explode
+    stage plus the (a, b) pair arrays the verify stage uses to emit
+    surviving rows. Built once per worker process from block refs — the
+    pair list never lands on the driver."""
     e8 = np.empty(0, np.int8)
     e = np.empty(0, np.int64)
     nonempty = [t for t in tables if t.num_rows]
@@ -477,6 +435,45 @@ def _build_pair_adjacency(tables: list) -> tuple:
     return a, b, doc_ids[o], pid2[o], side2[o]
 
 
+def _verify_partition(refs: list, threshold: float, *parts: pa.Table) -> pa.Table:
+    """One hash partition of ``(pair_id, side, sh)`` rows: every pair
+    whose two sides both arrived (a partner doc absent from the corpus
+    has none), kept when the Jaccard of its sides' sorted shingle-hash
+    arrays reaches ``threshold``; ``(doc_a, doc_b, jaccard)`` rows."""
+    from rsgislib_ray.state.broadcast import cached_multi
+
+    a_arr, b_arr, _d, _p, _s = cached_multi(refs, _build_pair_adjacency)
+    t = partition.side(parts)
+    ok_pids, sims = [], []
+    if t.num_rows:
+        t = t.take(np.lexsort((t["side"].to_numpy(), t["pair_id"].to_numpy())))
+        pid, side = t["pair_id"].to_numpy(), t["side"].to_numpy()
+        sh = t["sh"].combine_chunks()
+        off = sh.offsets.to_numpy()
+        vals = sh.flatten().to_numpy()
+        off = off - off[0]
+        # side 0 then side 1 of one pair sit next to each other
+        both = np.flatnonzero(
+            (pid[1:] == pid[:-1]) & (side[:-1] == 0) & (side[1:] == 1)
+        )
+        for i in both:
+            sa, sb = vals[off[i] : off[i + 1]], vals[off[i + 1] : off[i + 2]]
+            inter = len(np.intersect1d(sa, sb, assume_unique=True))
+            union = len(sa) + len(sb) - inter
+            sim = 1.0 if union == 0 else inter / union
+            if sim >= threshold:
+                ok_pids.append(pid[i])
+                sims.append(sim)
+    ok = np.array(ok_pids, dtype=np.int64)
+    return pa.table(
+        {
+            "doc_a": pa.array(a_arr[ok], pa.int64()),
+            "doc_b": pa.array(b_arr[ok], pa.int64()),
+            "jaccard": pa.array(sims, pa.float64()),
+        }
+    )
+
+
 def verify_pairs_jaccard_ds(
     docs: ray.data.Dataset,
     pairs: ray.data.Dataset,
@@ -484,32 +481,25 @@ def verify_pairs_jaccard_ds(
     shingle_k: int = 3,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_buckets: int = 32,
 ) -> ray.data.Dataset:
     """Exact-Jaccard verification of candidate pairs, DISTRIBUTED end
-    to end: the (contracted) pair blocks are materialized to the
-    OBJECT STORE and each worker builds the dedup-sorted adjacency once
+    to end: the candidate pair blocks are held in the OBJECT STORE and
+    each worker builds the dedup-sorted adjacency once
     (``cached_multi`` — the driver only ever holds block refs); the
     corpus streams through a map_batches that emits one row per
-    (pair, side) with that doc's sorted shingle-hash array; rows
-    co-partition by ``pair_id % num_buckets`` and each bucket verifies
-    its pairs with vectorized sorted-array intersection
+    (pair, side) with that doc's sorted shingle-hash array; those rows
+    go through the engine's hash plan keyed on ``pair_id``
+    (``partition.hash_reduce``), so one reduce task holds both sides of
+    each pair and verifies it with sorted-array intersection
     (np.intersect1d). No document text OR PAIR ROW ever lands on the
     driver. Shingle sets are compared by 64-bit hash — collision
     probability is negligible and deterministic.
 
-    Returns a streaming Dataset of surviving (doc_a, doc_b, jaccard)."""
-    _empty = pa.table(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "jaccard": pa.array([], pa.float64()),
-        }
-    )
-    mat = pairs.select_columns(["doc_a", "doc_b"]).materialize()
-    if mat.count() == 0:
-        return ray.data.from_arrow(_empty)
-    refs = mat.to_arrow_refs()
+    Returns a materialized Dataset of surviving (doc_a, doc_b, jaccard)."""
+    blocks = held_blocks(pairs)[1]
+    refs = [ref for ref, m in blocks if m.num_rows]
+    if not refs:
+        return ray.data.from_arrow(_verify_partition([], threshold))
 
     def explode(batch: pa.Table) -> pa.Table:
         from rsgislib_ray.state.broadcast import cached_multi
@@ -523,7 +513,6 @@ def verify_pairs_jaccard_ds(
         if len(sel) == 0:
             return pa.table(
                 {
-                    "vb": pa.array([], pa.int64()),
                     "pair_id": pa.array([], pa.int64()),
                     "side": pa.array([], pa.int8()),
                     "sh": pa.array([], pa.list_(pa.uint64())),
@@ -534,7 +523,6 @@ def verify_pairs_jaccard_ds(
         # one output row per (doc, membership)
         doc_pos, within = expand(cnt[sel])
         srcpos = lo[sel][doc_pos] + within
-        out_pid = psrt[srcpos]
         lens = np.array([len(sh_arrays[i]) for i in doc_pos], dtype=np.int32)
         offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int32)
         values = (
@@ -547,47 +535,17 @@ def verify_pairs_jaccard_ds(
         )
         return pa.table(
             {
-                "vb": pa.array(out_pid % num_buckets, pa.int64()),
-                "pair_id": pa.array(out_pid, pa.int64()),
+                "pair_id": pa.array(psrt[srcpos], pa.int64()),
                 "side": pa.array(ssrt[srcpos], pa.int8()),
                 "sh": sh_list,
             }
         )
 
     exploded = docs.map_batches(explode, batch_format="pyarrow", batch_size=4096)
-
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        from rsgislib_ray.state.broadcast import cached_multi
-
-        a_arr, b_arr, _d, _p, _s = cached_multi(refs, _build_pair_adjacency)
-        got: dict = {}
-        ok_pids = []
-        sims = []
-        for pid_v, side_v, sh_v in zip(g["pair_id"], g["side"], g["sh"]):
-            key = int(pid_v)
-            slot = got.setdefault(key, [None, None])
-            slot[int(side_v)] = np.asarray(sh_v, dtype=np.uint64)
-        for key, (sa, sb) in got.items():
-            if sa is None or sb is None:
-                continue  # partner doc absent from the corpus
-            inter = len(np.intersect1d(sa, sb, assume_unique=True))
-            union = len(sa) + len(sb) - inter
-            sim = 1.0 if union == 0 else inter / union
-            if sim >= threshold:
-                ok_pids.append(key)
-                sims.append(sim)
-        ok = np.array(ok_pids, dtype=np.int64)
-        return pd.DataFrame(
-            {
-                "doc_a": pd.Series(a_arr[ok], dtype="int64"),
-                "doc_b": pd.Series(b_arr[ok], dtype="int64"),
-                "jaccard": pd.Series(sims, dtype="float64"),
-            }
-        )
-
-    return (
-        exploded.groupby("vb")
-        .map_groups(arrowize(verify), batch_format="pandas")
+    return partition.hash_reduce(
+        held_blocks(exploded)[1],
+        ["pair_id"],
+        functools.partial(_verify_partition, refs, threshold),
     )
 
 
@@ -680,6 +638,26 @@ def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cnt
 
 
+def _simhash_pairs(max_hamming: int, *parts: pa.Table) -> pa.Table:
+    """Every pair of each band bucket of one hash partition within
+    ``max_hamming`` bits, kept only from the lowest band its two
+    signatures share, so each pair comes once: ``(doc_a, doc_b,
+    hamming)`` rows."""
+    (key, d, s), runs = _bucket_runs(parts, "bucket", "doc_id", "simhash")
+    ii, jj = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for st, en in runs:
+        i, j = np.triu_indices(en - st, k=1)
+        ii.append(i + st)
+        jj.append(j + st)
+    ii, jj = np.concatenate(ii), np.concatenate(jj)
+    hd = hamming64(s[ii], s[jj])
+    x = s[ii].view(_U) ^ s[jj].view(_U)
+    same = [((x >> _U(16 * b)) & _U(0xFFFF)) == 0 for b in range(4)]
+    lowest = np.argmax(np.stack(same, axis=1), axis=1)
+    ok = (hd <= max_hamming) & (lowest == key[ii] >> 16)
+    return pa.table({"doc_a": d[ii[ok]], "doc_b": d[jj[ok]], "hamming": hd[ok]})
+
+
 def simhash_near_dup_pairs(
     ds: ray.data.Dataset,
     text_col: str = "text",
@@ -688,172 +666,35 @@ def simhash_near_dup_pairs(
 ) -> ray.data.Dataset:
     """Near-dup pairs by SimHash: 4 x 16-bit band buckets guarantee any
     pair within Hamming distance 3 shares >= 1 band (pigeonhole), then
-    exact Hamming verification per bucket. Fully distributed: interior
-    bucket runs pair in-block, boundary runs stitch in a grouped pass,
-    cross-band repeats dedup in a two-key groupby — no pair or member
-    row ever lands on the driver. Returns a streaming Dataset of
-    (doc_a, doc_b, hamming)."""
+    exact Hamming verification per bucket. Band rows ``(bucket,
+    doc_id, simhash)``, keyed by the exact ``band_id << 16 | band_val``,
+    go through the engine's hash plan (``partition.hash_reduce``), so
+    one reduce task holds each bucket whole; both signatures are in the
+    row, so a pair is kept only from its lowest shared band and comes
+    once. No pair or member row lands on the driver. Returns a
+    materialized Dataset of (doc_a, doc_b, hamming)."""
     with_sig = add_simhash(ds.select_columns([id_col, text_col]), text_col)
 
     def to_bands(batch: pa.Table) -> pa.Table:
         sig = batch["simhash"].to_numpy().astype(np.uint64)
         ids = batch[id_col].to_numpy()
-        t = {"band_id": [], "band_val": [], "doc_id": [], "simhash": []}
-        for bnd in range(4):
-            t["band_id"].append(np.full(len(ids), bnd, dtype=np.int64))
-            t["band_val"].append(
-                ((sig >> _U(16 * bnd)) & _U(0xFFFF)).astype(np.int64)
-            )
-            t["doc_id"].append(ids)
-            t["simhash"].append(sig.astype(np.int64))
-        return pa.table({k: np.concatenate(v) for k, v in t.items()})
+        bucket = [
+            (bnd << 16) | ((sig >> _U(16 * bnd)) & _U(0xFFFF)).astype(np.int64)
+            for bnd in range(4)
+        ]
+        return pa.table(
+            {
+                "bucket": np.concatenate(bucket),
+                "doc_id": np.tile(ids, 4),
+                "simhash": np.tile(sig.astype(np.int64), 4),
+            }
+        )
 
     bands = with_sig.map_batches(to_bands, batch_format="pyarrow")
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        key = hash_combine(
-            batch["band_id"].to_numpy().astype(np.uint64),
-            batch["band_val"].to_numpy().astype(np.uint64),
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "bucket": key,
-                "doc_id": batch["doc_id"],
-                "simhash": batch["simhash"],
-            }
-        )
-
-    sorted_bands = bands.map_batches(add_key, batch_format="pyarrow").sort(
-        "bucket"
-    )
-
-    # Sort-based bucket pairing (see minhash_lsh_candidates): all-pairs
-    # verification needs full bucket contents, so runs that touch a
-    # block BOUNDARY are forwarded as member rows and paired on the
-    # driver (boundary runs are O(#blocks) buckets — tiny).
-    def emit(batch: pa.Table) -> pa.Table:
-        k = batch["bucket"].to_numpy()
-        d = batch["doc_id"].to_numpy()
-        s = batch["simhash"].to_numpy().astype(np.uint64)
-        order = np.lexsort((d, k))
-        k, d, s = k[order], d[order], s[order]
-        new = np.concatenate([[True], k[1:] != k[:-1]])
-        starts = np.flatnonzero(new)
-        ends = np.concatenate([starts[1:], [len(k)]])
-        out_a, out_b, out_h = [], [], []
-        bnd_d, bnd_s, bnd_k = [], [], []
-        # loop ONLY over multi-member or boundary runs (singleton
-        # interior runs — the vast majority — are skipped wholesale)
-        interesting = np.flatnonzero(
-            ((ends - starts) >= 2) | (starts == 0) | (ends == len(k))
-        )
-        for ri in interesting:
-            st, en = starts[ri], ends[ri]
-            boundary = st == 0 or en == len(k)
-            if boundary:
-                bnd_d.append(d[st:en])
-                bnd_s.append(s[st:en])
-                bnd_k.append(k[st:en])
-                continue
-            m = en - st
-            if m < 2:
-                continue
-            ii, jj = np.triu_indices(m, k=1)
-            hd = hamming64(s[st:en][ii], s[st:en][jj])
-            ok = hd <= max_hamming
-            out_a.append(d[st:en][ii[ok]])
-            out_b.append(d[st:en][jj[ok]])
-            out_h.append(hd[ok])
-        pa_a = np.concatenate(out_a) if out_a else np.empty(0, dtype=d.dtype)
-        pa_b = np.concatenate(out_b) if out_b else np.empty(0, dtype=d.dtype)
-        pa_h = (
-            np.concatenate(out_h) if out_h else np.empty(0, dtype=np.int64)
-        )
-        bd = np.concatenate(bnd_d) if bnd_d else np.empty(0, dtype=d.dtype)
-        bs = (
-            np.concatenate(bnd_s).astype(np.int64)
-            if bnd_s
-            else np.empty(0, dtype=np.int64)
-        )
-        bk = np.concatenate(bnd_k) if bnd_k else np.empty(0, dtype=np.int64)
-        return pa.table(
-            {
-                "doc_a": np.concatenate([pa_a, bd]),
-                "doc_b": np.concatenate([pa_b, bd]),
-                "hamming": np.concatenate(
-                    [pa_h, np.full(len(bd), -1, dtype=np.int64)]
-                ),
-                "bucket": np.concatenate(
-                    [np.zeros(len(pa_a), dtype=np.int64), bk]
-                ),
-                "sig": np.concatenate(
-                    [np.zeros(len(pa_a), dtype=np.int64), bs]
-                ),
-            }
-        )
-
-    both = sorted_bands.map_batches(emit, batch_format="pyarrow").materialize()
-    pairs_ds = both.map_batches(
-        lambda t: t.filter(pa.compute.greater_equal(t["hamming"], 0)).select(
-            ["doc_a", "doc_b", "hamming"]
-        ),
-        batch_format="pyarrow",
-    )
-
-    # boundary runs (O(#blocks) buckets): pair them in a DISTRIBUTED
-    # grouped pass keyed by bucket — the same stitch discipline as
-    # minhash_lsh_candidates; no boundary member row lands on the driver
-    def stitch(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(subset=["doc_a"]).sort_values("doc_a")
-        ids = g["doc_a"].to_numpy()
-        sg = g["sig"].to_numpy().astype(np.uint64)
-        if len(ids) < 2:
-            return pd.DataFrame(
-                {
-                    "doc_a": pd.Series([], dtype="int64"),
-                    "doc_b": pd.Series([], dtype="int64"),
-                    "hamming": pd.Series([], dtype="int64"),
-                }
-            )
-        ii, jj = np.triu_indices(len(ids), k=1)
-        hd = hamming64(sg[ii], sg[jj])
-        ok = hd <= max_hamming
-        return pd.DataFrame(
-            {
-                "doc_a": pd.Series(ids[ii[ok]], dtype="int64"),
-                "doc_b": pd.Series(ids[jj[ok]], dtype="int64"),
-                "hamming": pd.Series(hd[ok], dtype="int64"),
-            }
-        )
-
-    extra = (
-        both.map_batches(
-            lambda t: t.filter(pa.compute.less(t["hamming"], 0)).select(
-                ["doc_a", "bucket", "sig"]
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(arrowize(stitch), batch_format="pandas")
-    )
-
-    # a pair can surface from up to 4 bands — dedup DISTRIBUTED with a
-    # two-key groupby (hamming is a pure function of the pair, so min
-    # is just "pick one"); pair volume is contracted, never O(n^2)
-    deduped = (
-        pairs_ds.union(extra)
-        .groupby(["doc_a", "doc_b"])
-        .min("hamming")
-    )
-    return deduped.map_batches(
-        lambda t: pa.table(
-            {
-                "doc_a": t["doc_a"],
-                "doc_b": t["doc_b"],
-                "hamming": t["min(hamming)"],
-            }
-        ),
-        batch_format="pyarrow",
+    return partition.hash_reduce(
+        held_blocks(bands)[1],
+        ["bucket"],
+        functools.partial(_simhash_pairs, max_hamming),
     )
 
 
@@ -923,6 +764,16 @@ def ngram_jaccard_pairs(
     ).map_groups(arrowize(emit), batch_format="pandas")
 
 
+def _shared_window_partials(*parts: pa.Table) -> pa.Table:
+    """:func:`_bucket_pairs` of one hash partition's gram runs, counted
+    per ``(doc_a, doc_b)`` as ``shared_windows`` partials."""
+    t = _bucket_pairs("g", "doc", *parts)
+    return segsum.combine_arrays(
+        {"doc_a": t["doc_a"].to_numpy(), "doc_b": t["doc_b"].to_numpy()},
+        {"shared_windows": np.ones(t.num_rows, np.int64)},
+    )
+
+
 def kgram_duplicate_pairs(
     ds: ray.data.Dataset,
     k: int = 8,
@@ -936,11 +787,11 @@ def kgram_duplicate_pairs(
     whole-doc dedup misses).
 
     Scale shape: per-doc DISTINCT window hashes in ``map_batches``
-    (polyhash — SQL-mirrorable), one ``sort`` on the gram hash, pairs
-    emitted per sorted run inside each block (runs touching a block
-    boundary are re-paired in a grouped pass — same discipline as
-    minhash_lsh_candidates), then a native distributed
-    ``groupby(pair).sum`` counts shared windows. Pair volume is
+    (polyhash — SQL-mirrorable) as ``(g, doc)`` rows, through the
+    engine's hash plan keyed on the gram (``partition.hash_reduce``):
+    one reduce task holds each gram's docs whole, pairs them with
+    :func:`_run_pairs` and counts its pairs; ``segsum.combine_dataset``
+    on ``(doc_a, doc_b)`` sums the counts across tasks. Pair volume is
     bounded by real duplication, not O(n^2)."""
     def explode(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_numpy(zero_copy_only=False)
@@ -965,102 +816,20 @@ def kgram_duplicate_pairs(
         )
 
     grams = ds.map_batches(explode, batch_format="pyarrow", batch_size=4096)
-    srt = grams.sort("g")
-
-    def emit(batch: pa.Table) -> pa.Table:
-        g = batch["g"].to_numpy()
-        d = batch["doc"].to_numpy()
-        order = np.lexsort((d, g))
-        g2, d2 = g[order], d[order]
-        new = np.concatenate([[True], g2[1:] != g2[:-1]])
-        starts = np.flatnonzero(new)
-        ends = np.concatenate([starts[1:], [len(g2)]])
-        out_a, out_b = [], []
-        bnd_d, bnd_g = [], []
-        interesting = np.flatnonzero(
-            ((ends - starts) >= 2) | (starts == 0) | (ends == len(g2))
-        )
-        for ri in interesting:
-            st, en = starts[ri], ends[ri]
-            if st == 0 or en == len(g2):  # boundary: forward members
-                bnd_d.append(d2[st:en])
-                bnd_g.append(np.full(en - st, g2[st], dtype=np.int64))
-                continue
-            a, b = _run_pairs(d2[st:en])
-            out_a.append(a)
-            out_b.append(b)
-        pa_a = np.concatenate(out_a) if out_a else np.empty(0, dtype=d.dtype)
-        pa_b = np.concatenate(out_b) if out_b else np.empty(0, dtype=d.dtype)
-        bd = np.concatenate(bnd_d) if bnd_d else np.empty(0, dtype=d.dtype)
-        bg = np.concatenate(bnd_g) if bnd_g else np.empty(0, dtype=np.int64)
-        return pa.table(
-            {
-                "doc_a": np.concatenate([pa_a, bd]),
-                "doc_b": np.concatenate([pa_b, bd]),
-                "g": np.concatenate(
-                    [np.zeros(len(pa_a), dtype=np.int64), bg]
-                ),
-                "is_bnd": np.concatenate(
-                    [
-                        np.zeros(len(pa_a), dtype=np.int8),
-                        np.ones(len(bd), dtype=np.int8),
-                    ]
-                ),
-            }
-        )
-
-    both = srt.map_batches(emit, batch_format="pyarrow").materialize()
-    inner = both.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["is_bnd"], 0)).select(
-            ["doc_a", "doc_b"]
-        ),
-        batch_format="pyarrow",
+    counted = partition.hash_reduce(
+        held_blocks(grams)[1], ["g"], _shared_window_partials
     )
 
-    def stitch(gdf: pd.DataFrame) -> pd.DataFrame:
-        mem = np.sort(gdf["doc_a"].unique())
-        a, b = _run_pairs(mem)
-        return pd.DataFrame({"doc_a": a, "doc_b": b})
+    def finish(t: pa.Table) -> pa.Table:
+        keep = t["shared_windows"].to_numpy() >= min_shared
+        return t.filter(pa.array(keep))
 
-    extra = (
-        both.map_batches(
-            lambda t: t.filter(pa.compute.equal(t["is_bnd"], 1)).select(
-                ["doc_a", "g"]
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("g")
-        .map_groups(arrowize(stitch), batch_format="pandas")
+    return segsum.combine_dataset(
+        held_blocks(counted)[1],
+        ["doc_a", "doc_b"],
+        ["shared_windows"],
+        finish=finish,
     )
-    pairs = inner.union(extra)
-
-    def pre_count(batch: pa.Table) -> pa.Table:
-        a = batch["doc_a"].to_numpy().astype(np.int64)
-        b = batch["doc_b"].to_numpy().astype(np.int64)
-        key = a * np.int64(1 << 31) + b
-        u, c = np.unique(key, return_counts=True)
-        return pa.table({"key": u, "partial": c.astype(np.int64)})
-
-    counted = (
-        pairs.map_batches(pre_count, batch_format="pyarrow")
-        .groupby("key")
-        .sum("partial")
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        key = batch["key"].to_numpy()
-        n = batch["sum(partial)"].to_numpy().astype(np.int64)
-        keep = n >= min_shared
-        key, n = key[keep], n[keep]
-        return pa.table(
-            {
-                "doc_a": (key >> 31).astype(np.int64),
-                "doc_b": (key & np.int64((1 << 31) - 1)).astype(np.int64),
-                "shared_windows": n,
-            }
-        )
-
-    return counted.map_batches(finish, batch_format="pyarrow")
 
 
 def decontaminate(

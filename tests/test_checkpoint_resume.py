@@ -68,7 +68,7 @@ def test_resume_skips_finished_partitions(ray_session, tmp_path):
     assert done == {0, 1, 2}
     remaining = pruned.to_pandas()
     assert set(remaining["part"]) == {3, 4, 5, 6}
-    checkpointed_write(pruned, out, "part", LINEAGE, skip_partitions=done)
+    checkpointed_write(pruned, out, "part", LINEAGE)
     # final state == single clean run
     back = read_checkpointed(out).to_pandas()
     assert len(back) == 500
@@ -191,17 +191,10 @@ def test_stale_staging_removed_by_next_write(ray_session, tmp_path):
 
 
 def test_fully_resumed_run_writes_nothing(ray_session, tmp_path):
-    """With every partition skipped or pruned, the write returns zero
-    rows and partitions and adds no partition dir or manifest line."""
+    """With every partition pruned by resume_filter, the write returns
+    zero rows and partitions and adds no partition dir or manifest
+    line."""
     out = str(tmp_path / "out")
-    # every key in skip_partitions, fresh out_dir
-    meta = checkpointed_write(_pts(), out, "part", LINEAGE, skip_partitions=set(range(7)))
-    assert (meta["rows_written"], meta["partitions_written"]) == (0, 0)
-    assert meta["partitions_skipped"] == 7
-    assert not glob.glob(os.path.join(out, "part=*"))
-    assert not os.path.exists(os.path.join(out, "_MANIFEST.jsonl"))
-
-    # every partition committed, then pruned by resume_filter
     checkpointed_write(_pts(), out, "part", LINEAGE)
     manifest = os.path.join(out, "_MANIFEST.jsonl")
     with open(manifest) as f:
@@ -210,7 +203,8 @@ def test_fully_resumed_run_writes_nothing(ray_session, tmp_path):
     pruned, done = resume_filter(
         _pts(), out, "part", lambda b: b["part"].to_numpy(), LINEAGE
     )
-    meta = checkpointed_write(pruned, out, "part", LINEAGE, skip_partitions=done)
+    assert done == set(range(7))
+    meta = checkpointed_write(pruned, out, "part", LINEAGE)
     assert (meta["rows_written"], meta["partitions_written"]) == (0, 0)
     with open(manifest) as f:
         assert f.read() == before

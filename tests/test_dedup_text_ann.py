@@ -148,6 +148,32 @@ def test_simhash_near_dup(ray_session):
     assert (0, 3) not in got_pairs
 
 
+def test_simhash_pairs_once_each_vs_brute_force(ray_session):
+    """Each pair within 3 bits comes exactly once (from its lowest
+    shared band), and the set is brute-force all-pairs over the
+    signatures: at radius 3 two signatures always share a band."""
+    from rsgislib_ray.stages import partition
+    from rsgislib_ray.stages.dedup import hamming64
+
+    rng = np.random.default_rng(2)
+    words = [f"t{i}" for i in range(60)]
+    base = [" ".join(rng.choice(words, 30)) for _ in range(120)]
+    texts = base + [t + " extra" for t in base[:40]] + base[:30]
+    ids = np.arange(len(texts), dtype=np.int64) * 3
+    ds = partition.table_blocks(pa.table({"doc_id": ids, "text": texts}), 3)
+    got = simhash_near_dup_pairs(ds, max_hamming=3).to_pandas()
+    keys = list(zip(got["doc_a"], got["doc_b"]))
+    assert len(keys) == len(set(keys))
+    sig = simhash_signatures(np.asarray(texts, dtype=object))
+    ii, jj = np.triu_indices(len(texts), k=1)
+    hd = hamming64(sig[ii], sig[jj])
+    want = {
+        (ids[i], ids[j], h) for i, j, h in zip(ii, jj, hd) if h <= 3
+    }
+    assert len(want) > 30
+    assert set(zip(got["doc_a"], got["doc_b"], got["hamming"])) == want
+
+
 def test_ann_topk_vs_brute(ray_session, sf_dir):
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
     tbl = pq.read_table(f"{sf_dir}/embeddings.parquet")
@@ -181,25 +207,6 @@ def test_langid_runs(ray_session, sf_dir):
     out = add_langid(_docs(sf_dir)).to_pandas()
     assert {"lang_pred", "lang_score"} <= set(out.columns)
     assert out["lang_pred"].notna().all()
-
-
-def test_ivf_recall_vs_exact(ray_session, sf_dir):
-    from rsgislib_ray.stages.ann import ann_topk, ivf_topk
-
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
-    tbl = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    queries = tbl.slice(0, 8)
-    exact = ann_topk(emb, queries, k=10).to_pandas()
-    approx = ivf_topk(emb, queries, k=10, n_centroids=16, nprobe=4).to_pandas()
-    recalls = []
-    for qid in queries["vec_id"].to_pylist():
-        e = set(exact[exact["query_id"] == qid]["vec_id"])
-        a = set(approx[approx["query_id"] == qid]["vec_id"])
-        recalls.append(len(e & a) / len(e))
-    assert np.mean(recalls) >= 0.5, recalls
-    # the query vector itself (identical) must always be found
-    for qid in queries["vec_id"].to_pylist():
-        assert qid in set(approx[approx["query_id"] == qid]["vec_id"])
 
 
 def test_exact_dedup_join_strategy_matches_broadcast(ray_session, sf_dir):
@@ -252,6 +259,56 @@ def test_lsh_all_pairs_per_bucket(ray_session):
     pairs = minhash_lsh_candidates(ds).to_pandas().drop_duplicates()
     got = set(map(tuple, pairs[["doc_a", "doc_b"]].to_numpy()))
     assert {(10, 20), (10, 30), (20, 30)} <= got
+
+
+@pytest.mark.parametrize("n_blocks", [1, 4])
+@pytest.mark.parametrize("n_filler", [0, 3000])
+def test_lsh_giant_bucket_is_one_chain_in_any_layout(ray_session, n_blocks, n_filler):
+    """A bucket over _MAX_RUN_ALLPAIRS members pairs as the id chain
+    _run_pairs documents, whatever blocks it spans and whatever other
+    buckets share its blocks (regression: a run that touched a block
+    edge paired its first 512 members all-to-all)."""
+    from rsgislib_ray.stages import partition
+    from rsgislib_ray.stages.dedup import minhash_lsh_candidates
+
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(400)]
+    filler = [" ".join(rng.choice(words, 12)) for _ in range(n_filler)]
+    n_dup = 1500
+    dup_ids = np.arange(n_dup, dtype=np.int64) + n_filler // 2
+    ids = np.concatenate(
+        [np.arange(n_filler // 2), dup_ids, np.arange(n_filler - n_filler // 2) + n_filler // 2 + n_dup]
+    ).astype(np.int64)
+    texts = filler[: n_filler // 2] + ["one shared body of text here"] * n_dup + filler[n_filler // 2 :]
+    ds = partition.table_blocks(pa.table({"doc_id": ids, "text": texts}), n_blocks)
+    pairs = minhash_lsh_candidates(ds, n_perm=32, n_bands=2).to_pandas()
+    dup = set(dup_ids.tolist())
+    got = {
+        (a, b)
+        for a, b in zip(pairs["doc_a"].tolist(), pairs["doc_b"].tolist())
+        if a in dup and b in dup
+    }
+    assert got == set(zip(dup_ids[:-1].tolist(), dup_ids[1:].tolist()))
+
+
+def test_kgram_pairs_keep_ids_past_2_31(ray_session):
+    """Doc ids >= 2**31 come back as they went in (regression: pairs
+    were packed as a * 2**31 + b, so (5, 2**31 + 7) decoded as (6, 7))."""
+    from rsgislib_ray.stages.dedup import kgram_duplicate_pairs
+
+    body = "one two three four five six seven eight nine ten"
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": np.array([5, 2**31 + 7, 9], dtype=np.int64),
+                "text": [body, body, "nothing shared with the others at all here"],
+            }
+        )
+    )
+    got = kgram_duplicate_pairs(ds, k=8).to_pandas()
+    assert got[["doc_a", "doc_b", "shared_windows"]].values.tolist() == [
+        [5, 2**31 + 7, 3]
+    ]
 
 
 def test_verify_pairs_jaccard_distributed_matches_exact(ray_session):
@@ -387,34 +444,6 @@ def test_paragraph_dedup_partition_independence(ray_session):
             .reset_index(drop=True)
         )
     pd.testing.assert_frame_equal(outs[0], outs[1])
-
-
-def test_pq_topk_recall_and_determinism(ray_session, sf_dir):
-    import pyarrow.parquet as pq
-    import pyarrow.compute as pc
-
-    from rsgislib_ray.sources import testdata as td
-    from rsgislib_ray.stages.ann import ann_topk, pq_topk
-
-    emb = td.read_parquet_clean(f"{sf_dir}/embeddings.parquet")
-    tbl = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    qt = tbl.filter(pc.less(tbl["vec_id"], 4))
-    a1 = pq_topk(emb, qt, k=10).to_pandas()
-    a2 = pq_topk(emb.repartition(3), qt, k=10).to_pandas()
-    # deterministic and partition-independent
-    assert a1.equals(a2)
-    exact = ann_topk(emb, qt, k=10).to_pandas()
-    for qid in sorted(exact["query_id"].unique()):
-        e = set(exact[exact["query_id"] == qid]["vec_id"])
-        a = set(a1[a1["query_id"] == qid]["vec_id"])
-        assert len(e & a) / len(e) >= 0.7
-    # each query returns exactly k ranked rows
-    assert (a1.groupby("query_id").size() == 10).all()
-    assert (
-        a1.groupby("query_id")["rank"].apply(
-            lambda s: (s.to_numpy() == np.arange(1, 11)).all()
-        )
-    ).all()
 
 
 def test_exact_dedup_auto_routes_by_measured_dup_groups(

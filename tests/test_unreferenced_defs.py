@@ -25,14 +25,12 @@ TEST_ONLY = {
     "file_digest",
     "images_equal",
     "isfa_fit",
-    "ivf_topk",
     "mad_fit",
     "mutual_information_nats",
     "neighbors",
     "no_four_cocircular",
     "polygon_symdiff_pieces",
     "polygon_union_pieces",
-    "pq_topk",
     "read_checkpointed",
     "read_endmembers_mtxt",
     "ring_cells",

@@ -37,9 +37,10 @@ def to_df(res) -> pd.DataFrame:
     return res
 
 
-def value_hash(df: pd.DataFrame) -> int:
+def normalized(df: pd.DataFrame) -> pd.DataFrame:
+    """``df`` with sorted columns, bools and ints as int64, floats as
+    float64: the form :func:`value_hash` hashes."""
     df = df[sorted(df.columns)].copy()
-    # normalize dtypes: ints -> int64, floats -> float64
     for c in df.columns:
         if pd.api.types.is_bool_dtype(df[c]):
             df[c] = df[c].astype(np.int64)
@@ -47,8 +48,32 @@ def value_hash(df: pd.DataFrame) -> int:
             df[c] = df[c].astype(np.int64)
         elif pd.api.types.is_float_dtype(df[c]):
             df[c] = df[c].astype(np.float64)
-    rows = pd.util.hash_pandas_object(df, index=False)
-    return int(np.bitwise_xor.reduce(rows.to_numpy())) ^ len(df)
+    return df
+
+
+def row_hashes(df: pd.DataFrame) -> np.ndarray:
+    return pd.util.hash_pandas_object(normalized(df), index=False).to_numpy()
+
+
+def value_hash(df: pd.DataFrame) -> int:
+    return int(np.bitwise_xor.reduce(row_hashes(df))) ^ len(df)
+
+
+def report_one_sided_rows(name: str, got: pd.DataFrame, want: pd.DataFrame) -> None:
+    """Print to stderr up to 10 rows found only in the engine's result
+    and up to 10 found only in the oracle's, compared by row hash, so a
+    mismatch shows which side holds what."""
+    hg, hw = row_hashes(got), row_hashes(want)
+    for label, df, mine, other in (
+        ("engine", got, hg, hw),
+        ("oracle", want, hw, hg),
+    ):
+        only = normalized(df)[~np.isin(mine, other)]
+        print(
+            f"{name}: {len(only)} rows only in the {label} result"
+            + (f":\n{only.head(10).to_string(index=False)}" if len(only) else ""),
+            file=sys.stderr,
+        )
 
 
 def main() -> int:
@@ -119,6 +144,7 @@ def main() -> int:
             )
         if not problems and value_hash(got) != value_hash(want):
             problems.append("value-hash mismatch")
+            report_one_sided_rows(name, got, want)
             g = got.sort_values(sorted(got.columns)).reset_index(drop=True)
             w = want.sort_values(sorted(want.columns)).reset_index(drop=True)
             for c in sorted(got.columns):
