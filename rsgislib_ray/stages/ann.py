@@ -367,7 +367,7 @@ def semantic_dedup(
         # verified-pair blocks stay in the object store; each worker
         # builds the union-find root map once (vectorized — see
         # stages/components.py); nothing lands on the driver
-        pair_refs = root_map_blocks(pairs_ds, "u", "v")
+        pair_refs = root_map_blocks(pairs_ds)
 
         def label(batch: pa.Table) -> pa.Table:
             from rsgislib_ray.state.broadcast import cached_multi

@@ -28,8 +28,8 @@ to the transitive-closure setting). Two physical strategies:
   22-bit slice aggregates recombined in Python big-int — one cheap
   aggregate per round, no driver data pull, no 2^64 wrap window.
   Node ids must be non-negative int64.
-- ``"auto"``: materialize the (two-int64-column) edge Dataset and
-  pick by edge count.
+- ``"auto"``: hold the edge Dataset once (``partition.held_rows``) and
+  pick by its edge count, read off the blocks' metadata.
 """
 
 from __future__ import annotations
@@ -103,14 +103,14 @@ def lookup_roots(ids: np.ndarray, keys: np.ndarray, vals: np.ndarray):
     return out
 
 
-def root_map_blocks(
-    pairs: ray.data.Dataset, u_col: str = "doc_a", v_col: str = "doc_b"
-) -> list:
-    """Materialize the edge Dataset and return its block refs. Workers
-    then build the root arrays ONCE per process via
+def root_map_blocks(pairs: ray.data.Dataset) -> list:
+    """The block refs of the edge Dataset, held once
+    (``partition.held_blocks``: blocks that exist are taken as they
+    are, a lazy plan executes once). Workers then build the root arrays
+    ONCE per process via
     ``cached_multi(refs, lambda ts: build_root_arrays(ts, u, v))`` —
     the pair list never lands on the driver."""
-    return pairs.select_columns([u_col, v_col]).materialize().to_arrow_refs()
+    return [ref for ref, _ in partition.held_blocks(pairs)[1]]
 
 
 #: per-batch union-find bundling bound for the propagation pre-reduce:
@@ -349,12 +349,10 @@ def components_label_ids(
     ``keep = (cluster_id == id)``. Strategy semantics per the module
     docstring; ``"auto"`` picks by edge count."""
     if strategy == "auto":
-        pairs = pairs.select_columns([u_col, v_col]).materialize()
-        strategy = (
-            "driver" if pairs.count() <= driver_max_edges else "native"
-        )
+        pairs, edges = partition.held_rows(pairs)
+        strategy = "driver" if edges <= driver_max_edges else "native"
     if strategy == "driver":
-        refs = root_map_blocks(pairs, u_col, v_col)
+        refs = root_map_blocks(pairs)
 
         def label(batch: pa.Table) -> pa.Table:
             from rsgislib_ray.state.broadcast import cached_multi

@@ -573,7 +573,9 @@ def minhash_dedup(
     ``"auto"`` picks by verified-edge count. See
     :mod:`rsgislib_ray.stages.components`.
     """
-    texts_needed = ds.select_columns([id_col, text_col])
+    # held once: the corpus read and the maps before it run once, for
+    # all three consumers
+    texts_needed = held_blocks(ds.select_columns([id_col, text_col]))[0]
     pairs_ds = minhash_lsh_candidates(
         texts_needed, text_col, id_col, n_perm, n_bands, shingle_k
     )

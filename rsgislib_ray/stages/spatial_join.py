@@ -22,14 +22,15 @@ What ships (BENCH_r05, sf0.1 at 32 CPUs, inner join):
    per-cell point histogram; rows are keyed by the dense rank of their
    (cell, salt) in it, so keys rise with the cells and never collide;
    the driver places range boundaries over the ranks, so no rank
-   straddles two partitions and no range is empty; zone rows go only
-   to cells that hold points; each block's rows (points as ``rank,
-   key, x, y``, zones as their ``fid, ring_xy`` plus ``rank``) are
-   split by those boundaries, and one plain Ray task per range finds
-   each point's zone run by rank and refines it with the broadcast
-   join's own :meth:`ZoneSet.refine` — the range plan of the engine's
-   partition tasks (``stages/partition.py``). No Ray Data all-to-all
-   runs.
+   straddles two partitions and no range is empty; each block's rows
+   are split by those boundaries: points as ``rank, key, x, y``, zones
+   once per range as their ``fid, ring_xy`` plus ``ranks``, the list
+   of the zone's ranks in that range (its covering cells that hold
+   points, times their salts). One plain Ray task per range finds each
+   point's zone run by rank, the ranks pointing back at their zone
+   rows, and refines it with the broadcast join's own
+   :meth:`ZoneSet.refine` — the range plan of the engine's partition
+   tasks (``stages/partition.py``). No Ray Data all-to-all runs.
 
 Both return identical rows (tested); the span-sequence invariant holds
 because point rows pass through ``take`` untouched.
@@ -44,6 +45,7 @@ from functools import cached_property, partial
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -577,19 +579,29 @@ def _range_bounds(n: np.ndarray, per: np.ndarray, parts: int) -> np.ndarray:
     return np.unique(first[first < len(w)])
 
 
-def _prep_zones(t: pa.Table, hist, level: int) -> pa.Table:
-    """A zone block's rows for the range plan: the layer's ``fid`` and
-    ``ring_xy`` taken from the source rows, plus ``rank``. One row per
-    covering cell that holds points (a zone row elsewhere can match
-    nothing), and for a hot cell one per salt."""
-    bounds = ZoneSet.from_table(t).bounds
-    src, cell = cellmod.covering_cells_bboxes(*bounds.T, level)
+def _zone_rows(bounds: np.ndarray, hist, level: int, t: pa.Table):
+    """A zone block's rows for the range plan and each row's range: one
+    row per (zone, range), the layer's ``fid`` and ``ring_xy`` taken
+    once from the source row, plus ``ranks``, the zone's live ranks in
+    that range: one per covering cell that holds points (a zone
+    elsewhere can match nothing), and for a hot cell one per salt.
+    Rows come in source row order, then range order."""
+    src, cell = cellmod.covering_cells_bboxes(*ZoneSet.from_table(t).bounds.T, level)
     cells, per = hist
     base, s = run_lookup(cells, np.append(0, np.cumsum(per)), cell)
-    # drop the rows of cells without points, copy the others per salt
+    # drop the covering cells without points, a rank per salt of the others
     rep, salt = expand(s)
-    rows = t.select(["fid", "ring_xy"]).take(pa.array(src[rep]))
-    return rows.append_column("rank", pa.array(base[rep] + salt, pa.int64()))
+    src, rank = src[rep], base[rep] + salt
+    # one run of ranks per (zone, range), zones in source row order
+    parts = len(bounds) + 1
+    row = src * parts + partition.range_ids(rank, bounds)
+    order = np.argsort(row, kind="stable")
+    row, starts = run_table(row[order])
+    ranks = pa.ListArray.from_arrays(
+        pa.array(starts, pa.int32()), pa.array(rank[order], pa.int64())
+    )
+    rows = t.select(["fid", "ring_xy"]).take(pa.array(row // parts))
+    return rows.append_column("ranks", ranks), row % parts
 
 
 def _prep_points(
@@ -611,7 +623,7 @@ def _prep_points(
         splitmix64(key[hot].astype(np.uint64)) % s[hot].astype(np.uint64)
     ).astype(np.int64)
     # out-of-frame points (rank -1) stay in the stream for left/anti
-    # semantics: no zone row has rank -1, so they flow through as
+    # semantics: no zone lists rank -1, so they flow through as
     # unmatched; inner emits nothing for them
     ok = s > 0 if how == "inner" else slice(None)
     return pa.table({"rank": rank[ok], "key": key[ok], "x": x[ok], "y": y[ok]})
@@ -629,19 +641,21 @@ def _ranked(prep, bounds: np.ndarray, *args):
 def _join_range(how: str, key_col: str, n_points: int, *parts) -> pa.Table:
     """Join one rank range: its point parts (the first ``n_points``)
     against its zone parts, from every block. Only the zone rows' ranks
-    are sorted: each point finds the zone run of its rank
-    (:func:`run_table`, :func:`run_lookup`) and :meth:`ZoneSet.refine`
-    keeps the exact pairs. Rows follow the points' arrival order."""
+    are sorted, each rank pointing back at its row: each point finds
+    the zone run of its rank (:func:`run_table`, :func:`run_lookup`)
+    and :meth:`ZoneSet.refine`, over the range's zone rows, keeps the
+    exact pairs. Rows follow the points' arrival order."""
     pts, zones = partition.side(parts[:n_points]), partition.side(parts[n_points:])
     e = np.empty(0, dtype=np.int64)
     pkey = pts["key"].to_numpy() if pts.num_columns else e
     keys, fids, matched = e, e, np.zeros(len(pkey), dtype=bool)
     if len(pkey) and zones.num_rows:
-        zrank = zones["rank"].to_numpy()
+        zrow = pc.list_parent_indices(zones["ranks"]).to_numpy()
+        zrank = pc.list_flatten(zones["ranks"]).to_numpy()
         order = np.argsort(zrank, kind="stable")
         lo, cnt = run_lookup(*run_table(zrank[order]), pts["rank"].to_numpy())
         cand_pt, within = expand(cnt)
-        cand_zone = order[lo[cand_pt] + within]
+        cand_zone = zrow[order[lo[cand_pt] + within]]
         px, py = pts["x"].to_numpy(), pts["y"].to_numpy()
         zs = ZoneSet.from_table(zones)
         ok = zs.refine(px, py, px[cand_pt], py[cand_pt], cand_pt, cand_zone)
@@ -689,14 +703,16 @@ def spatial_join_points_sortmerge(
        task per group of points blocks and per group of zone blocks
        (``partition.split``, grouped as in step 1) builds its side's rows
        and returns one part per range: points as ``rank, key, x, y``
-       (:func:`_prep_points`), zones as the layer's ``fid, ring_xy``
-       plus ``rank``, taken from the source rows only in cells that
-       hold points, as one elsewhere can match no point
-       (:func:`_prep_zones`).
+       (:func:`_prep_points`), zones as one row per (zone, range), the
+       layer's ``fid, ring_xy`` taken once from the source row plus
+       ``ranks``, the zone's ranks in the range: one per covering cell
+       that holds points, as one elsewhere can match no point, and per
+       salt (:func:`_zone_rows`).
     4. One reduce task per range takes its point parts, then its zone
-       parts (:func:`_join_range`). It sorts the zone ranks only; each
-       point expands the zone run of its rank (``arrayops.run_lookup``)
-       and :meth:`ZoneSet.refine` keeps the exact pairs. Steps 3 and 4
+       parts (:func:`_join_range`). It sorts the zone ranks only, each
+       pointing back at its zone row; each point expands the zone run
+       of its rank (``arrayops.run_lookup``) and :meth:`ZoneSet.refine`,
+       over the range's zone rows, keeps the exact pairs. Steps 3 and 4
        are the range plan of ``stages/partition.py``.
 
     The result is materialized: one pair block per range that yields
@@ -714,11 +730,11 @@ def spatial_join_points_sortmerge(
     ``salt_threshold`` enables HOT-CELL SALTING (VERDICT r3 #9 — the
     skew path): each cell holding more than ``salt_threshold`` points
     spreads its points over ``ceil(n/threshold)`` (capped ``max_salt``)
-    salt ranks by point-key hash, and the hot cell's ZONE rows
-    replicate onto every salt — so a cell holding 30% of the corpus
+    salt ranks by point-key hash, and each zone covering the hot cell
+    lists every salt rank — so a cell holding 30% of the corpus
     becomes s ranks that the boundaries can place in different
     partitions, with identical output pairs (each point keeps exactly
-    one salt; its zone copies are unique per salt). ``salt_threshold``
+    one salt; a zone lists each salt rank once). ``salt_threshold``
     must be None or an int >= 1, and ``max_salt`` an int >= 1: a
     ValueError says so when the join is built.
     """
@@ -747,7 +763,7 @@ def spatial_join_points_sortmerge(
         _ranked, ranges, pblocks, _prep_points, bounds, hist,
         level, x_col, y_col, key_col, how,
     )
-    zsplits = partition.split(_ranked, ranges, zblocks, _prep_zones, bounds, hist, level)
+    zsplits = partition.split(_zone_rows, ranges, zblocks, bounds, hist, level)
     return partition.reduce(
         partial(_join_range, how, key_col, len(psplits)), psplits + zsplits, ranges
     )

@@ -305,3 +305,69 @@ def test_minhash_planted_dup_stress(ray_session):
         # non-dup docs keep themselves (sanity on a sample)
         uniq = [i for i in range(50, 200)]
         assert all(out[i] == i for i in uniq), strat
+
+
+def test_label_ids_hold_lazy_pairs_once(ray_session, monkeypatch):
+    """``components_label_ids(strategy="auto")`` holds the pairs once and
+    reads the edge count off their metadata, then hands the held blocks
+    to the root map: lazy pairs execute once, and held pairs start no
+    execution before the caller consumes the labels. The labels are the
+    components' minimum ids."""
+    from rsgislib_ray.stages.components import components_label_ids
+    from tests.test_map_blocks import (
+        _executions,
+        _input_runs,
+        _lazy_input,
+        _lazy_input_marker,
+    )
+
+    pairs = pa.table(
+        {
+            "doc_a": pa.array([1, 2, 5, 8], pa.int64()),
+            "doc_b": pa.array([2, 3, 6, 9], pa.int64()),
+            "jaccard": [0.9, 0.8, 1.0, 0.7],
+        }
+    )
+    ids = ray.data.from_arrow(pa.table({"doc_id": np.arange(12, dtype=np.int64)}))
+    root = {1: 1, 2: 1, 3: 1, 5: 5, 6: 5, 8: 8, 9: 8}
+    want = [root.get(i, i) for i in range(12)]
+    runs = _input_runs(monkeypatch, _lazy_input_marker)
+    lazy = components_label_ids(ids, "doc_id", _lazy_input(pairs))
+    assert len(runs) == 1, runs
+    monkeypatch.undo()
+    execs = _executions(monkeypatch)
+    held = components_label_ids(ids, "doc_id", ray.data.from_arrow(pairs))
+    assert execs == []
+    for out in (lazy, held):
+        got = out.to_pandas().sort_values("doc_id")
+        assert got["cluster_id"].tolist() == want
+        assert got["keep"].tolist() == [root.get(i, i) == i for i in range(12)]
+
+
+def test_minhash_dedup_reads_a_lazy_corpus_once(ray_session, monkeypatch):
+    """``minhash_dedup`` holds the id and text columns once for its
+    three consumers (LSH candidates, Jaccard verify, labels): a lazy
+    corpus executes its maps once, and its labels equal those over the
+    same corpus held, planted near-duplicates clustered."""
+    from rsgislib_ray.stages.dedup import minhash_dedup
+    from tests.test_map_blocks import _input_runs, _lazy_input, _lazy_input_marker
+
+    rng = np.random.default_rng(42)
+    words = [f"w{i}" for i in range(50)]
+    docs = [" ".join(words[j] for j in rng.integers(0, 50, 30)) for _ in range(120)]
+    near = docs[0].split(" ")
+    near[5] = "CHANGED"
+    docs += [" ".join(near), docs[1]]
+    corpus = pa.table({"doc_id": np.arange(len(docs), dtype=np.int64), "text": docs})
+
+    def labels(ds):
+        out = minhash_dedup(ds, threshold=0.6, n_perm=32).to_pandas()
+        return out.sort_values("doc_id").reset_index(drop=True)
+
+    want = labels(ray.data.from_arrow(corpus))
+    runs = _input_runs(monkeypatch, _lazy_input_marker)
+    got = labels(_lazy_input(corpus))
+    assert len(runs) == 1, runs
+    pd.testing.assert_frame_equal(got, want)
+    c = got.set_index("doc_id")["cluster_id"]
+    assert c[120] == c[0] == 0 and c[121] == c[1]

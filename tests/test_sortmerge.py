@@ -1,15 +1,16 @@
 """Sort-merge join internals: the run-join kernel over range
 partitions, the exact cell histogram, the salt plan, rank keys and
-range boundaries derived from it, zone rows only in cells that hold
-points, deterministic output blocks with the pair schema, a plan with
-no all-to-all and no execution over inputs that hold their blocks, and
-a differential test against the broadcast join and brute force over
-every cell level."""
+range boundaries derived from it, one zone row per (zone, range)
+listing only ranks of cells that hold points, deterministic output
+blocks with the pair schema, a plan with no all-to-all and no
+execution over inputs that hold their blocks, and a differential test
+against the broadcast join and brute force over every cell level."""
 
 import re
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -21,10 +22,10 @@ from rsgislib_ray.stages.spatial_join import (
     _cell_histogram,
     _join_range,
     _prep_points,
-    _prep_zones,
     _range_bounds,
     _ranked,
     _salt_plan,
+    _zone_rows,
     spatial_join_points_sortmerge,
 )
 from tests.test_spatial_join import _even_odd
@@ -55,8 +56,8 @@ def _hand_sides(rng):
     """A points table and a zone table in the range plan's two row
     layouts: lattice points (some off-frame, rank -1) as ``rank, key,
     x, y``, and integer rectangles plus triangles as ``fid, ring_xy,
-    rank``, each zone copied onto 1-2 ranks. Rank 2 is given most of
-    the rows; both sides come in shuffled order, ranks interleaved."""
+    ranks``, each zone listing 1-2 ranks. Rank 2 is given most of the
+    rows; both sides come in shuffled order, ranks interleaved."""
     ranks = np.array([0, 1, 2, 2, 2, 2, 2, 2, 3, 4, 5])
     gx, gy = np.meshgrid(np.arange(0, 4.01, 0.5), np.arange(0, 4.01, 0.5))
     px, py = gx.ravel(), gy.ravel()
@@ -81,18 +82,18 @@ def _hand_sides(rng):
             "y": py,
         }
     )
-    rings = [
-        rect_ring(x0, y0, x1, y1) if ring is None else ring
-        for _, _, x0, x1, y0, y1, ring in zones
-    ]
+    rings, ranks = {}, {}
+    for c, fid, x0, x1, y0, y1, ring in zones:
+        rings[fid] = rect_ring(x0, y0, x1, y1) if ring is None else ring
+        ranks.setdefault(fid, []).append(c)
     ztbl = pa.table(
         {
-            "fid": pa.array([z[1] for z in zones], pa.int64()),
+            "fid": pa.array(list(rings), pa.int64()),
             "ring_xy": pa.ListArray.from_arrays(
-                pa.array(np.cumsum([0] + [len(r) for r in rings]), pa.int32()),
-                pa.array(np.concatenate(rings)),
+                pa.array(np.cumsum([0] + [len(r) for r in rings.values()]), pa.int32()),
+                pa.array(np.concatenate(list(rings.values()))),
             ),
-            "rank": pa.array([z[0] for z in zones], pa.int64()),
+            "ranks": pa.array(list(ranks.values()), pa.list_(pa.int64())),
         }
     )
     shuffle = lambda t: t.take(pa.array(rng.permutation(len(t))))  # noqa: E731
@@ -129,6 +130,26 @@ def _range_split(t: pa.Table, bounds: np.ndarray) -> list[pa.Table]:
     return partition.group(*_ranked(lambda x: x, bounds, t), len(bounds) + 1)
 
 
+def _zone_split(z: pa.Table, bounds: np.ndarray) -> list[pa.Table]:
+    """Zone rows that list all their ranks, cut by the range plan as a
+    split task cuts them: per range, one row per zone with a rank
+    there, listing its ranks in that range."""
+    out = [([], []) for _ in range(len(bounds) + 1)]
+    for i, ranks in enumerate(z["ranks"].to_pylist()):
+        by = {}
+        for r in ranks:
+            by.setdefault(int(np.searchsorted(bounds, r, "right")), []).append(r)
+        for part, rs in by.items():
+            out[part][0].append(i)
+            out[part][1].append(rs)
+    return [
+        z.drop_columns(["ranks"])
+        .take(pa.array(rows, pa.int64()))
+        .append_column("ranks", pa.array(rs, pa.list_(pa.int64())))
+        for rows, rs in out
+    ]
+
+
 @pytest.mark.parametrize("how", HOWS)
 def test_range_partitions_equal_brute_force(how):
     """The point rows and the zone rows, each cut into two blocks, each
@@ -146,7 +167,8 @@ def test_range_partitions_equal_brute_force(how):
     for parts in (1, 3, 5):
         bounds = _range_bounds(n, np.ones_like(n), parts)
         assert len(bounds) < parts
-        split = [_range_split(b, bounds) for b in blocks]
+        split = [_range_split(b, bounds) for b in blocks[:2]]
+        split += [_zone_split(b, bounds) for b in blocks[2:]]
         assert all(len(sp) == len(bounds) + 1 for sp in split)
         ranges = [[sp[i] for sp in split] for i in range(len(bounds) + 1)]
         assert all(any(p.num_rows for p in r[:2]) for r in ranges)
@@ -177,7 +199,7 @@ def test_join_range_with_no_rows_is_typed_empty():
 def test_sides_keep_their_own_columns(sf_dir):
     """The range plan ships two narrow row layouts and nothing else:
     point parts hold exactly ``rank, key, x, y``, zone parts exactly
-    the layer's ``fid, ring_xy`` plus ``rank``."""
+    the layer's ``fid, ring_xy`` plus the list ``ranks``."""
     skew = _two_hot_spots(sf_dir)
     zones = td.zones_from_part(sf_dir)
     cells, n = _naive_counts(skew)
@@ -190,11 +212,18 @@ def test_sides_keep_their_own_columns(sf_dir):
              ("x", pa.float64()), ("y", pa.float64())]
         ), how
         assert all(part.schema == p.schema for part in _range_split(p, bounds))
-    z = _prep_zones(zones, (cells, per), 6)
+    z, ids = _zone_rows(bounds, (cells, per), 6, zones)
     assert z.schema == pa.schema(
-        [zones.schema.field("fid"), zones.schema.field("ring_xy"), ("rank", pa.int64())]
+        [
+            zones.schema.field("fid"),
+            zones.schema.field("ring_xy"),
+            ("ranks", pa.list_(pa.int64())),
+        ]
     )
-    assert all(part.schema == z.schema for part in _range_split(z, bounds))
+    assert all(
+        part.schema == z.schema
+        for part in partition.group(z, ids, len(bounds) + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +317,17 @@ def test_range_bounds_keep_keys_whole_and_balance(sf_dir, salt):
             )
             for b in (skew.slice(0, half), skew.slice(half))
         ]
-        split.append(_range_split(_prep_zones(zones, (cells, per), 6), bounds))
+        zsplit = partition.group(*_zone_rows(bounds, (cells, per), 6, zones), ranges)
+        for i, part in enumerate(zsplit):
+            zr = pc.list_flatten(part["ranks"]).to_numpy()
+            assert (np.searchsorted(bounds, zr, "right") == i).all(), parts
         per_range = [
-            set(np.concatenate([sp[i]["rank"].to_numpy() for sp in split]).tolist())
+            set(
+                np.concatenate(
+                    [sp[i]["rank"].to_numpy() for sp in split]
+                    + [pc.list_flatten(zsplit[i]["ranks"]).to_numpy()]
+                ).tolist()
+            )
             for i in range(ranges)
         ]
         assert sum(map(len, per_range)) == len(set().union(*per_range)), parts
@@ -464,18 +501,21 @@ def _tag(batch: pa.Table) -> pa.Table:
 # ---------------------------------------------------------------------------
 
 
-def test_prep_zones_ships_live_rows_only(sf_dir):
-    """:func:`_prep_zones` emits one row per (zone, covering cell) whose
-    cell holds points, times the cell's salts, keyed by the rank of
-    each salt — and none for the covering cells without points, which
-    this corpus has."""
+def test_zone_rows_ship_live_ranks_only(sf_dir):
+    """:func:`_zone_rows` lists one rank per (zone, covering cell) whose
+    cell holds points, times the cell's salts, the rank of each salt —
+    and none for the covering cells without points, which this corpus
+    has. With one range, each zone with a live rank is one row."""
     from rsgislib_ray.functions.cells import covering_cells_bboxes
     from rsgislib_ray.stages.spatial_join import ZoneSet
 
     zones = td.zones_from_part(sf_dir)
     cells, n = _naive_counts(_two_hot_spots(sf_dir))
     per = _salt_plan(n, 100, 4)
-    got = _prep_zones(zones, (cells, per), 6)
+    got, ids = _zone_rows(np.empty(0, np.int64), (cells, per), 6, zones)
+    assert (ids == 0).all()
+    ranks = got["ranks"]
+    fid = pc.take(got["fid"], pc.list_parent_indices(ranks))
     zs = ZoneSet.from_table(zones)
     src, cell = covering_cells_bboxes(*(zs.bounds[:, i] for i in range(4)), 6)
     salts = dict(zip(cells.tolist(), per.tolist()))
@@ -486,9 +526,183 @@ def test_prep_zones_ships_live_rows_only(sf_dir):
         if c in salts
         for j in range(salts[c])
     )
-    assert sorted(zip(got["fid"].to_pylist(), got["rank"].to_pylist())) == want
+    assert sorted(zip(fid.to_pylist(), pc.list_flatten(ranks).to_pylist())) == want
     assert (per > 1).any() and not np.isin(cell, cells).all()
-    assert got.num_rows == sum(salts.get(c, 0) for c in cell.tolist())
+    assert len(pc.list_flatten(ranks)) == sum(salts.get(c, 0) for c in cell.tolist())
+    assert got.num_rows == len(set(src[np.isin(cell, cells)].tolist()))
+
+
+@st.composite
+def _zone_row_cases(draw):
+    """(level, points, hot points, salt threshold, max salt, zones): at
+    levels 1-8, points in quarter cells of a window of up to 4x4 cells,
+    ``hot`` more points in one cell, and zones ``(x, y, w, h, kind)``
+    in quarter cells from the window's corner, kind 0 a rectangle, 1 a
+    triangle, 2 a pentagon. Zones may reach past the frame and lie
+    where no point is, so some cover no cell that holds points."""
+    level = draw(st.integers(1, 8))
+    span = min(1 << level, 4)
+    q = st.integers(0, 4 * span - 1)
+    pts = draw(st.lists(st.tuples(q, q), min_size=1, max_size=30))
+    hot = draw(st.integers(0, 40))
+    threshold = draw(st.sampled_from([None, 1, 3, 10]))
+    max_salt = draw(st.integers(1, 6))
+    z = st.integers(-4, 4 * span + 8)
+    zones = draw(
+        st.lists(
+            st.tuples(z, z, st.integers(1, 12), st.integers(1, 12), st.integers(0, 2)),
+            max_size=12,
+        )
+    )
+    return level, pts, hot, threshold, max_salt, zones
+
+
+def _case_ring(x0, y0, x1, y1, kind):
+    if kind == 0:
+        return rect_ring(x0, y0, x1, y1)
+    if kind == 1:
+        return np.array([x0, y0, x1, y0, x0, y1])
+    mx, my = (x0 + x1) / 2, (y0 + y1) / 2
+    return np.array([x0, y0, mx, y0 - (y1 - y0) / 4, x1, y0, x1, my, x0, y1])
+
+
+def _per_copy_zone_rows(tbl, hist, level, bounds):
+    """The per-copy zone rows as ``(fid, rank, range)``: one per zone
+    and covering cell that holds points, and per salt of that cell,
+    each in the range of its rank. Covering cells are counted here one
+    column and row at a time, from each ring's own bounding box."""
+    cells, per = hist
+    base = dict(zip(cells.tolist(), (np.cumsum(per) - per).tolist()))
+    salts = dict(zip(cells.tolist(), per.tolist()))
+    side = 1 << level
+    cw = 100.0 / side
+    out = []
+    for fid, ring in zip(tbl["fid"].to_pylist(), tbl["ring_xy"].to_pylist()):
+        xs, ys = ring[0::2], ring[1::2]
+        lo = lambda v: max(int(np.floor(v / cw)), 0)  # noqa: E731
+        hi = lambda v: min(int(np.floor(v / cw)), side - 1) + 1  # noqa: E731
+        for col in range(lo(min(xs)), hi(max(xs))):
+            for row in range(lo(min(ys)), hi(max(ys))):
+                c = int(cells_from_xy([(col + 0.5) * cw], [(row + 0.5) * cw], level)[0])
+                for j in range(salts.get(c, 0)):
+                    r = base[c] + j
+                    rid = partition.range_ids(np.array([r]), bounds)
+                    out.append((fid, r, int(rid[0])))
+    return sorted(out)
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=(3, [(1, 1)], 0, None, 1, []))
+@example(case=(6, [(1, 1)] * 3 + [(6, 6)], 20, 3, 4, [(0, 0, 12, 12, 2), (40, 40, 1, 1, 0)]))
+@given(case=_zone_row_cases())
+def test_zone_rows_equal_per_copy_reference(case):
+    """:func:`_zone_rows` against the per-copy layout it replaces, at
+    1, 3 and 5 planned ranges, over the case's zone block and an empty
+    one: the ``(fid, rank, range)`` rows its ``ranks`` lists explode to
+    are the per-copy rows, each (zone, range) is one row, each row's
+    ``ring_xy`` is its source row's, and each row's range is the range
+    of its ranks."""
+    level, pts, hot, threshold, max_salt, zones = case
+    cw = 100.0 / (1 << level)
+    px = np.array([(a / 4 + 0.1) * cw for a, _ in pts] + [0.5 * cw] * hot)
+    py = np.array([(b / 4 + 0.1) * cw for _, b in pts] + [0.5 * cw] * hot)
+    cell = cells_from_xy(px, py, level)
+    cells, n = np.unique(cell[cell != -1], return_counts=True)
+    per = _salt_plan(n, threshold, max_salt)
+    rings = [
+        _case_ring(a * cw / 4, b * cw / 4, (a + w) * cw / 4, (b + h) * cw / 4, kind)
+        for a, b, w, h, kind in zones
+    ]
+    tbl = pa.table(
+        {
+            "fid": pa.array(np.arange(7, 7 + len(rings)), pa.int64()),
+            "ring_xy": pa.array([r.tolist() for r in rings], pa.list_(pa.float64())),
+        }
+    )
+    src_ring = dict(zip(tbl["fid"].to_pylist(), tbl["ring_xy"].to_pylist()))
+    for t in (tbl, tbl.slice(0, 0)):
+        for parts in (1, 3, 5):
+            bounds = _range_bounds(n, per, parts)
+            got, ids = _zone_rows(bounds, (cells, per), level, t)
+            assert len(ids) == got.num_rows
+            assert got.column_names == ["fid", "ring_xy", "ranks"]
+            rows = got.to_pylist()
+            exploded = sorted(
+                (r["fid"], k, int(i)) for r, i in zip(rows, ids) for k in r["ranks"]
+            )
+            want = _per_copy_zone_rows(t, (cells, per), level, bounds)
+            assert exploded == want, parts
+            assert all(r["ranks"] for r in rows)
+            assert len({(r["fid"], int(i)) for r, i in zip(rows, ids)}) == len(rows)
+            assert all(r["ring_xy"] == src_ring[r["fid"]] for r in rows)
+    if threshold is not None and hot > threshold and max_salt > 1:
+        assert (per > 1).any()
+
+
+def test_join_range_builds_zones_once_per_split_group(ray_session, monkeypatch):
+    """On a ``skew_sortmerge``-shaped input (4,000 lattice points, about
+    30% of them in one level-6 cell, salted at 200 points, against
+    1,000 overlapping rectangles, in four ranges), each range's reduce
+    task builds its :class:`ZoneSet` from at most one row per (zone,
+    zone split group), not from one copy per covering cell and salt
+    (about 18k rows over the ranges)."""
+    import ray
+    import ray.data
+
+    from rsgislib_ray.stages.spatial_join import ZoneSet
+
+    rng = np.random.default_rng(2401)
+    n = 4_000
+    x = rng.integers(0, 10000, n) / 100.0 + 0.005
+    y = rng.integers(0, 10000, n) / 100.0 + 0.005
+    hot = rng.random(n) < 0.3
+    x = np.where(hot, 50.0 + (x - np.floor(x)), x)
+    y = np.where(hot, 50.0 + (y - np.floor(y)), y)
+    points = pa.table({"pt_row": np.arange(n, dtype=np.int64), "x": x, "y": y})
+    x0 = rng.integers(0, 88, 1_000).astype(np.float64)
+    y0 = rng.integers(0, 88, 1_000).astype(np.float64)
+    x1, y1 = x0 + 4 + rng.integers(0, 9, 1_000), y0 + 4 + rng.integers(0, 9, 1_000)
+    ring = np.column_stack([x0, y0, x1, y0, x1, y1, x0, y1])
+    zones = pa.table(
+        {
+            "fid": pa.array(np.arange(1_000, dtype=np.int64)),
+            "ring_xy": pa.FixedSizeListArray.from_arrays(pa.array(ring.ravel()), 8),
+        }
+    )
+    monkeypatch.setattr(partition, "TASK_ROWS", 1_000)
+    seen, runs = [], []
+    from_table = ZoneSet.from_table.__func__
+
+    def spy(cls, tbl, *a, **k):
+        seen.append(tbl)
+        return from_table(cls, tbl, *a, **k)
+
+    reduce = partition.reduce
+
+    def reduce_here(fn, splits, parts):
+        """Runs each range's ``_join_range`` once more in this process,
+        on the same parts, with ``ZoneSet.from_table`` spied."""
+        groups = len(splits) - fn.args[2]
+        with monkeypatch.context() as m:
+            m.setattr(ZoneSet, "from_table", classmethod(spy))
+            for i in range(parts):
+                fn(*ray.get([s[i] for s in splits]))
+        runs.append((groups, parts))
+        return reduce(fn, splits, parts)
+
+    monkeypatch.setattr(partition, "reduce", reduce_here)
+    half = n // 2
+    out = spatial_join_points_sortmerge(
+        ray.data.from_arrow([points.slice(0, half), points.slice(half)]), zones,
+        level=6, key_col="pt_row", salt_threshold=200,
+    )
+    assert out.count() > 0
+    [(groups, parts)] = runs
+    assert parts == 4 and len(seen) == parts
+    for tbl in seen:
+        fid = tbl["fid"].to_numpy()
+        assert np.bincount(fid).max() <= groups
+    assert 1_000 <= sum(t.num_rows for t in seen) <= 1_000 * groups * parts
 
 
 def test_held_inputs_start_no_execution(ray_session, sf_dir, monkeypatch):
